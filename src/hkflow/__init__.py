@@ -22,10 +22,10 @@ from .mdelta import (ball_average, in_ball_average_class, in_pointwise_class,
                       largest_pointwise_delta, pointwise_class_margin)
 from .pde import (PDETrajectory, hk_flow_pde, scalar_quadratic_closed_form,
                   scalar_reaction_ode, shk_flow_pde, spherical_reaction_ode)
-from .hk import (HKResult, cone_distance, cone_lift, cone_project,
-                 dilation_cost, hk_distance, hk_distance_squared,
-                 hk_exact_small, hk_two_diracs, mass_gap_lower_bound,
-                 scaling_identity_gap, shk_distance, shk_from_hk_squared)
+from .hk import (HKResult, cone_distance, dilation_cost, hk_distance,
+                 hk_distance_squared, hk_exact_small, hk_two_diracs,
+                 mass_gap_lower_bound, scaling_identity_gap, shk_distance,
+                 shk_from_hk_squared)
 from .measures import (DiscreteMeasure, GridDomain, restrict, scale_measure,
                        total_mass, uniform_measure, unit_interval)
 from .mm import (MMStepResult, MMTrajectory, check_density_bounds,

@@ -27,7 +27,7 @@ import scipy
 
 from . import __version__
 from .entropy import entropy_from_json, eval_functional
-from .evi import contraction_check, convergence_study, error_budget, evi_check
+from .evi import convergence_study, error_budget, evi_check
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, interpolation_weight, radius_ratio,
@@ -324,9 +324,7 @@ def run_convergence(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     rows = []
     gaps = []
     for row in convergence_study(mu0, E, metric, taus, T):
-        n = int(round(T / row["tau"]))
-        traj = mm_trajectory(mu0, row["tau"], n, E, metric=metric)
-        rep = evi_check(traj, E, lam, metric=metric)
+        rep = evi_check(row["trajectory"], E, lam, metric=metric)
         rows.append([row["tau"], row["sup_gap"], rep.worst_residual])
         gaps.append(row["sup_gap"])
     write_csv(out / "convergence_study.csv",
@@ -357,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol-scale", type=float, default=1.0)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="reserved for fan-out verbs; runs are serial")
     return ap
 
 

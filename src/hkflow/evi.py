@@ -21,13 +21,24 @@ def lambda_star(lam: float) -> float:
     return 2.0 * min(lam, 0.0) - 2.0
 
 
-def metric_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                            metric: str = "hk", **kw) -> float:
-    d2 = hk_distance_squared(mu0, mu1, **kw).hk_squared
-    if metric == "shk":
-        return shk_from_hk_squared(d2) ** 2
-    if metric != "hk":
+def distances_squared_along(measures, others, metric: str = "hk",
+                            **solver_kw) -> np.ndarray:
+    """Squared metric distances from measures[k] to others[k], where others
+    is a list of the same length or one fixed measure.
+
+    Consecutive pairs along a trajectory lie one step apart, so each solve
+    is warm-started from the previous pair's dual potentials."""
+    if metric not in ("hk", "shk"):
         raise ValueError(f"unknown metric {metric!r}")
+    if isinstance(others, DiscreteMeasure):
+        others = [others] * len(measures)
+    d2 = np.empty(len(measures))
+    warm = None
+    for k, (m, o) in enumerate(zip(measures, others, strict=True)):
+        res = hk_distance_squared(m, o, warm_start=warm, **solver_kw)
+        warm = (res.potential_source, res.potential_target)
+        d2[k] = (res.hk_squared if metric == "hk"
+                 else shk_from_hk_squared(res.hk_squared) ** 2)
     return d2
 
 
@@ -96,8 +107,7 @@ def evi_check(traj: MMTrajectory, E: EntropySpec, lam: float,
     worst_star = worst_lam = -math.inf
     for obs in observers:
         phi_o = eval_functional(E, obs)
-        d2 = np.array([metric_distance_squared(m, obs, metric, **solver_kw)
-                       for m in traj.measures])
+        d2 = distances_squared_along(traj.measures, obs, metric, **solver_kw)
         Rs = evi_residual_matrix(times, phis, d2, phi_o, lam_s)
         Rl = evi_residual_matrix(times, phis, d2, phi_o, lam)
         mats_star.append(Rs)
@@ -147,12 +157,8 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float,
     n_steps = len(ms) - 1
     if n_steps < 1:
         raise ValueError("trajectory needs at least one step")
-    d2_steps = np.array([metric_distance_squared(ms[k], ms[k + 1], metric,
-                                                 **solver_kw)
-                         for k in range(n_steps)])
-    d2_skips = np.array([metric_distance_squared(ms[k - 1], ms[k + 1],
-                                                 metric, **solver_kw)
-                         for k in range(1, n_steps)])
+    d2_steps = np.asarray(traj.distances_squared, dtype=float)
+    d2_skips = distances_squared_along(ms[:-2], ms[2:], metric, **solver_kw)
     if slope is None:
         slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
     deltas = np.zeros(n_steps)
@@ -196,9 +202,8 @@ def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
             or len(traj_a.measures) != len(traj_b.measures):
         raise ValueError("trajectories live on different time grids")
     times = traj_a.times
-    d = np.array([math.sqrt(max(metric_distance_squared(
-        ma, mb, metric, **solver_kw), 0.0))
-        for ma, mb in zip(traj_a.measures, traj_b.measures)])
+    d = np.sqrt(np.maximum(distances_squared_along(
+        traj_a.measures, traj_b.measures, metric, **solver_kw), 0.0))
     lam_s = lambda_star(lam)
     lhs = np.exp(lam_s * times) * d
     step_times = traj_a.tau * np.arange(len(budget_a.deltas))
@@ -221,7 +226,9 @@ def convergence_study(mu0: DiscreteMeasure, E: EntropySpec,
     """Sup-distance between interpolants at consecutive step sizes.
 
     Returns one row per consecutive (tau, tau_next) pair with the sup of
-    the metric distance over the finer time grid on [0, T].
+    the metric distance over the finer time grid on [0, T], and the
+    coarser trajectory under "trajectory" for callers that check it
+    further.
     """
     taus = list(tau_list)
     trajs = []
@@ -230,11 +237,10 @@ def convergence_study(mu0: DiscreteMeasure, E: EntropySpec,
         trajs.append(mm_trajectory(mu0, tau, n, E, metric=metric, **kw))
     rows = []
     for ta, tb in zip(trajs[:-1], trajs[1:]):
-        gap = 0.0
-        for t in tb.times:
-            d2 = metric_distance_squared(interpolate_constant_left(ta, t),
-                                         interpolate_constant_left(tb, t),
-                                         metric)
-            gap = max(gap, math.sqrt(max(d2, 0.0)))
-        rows.append({"tau": ta.tau, "tau_next": tb.tau, "sup_gap": gap})
+        d2 = distances_squared_along(
+            [interpolate_constant_left(ta, t) for t in tb.times],
+            [interpolate_constant_left(tb, t) for t in tb.times], metric)
+        gap = math.sqrt(max(float(np.max(d2)), 0.0))
+        rows.append({"tau": ta.tau, "tau_next": tb.tau, "sup_gap": gap,
+                     "trajectory": ta})
     return rows

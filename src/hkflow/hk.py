@@ -10,10 +10,20 @@ the two inputs, s0 = H 1 / a and s1 = H^T 1 / b are the marginal density
 ratios, F(r) = r log r - r + 1, and cost(R) = -2 log cos R for R < pi/2
 (infinite otherwise).
 
-Two solvers are provided: a log-domain scaling iteration with a
-decreasing regularization schedule (any support size), and a damped
-Newton interior-point solver for supports of at most eight nodes used as
-a high-precision cross-check.
+Two solvers are provided.
+
+``hk_distance_squared`` (any support size) adds an entropic penalty of
+weight eps to the program and maximizes its smooth, strictly concave dual
+over potentials (f, g) with damped Newton steps: each step solves the
+dense (n + m) Hessian system by Cholesky and backtracks on the dual
+value.  eps is continued along a decreasing schedule (1e-1 down to 1e-6),
+each level starting from the previous level's potentials.  A warm start
+from given potentials solves at the final eps only, and redoes the full
+continuation if that start proves stale.
+
+``hk_exact_small`` (supports of at most eight nodes) solves the primal
+program itself with a damped Newton interior-point method on a vanishing
+log barrier; it is the high-precision cross-check of the first.
 """
 
 from __future__ import annotations
@@ -45,12 +55,6 @@ def transport_cost(distances: np.ndarray) -> np.ndarray:
     ok = d < HALF_PI - 1e-15
     out[ok] = -2.0 * np.log(np.cos(d[ok]))
     return out
-
-
-def entropy_divergence(sigma: np.ndarray) -> np.ndarray:
-    """F(r) = r log r - r + 1 with F(0) = 1."""
-    s = np.asarray(sigma, dtype=float)
-    return xlogy(s, s) - s + 1.0
 
 
 def let_cost(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -125,8 +129,9 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
     eps = eps_schedule[-1]
     gnorm = math.inf
     for eps in eps_schedule:
+        H = plan_of(f, g, eps)
+        val = dual(f, g, eps, H)
         for _ in range(max_iter):
-            H = plan_of(f, g, eps)
             r = H.sum(axis=1)
             s = H.sum(axis=0)
             ea = a * np.exp(-f)
@@ -144,20 +149,22 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
                 step = cho_solve(cho_factor(M), grad)
             except np.linalg.LinAlgError:
                 step = np.linalg.solve(M + 1e-12 * np.eye(n + m), grad)
-            val = dual(f, g, eps, H)
             t = 1.0
             while t > 1e-13:
                 fn = f + t * step[:n]
                 gn = g + t * step[n:]
-                vn = dual(fn, gn, eps, plan_of(fn, gn, eps))
+                Hn = plan_of(fn, gn, eps)
+                vn = dual(fn, gn, eps, Hn)
                 if math.isfinite(vn) and vn >= val - 1e-18:
                     break
                 t *= 0.5
             else:
                 break
-            f, g = fn, gn
+            # the accepted trial's plan and dual value are the next
+            # iterate's, so each accepted step costs one exp, not two
+            f, g, H, val = fn, gn, Hn, vn
             total += 1
-    return plan_of(f, g, eps), f, g, total, eps, gnorm
+    return H, f, g, total, eps, gnorm
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -409,24 +416,6 @@ def cone_distance(x0, r0, x1, r1, base_distance) -> float:
     d = min(float(base_distance), math.pi)
     val = r0 * r0 + r1 * r1 - 2.0 * r0 * r1 * math.cos(d)
     return math.sqrt(max(val, 0.0))
-
-
-def cone_lift(mu: DiscreteMeasure) -> dict:
-    """Plant the measure on the unit-radius level of the cone."""
-    return {"base": mu, "radii": np.ones(mu.domain.n_nodes),
-            "masses": mu.node_masses.copy()}
-
-
-def cone_project(domain: GridDomain, radii: np.ndarray,
-                 masses: np.ndarray) -> DiscreteMeasure:
-    """Push a cone measure to the base, weighting by squared radius."""
-    radii = np.asarray(radii, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    w = domain.weights
-    density = np.zeros(domain.n_nodes)
-    ok = w > 0
-    density[ok] = (radii[ok] ** 2) * masses[ok] / w[ok]
-    return DiscreteMeasure(domain, density)
 
 
 def dilation_cost(mu0: DiscreteMeasure, dilation: np.ndarray,

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import hkflow.cli
+import hkflow.evi
 from hkflow.cli import main
 from hkflow.hk import hk_two_diracs
 
@@ -145,3 +147,46 @@ def test_csv_floats_have_12_significant_digits(tmp_path):
     row = (out / "mm_run.csv").read_text().strip().splitlines()[2]
     mass_field = row.split(",")[2]
     assert len(mass_field.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def test_evi_check_exit_0(tmp_path):
+    cfg = {
+        "domain": DOMAIN,
+        "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+        "entropy": QUADRATIC,
+        "tau": 0.02,
+        "n_steps": 3,
+        "lambda": 0.0,
+    }
+    status, out = run_cli(tmp_path, "evi-check", cfg)
+    assert status == 0
+    lines = (out / "evi_residuals.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 3 * 10  # header + 3 observers x 10 (s, t) pairs
+    summary = json.loads((out / "evi_summary.json").read_text())
+    assert summary["budget_bound_holds"]
+
+
+def test_convergence_study_one_trajectory_per_tau(tmp_path, monkeypatch):
+    built = []
+
+    def counting(*args, **kw):
+        built.append(args[1])
+        return original(*args, **kw)
+
+    original = hkflow.evi.mm_trajectory
+    monkeypatch.setattr(hkflow.evi, "mm_trajectory", counting)
+    monkeypatch.setattr(hkflow.cli, "mm_trajectory", counting)
+    cfg = {
+        "domain": DOMAIN,
+        "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+        "entropy": QUADRATIC,
+        "metric": "shk",
+        "tau_list": [0.04, 0.02, 0.01],
+        "t_final": 0.04,
+    }
+    status, out = run_cli(tmp_path, "convergence-study", cfg)
+    assert status == 0
+    assert sorted(built) == [0.01, 0.02, 0.04]
+    lines = (out / "convergence_study.csv").read_text().strip().splitlines()
+    assert lines[0] == "tau,sup_gap,evi_worst_residual"
+    assert len(lines) == 3  # header + one row per consecutive tau pair

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hkflow.entropy import eval_functional, power_mass_entropy
-from hkflow.evi import (contraction_check, convergence_study, error_budget,
-                        evi_check, evi_residual_matrix,
+from hkflow.evi import (contraction_check, convergence_study,
+                        default_observers, distances_squared_along,
+                        error_budget, evi_check, evi_residual_matrix,
                         interpolate_constant_left, lambda_star)
+from hkflow.hk import hk_distance_squared, shk_from_hk_squared
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import MMTrajectory, mm_trajectory
 
@@ -126,3 +128,51 @@ def test_convergence_study_rows(interval33):
     assert rows[0]["tau"] == pytest.approx(0.04)
     assert rows[0]["tau_next"] == pytest.approx(0.02)
     assert rows[0]["sup_gap"] >= 0.0
+
+
+def _cold_d2(mu0, mu1, metric):
+    d2 = hk_distance_squared(mu0, mu1).hk_squared
+    return d2 if metric == "hk" else shk_from_hk_squared(d2) ** 2
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_warm_distances_match_cold(interval17, metric):
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval17, base=0.8, amplitude=0.5)
+    mu1 = sinusoid_measure(interval17, base=0.9, amplitude=0.3, frequency=2)
+    if metric == "shk":
+        mu0 = DiscreteMeasure(interval17, mu0.density / mu0.mass)
+        mu1 = DiscreteMeasure(interval17, mu1.density / mu1.mass)
+    traj_a = mm_trajectory(mu0, 0.02, 4, E, metric=metric)
+    traj_b = mm_trajectory(mu1, 0.02, 4, E, metric=metric)
+    obs = default_observers(mu0, metric)[0]
+    fixed = distances_squared_along(traj_a.measures, obs, metric)
+    paired = distances_squared_along(traj_a.measures, traj_b.measures, metric)
+    assert np.allclose(fixed, [_cold_d2(m, obs, metric)
+                               for m in traj_a.measures], rtol=0, atol=1e-10)
+    assert np.allclose(paired, [_cold_d2(ma, mb, metric) for ma, mb in
+                                zip(traj_a.measures, traj_b.measures)],
+                       rtol=0, atol=1e-10)
+    with pytest.raises(ValueError):
+        distances_squared_along(traj_a.measures, traj_b.measures[1:], metric)
+
+
+def test_error_budget_matches_cold_distances(interval33):
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.5)
+    tau, kappa, lam = 0.02, 2.0, -2.0
+    traj = mm_trajectory(mu0, tau, 5, E, metric="hk")
+    ms = traj.measures
+    steps = np.array([_cold_d2(ms[k], ms[k + 1], "hk")
+                      for k in range(len(ms) - 1)])
+    skips = np.array([_cold_d2(ms[k - 1], ms[k + 1], "hk")
+                      for k in range(1, len(ms) - 1)])
+    slope = math.sqrt(steps[0]) / tau
+    expected = np.empty_like(steps)
+    expected[0] = ((1.0 - 2.0 * lam) * steps[0]
+                   + (1.0 + 1.0 / (1.0 + lam * tau)) * slope ** 2)
+    gaps = np.maximum(2.0 * steps[:-1] + 2.0 * steps[1:] - skips, 0.0)
+    expected[1:] = np.maximum((1.0 - 2.0 * lam + kappa / tau) * steps[1:]
+                              + gaps / tau ** 2, 0.0)
+    budget = error_budget(traj, kappa=kappa, lam=lam)
+    assert np.allclose(budget.deltas, expected, rtol=1e-6, atol=0.0)

@@ -189,3 +189,23 @@ def test_warm_start_agrees(interval17):
     warm = hk_distance_squared(
         mu, nu, warm_start=(cold.potential_source, cold.potential_target))
     assert warm.hk_squared == pytest.approx(cold.hk_squared, rel=1e-9)
+
+
+def test_plan_matches_returned_potentials(interval17):
+    # the returned plan is the Gibbs plan of the returned potentials at the
+    # final regularization, and zero off the target's support
+    mu = sinusoid_measure(interval17)
+    rho = sinusoid_measure(interval17, base=0.6, amplitude=0.2).density.copy()
+    off = [0, 5, 6]
+    rho[off] = 0.0
+    nu = DiscreteMeasure(interval17, rho)
+    res = hk_distance_squared(mu, nu)
+    on = np.flatnonzero(rho)
+    a = mu.density * interval17.weights
+    b = (nu.density * interval17.weights)[on]
+    cost = transport_cost(interval17.distance_matrix())[:, on]
+    f, g = res.potential_source, res.potential_target[on]
+    expected = np.outer(a, b) * np.exp(
+        (f[:, None] + g[None, :] - cost) / res.eps_final)
+    assert np.allclose(res.plan[:, on], expected, rtol=1e-10, atol=0.0)
+    assert not np.any(res.plan[:, off])
