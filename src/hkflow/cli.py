@@ -155,7 +155,7 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         if gap > 1e-5 * tol_scale * (1.0 + closed):
             status = EXIT_ASSERTION
     write_json(out / "distance.json", result)
-    return status
+    return status if res.converged else EXIT_SOLVER
 
 
 def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:

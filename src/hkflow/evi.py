@@ -27,7 +27,8 @@ def distances_squared_along(measures, others, metric: str = "hk",
     is a list of the same length or one fixed measure.
 
     Consecutive pairs along a trajectory lie one step apart, so each solve
-    is warm-started from the previous pair's dual potentials."""
+    is warm-started from the previous pair's dual potentials.  An
+    unconverged solve raises RuntimeError."""
     if metric not in ("hk", "shk"):
         raise ValueError(f"unknown metric {metric!r}")
     if isinstance(others, DiscreteMeasure):
@@ -36,6 +37,10 @@ def distances_squared_along(measures, others, metric: str = "hk",
     warm = None
     for k, (m, o) in enumerate(zip(measures, others, strict=True)):
         res = hk_distance_squared(m, o, warm_start=warm, **solver_kw)
+        if not res.converged:
+            raise RuntimeError(f"distance solve for pair {k} did not "
+                               f"converge (marginal error "
+                               f"{res.marginal_error:.2e})")
         warm = (res.potential_source, res.potential_target)
         d2[k] = (res.hk_squared if metric == "hk"
                  else shk_from_hk_squared(res.hk_squared) ** 2)

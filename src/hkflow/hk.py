@@ -15,11 +15,13 @@ Two solvers are provided.
 ``hk_distance_squared`` (any support size) adds an entropic penalty of
 weight eps to the program and maximizes its smooth, strictly concave dual
 over potentials (f, g) with damped Newton steps: each step solves the
-dense (n + m) Hessian system by Cholesky and backtracks on the dual
-value.  eps is continued along a decreasing schedule (1e-1 down to 1e-6),
-each level starting from the previous level's potentials.  A warm start
-from given potentials solves at the final eps only, and redoes the full
-continuation if that start proves stale.
+dense (n + m) Hessian system by Cholesky and halves the step until the
+dual gains more than its roundoff band, or stays inside that band while
+the gradient's max-norm falls.  eps is continued along a decreasing
+schedule (1e-1 down to 1e-6), each level starting from the previous
+level's potentials.  A warm start from given potentials solves at the
+final eps only, and redoes the full continuation if its result would not
+count as converged.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -108,6 +110,12 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
     continued along a decreasing regularization schedule.  The dual is
     smooth and strictly concave, so warm-started solves converge in a
     handful of steps even at small eps.
+
+    A trial step is accepted when the dual gains more than the roundoff
+    band 1e-14 (sum a + sum b).  Near the optimum the true gain of a
+    Newton step (about gradient^2 eps) falls below that band, so there a
+    trial whose dual stays inside the band is accepted when the max-norm
+    of its gradient falls.  Otherwise the step is halved.
     """
     n, m = cost.shape
     log_a = np.log(a)
@@ -123,6 +131,16 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
         return (float(a @ (1.0 - np.exp(-f)) + b @ (1.0 - np.exp(-g)))
                 - eps * (float(H.sum()) - ab))
 
+    def gradient(f, g, H):
+        r = H.sum(axis=1)
+        s = H.sum(axis=0)
+        ea = a * np.exp(-f)
+        eb = b * np.exp(-g)
+        grad = np.concatenate([ea - r, eb - s])
+        return r, s, ea, eb, grad, float(np.max(np.abs(grad)))
+
+    # dual values closer than this differ by roundoff only
+    noise = 1e-14 * float(a.sum() + b.sum())
     f = np.zeros(n) if f0 is None else np.asarray(f0, float).copy()
     g = np.zeros(m) if g0 is None else np.asarray(g0, float).copy()
     total = 0
@@ -131,13 +149,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
     for eps in eps_schedule:
         H = plan_of(f, g, eps)
         val = dual(f, g, eps, H)
+        r, s, ea, eb, grad, gnorm = gradient(f, g, H)
         for _ in range(max_iter):
-            r = H.sum(axis=1)
-            s = H.sum(axis=0)
-            ea = a * np.exp(-f)
-            eb = b * np.exp(-g)
-            grad = np.concatenate([ea - r, eb - s])
-            gnorm = float(np.max(np.abs(grad)))
             if gnorm < tol:
                 break
             M = np.zeros((n + m, n + m))
@@ -155,14 +168,20 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, f0=None, g0=None):
                 gn = g + t * step[n:]
                 Hn = plan_of(fn, gn, eps)
                 vn = dual(fn, gn, eps, Hn)
-                if math.isfinite(vn) and vn >= val - 1e-18:
+                trial = gradient(fn, gn, Hn)
+                # a gain beyond roundoff decides; inside the roundoff band
+                # the dual cannot, so the gradient norm must fall instead
+                if math.isfinite(vn) and (
+                        vn > val + noise
+                        or (vn >= val - noise and trial[-1] < gnorm)):
                     break
                 t *= 0.5
             else:
                 break
-            # the accepted trial's plan and dual value are the next
-            # iterate's, so each accepted step costs one exp, not two
+            # the accepted trial's plan, dual value and gradient are the
+            # next iterate's, so an accepted step computes nothing twice
             f, g, H, val = fn, gn, Hn, vn
+            r, s, ea, eb, grad, gnorm = trial
             total += 1
     return H, f, g, total, eps, gnorm
 
@@ -204,6 +223,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     g_r = np.zeros(b_r.size)
     iters, eps, gnorm = 0, float(eps_schedule[-1]), 0.0
     cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
+    scaled_tol = tol * max(1.0, m0 + m1)
     if a_r.size and b_r.size:
         f0 = g0 = None
         sched = eps_schedule
@@ -212,13 +232,11 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
             g0 = warm_start[1][tgt][reachable_tgt]
             sched = eps_schedule[-1:]
         plan_r, f_r, g_r, iters, eps, gnorm = _dual_newton(
-            a_r, b_r, cost_r, sched, max_iter, tol * max(1.0, m0 + m1),
-            f0, g0)
-        if warm_start is not None and gnorm > 1e6 * tol * max(1.0, m0 + m1):
+            a_r, b_r, cost_r, sched, max_iter, scaled_tol, f0, g0)
+        if warm_start is not None and gnorm > 1e3 * scaled_tol:
             # stale warm start; redo the full continuation from scratch
             plan_r, f_r, g_r, it2, eps, gnorm = _dual_newton(
-                a_r, b_r, cost_r, eps_schedule, max_iter,
-                tol * max(1.0, m0 + m1))
+                a_r, b_r, cost_r, eps_schedule, max_iter, scaled_tol)
             iters += it2
 
     plan = np.zeros((n, n))
@@ -245,7 +263,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         s_r = plan_r.sum(axis=0)
         slope_r = (1.0 - np.exp(-g_r)) - eps * (s_r / b_r - float(a_r.sum()))
         slope[tgt[reachable_tgt]] = slope_r
-    converged = gnorm <= 1e3 * tol * max(1.0, m0 + m1)
+    converged = gnorm <= 1e3 * scaled_tol
     return HKResult(float(value), plan, f_full, g_full, float(gnorm), iters,
                     converged, eps, float(dual), slope)
 

@@ -134,6 +134,13 @@ def _hk_value_and_grad(mu0, domain, rho, warm, solver_kw):
     return res.dual_value, grad_rho
 
 
+def _step_converged(out, grad_tol, final) -> bool:
+    """The outer minimization converged and so did the final distance
+    solve the step reports."""
+    return bool((out.success or np.max(np.abs(out.jac)) < 10 * grad_tol)
+                and final.converged)
+
+
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
             grad_tol: float = 1e-7, max_iter: int = 500,
             x0: np.ndarray | None = None, warm=None,
@@ -177,8 +184,7 @@ def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
                         final.hk_squared,
                         float(np.max(np.abs(out.jac))), int(out.nit),
-                        bool(out.success or np.max(np.abs(out.jac))
-                             < 10 * grad_tol), final.plan)
+                        _step_converged(out, grad_tol, final), final.plan)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -224,8 +230,7 @@ def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
                         shk_from_hk_squared(final.hk_squared) ** 2,
                         float(np.max(np.abs(out.jac))), int(out.nit),
-                        bool(out.success or np.max(np.abs(out.jac))
-                             < 10 * grad_tol), final.plan)
+                        _step_converged(out, grad_tol, final), final.plan)
 
 
 @dataclass
@@ -263,11 +268,12 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
     plans = []
     warm = [None]
     cur = mu0
-    for _ in range(n_steps):
+    for k in range(n_steps):
         res = step(cur, tau, E, grad_tol=grad_tol, warm=warm, **solver_kw)
         if not res.converged:
-            raise RuntimeError("inner minimization did not converge "
-                               f"(grad norm {res.grad_norm:.2e})")
+            raise RuntimeError(f"implicit step {k + 1} did not converge: "
+                               f"grad norm {res.grad_norm:.2e}, or its "
+                               "final distance solve failed")
         measures.append(res.measure)
         d2.append(res.distance_squared)
         objs.append(res.objective)

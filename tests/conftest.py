@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ def dirac_measure(domain: GridDomain, nodes, masses) -> DiscreteMeasure:
     for node, mass in zip(nodes, masses):
         rho[int(node)] += float(mass) / w[int(node)]
     return DiscreteMeasure(domain, rho)
+
+
+def unconverged(solver):
+    """Wrap a distance solver so that every result reports converged=False."""
+    def wrapped(*args, **kw):
+        return dataclasses.replace(solver(*args, **kw), converged=False)
+    return wrapped
 
 
 def sinusoid_measure(domain: GridDomain, base=0.5, amplitude=0.1,

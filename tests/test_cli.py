@@ -5,8 +5,11 @@ import pytest
 
 import hkflow.cli
 import hkflow.evi
+import hkflow.mm
 from hkflow.cli import main
 from hkflow.hk import hk_two_diracs
+
+from conftest import unconverged
 
 DOMAIN = {"lower": [0.0], "upper": [1.0], "nodes": [21]}
 QUADRATIC = {"family": "power_mass", "alpha": 1.0, "m": 2.0, "gamma": -1.0}
@@ -190,3 +193,34 @@ def test_convergence_study_one_trajectory_per_tau(tmp_path, monkeypatch):
     lines = (out / "convergence_study.csv").read_text().strip().splitlines()
     assert lines[0] == "tau,sup_gap,evi_worst_residual"
     assert len(lines) == 3  # header + one row per consecutive tau pair
+
+
+def test_unconverged_solves_exit_3(tmp_path, monkeypatch):
+    two_dirac = {
+        "domain": DOMAIN,
+        "measure0": {"kind": "diracs", "nodes": [4], "masses": [0.8]},
+        "measure1": {"kind": "diracs", "nodes": [14], "masses": [1.2]},
+    }
+    flow = {
+        "domain": DOMAIN,
+        "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+        "entropy": QUADRATIC,
+        "tau": 0.02,
+        "n_steps": 2,
+    }
+    for module in (hkflow.cli, hkflow.mm):
+        monkeypatch.setattr(module, "hk_distance_squared",
+                            unconverged(module.hk_distance_squared))
+    status, out = run_cli(tmp_path, "distance", two_dirac, name="d.json")
+    assert status == 3
+    # the result is still written, flagged as unconverged
+    assert not json.loads((out / "distance.json").read_text())["converged"]
+    status, _ = run_cli(tmp_path, "mm-run", flow, name="mm.json")
+    assert status == 3
+    # a trajectory whose steps converge, checked with failing solves
+    monkeypatch.undo()
+    monkeypatch.setattr(hkflow.evi, "hk_distance_squared",
+                        unconverged(hkflow.evi.hk_distance_squared))
+    status, _ = run_cli(tmp_path, "evi-check", {**flow, "lambda": 0.0},
+                        name="evi.json")
+    assert status == 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hkflow.evi
 from hkflow.entropy import eval_functional, power_mass_entropy
 from hkflow.evi import (contraction_check, convergence_study,
                         default_observers, distances_squared_along,
@@ -12,7 +13,7 @@ from hkflow.hk import hk_distance_squared, shk_from_hk_squared
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import MMTrajectory, mm_trajectory
 
-from conftest import sinusoid_measure
+from conftest import sinusoid_measure, unconverged
 
 
 def quadratic_entropy():
@@ -176,3 +177,12 @@ def test_error_budget_matches_cold_distances(interval33):
                               + gaps / tau ** 2, 0.0)
     budget = error_budget(traj, kappa=kappa, lam=lam)
     assert np.allclose(budget.deltas, expected, rtol=1e-6, atol=0.0)
+
+
+def test_unconverged_verification_distance_raises(interval17, monkeypatch):
+    monkeypatch.setattr(hkflow.evi, "hk_distance_squared",
+                        unconverged(hkflow.evi.hk_distance_squared))
+    mu0 = sinusoid_measure(interval17)
+    mu1 = sinusoid_measure(interval17, base=0.6, amplitude=0.2)
+    with pytest.raises(RuntimeError, match="pair 0 .*marginal error"):
+        distances_squared_along([mu0, mu1], mu1)

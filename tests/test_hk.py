@@ -209,3 +209,60 @@ def test_plan_matches_returned_potentials(interval17):
         (f[:, None] + g[None, :] - cost) / res.eps_final)
     assert np.allclose(res.plan[:, on], expected, rtol=1e-10, atol=0.0)
     assert not np.any(res.plan[:, off])
+
+
+def _square_symmetries(x):
+    """The eight images of a square array under the symmetries of the
+    square: four rotations, each with and without a transpose."""
+    out = []
+    for k in range(4):
+        r = np.rot90(x, k)
+        out += [r, r.T]
+    return out
+
+
+def test_newton_count_invariant_under_square_symmetries():
+    # the symmetries of the square map one pair to eight pairs with the same
+    # distance; a line search decided by the gradient, not by the last bits
+    # of the dual value, takes the same steps on all of them
+    dom = GridDomain((0.0, 0.0), (1.0, 1.0), (9, 9))
+    rng = np.random.default_rng(0)
+    tol = 1e-11
+    for _ in range(4):
+        A = rng.uniform(0.4, 1.6, (9, 9))
+        B = rng.uniform(0.4, 1.6, (9, 9))
+        iters = set()
+        for SA, SB in zip(_square_symmetries(A), _square_symmetries(B)):
+            mu0 = DiscreteMeasure(dom, SA.ravel())
+            mu1 = DiscreteMeasure(dom, SB.ravel())
+            res = hk_distance_squared(mu0, mu1, tol=tol)
+            iters.add(res.iterations)
+            assert res.marginal_error <= tol * max(1.0, mu0.mass + mu1.mass)
+        assert len(iters) == 1
+
+
+def test_warm_resolve_from_own_potentials_is_immediate(interval33):
+    x = interval33.coordinates[:, 0]
+    mu = DiscreteMeasure(interval33, 0.8 + 0.2 * np.sin(2.0 * np.pi * x))
+    nu = DiscreteMeasure(interval33, 0.5 + 0.3 * x)
+    cold = hk_distance_squared(mu, nu)
+    assert cold.converged
+    warm = hk_distance_squared(
+        mu, nu, warm_start=(cold.potential_source, cold.potential_target))
+    assert warm.converged
+    assert warm.iterations <= 1
+    assert warm.hk_squared == pytest.approx(cold.hk_squared, abs=1e-14)
+
+
+def test_two_diracs_on_square_grid_converge():
+    dom = GridDomain((0.0, 0.0), (1.0, 1.0), (17, 17))
+    src, tgt = 4 * 17 + 8, 12 * 17 + 8  # nodes (4, 8) and (12, 8)
+    rho0 = np.zeros(dom.n_nodes)
+    rho1 = np.zeros(dom.n_nodes)
+    rho0[src] = 0.8 / dom.weights[src]
+    rho1[tgt] = 1.2 / dom.weights[tgt]
+    res = hk_distance_squared(DiscreteMeasure(dom, rho0),
+                              DiscreteMeasure(dom, rho1))
+    assert res.converged
+    assert res.hk_squared == pytest.approx(hk_two_diracs(0.8, 1.2, 0.5),
+                                           abs=1e-10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hkflow.mm
 from hkflow.entropy import (eval_functional, linear_entropy,
                             neg_power_entropy, power_mass_entropy)
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
@@ -15,7 +16,7 @@ from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        scalar_shk_mm_step, scalar_step_monotonicity,
                        scalar_upper_bound, shk_mm_step)
 
-from conftest import sinusoid_measure
+from conftest import sinusoid_measure, unconverged
 
 
 def quadratic_entropy():
@@ -172,3 +173,15 @@ def test_trajectory_bookkeeping(interval33):
     assert traj.slope_surrogates.shape == (3,)
     energies = traj.energy(E)
     assert np.all(np.diff(energies) <= 1e-9)
+
+
+def test_failed_distance_solve_fails_the_step(interval17, monkeypatch):
+    monkeypatch.setattr(hkflow.mm, "hk_distance_squared",
+                        unconverged(hkflow.mm.hk_distance_squared))
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval17)
+    assert not mm_step(mu0, 0.05, E).converged
+    prob = DiscreteMeasure(interval17, mu0.density / mu0.mass)
+    assert not shk_mm_step(prob, 0.05, E).converged
+    with pytest.raises(RuntimeError, match="did not converge"):
+        mm_trajectory(mu0, 0.05, 2, E, metric="hk")
