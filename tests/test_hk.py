@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkflow.hk import (cone_distance, dilation_cost, hk_distance,
-                       hk_distance_squared, hk_exact_small, hk_two_diracs,
-                       mass_gap_lower_bound, scaling_identity_gap,
-                       shk_distance, shk_from_hk_squared,
-                       shk_squared_derivative, transport_cost)
+from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
+                       hk_distance, hk_distance_squared, hk_exact_small,
+                       hk_two_diracs, mass_gap_lower_bound,
+                       scaling_identity_gap, shk_distance,
+                       shk_from_hk_squared, shk_squared_derivative,
+                       transport_cost)
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
                              uniform_measure, unit_interval)
 
@@ -239,6 +240,9 @@ def test_newton_count_invariant_under_square_symmetries():
             iters.add(res.iterations)
             assert res.marginal_error <= tol * max(1.0, mu0.mass + mu1.mass)
         assert len(iters) == 1
+        # each eps-level opens with a closed-form scaling sweep; without it
+        # full Newton steps shrink the level's opening overshoot linearly
+        assert max(iters) <= 110
 
 
 def test_warm_resolve_from_own_potentials_is_immediate(interval33):
@@ -266,3 +270,39 @@ def test_two_diracs_on_square_grid_converge():
     assert res.converged
     assert res.hk_squared == pytest.approx(hk_two_diracs(0.8, 1.2, 0.5),
                                            abs=1e-10)
+
+
+def test_newton_counts_per_level(interval33):
+    x = interval33.coordinates[:, 0]
+    mu = DiscreteMeasure(interval33, 0.8 + 0.2 * np.sin(2.0 * np.pi * x))
+    nu = DiscreteMeasure(interval33, 0.5 + 0.3 * x)
+    cold = hk_distance_squared(mu, nu)
+    assert cold.iterations <= 90
+    assert len(cold.level_iterations) == len(DEFAULT_EPS_SCHEDULE)
+    assert sum(cold.level_iterations) == cold.iterations
+    warm = hk_distance_squared(
+        mu, nu, warm_start=(cold.potential_source, cold.potential_target))
+    assert len(warm.level_iterations) == 1
+    assert sum(warm.level_iterations) == warm.iterations
+    # a stale warm start burns its level, then redoes the cold continuation
+    zero = np.zeros(interval33.n_nodes)
+    stale = hk_distance_squared(mu, nu, warm_start=(zero, zero))
+    assert stale.converged
+    assert stale.level_iterations[1:] == cold.level_iterations
+    assert sum(stale.level_iterations) == stale.iterations
+
+
+def test_supports_beyond_quarter_circle_match_exact():
+    # on [0, 3] some source rows reach targets within pi/2 and also have
+    # targets beyond it, at infinite cost
+    dom = GridDomain((0.0,), (3.0,), (31,))
+    mu0 = dirac_measure(dom, [2, 9, 16, 25], [0.7, 0.4, 1.1, 0.5])
+    mu1 = dirac_measure(dom, [5, 13, 20, 29], [0.9, 0.3, 0.8, 0.6])
+    cost = transport_cost(dom.distance_matrix())
+    rows = cost[np.ix_([2, 9, 16, 25], [5, 13, 20, 29])]
+    assert np.any(np.isfinite(rows).any(axis=1) & np.isinf(rows).any(axis=1))
+    res = hk_distance_squared(mu0, mu1)
+    exact = hk_exact_small(mu0, mu1)
+    assert res.converged and exact.converged
+    assert exact.level_iterations == ()
+    assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
