@@ -30,9 +30,10 @@ from .entropy import entropy_from_json, eval_functional
 from .evi import convergence_study, error_budget, evi_check
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
-                       euclidean_box, interpolation_weight, radius_ratio,
-                       transfer_ratio_minimum, two_dirac_space)
-from .hk import hk_distance_squared, hk_two_diracs, shk_from_hk_squared
+                       euclidean_box, transfer_ratio_minimum,
+                       two_dirac_space)
+from .hk import (hk_distance_squared, hk_two_diracs, is_spherical,
+                 shk_from_hk_squared)
 from .measures import DiscreteMeasure, GridDomain
 from .mm import mm_trajectory
 from .pde import hk_flow_pde, shk_flow_pde
@@ -46,10 +47,6 @@ EXIT_SOLVER = 3
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class AssertionFailure(Exception):
     pass
 
 
@@ -125,8 +122,17 @@ def measure_from_config(cfg: dict, domain: GridDomain) -> DiscreteMeasure:
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def _normalized(mu: DiscreteMeasure) -> DiscreteMeasure:
-    return DiscreteMeasure(mu.domain, mu.density / mu.mass)
+def flow_from_config(cfg: dict, fields: set):
+    """Initial measure, entropy and metric of a flow verb whose own fields
+    are fields; a spherical flow starts from the unit-mass rescaling."""
+    _check_fields(cfg, {"domain", "initial", "entropy", "metric"} | fields)
+    dom = domain_from_config(_require(cfg, "domain"))
+    mu0 = measure_from_config(_require(cfg, "initial"), dom)
+    E = entropy_from_json(_require(cfg, "entropy"))
+    metric = cfg.get("metric", "hk")
+    if is_spherical(metric):
+        mu0 = DiscreteMeasure(dom, mu0.density / mu0.mass)
+    return mu0, E, metric
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +145,11 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     dom = domain_from_config(_require(cfg, "domain"))
     mu0 = measure_from_config(_require(cfg, "measure0"), dom)
     mu1 = measure_from_config(_require(cfg, "measure1"), dom)
+    spherical = is_spherical(cfg.get("metric", "hk"))
     res = hk_distance_squared(mu0, mu1)
     result = {"hk_squared": res.hk_squared, "hk": res.hk,
               "iterations": res.iterations, "converged": res.converged}
-    if cfg.get("metric", "hk") == "shk":
+    if spherical:
         result["shk"] = shk_from_hk_squared(res.hk_squared)
     status = EXIT_OK
     if cfg.get("check_two_dirac"):
@@ -159,14 +166,7 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"domain", "initial", "entropy", "tau", "n_steps",
-                        "metric"})
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "initial"), dom)
-    E = entropy_from_json(_require(cfg, "entropy"))
-    metric = cfg.get("metric", "hk")
-    if metric == "shk":
-        mu0 = _normalized(mu0)
+    mu0, E, metric = flow_from_config(cfg, {"tau", "n_steps"})
     traj = mm_trajectory(mu0, float(_require(cfg, "tau")),
                          int(_require(cfg, "n_steps")), E, metric=metric)
     rows = []
@@ -185,14 +185,8 @@ def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"domain", "initial", "entropy", "tau", "n_steps",
-                        "metric", "lambda", "kappa"})
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "initial"), dom)
-    E = entropy_from_json(_require(cfg, "entropy"))
-    metric = cfg.get("metric", "hk")
-    if metric == "shk":
-        mu0 = _normalized(mu0)
+    mu0, E, metric = flow_from_config(cfg, {"tau", "n_steps", "lambda",
+                                            "kappa"})
     lam = float(_require(cfg, "lambda"))
     kappa = float(cfg.get("kappa", 0.0))
     tau = float(_require(cfg, "tau"))
@@ -226,18 +220,11 @@ def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"domain", "initial", "entropy", "metric",
-                        "t_final", "tau_list"})
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "initial"), dom)
-    E = entropy_from_json(_require(cfg, "entropy"))
-    metric = cfg.get("metric", "hk")
-    if metric == "shk":
-        mu0 = _normalized(mu0)
+    mu0, E, metric = flow_from_config(cfg, {"t_final", "tau_list"})
     T = float(_require(cfg, "t_final"))
     taus = [float(t) for t in _require(cfg, "tau_list")]
-    pde_solver = shk_flow_pde if metric == "shk" else hk_flow_pde
-    w = dom.weights
+    pde_solver = shk_flow_pde if is_spherical(metric) else hk_flow_pde
+    w = mu0.domain.weights
     rows = []
     gaps = []
     for tau in taus:
@@ -310,14 +297,8 @@ def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_convergence(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"domain", "initial", "entropy", "metric",
-                        "tau_list", "t_final", "lambda", "kappa"})
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "initial"), dom)
-    E = entropy_from_json(_require(cfg, "entropy"))
-    metric = cfg.get("metric", "hk")
-    if metric == "shk":
-        mu0 = _normalized(mu0)
+    mu0, E, metric = flow_from_config(cfg, {"tau_list", "t_final",
+                                            "lambda"})
     taus = [float(t) for t in _require(cfg, "tau_list")]
     T = float(_require(cfg, "t_final"))
     lam = float(cfg.get("lambda", 0.0))

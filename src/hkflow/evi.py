@@ -6,12 +6,12 @@ approximate flows, and step-size convergence studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import EntropySpec, eval_functional
-from .hk import hk_distance_squared, shk_from_hk_squared
+from .hk import hk_distance_squared, is_spherical, metric_squared
 from .measures import DiscreteMeasure, scale_measure, uniform_measure
 from .mm import MMTrajectory, mm_trajectory
 
@@ -29,8 +29,7 @@ def distances_squared_along(measures, others, metric: str = "hk",
     Consecutive pairs along a trajectory lie one step apart, so each solve
     is warm-started from the previous pair's dual potentials.  An
     unconverged solve raises RuntimeError."""
-    if metric not in ("hk", "shk"):
-        raise ValueError(f"unknown metric {metric!r}")
+    to_metric = metric_squared(metric)
     if isinstance(others, DiscreteMeasure):
         others = [others] * len(measures)
     d2 = np.empty(len(measures))
@@ -42,8 +41,7 @@ def distances_squared_along(measures, others, metric: str = "hk",
                                f"converge (marginal error "
                                f"{res.marginal_error:.2e})")
         warm = (res.potential_source, res.potential_target)
-        d2[k] = (res.hk_squared if metric == "hk"
-                 else shk_from_hk_squared(res.hk_squared) ** 2)
+        d2[k] = to_metric(res.hk_squared)
     return d2
 
 
@@ -51,7 +49,7 @@ def default_observers(mu0: DiscreteMeasure, metric: str = "hk") -> list:
     """Finite-energy observers at nontrivial distances from the data:
     mass rescalings for the transport-growth metric, blends with the
     uniform probability for the spherical one."""
-    if metric == "hk":
+    if not is_spherical(metric):
         return [scale_measure(mu0, math.sqrt(c)) for c in (0.5, 1.0, 2.0)]
     unif = uniform_measure(mu0.domain, 1.0 / mu0.domain.volume)
     return [DiscreteMeasure(mu0.domain,

@@ -47,6 +47,8 @@ HALF_PI = 0.5 * math.pi
 
 DEFAULT_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-6, 11))
 
+METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
+
 
 @lru_cache(maxsize=32)
 def _domain_cost(domain: GridDomain) -> np.ndarray:
@@ -453,6 +455,20 @@ def shk_squared_derivative(hk2: float) -> float:
     if x >= 1.0:
         return math.inf
     return 2.0 * math.asin(x) / (hk * math.sqrt(1.0 - x * x))
+
+
+def is_spherical(metric: str) -> bool:
+    """False for "hk", True for "shk"; ValueError for any other name."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}: expected {METRICS}")
+    return metric == "shk"
+
+
+def metric_squared(metric: str):
+    """Map from HK^2 to the squared distance of the named metric."""
+    if is_spherical(metric):
+        return lambda hk2: shk_from_hk_squared(hk2) ** 2
+    return lambda hk2: hk2
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,21 @@ A single step from mu solves
 
 with d either the transport-growth distance or its spherical version.
 The scalar reduction (spatially constant densities, reaction only) has an
-explicit first-order condition solved by bisection; the measure-valued
-problem is optimized over log-densities with the exact value gradient of
-the squared distance supplied by the converged dual potentials.
+explicit first-order condition solved by bisection.  Both metrics share
+one measure-valued step, L-BFGS-B over log-densities with exact gradients
+from the dual potentials; hk.is_spherical picks the step a name selects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import EntropySpec, eval_functional
-from .hk import (hk_distance_squared, shk_from_hk_squared,
+from .hk import (hk_distance_squared, is_spherical, shk_from_hk_squared,
                  shk_squared_derivative)
 from .measures import DiscreteMeasure
 
@@ -124,51 +124,52 @@ class MMStepResult:
     plan: np.ndarray | None = None
 
 
-def _hk_value_and_grad(mu0, domain, rho, warm, solver_kw):
-    """Smooth surrogate of the squared distance and its exact density
-    gradient, from the regularized dual at the converged potentials."""
-    nu = DiscreteMeasure(domain, rho)
-    res = hk_distance_squared(mu0, nu, warm_start=warm[0], **solver_kw)
-    warm[0] = (res.potential_source, res.potential_target)
-    grad_rho = domain.weights * res.target_slope
-    return res.dual_value, grad_rho
+def _implicit_step(mu0, tau, E, spherical, grad_tol, max_iter, x0, warm,
+                   density_cap, solver_kw) -> MMStepResult:
+    """Implicit step of either metric, by L-BFGS-B over u = log density.
 
-
-def _step_converged(out, grad_tol, final) -> bool:
-    """The outer minimization converged and so did the final distance
-    solve the step reports."""
-    return bool((out.success or np.max(np.abs(out.jac)) < 10 * grad_tol)
-                and final.converged)
-
-
-def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-            grad_tol: float = 1e-7, max_iter: int = 500,
-            x0: np.ndarray | None = None, warm=None,
-            density_cap: float | None = None, **solver_kw) -> MMStepResult:
-    """Implicit step in the transport-growth metric.
-
-    Optimizes over u = log density; the squared-distance part of the
-    gradient comes from the converged dual potentials, exact at the
-    optimum by the envelope argument.  A density cap turns into a simple
-    box constraint on u, which handles hard-constrained functionals such
-    as the linear-below-one limit energy.
-    """
+    The squared-distance part of the gradient comes from the converged
+    dual potentials, exact at the optimum by the envelope argument.  With
+    spherical set, u maps to the unit-mass density e^u / (w . e^u) and
+    HK^2 to SHK^2.  A density cap is a box constraint on u."""
     if tau <= 0:
         raise ValueError("step size must be positive")
     dom = mu0.domain
     w = dom.weights
     if warm is None:
         warm = [None]
-    floor = 1e-14
+
+    def density(u):
+        if not spherical:
+            return np.exp(u)
+        e = np.exp(u - np.max(u))
+        return e / float(w @ e)
+
+    def metric_d2(hk2):  # squared step distance, its derivative in HK^2
+        if spherical:
+            return shk_from_hk_squared(hk2) ** 2, shk_squared_derivative(hk2)
+        return hk2, 1.0
+
+    def solve(rho):
+        res = hk_distance_squared(mu0, DiscreteMeasure(dom, rho),
+                                  warm_start=warm[0], **solver_kw)
+        warm[0] = (res.potential_source, res.potential_target)
+        return res
 
     def fun(u):
-        rho = np.exp(u)
-        hk2, grad_rho = _hk_value_and_grad(mu0, dom, rho, warm, solver_kw)
-        val = hk2 / (2.0 * tau) + float(w @ E(rho))
-        grad_u = rho * (grad_rho / (2.0 * tau) + w * E.derivative(rho))
+        rho = density(u)
+        res = solve(rho)
+        d2, slope = metric_d2(res.dual_value)
+        val = d2 / (2.0 * tau) + float(w @ E(rho))
+        g_rho = (slope * (w * res.target_slope) / (2.0 * tau)
+                 + w * E.derivative(rho))
+        grad_u = rho * g_rho
+        if spherical:
+            # chain rule through the normalization rho = e^u / (w . e^u)
+            grad_u = grad_u - w * rho * float(rho @ g_rho)
         return val, grad_u
 
-    u0 = np.log(np.maximum(mu0.density if x0 is None else x0, floor))
+    u0 = np.log(np.maximum(mu0.density if x0 is None else x0, 1e-14))
     bounds = None
     if density_cap is not None:
         cap = math.log(density_cap)
@@ -177,60 +178,39 @@ def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     out = minimize(fun, u0, jac=True, method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": max_iter, "gtol": grad_tol,
                             "ftol": 1e-14})
-    rho1 = np.exp(out.x)
-    final = hk_distance_squared(mu0, DiscreteMeasure(dom, rho1),
-                                warm_start=warm[0], **solver_kw)
-    warm[0] = (final.potential_source, final.potential_target)
+    rho1 = density(out.x)
+    final = solve(rho1)
+    grad_norm = float(np.max(np.abs(out.jac)))
+    converged = bool((out.success or grad_norm < 10 * grad_tol)
+                     and final.converged)
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
-                        final.hk_squared,
-                        float(np.max(np.abs(out.jac))), int(out.nit),
-                        _step_converged(out, grad_tol, final), final.plan)
+                        metric_d2(final.hk_squared)[0], grad_norm,
+                        int(out.nit), converged, final.plan)
+
+
+def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
+            grad_tol: float = 1e-7, max_iter: int = 500,
+            x0: np.ndarray | None = None, warm=None,
+            density_cap: float | None = None, **solver_kw) -> MMStepResult:
+    """Implicit step in the transport-growth metric.  A density cap bounds
+    the new density from above, for hard-constrained functionals such as
+    the linear-below-one limit energy."""
+    return _implicit_step(mu0, tau, E, False, grad_tol, max_iter, x0, warm,
+                          density_cap, solver_kw)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
                 grad_tol: float = 1e-7, max_iter: int = 500,
                 x0: np.ndarray | None = None, warm=None,
                 **solver_kw) -> MMStepResult:
-    """Implicit step in the spherical metric over unit-mass measures.
-
-    Optimizes unnormalized log-densities and renormalizes inside the
-    objective, so the probability constraint is built in.
-    """
-    if tau <= 0:
-        raise ValueError("step size must be positive")
+    """Implicit step in the spherical metric over unit-mass measures; the
+    log-densities are renormalized inside the objective."""
+    if "density_cap" in solver_kw:
+        raise ValueError("density_cap applies to the HK step only")
     if abs(mu0.mass - 1.0) > 1e-8:
         raise ValueError("spherical step requires a unit-mass input")
-    dom = mu0.domain
-    w = dom.weights
-    if warm is None:
-        warm = [None]
-    floor = 1e-14
-
-    def fun(u):
-        e = np.exp(u - np.max(u))
-        m = float(w @ e)
-        rho = e / m
-        hk2, grad_rho_hk = _hk_value_and_grad(mu0, dom, rho, warm, solver_kw)
-        val = shk_from_hk_squared(hk2) ** 2 / (2.0 * tau) + float(w @ E(rho))
-        g_rho = (shk_squared_derivative(hk2) * grad_rho_hk / (2.0 * tau)
-                 + w * E.derivative(rho))
-        # chain rule through the normalization rho = e^u / (w . e^u)
-        grad_u = rho * g_rho - w * rho * float(rho @ g_rho)
-        return val, grad_u
-
-    u0 = np.log(np.maximum(mu0.density if x0 is None else x0, floor))
-    out = minimize(fun, u0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": grad_tol,
-                            "ftol": 1e-14})
-    e = np.exp(out.x - np.max(out.x))
-    rho1 = e / float(w @ e)
-    final = hk_distance_squared(mu0, DiscreteMeasure(dom, rho1),
-                                warm_start=warm[0], **solver_kw)
-    warm[0] = (final.potential_source, final.potential_target)
-    return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
-                        shk_from_hk_squared(final.hk_squared) ** 2,
-                        float(np.max(np.abs(out.jac))), int(out.nit),
-                        _step_converged(out, grad_tol, final), final.plan)
+    return _implicit_step(mu0, tau, E, True, grad_tol, max_iter, x0, warm,
+                          None, solver_kw)
 
 
 @dataclass
@@ -239,7 +219,6 @@ class MMTrajectory:
     measures: list
     distances_squared: list
     objectives: list
-    plans: list = field(default_factory=list)
 
     @property
     def times(self) -> np.ndarray:
@@ -261,11 +240,10 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
                   E: EntropySpec, metric: str = "hk",
                   grad_tol: float = 1e-7, **solver_kw) -> MMTrajectory:
     """Iterate implicit steps from mu0; metric is "hk" or "shk"."""
-    step = {"hk": mm_step, "shk": shk_mm_step}[metric]
+    step = shk_mm_step if is_spherical(metric) else mm_step
     measures = [mu0]
     d2 = []
     objs = []
-    plans = []
     warm = [None]
     cur = mu0
     for k in range(n_steps):
@@ -277,9 +255,8 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
         measures.append(res.measure)
         d2.append(res.distance_squared)
         objs.append(res.objective)
-        plans.append(res.plan)
         cur = res.measure
-    return MMTrajectory(tau, measures, d2, objs, plans)
+    return MMTrajectory(tau, measures, d2, objs)
 
 
 def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -288,7 +265,7 @@ def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     """Largest pairwise objective gap of the step output over randomly
     perturbed initial guesses."""
     rng = np.random.default_rng(seed)
-    step = {"hk": mm_step, "shk": shk_mm_step}[metric]
+    step = shk_mm_step if is_spherical(metric) else mm_step
     outs = [step(mu0, tau, E, **kw).objective]
     base = np.maximum(mu0.density, 1e-8)
     for _ in range(n_restarts - 1):
@@ -343,7 +320,7 @@ def check_density_bounds(traj: MMTrajectory, E: EntropySpec,
         prev_min = float(np.min(dens[k - 1]))
         cur_max = float(np.max(dens[k]))
         cur_min = float(np.min(dens[k]))
-        if metric == "shk":
+        if is_spherical(metric):
             up = prev_max
             lo = prev_min
         else:

@@ -57,6 +57,38 @@ def test_unknown_field_exit_2(tmp_path):
     assert status == 2
 
 
+FLOW = {"domain": DOMAIN, "initial": {"kind": "uniform", "value": 1.0},
+        "entropy": QUADRATIC}
+
+
+@pytest.mark.parametrize("verb, cfg", [
+    ("distance", {"domain": DOMAIN,
+                  "measure0": {"kind": "uniform", "value": 1.0},
+                  "measure1": {"kind": "uniform", "value": 2.0}}),
+    ("mm-run", {**FLOW, "tau": 0.02, "n_steps": 1}),
+    ("evi-check", {**FLOW, "tau": 0.02, "n_steps": 1, "lambda": 0.0}),
+    ("pde-compare", {**FLOW, "t_final": 0.02, "tau_list": [0.02]}),
+    ("convergence-study", {**FLOW, "t_final": 0.02, "tau_list": [0.02]}),
+])
+def test_unknown_metric_exit_2(tmp_path, monkeypatch, verb, cfg):
+    def no_solve(*args, **kw):
+        raise AssertionError("distance solve before the metric check")
+
+    for module in (hkflow.cli, hkflow.mm, hkflow.evi):
+        monkeypatch.setattr(module, "hk_distance_squared", no_solve)
+    status, out = run_cli(tmp_path, verb, {**cfg, "metric": "spherical"})
+    assert status == 2
+    assert not any(out.iterdir())
+
+
+def test_convergence_study_rejects_kappa(tmp_path):
+    cfg = {**FLOW, "metric": "shk", "t_final": 0.02, "tau_list": [0.02],
+           "kappa": 0.0}
+    status, out = run_cli(tmp_path, "convergence-study", cfg)
+    assert status == 2
+    assert not any(out.iterdir())
+
+
 def test_malformed_json_exit_2(tmp_path):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

@@ -156,6 +156,8 @@ def test_warm_distances_match_cold(interval17, metric):
                        rtol=0, atol=1e-10)
     with pytest.raises(ValueError):
         distances_squared_along(traj_a.measures, traj_b.measures[1:], metric)
+    with pytest.raises(ValueError, match="unknown metric"):
+        distances_squared_along(traj_a.measures, obs, metric.upper())
 
 
 def test_error_budget_matches_cold_distances(interval33):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
                        hk_distance, hk_distance_squared, hk_exact_small,
-                       hk_two_diracs, mass_gap_lower_bound,
-                       scaling_identity_gap, shk_distance,
+                       hk_two_diracs, is_spherical, mass_gap_lower_bound,
+                       metric_squared, scaling_identity_gap, shk_distance,
                        shk_from_hk_squared, shk_squared_derivative,
                        transport_cost)
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
@@ -153,6 +153,15 @@ def test_shk_from_hk():
     assert shk_from_hk_squared(2.0) == pytest.approx(math.pi / 2)
     # derivative of SHK^2 in HK^2 at 0 is 1 (metrics agree infinitesimally)
     assert shk_squared_derivative(1e-14) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_metric_names():
+    assert not is_spherical("hk") and is_spherical("shk")
+    assert metric_squared("hk")(2.0) == 2.0
+    assert metric_squared("shk")(2.0) == shk_from_hk_squared(2.0) ** 2
+    for name in ("HK", "spherical", ""):
+        with pytest.raises(ValueError, match=f"unknown metric {name!r}"):
+            metric_squared(name)
 
 
 def test_shk_requires_unit_mass():

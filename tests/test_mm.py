@@ -168,7 +168,6 @@ def test_trajectory_bookkeeping(interval33):
     traj = mm_trajectory(mu0, 0.05, 3, E)
     assert len(traj.measures) == 4
     assert len(traj.distances_squared) == 3
-    assert len(traj.plans) == 3
     assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15])
     assert traj.slope_surrogates.shape == (3,)
     energies = traj.energy(E)
@@ -185,3 +184,48 @@ def test_failed_distance_solve_fails_the_step(interval17, monkeypatch):
     assert not shk_mm_step(prob, 0.05, E).converged
     with pytest.raises(RuntimeError, match="did not converge"):
         mm_trajectory(mu0, 0.05, 2, E, metric="hk")
+
+
+def test_unknown_metric_raises(interval17):
+    mu0 = sinusoid_measure(interval17)
+    E = quadratic_entropy()
+    with pytest.raises(ValueError, match="unknown metric 'HK'"):
+        mm_trajectory(mu0, 0.05, 1, E, metric="HK")
+    with pytest.raises(ValueError, match="unknown metric 'HK'"):
+        restart_agreement(mu0, 0.05, E, metric="HK")
+
+
+def test_density_cap_rejected_for_shk(interval17, monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("distance solve before the check")
+
+    monkeypatch.setattr(hkflow.mm, "hk_distance_squared", no_solve)
+    mu0 = sinusoid_measure(interval17)
+    prob = DiscreteMeasure(interval17, mu0.density / mu0.mass)
+    with pytest.raises(ValueError, match="density_cap applies to the HK"):
+        mm_trajectory(prob, 0.05, 2, quadratic_entropy(), metric="shk",
+                      density_cap=1.0)
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_trajectory_resolves_steps_at_call_time(interval17, monkeypatch,
+                                                metric):
+    # the benchmark tracer wraps the module attributes mm_step and
+    # shk_mm_step; a trajectory must call whatever they are bound to now
+    calls = {"mm_step": 0, "shk_mm_step": 0}
+
+    def counting(name):
+        original = getattr(hkflow.mm, name)
+
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(hkflow.mm, name, counting(name))
+    mu0 = sinusoid_measure(interval17)
+    prob = DiscreteMeasure(interval17, mu0.density / mu0.mass)
+    mm_trajectory(prob, 0.05, 3, quadratic_entropy(), metric=metric)
+    used = "shk_mm_step" if metric == "shk" else "mm_step"
+    assert calls == {name: 3 if name == used else 0 for name in calls}
