@@ -32,8 +32,8 @@ from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, transfer_ratio_minimum,
                        two_dirac_space)
-from .hk import (hk_distance_squared, hk_two_diracs, is_spherical,
-                 shk_from_hk_squared)
+from .hk import (has_unit_mass, hk_distance_squared, hk_two_diracs,
+                 is_spherical, shk_from_hk_squared)
 from .measures import DiscreteMeasure, GridDomain
 from .mm import mm_trajectory
 from .pde import hk_flow_pde, shk_flow_pde
@@ -146,6 +146,8 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     mu0 = measure_from_config(_require(cfg, "measure0"), dom)
     mu1 = measure_from_config(_require(cfg, "measure1"), dom)
     spherical = is_spherical(cfg.get("metric", "hk"))
+    if spherical and not (has_unit_mass(mu0) and has_unit_mass(mu1)):
+        raise ConfigError("spherical distance requires unit total mass")
     res = hk_distance_squared(mu0, mu1)
     result = {"hk_squared": res.hk_squared, "hk": res.hk,
               "iterations": res.iterations, "converged": res.converged}

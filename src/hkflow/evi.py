@@ -21,8 +21,8 @@ def lambda_star(lam: float) -> float:
     return 2.0 * min(lam, 0.0) - 2.0
 
 
-def distances_squared_along(measures, others, metric: str = "hk",
-                            **solver_kw) -> np.ndarray:
+def distances_squared_along(measures, others,
+                            metric: str = "hk") -> np.ndarray:
     """Squared metric distances from measures[k] to others[k], where others
     is a list of the same length or one fixed measure.
 
@@ -35,7 +35,7 @@ def distances_squared_along(measures, others, metric: str = "hk",
     d2 = np.empty(len(measures))
     warm = None
     for k, (m, o) in enumerate(zip(measures, others, strict=True)):
-        res = hk_distance_squared(m, o, warm_start=warm, **solver_kw)
+        res = hk_distance_squared(m, o, warm_start=warm)
         if not res.converged:
             raise RuntimeError(f"distance solve for pair {k} did not "
                                f"converge (marginal error "
@@ -86,17 +86,16 @@ def evi_residual_matrix(times: np.ndarray, phis: np.ndarray,
     if n > 1:
         dt = np.diff(times)
         cum[1:] = np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))
-    R = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i, n):
-            R[i, j] = (0.5 * dists2[j] - 0.5 * dists2[i]
-                       + (cum[j] - cum[i])
-                       - (times[j] - times[i]) * phi_obs)
+    # row i is s = times[i], column j is t = times[j]
+    t = np.asarray(times, dtype=float)
+    R = (0.5 * dists2 - 0.5 * dists2[:, None] + (cum - cum[:, None])
+         - (t - t[:, None]) * phi_obs)
+    R[np.tril_indices(n, k=-1)] = np.nan
     return R
 
 
 def evi_check(traj: MMTrajectory, E: EntropySpec, lam: float,
-              metric: str = "hk", observers=None, **solver_kw) -> EVIReport:
+              metric: str = "hk", observers=None) -> EVIReport:
     """Integrated EVI residuals of a trajectory against a set of observers,
     reported both with the corrected parameter and with lam itself."""
     if observers is None:
@@ -110,7 +109,7 @@ def evi_check(traj: MMTrajectory, E: EntropySpec, lam: float,
     worst_star = worst_lam = -math.inf
     for obs in observers:
         phi_o = eval_functional(E, obs)
-        d2 = distances_squared_along(traj.measures, obs, metric, **solver_kw)
+        d2 = distances_squared_along(traj.measures, obs, metric)
         Rs = evi_residual_matrix(times, phis, d2, phi_o, lam_s)
         Rl = evi_residual_matrix(times, phis, d2, phi_o, lam)
         mats_star.append(Rs)
@@ -146,14 +145,14 @@ def direction_gap_surrogates(d2_steps: np.ndarray,
 
 
 def error_budget(traj: MMTrajectory, kappa: float, lam: float,
-                 metric: str = "hk", slope: float | None = None,
-                 **solver_kw) -> ErrorBudget:
+                 metric: str = "hk") -> ErrorBudget:
     """Per-step incremental errors of the implicit scheme.
 
     Step zero uses (1 - 2 lam) d2(x0,x1) + (1 + 1/(1 + lam tau)) slope^2;
     later steps use (1 - 2 lam + kappa/tau) d2(xn,xn+1) plus the
     direction-gap surrogate divided by tau^2.  The weighted L1 norm is
-    compared against the a-priori bound tau (4 + tau kappa) slope^2.
+    compared against the a-priori bound tau (4 + tau kappa) slope^2, with
+    slope = d(x0, x1) / tau.
     """
     tau = traj.tau
     ms = traj.measures
@@ -161,9 +160,8 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float,
     if n_steps < 1:
         raise ValueError("trajectory needs at least one step")
     d2_steps = np.asarray(traj.distances_squared, dtype=float)
-    d2_skips = distances_squared_along(ms[:-2], ms[2:], metric, **solver_kw)
-    if slope is None:
-        slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
+    d2_skips = distances_squared_along(ms[:-2], ms[2:], metric)
+    slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
     deltas = np.zeros(n_steps)
     zero_gap = np.zeros(n_steps)
     if 1.0 + lam * tau <= 0:
@@ -196,8 +194,8 @@ class ContractionReport:
 
 def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
                       lam: float, budget_a: ErrorBudget,
-                      budget_b: ErrorBudget, metric: str = "hk",
-                      slack: float = 1e-9, **solver_kw) -> ContractionReport:
+                      budget_b: ErrorBudget,
+                      metric: str = "hk") -> ContractionReport:
     """Budgeted non-expansion between two approximate flows:
     sup_t e^{lam* t} d(x1(t), x2(t)) <= d(0) + || 2 e^{2 lam* t}
     (Delta_1 + Delta_2) ||_{L1}^{1/2}."""
@@ -206,7 +204,7 @@ def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
         raise ValueError("trajectories live on different time grids")
     times = traj_a.times
     d = np.sqrt(np.maximum(distances_squared_along(
-        traj_a.measures, traj_b.measures, metric, **solver_kw), 0.0))
+        traj_a.measures, traj_b.measures, metric), 0.0))
     lam_s = lambda_star(lam)
     lhs = np.exp(lam_s * times) * d
     step_times = traj_a.tau * np.arange(len(budget_a.deltas))
@@ -214,7 +212,7 @@ def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
                       * (budget_a.deltas + budget_b.deltas)))
     rhs = d[0] + math.sqrt(max(l1, 0.0))
     return ContractionReport(times, d, lhs, rhs,
-                             bool(np.all(lhs <= rhs + slack)))
+                             bool(np.all(lhs <= rhs + 1e-9)))
 
 
 def interpolate_constant_left(traj: MMTrajectory, t: float) -> DiscreteMeasure:
@@ -224,8 +222,7 @@ def interpolate_constant_left(traj: MMTrajectory, t: float) -> DiscreteMeasure:
 
 
 def convergence_study(mu0: DiscreteMeasure, E: EntropySpec,
-                      metric: str, tau_list, T: float,
-                      **kw) -> list:
+                      metric: str, tau_list, T: float) -> list:
     """Sup-distance between interpolants at consecutive step sizes.
 
     Returns one row per consecutive (tau, tau_next) pair with the sup of
@@ -237,7 +234,7 @@ def convergence_study(mu0: DiscreteMeasure, E: EntropySpec,
     trajs = []
     for tau in taus:
         n = int(round(T / tau))
-        trajs.append(mm_trajectory(mu0, tau, n, E, metric=metric, **kw))
+        trajs.append(mm_trajectory(mu0, tau, n, E, metric=metric))
     rows = []
     for ta, tb in zip(trajs[:-1], trajs[1:]):
         d2 = distances_squared_along(

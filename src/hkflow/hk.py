@@ -143,6 +143,9 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None):
     Newton step (about gradient^2 eps) falls below that band, so there a
     trial whose dual stays inside the band is accepted when the max-norm
     of its gradient falls.  Otherwise the step is halved.
+
+    Returns the final plan, potentials, per-level Newton counts, eps and
+    gradient max-norm, then the dual value and plan column sums there.
     """
     n, m = cost.shape
     log_a = np.log(a)
@@ -213,18 +216,20 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None):
             f, g, H, val = fn, gn, Hn, vn
             r, s, ea, eb, grad, gnorm = trial
             levels[-1] += 1
-    return H, f, g, tuple(levels), eps, gnorm
+    return H, f, g, tuple(levels), eps, gnorm, val, s
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                        eps_schedule=DEFAULT_EPS_SCHEDULE,
                         max_iter: int = 60, tol: float = 1e-11,
                         warm_start=None) -> HKResult:
     """Squared Hellinger-Kantorovich distance between two grid measures.
 
+    A cold solve runs all of DEFAULT_EPS_SCHEDULE, with at most max_iter
+    Newton steps per level and gradient tolerance tol per unit mass.
     ``warm_start`` is the (source, target) potential pair of an earlier
     solve; the target's seed the final level, whose opening sweep
-    recomputes the source's.
+    recomputes the source's.  Mass with no transport partner (all of it,
+    for a zero measure) costs itself and needs no Newton step.
     """
     if not mu0.same_domain(mu1):
         raise ValueError("measures live on different grids")
@@ -235,75 +240,57 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     m0, m1 = float(a_full.sum()), float(b_full.sum())
 
     n = dom.n_nodes
-    zeros = np.zeros(n)
-    if m0 == 0.0 and m1 == 0.0:
-        return HKResult(0.0, np.zeros((n, n)), zeros, zeros, 0.0, 0, True,
-                        dual_value=0.0, target_slope=np.ones(n))
-    cost_full = _domain_cost(dom)
-    if m0 == 0.0 or m1 == 0.0:
-        return HKResult(m0 + m1, np.zeros((n, n)), zeros, zeros, 0.0, 0,
-                        True, dual_value=m0 + m1, target_slope=np.ones(n))
-
     src = np.where(a_full > 0)[0]
     tgt = np.where(b_full > 0)[0]
     a = a_full[src]
     b = b_full[tgt]
-    cost = cost_full[np.ix_(src, tgt)]
+    cost = _domain_cost(dom)[np.ix_(src, tgt)]
     reachable_src = np.isfinite(cost).any(axis=1)
     reachable_tgt = np.isfinite(cost).any(axis=0)
     base = float(a[~reachable_src].sum() + b[~reachable_tgt].sum())
     a_r, b_r = a[reachable_src], b[reachable_tgt]
-    plan_r = np.zeros((a_r.size, b_r.size))
-    f_r = np.zeros(a_r.size)
-    g_r = np.zeros(b_r.size)
-    levels, eps, gnorm = (), float(eps_schedule[-1]), 0.0
-    cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
+    rows, cols = src[reachable_src], tgt[reachable_tgt]
+
+    plan = np.zeros((n, n))
+    f_full = np.zeros(n)
+    g_full = np.zeros(n)
+    slope = np.ones(n)  # slope 1 where no transport partner exists
+    value = dual = base
+    levels, eps, gnorm = (), float(DEFAULT_EPS_SCHEDULE[-1]), 0.0
     scaled_tol = tol * max(1.0, m0 + m1)
-    if a_r.size and b_r.size:
+    # a reachable source has a reachable target and vice versa, so a_r and
+    # b_r are empty together
+    if a_r.size:
+        cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
         g0 = None
-        sched = eps_schedule
+        sched = DEFAULT_EPS_SCHEDULE
         if warm_start is not None:
-            g0 = warm_start[1][tgt][reachable_tgt]
-            sched = eps_schedule[-1:]
-        plan_r, f_r, g_r, levels, eps, gnorm = _dual_newton(
+            g0 = warm_start[1][cols]
+            sched = DEFAULT_EPS_SCHEDULE[-1:]
+        plan_r, f_r, g_r, levels, eps, gnorm, dual_r, s_r = _dual_newton(
             a_r, b_r, cost_r, sched, max_iter, scaled_tol, g0)
         if warm_start is not None and gnorm > 1e3 * scaled_tol:
             # stale warm start; redo the full continuation from scratch
-            plan_r, f_r, g_r, cold, eps, gnorm = _dual_newton(
-                a_r, b_r, cost_r, eps_schedule, max_iter, scaled_tol)
+            plan_r, f_r, g_r, cold, eps, gnorm, dual_r, s_r = _dual_newton(
+                a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
+                scaled_tol)
             levels += cold
-
-    plan = np.zeros((n, n))
-    plan[np.ix_(src[reachable_src], tgt[reachable_tgt])] = plan_r
-    f_full = np.zeros(n)
-    g_full = np.zeros(n)
-    f_full[src[reachable_src]] = f_r
-    g_full[tgt[reachable_tgt]] = g_r
-
-    if a_r.size and b_r.size:
+        plan[np.ix_(rows, cols)] = plan_r
+        f_full[rows] = f_r
+        g_full[cols] = g_r
         value = base + let_cost(plan_r, a_r, b_r, cost_r)
-        dual = base + (float(a_r @ (1.0 - np.exp(-f_r))
-                             + b_r @ (1.0 - np.exp(-g_r)))
-                       - eps * (float(plan_r.sum())
-                                - float(a_r.sum() * b_r.sum())))
-    else:
-        value = base + float(a_r.sum() + b_r.sum())
-        dual = value
-
-    # exact derivative of the regularized dual value with respect to each
-    # target node mass; slope 1 where no transport partner exists
-    slope = np.ones(n)
-    if b_r.size:
-        s_r = plan_r.sum(axis=0)
-        slope_r = (1.0 - np.exp(-g_r)) - eps * (s_r / b_r - float(a_r.sum()))
-        slope[tgt[reachable_tgt]] = slope_r
+        dual = base + dual_r
+        # exact derivative of the regularized dual value with respect to
+        # each target node mass
+        slope[cols] = ((1.0 - np.exp(-g_r))
+                       - eps * (s_r / b_r - float(a_r.sum())))
     converged = gnorm <= 1e3 * scaled_tol
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
                     sum(levels), converged, eps, float(dual), slope, levels)
 
 
-def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure, **kw) -> float:
-    return hk_distance_squared(mu0, mu1, **kw).hk
+def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
+    return hk_distance_squared(mu0, mu1).hk
 
 
 def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -409,13 +396,13 @@ def hk_two_diracs(mass0: float, mass1: float, distance: float) -> float:
 
 
 def scaling_identity_gap(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                         t0: float, t1: float, **kw) -> dict:
+                         t0: float, t1: float) -> dict:
     """Residual of HK^2(t0^2 mu0, t1^2 mu1) against its dilation formula."""
     from .measures import scale_measure
 
-    hk2 = hk_distance_squared(mu0, mu1, **kw).hk_squared
+    hk2 = hk_distance_squared(mu0, mu1).hk_squared
     lhs = hk_distance_squared(scale_measure(mu0, t0),
-                              scale_measure(mu1, t1), **kw).hk_squared
+                              scale_measure(mu1, t1)).hk_squared
     rhs = (t0 * t1 * hk2 + (t0 * t0 - t0 * t1) * mu0.mass
            + (t1 * t1 - t0 * t1) * mu1.mass)
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "hk_squared": hk2}
@@ -438,12 +425,16 @@ def shk_from_hk_squared(hk2: float) -> float:
     return 2.0 * math.asin(min(hk / 2.0, 1.0))
 
 
-def shk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                 mass_tol: float = 1e-8, **kw) -> float:
+def has_unit_mass(mu: DiscreteMeasure) -> bool:
+    """The spherical metric's domain test: total mass 1 within 1e-8."""
+    return abs(mu.mass - 1.0) <= 1e-8
+
+
+def shk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
     """Spherical Hellinger-Kantorovich distance between unit-mass measures."""
-    if abs(mu0.mass - 1.0) > mass_tol or abs(mu1.mass - 1.0) > mass_tol:
+    if not (has_unit_mass(mu0) and has_unit_mass(mu1)):
         raise ValueError("spherical distance requires unit total mass")
-    return shk_from_hk_squared(hk_distance_squared(mu0, mu1, **kw).hk_squared)
+    return shk_from_hk_squared(hk_distance_squared(mu0, mu1).hk_squared)
 
 
 def shk_squared_derivative(hk2: float) -> float:

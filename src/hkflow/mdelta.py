@@ -4,8 +4,6 @@ pointwise two-sided bounds, and ball-averaged comparability of densities.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .measures import DiscreteMeasure

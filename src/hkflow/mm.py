@@ -21,9 +21,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import EntropySpec, eval_functional
-from .hk import (hk_distance_squared, is_spherical, shk_from_hk_squared,
-                 shk_squared_derivative)
+from .hk import (has_unit_mass, hk_distance_squared, is_spherical,
+                 shk_from_hk_squared, shk_squared_derivative)
 from .measures import DiscreteMeasure
+
+# L-BFGS-B settings of every implicit step: gradient tolerance on the
+# log-densities, iteration cap
+STEP_GRAD_TOL = 1e-7
+STEP_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +129,8 @@ class MMStepResult:
     plan: np.ndarray | None = None
 
 
-def _implicit_step(mu0, tau, E, spherical, grad_tol, max_iter, x0, warm,
-                   density_cap, solver_kw) -> MMStepResult:
+def _implicit_step(mu0, tau, E, spherical, x0, warm,
+                   density_cap) -> MMStepResult:
     """Implicit step of either metric, by L-BFGS-B over u = log density.
 
     The squared-distance part of the gradient comes from the converged
@@ -152,7 +157,7 @@ def _implicit_step(mu0, tau, E, spherical, grad_tol, max_iter, x0, warm,
 
     def solve(rho):
         res = hk_distance_squared(mu0, DiscreteMeasure(dom, rho),
-                                  warm_start=warm[0], **solver_kw)
+                                  warm_start=warm[0])
         warm[0] = (res.potential_source, res.potential_target)
         return res
 
@@ -176,12 +181,12 @@ def _implicit_step(mu0, tau, E, spherical, grad_tol, max_iter, x0, warm,
         u0 = np.minimum(u0, cap)
         bounds = [(None, cap)] * u0.size
     out = minimize(fun, u0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": max_iter, "gtol": grad_tol,
+                   options={"maxiter": STEP_MAX_ITER, "gtol": STEP_GRAD_TOL,
                             "ftol": 1e-14})
     rho1 = density(out.x)
     final = solve(rho1)
     grad_norm = float(np.max(np.abs(out.jac)))
-    converged = bool((out.success or grad_norm < 10 * grad_tol)
+    converged = bool((out.success or grad_norm < 10 * STEP_GRAD_TOL)
                      and final.converged)
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
                         metric_d2(final.hk_squared)[0], grad_norm,
@@ -189,28 +194,21 @@ def _implicit_step(mu0, tau, E, spherical, grad_tol, max_iter, x0, warm,
 
 
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-            grad_tol: float = 1e-7, max_iter: int = 500,
             x0: np.ndarray | None = None, warm=None,
-            density_cap: float | None = None, **solver_kw) -> MMStepResult:
+            density_cap: float | None = None) -> MMStepResult:
     """Implicit step in the transport-growth metric.  A density cap bounds
     the new density from above, for hard-constrained functionals such as
     the linear-below-one limit energy."""
-    return _implicit_step(mu0, tau, E, False, grad_tol, max_iter, x0, warm,
-                          density_cap, solver_kw)
+    return _implicit_step(mu0, tau, E, False, x0, warm, density_cap)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-                grad_tol: float = 1e-7, max_iter: int = 500,
-                x0: np.ndarray | None = None, warm=None,
-                **solver_kw) -> MMStepResult:
+                x0: np.ndarray | None = None, warm=None) -> MMStepResult:
     """Implicit step in the spherical metric over unit-mass measures; the
     log-densities are renormalized inside the objective."""
-    if "density_cap" in solver_kw:
-        raise ValueError("density_cap applies to the HK step only")
-    if abs(mu0.mass - 1.0) > 1e-8:
+    if not has_unit_mass(mu0):
         raise ValueError("spherical step requires a unit-mass input")
-    return _implicit_step(mu0, tau, E, True, grad_tol, max_iter, x0, warm,
-                          None, solver_kw)
+    return _implicit_step(mu0, tau, E, True, x0, warm, None)
 
 
 @dataclass
@@ -238,16 +236,24 @@ class MMTrajectory:
 
 def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
                   E: EntropySpec, metric: str = "hk",
-                  grad_tol: float = 1e-7, **solver_kw) -> MMTrajectory:
-    """Iterate implicit steps from mu0; metric is "hk" or "shk"."""
-    step = shk_mm_step if is_spherical(metric) else mm_step
+                  density_cap: float | None = None) -> MMTrajectory:
+    """Iterate implicit steps from mu0; metric is "hk" or "shk".  Distance
+    solves are warm-started across steps; density_cap (HK only) bounds
+    every iterate as in mm_step.  Solver accuracy is fixed: STEP_GRAD_TOL
+    and STEP_MAX_ITER here, the distance solve's defaults in hk."""
+    spherical = is_spherical(metric)
+    if spherical and density_cap is not None:
+        raise ValueError("density_cap applies to the HK step only")
     measures = [mu0]
     d2 = []
     objs = []
     warm = [None]
     cur = mu0
     for k in range(n_steps):
-        res = step(cur, tau, E, grad_tol=grad_tol, warm=warm, **solver_kw)
+        if spherical:
+            res = shk_mm_step(cur, tau, E, warm=warm)
+        else:
+            res = mm_step(cur, tau, E, warm=warm, density_cap=density_cap)
         if not res.converged:
             raise RuntimeError(f"implicit step {k + 1} did not converge: "
                                f"grad norm {res.grad_norm:.2e}, or its "
@@ -261,16 +267,16 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
 
 def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
                       metric: str = "hk", n_restarts: int = 3,
-                      seed: int = 0, **kw) -> float:
+                      seed: int = 0) -> float:
     """Largest pairwise objective gap of the step output over randomly
     perturbed initial guesses."""
     rng = np.random.default_rng(seed)
     step = shk_mm_step if is_spherical(metric) else mm_step
-    outs = [step(mu0, tau, E, **kw).objective]
+    outs = [step(mu0, tau, E).objective]
     base = np.maximum(mu0.density, 1e-8)
     for _ in range(n_restarts - 1):
         x0 = base * np.exp(rng.normal(0.0, 0.3, base.shape))
-        outs.append(step(mu0, tau, E, x0=x0, **kw).objective)
+        outs.append(step(mu0, tau, E, x0=x0).objective)
     return float(max(outs) - min(outs))
 
 

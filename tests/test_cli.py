@@ -81,6 +81,29 @@ def test_unknown_metric_exit_2(tmp_path, monkeypatch, verb, cfg):
     assert not any(out.iterdir())
 
 
+def test_shk_distance_requires_probabilities(tmp_path, monkeypatch):
+    dom = {"lower": [0.0], "upper": [1.0], "nodes": [33]}
+    uniform = {"kind": "uniform", "value": 1.0}
+    cfg = {"domain": dom, "metric": "shk", "measure1": uniform,
+           "measure0": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2}}
+
+    def no_solve(*args, **kw):
+        raise AssertionError("distance solve before the unit-mass check")
+
+    monkeypatch.setattr(hkflow.cli, "hk_distance_squared", no_solve)
+    status, out = run_cli(tmp_path, "distance", cfg)
+    assert status == 2
+    assert not any(out.iterdir())
+    monkeypatch.undo()
+    unit = {**cfg, "measure0": {"kind": "sinusoid", "base": 1.0,
+                                "amplitude": 0.2}}
+    status, out = run_cli(tmp_path, "distance", unit, name="unit.json")
+    assert status == 0
+    result = json.loads((out / "distance.json").read_text())
+    assert result["shk"] == pytest.approx(
+        2.0 * math.asin(result["hk"] / 2.0), rel=1e-12)
+
+
 def test_convergence_study_rejects_kappa(tmp_path):
     cfg = {**FLOW, "metric": "shk", "t_final": 0.02, "tau_list": [0.02],
            "kappa": 0.0}
