@@ -7,6 +7,11 @@ Two built-in families are provided:
 * ``neg_power``:   E(c) = -beta * c**q  (beta >= 0, q in (0, 1)).
 
 Custom tables interpolate (c, E(c)) samples with a monotone cubic.
+
+``power_mass`` and ``neg_power`` with beta > 0 also carry their convex
+conjugate E*(p) = sup_{c >= 0} (p c - E(c)) in closed form, through which
+the minimizing-movement step is one concave maximization; tables, linear
+and zero energies carry none.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ class EntropySpec:
     c_low: Optional[float] = None  # witness with E'(c_low) < 0, if any
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    # p -> (rho, E*(p), E*''(p)) with rho = E*'(p) the maximizing level and
+    # E*'' = 1 / E''(rho); E* is +inf outside its domain.  None when E has
+    # no closed-form conjugate or is not strictly convex.
+    conjugate: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, c):
         return self.e(np.asarray(c, dtype=float))
@@ -85,6 +94,15 @@ def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,
     def d2e(c):
         return alpha * m * (m - 1) * c ** (m - 2)
 
+    def conjugate(p):
+        # E' maps c > 0 onto (gamma, inf); below gamma the supremum sits
+        # at c = 0
+        d = np.maximum(p - gamma, 0.0)
+        rho = (d / (alpha * m)) ** (1.0 / (m - 1))
+        curv = np.divide(rho, (m - 1) * d, out=np.zeros_like(d),
+                         where=d > 0)
+        return rho, d * rho * (m - 1) / m, curv
+
     c_low = None
     if gamma < 0:
         # E'(c) < 0 for c below (-gamma / (alpha m))^(1/(m-1))
@@ -92,7 +110,8 @@ def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,
     return EntropySpec(e, de, d2e, recession_slope=math.inf,
                        convexity_modulus=2.0 * gamma, c_low=c_low,
                        family="power_mass",
-                       params={"alpha": alpha, "m": m, "gamma": gamma})
+                       params={"alpha": alpha, "m": m, "gamma": gamma},
+                       conjugate=conjugate)
 
 
 def neg_power_entropy(q: float = 0.5, beta: float = 1.0) -> EntropySpec:
@@ -113,9 +132,18 @@ def neg_power_entropy(q: float = 0.5, beta: float = 1.0) -> EntropySpec:
         with np.errstate(divide="ignore"):
             return beta * q * (1.0 - q) * np.power(c, q - 2.0)
 
+    def conjugate(p):
+        # E' maps c > 0 onto (-inf, 0); E* is +inf on p >= 0
+        inside = p < 0
+        t = np.where(inside, -p, 1.0)
+        rho = np.where(inside, (beta * q / t) ** (1.0 / (1.0 - q)), np.inf)
+        return (rho, np.where(inside, t * rho * (1.0 - q) / q, np.inf),
+                np.where(inside, rho / ((1.0 - q) * t), np.inf))
+
     return EntropySpec(e, de, d2e, recession_slope=0.0, convexity_modulus=0.0,
                        c_low=1.0 if beta > 0 else None, family="neg_power",
-                       params={"q": q, "beta": beta})
+                       params={"q": q, "beta": beta},
+                       conjugate=conjugate if beta > 0 else None)
 
 
 def linear_entropy(gamma: float) -> EntropySpec:

@@ -24,7 +24,10 @@ sweep (exact block ascent in f, then in g; Chizat, Peyre, Schmitzer &
 Vialard, Math. Comp. 2018), which removes the overshoot of the previous
 level's plan before Newton takes over.  A warm start from given
 potentials solves at the final eps only, and redoes the full
-continuation if its result would not count as converged.
+continuation if its result would not count as converged.  The same Newton
+loop solves the minimizing-movement step of ``mm``: the dual is linear in
+the target masses, which it then maximizes over jointly, through the convex
+conjugate of the energy.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -46,6 +50,11 @@ from .measures import DiscreteMeasure, GridDomain
 HALF_PI = 0.5 * math.pi
 
 DEFAULT_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-6, 11))
+
+# Newton settings of every dual solve: iteration cap per eps-level, and
+# gradient tolerance per unit of total mass
+NEWTON_MAX_ITER = 60
+NEWTON_TOL = 1e-11
 
 METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
 
@@ -115,7 +124,54 @@ class HKResult:
         return math.sqrt(max(self.hk_squared, 0.0))
 
 
-def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None):
+def regularized_dual(a, b, f, g, H, eps) -> float:
+    """The regularized dual D(f, g) of _dual_newton at the plan H of (f, g)
+    between node masses a and b."""
+    return (float(a @ (1.0 - np.exp(-f)) + b @ (1.0 - np.exp(-g)))
+            - eps * (float(H.sum()) - float(a.sum() * b.sum())))
+
+
+class DualSolve(NamedTuple):
+    """Final state of _dual_newton: the plan H_ij = a_i b_j exp((f_i + g_j -
+    c_ij) / eps), the potentials, the extra dual variables and target masses
+    b of a conjugate term, per-level Newton counts, the last eps, the
+    gradient max-norm, the dual value and the plan's column sums."""
+
+    plan: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    theta: np.ndarray
+    b: np.ndarray
+    levels: tuple
+    eps: float
+    gnorm: float
+    value: float
+    col_sums: np.ndarray
+
+
+class _Point(NamedTuple):
+    """One iterate of _dual_newton: variables, target masses, plan, dual
+    value, row and column sums, a e^-f, b e^-g, gradient and its max-norm,
+    the term's Hessian addition, and whether all of these are finite."""
+
+    f: np.ndarray
+    g: np.ndarray
+    theta: np.ndarray
+    b: np.ndarray
+    H: np.ndarray
+    val: float
+    r: np.ndarray
+    s: np.ndarray
+    ea: np.ndarray
+    eb: np.ndarray
+    grad: np.ndarray
+    gnorm: float
+    extra: np.ndarray | None
+    finite: bool
+
+
+def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
+                 term=None, theta0=()):
     """Damped Newton maximization of the regularized dual
 
         D(f, g) = sum a (1 - e^-f) + sum b (1 - e^-g)
@@ -125,9 +181,22 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None):
     continued along a decreasing regularization schedule.  The dual is
     smooth and strictly concave.
 
-    Every level opens with one unbalanced-Sinkhorn sweep: exact block
-    maximization in closed form, first over f with g fixed, then over g
-    with f fixed,
+    D is linear in the target masses: D = sum a (1 - e^-f) + sum_j b_j k_j
+    with slopes k_j = 1 - e^-g_j - eps (u_j - sum a) and
+    u_j = sum_i a_i exp((f_i + g_j - c_ij) / eps).  Given a ``term``, the
+    second sum becomes a concave function F(k, theta) of the slopes and of
+    extra variables theta (start theta0), maximized jointly with (f, g).
+    term.value(k, theta) returns (F, b, dF/dtheta, d, Z): b = dF/dk are the
+    target masses, and -F'' = W diag(d) W^T in the coordinates (k, theta),
+    with W = [I; Z].  Gradient and Hessian keep the form of the fixed-b
+    case, with the Hessian raised by V diag(d) V^T, where V stacks the
+    gradients of the k_j over the rows Z.  ``b`` then only seeds the first
+    opening sweep, and term.opening(k, theta) returns the maximizing theta
+    at given slopes.
+
+    Every level opens with one unbalanced-Sinkhorn sweep at the current
+    target masses: exact block maximization in closed form, first over f
+    with g fixed, then over g with f fixed,
 
         f_i = -eps/(1+eps) LSE_j(log b_j + (g_j - c_ij)/eps),
         g_j = -eps/(1+eps) LSE_i(log a_i + (f_i - c_ij)/eps),
@@ -136,91 +205,124 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None):
     lowers the dual, and it removes the overshoot of the previous level's
     Gibbs plan at the smaller eps, which full Newton steps would otherwise
     shrink only linearly.  As the sweep computes f from g, a warm start
-    needs only the target potentials g0.
+    needs only the target potentials g0.  With a term, the g-sweep still
+    maximizes every slope k_j, and theta opens at term.opening; should the
+    opening point leave the term's domain (dual -inf), f is lowered until
+    it is back inside.
 
-    A trial step is accepted when the dual gains more than the roundoff
-    band 1e-14 (sum a + sum b).  Near the optimum the true gain of a
-    Newton step (about gradient^2 eps) falls below that band, so there a
-    trial whose dual stays inside the band is accepted when the max-norm
-    of its gradient falls.  Otherwise the step is halved.
-
-    Returns the final plan, potentials, per-level Newton counts, eps and
-    gradient max-norm, then the dual value and plan column sums there.
+    A trial step is accepted when its dual value, gradient and Hessian are
+    finite and the dual gains more than the roundoff band
+    1e-14 (sum a + sum b).  Near the optimum the true gain of a Newton step
+    (about gradient^2 eps) falls below that band, so there a trial whose
+    dual stays inside the band is accepted when the max-norm of its
+    gradient falls.  Otherwise the step is halved.
     """
     n, m = cost.shape
     log_a = np.log(a)
-    log_b = np.log(b)
-    ab = float(a.sum() * b.sum())
+    sa = float(a.sum())
 
-    def plan_of(f, g, eps):
-        log_plan = (log_a[:, None] + log_b[None, :]
-                    + (f[:, None] + g[None, :] - cost) / eps)
-        return np.exp(np.minimum(log_plan, 500.0))
-
-    def dual(f, g, eps, H):
-        return (float(a @ (1.0 - np.exp(-f)) + b @ (1.0 - np.exp(-g)))
-                - eps * (float(H.sum()) - ab))
-
-    def gradient(f, g, H):
-        r = H.sum(axis=1)
-        s = H.sum(axis=0)
-        ea = a * np.exp(-f)
-        eb = b * np.exp(-g)
-        grad = np.concatenate([ea - r, eb - s])
-        return r, s, ea, eb, grad, float(np.max(np.abs(grad)))
+    def evaluate(f, g, theta, eps, b, opening=False):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if term is None:
+                log_plan = (log_a[:, None] + np.log(b)[None, :]
+                            + (f[:, None] + g[None, :] - cost) / eps)
+                H = np.exp(np.minimum(log_plan, 500.0))
+                val = regularized_dual(a, b, f, g, H, eps)
+                grad_theta, extra, finite = (), None, True
+            else:
+                K = np.exp(np.minimum(
+                    log_a[:, None] + (f[:, None] + g[None, :] - cost) / eps,
+                    500.0))
+                u = K.sum(axis=0)
+                e_g = np.exp(-g)
+                kappa = 1.0 - e_g - eps * (u - sa)
+                if opening:
+                    theta = term.opening(kappa, theta)
+                F, b, grad_theta, d, Z = term.value(kappa, theta)
+                H = K * b
+                val = float(a @ (1.0 - np.exp(-f))) + F
+                W = np.vstack([-K, np.diag(e_g - u), Z])
+                extra = (W * d) @ W.T
+                finite = bool(np.isfinite(d).all())
+            r = H.sum(axis=1)
+            s = H.sum(axis=0)
+            ea = a * np.exp(-f)
+            eb = b * np.exp(-g)
+            grad = np.concatenate([ea - r, eb - s, grad_theta])
+            gnorm = float(np.max(np.abs(grad)))
+        finite = finite and math.isfinite(val) and math.isfinite(gnorm)
+        return _Point(f, g, np.asarray(theta, dtype=float), b, H, val, r, s,
+                      ea, eb, grad, gnorm, extra, finite)
 
     # dual values closer than this differ by roundoff only
     noise = 1e-14 * float(a.sum() + b.sum())
     g = np.zeros(m) if g0 is None else np.asarray(g0, float)
+    theta = np.asarray(theta0, dtype=float)
     levels = []
-    eps = eps_schedule[-1]
-    gnorm = math.inf
     for eps in eps_schedule:
         shrink = -eps / (1.0 + eps)
-        f = shrink * _lse((g - cost) / eps + log_b, axis=1)
-        g = shrink * _lse((f[:, None] - cost) / eps + log_a[:, None], axis=0)
-        H = plan_of(f, g, eps)
-        val = dual(f, g, eps, H)
-        r, s, ea, eb, grad, gnorm = gradient(f, g, H)
+        with np.errstate(divide="ignore"):
+            f = shrink * _lse((g - cost) / eps + np.log(b), axis=1)
+        for _ in range(64):
+            g = shrink * _lse((f[:, None] - cost) / eps + log_a[:, None],
+                              axis=0)
+            pt = evaluate(f, g, theta, eps, b, opening=True)
+            if pt.finite or term is None:
+                break
+            # outside the domain of the term (dual -inf): a lower f lowers
+            # every u_j, so the g-sweep raises every slope k_j toward
+            # 1 + eps sum a
+            f = f - 1.0
         levels.append(0)
         for _ in range(max_iter):
-            if gnorm < tol:
+            if pt.gnorm < tol:
                 break
-            M = np.zeros((n + m, n + m))
-            M[:n, :n] = np.diag(ea + r / eps)
-            M[n:, n:] = np.diag(eb + s / eps)
-            M[:n, n:] = H / eps
-            M[n:, :n] = H.T / eps
+            M = np.zeros((pt.grad.size, pt.grad.size))
+            M[:n, :n] = np.diag(pt.ea + pt.r / eps)
+            M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
+            M[:n, n:n + m] = pt.H / eps
+            M[n:n + m, :n] = pt.H.T / eps
+            if pt.extra is not None:
+                M += pt.extra
             try:
-                step = cho_solve(cho_factor(M), grad)
+                step = cho_solve(cho_factor(M, check_finite=False), pt.grad,
+                                 check_finite=False)
             except np.linalg.LinAlgError:
-                step = np.linalg.solve(M + 1e-12 * np.eye(n + m), grad)
+                step = np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]),
+                                       pt.grad)
             t = 1.0
             while t > 1e-13:
-                fn = f + t * step[:n]
-                gn = g + t * step[n:]
-                Hn = plan_of(fn, gn, eps)
-                vn = dual(fn, gn, eps, Hn)
-                trial = gradient(fn, gn, Hn)
+                trial = evaluate(pt.f + t * step[:n], pt.g + t * step[n:n + m],
+                                 pt.theta + t * step[n + m:], eps, pt.b)
                 # a gain beyond roundoff decides; inside the roundoff band
                 # the dual cannot, so the gradient norm must fall instead
-                if math.isfinite(vn) and (
-                        vn > val + noise
-                        or (vn >= val - noise and trial[-1] < gnorm)):
+                if trial.finite and (
+                        trial.val > pt.val + noise
+                        or (trial.val >= pt.val - noise
+                            and trial.gnorm < pt.gnorm)):
                     break
                 t *= 0.5
             else:
                 break
             # the accepted trial's plan, dual value and gradient are the
             # next iterate's, so an accepted step computes nothing twice
-            f, g, H, val = fn, gn, Hn, vn
-            r, s, ea, eb, grad, gnorm = trial
+            pt = trial
             levels[-1] += 1
-    return H, f, g, tuple(levels), eps, gnorm, val, s
+        g, theta, b = pt.g, pt.theta, pt.b
+    return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels), eps,
+                     pt.gnorm, pt.val, pt.s)
+
+
+def solve_converged(gnorm: float, scaled_tol: float) -> bool:
+    """A dual solve counts as converged when its gradient max-norm is within
+    1e3 times its mass-scaled tolerance: the line search can run out at the
+    roundoff floor a little above the tolerance itself."""
+    return gnorm <= 1e3 * scaled_tol
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                        max_iter: int = 60, tol: float = 1e-11,
+                        max_iter: int = NEWTON_MAX_ITER,
+                        tol: float = NEWTON_TOL,
                         warm_start=None) -> HKResult:
     """Squared Hellinger-Kantorovich distance between two grid measures.
 
@@ -267,14 +369,16 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         if warm_start is not None:
             g0 = warm_start[1][cols]
             sched = DEFAULT_EPS_SCHEDULE[-1:]
-        plan_r, f_r, g_r, levels, eps, gnorm, dual_r, s_r = _dual_newton(
-            a_r, b_r, cost_r, sched, max_iter, scaled_tol, g0)
-        if warm_start is not None and gnorm > 1e3 * scaled_tol:
+        sol = _dual_newton(a_r, b_r, cost_r, sched, max_iter, scaled_tol, g0)
+        levels = sol.levels
+        if warm_start is not None and not solve_converged(sol.gnorm,
+                                                          scaled_tol):
             # stale warm start; redo the full continuation from scratch
-            plan_r, f_r, g_r, cold, eps, gnorm, dual_r, s_r = _dual_newton(
-                a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
-                scaled_tol)
-            levels += cold
+            sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE,
+                               max_iter, scaled_tol)
+            levels += sol.levels
+        plan_r, f_r, g_r = sol.plan, sol.f, sol.g
+        eps, gnorm, dual_r, s_r = sol.eps, sol.gnorm, sol.value, sol.col_sums
         plan[np.ix_(rows, cols)] = plan_r
         f_full[rows] = f_r
         g_full[cols] = g_r
@@ -284,7 +388,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         # each target node mass
         slope[cols] = ((1.0 - np.exp(-g_r))
                        - eps * (s_r / b_r - float(a_r.sum())))
-    converged = gnorm <= 1e3 * scaled_tol
+    converged = solve_converged(gnorm, scaled_tol)
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
                     sum(levels), converged, eps, float(dual), slope, levels)
 

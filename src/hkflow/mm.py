@@ -7,10 +7,16 @@ A single step from mu solves
 
 with d either the transport-growth distance or its spherical version.
 The scalar reduction (spatially constant densities, reaction only) has an
-explicit first-order condition solved by bisection.  Both metrics share
-one measure-valued step, L-BFGS-B over log-densities with exact gradients
-from the dual potentials; hk.is_spherical picks the step a name selects.
-"""
+explicit first-order condition solved by bisection.  The measure-valued
+step of both metrics is one smooth concave maximization over the dual
+potentials of the distance solve: its regularized dual is linear in the
+target masses, so the minimum over the new density is the energy's convex
+conjugate (the generic formulation of Chizat, Peyre, Schmitzer & Vialard,
+Math. Comp. 2018, applied to gradient-flow steps as in Peyre, SIAM J.
+Imaging Sci. 2015).  Energies without a closed-form conjugate,
+density-capped steps and steps from the zero measure take L-BFGS-B over
+log-densities instead, with exact gradients from the dual potentials.
+hk.is_spherical picks the step a name selects."""
 
 from __future__ import annotations
 
@@ -21,14 +27,26 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import EntropySpec, eval_functional
-from .hk import (has_unit_mass, hk_distance_squared, is_spherical,
-                 shk_from_hk_squared, shk_squared_derivative)
+from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
+                 _domain_cost, _dual_newton, has_unit_mass,
+                 hk_distance_squared, is_spherical, regularized_dual,
+                 shk_from_hk_squared, shk_squared_derivative,
+                 solve_converged)
 from .measures import DiscreteMeasure
 
-# L-BFGS-B settings of every implicit step: gradient tolerance on the
-# log-densities, iteration cap
+# L-BFGS-B settings of the implicit steps without a conjugate: gradient
+# tolerance on the log-densities, iteration cap
 STEP_GRAD_TOL = 1e-7
 STEP_MAX_ITER = 500
+
+# eps schedule of the dual step: the distance solve's, continued to 1e-8.
+# At a final eps of 1e-6 the regularized minimizer moves uniform SHK data by
+# 4.8e-7 per step at the half-weight end nodes, at 1e-8 by 4.8e-9; a step
+# density on 33 nodes at tau = 0.02 sits 2.3e-4 off its eps -> 0 limit at
+# 1e-6, 2.1e-6 at 1e-8.
+STEP_EPS_SCHEDULE = DEFAULT_EPS_SCHEDULE + (1e-7, 1e-8)
+# cap on the spherical step's fixed-point iterations for s = Phi'(HK^2)
+STEP_SCALE_MAX_ITER = 20
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +138,13 @@ def scalar_lower_bound(c0: float, tau: float, E: EntropySpec,
 
 @dataclass
 class MMStepResult:
+    """One implicit step.  ``objective`` is d^2/(2 tau) + E at the new
+    measure, with d^2 from the step's final distance solve's dual value;
+    ``distance_squared`` and ``plan`` are that solve's.  On the dual path
+    ``iterations`` counts the step's Newton iterations and ``grad_norm`` is
+    the max-norm of the dual gradient at its end; on the L-BFGS-B path they
+    are L-BFGS-B iterations and the max-norm of the log-density gradient."""
+
     measure: DiscreteMeasure
     objective: float
     distance_squared: float
@@ -131,29 +156,184 @@ class MMStepResult:
 
 def _implicit_step(mu0, tau, E, spherical, x0, warm,
                    density_cap) -> MMStepResult:
+    """Implicit step of either metric.  An energy with a closed-form
+    conjugate takes the concave dual step; linear, zero and table energies,
+    capped steps, and steps from the zero measure (which has no source
+    potentials) take L-BFGS-B."""
+    if tau <= 0:
+        raise ValueError("step size must be positive")
+    if warm is None:
+        warm = [None]
+    if E.conjugate is not None and density_cap is None and mu0.mass > 0:
+        return _dual_step(mu0, tau, E, spherical, x0, warm)
+    return _lbfgs_step(mu0, tau, E, spherical, x0, warm, density_cap)
+
+
+def _metric_d2(spherical, hk2):
+    """Squared step distance and its derivative in HK^2."""
+    if spherical:
+        return shk_from_hk_squared(hk2) ** 2, shk_squared_derivative(hk2)
+    return hk2, 1.0
+
+
+class _ConjugateTerm:
+    """The step's target term of hk._dual_newton: with p = -k / (2 tau),
+
+        F(k) = -2 tau sum_j w_j E*(p_j),
+
+    whose k-gradient w E*'(p) = w rho gives the target masses.  The
+    spherical term adds the mass multiplier lam as theta:
+    F(k, lam) = -2 tau (sum_j w_j E*(p_j - lam) + lam), concave in both."""
+
+    def __init__(self, E, w, two_tau, spherical):
+        self.E, self.w, self.two_tau = E, w, two_tau
+        self.spherical = spherical
+
+    def value(self, kappa, theta):
+        w, two_tau = self.w, self.two_tau
+        lam = theta[0] if self.spherical else 0.0
+        rho, estar, curv = self.E.conjugate(-kappa / two_tau - lam)
+        F = -two_tau * (float(w @ estar) + lam)
+        b = w * rho
+        d = w * curv / two_tau
+        if not self.spherical:
+            return F, b, (), d, np.empty((0, b.size))
+        # dF/dlam = 2 tau (mass - 1); lam enters every p_j with weight 2 tau
+        # relative to k_j
+        return (F, b, (two_tau * (float(b.sum()) - 1.0),), d,
+                np.full((1, b.size), two_tau))
+
+    def opening(self, kappa, theta):
+        """The lam of unit mass at these slopes, by Newton's method kept
+        inside a bracket: mass(lam) = sum w E*'(p - lam) falls as lam
+        grows, and is +inf where some p - lam leaves the domain of E*."""
+        if not self.spherical:
+            return theta
+        p = -kappa / self.two_tau
+        lam = float(theta[0])
+        lo, hi = -math.inf, math.inf
+        for _ in range(200):
+            rho, _, curv = self.E.conjugate(p - lam)
+            excess = float(self.w @ rho) - 1.0
+            if not excess <= 0.0:  # too much mass, or outside the domain
+                lo = lam
+            else:
+                hi = lam
+            if abs(excess) <= 1e-15 or hi - lo <= 1e-15 * abs(lam):
+                break
+            slope = float(self.w @ curv)
+            guess = lam + excess / slope if slope > 0 else math.nan
+            if lo < guess < hi:
+                lam = guess
+            elif math.isinf(hi):
+                lam = lo + max(1.0, abs(lo))
+            elif math.isinf(lo):
+                lam = hi - max(1.0, abs(hi))
+            else:
+                lam = 0.5 * (lo + hi)
+        return np.array([lam])
+
+
+def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
+    """Implicit step as one concave maximization over dual potentials.
+
+    The regularized dual of the distance solve is linear in the target
+    masses b = w rho, so minimizing it over rho together with the energy
+    gives, through the conjugate E*,
+
+        max_{f,g}  sum a (1 - e^-f) - 2 tau sum_j w_j E*(-k_j / (2 tau)),
+
+    with k_j the dual's slope in b_j (see hk._dual_newton), solved by the
+    distance solve's own Newton loop.  The new density is
+    rho = E*'(-k / (2 tau)).  The spherical step adds the mass multiplier
+    lam as one more concave variable (E -> E + lam c, plus -2 tau lam) and
+    solves at tau / s with s = Phi'(HK^2), Phi(x) = 4 arcsin^2(sqrt(x)/2),
+    found by a scalar fixed point on warm re-solves, HK^2 being the dual
+    distance at the step's own potentials; rho is then renormalized.
+
+    A warm start (the previous step's g, lam and s in warm[0]) solves the
+    final eps-level only and falls back to the full STEP_EPS_SCHEDULE if
+    that has not converged.  x0 (default: mu0's density) gives the target
+    masses w x0 at which the first level's opening sweep runs.  The step
+    ends with one distance solve from mu0 to the new measure, warm-started
+    from the step's potentials, which supplies the distance, objective and
+    plan.
+    """
+    dom = mu0.domain
+    w = dom.weights
+    a_full = mu0.density * w
+    src = np.flatnonzero(a_full > 0)
+    a = a_full[src]
+    cost = _domain_cost(dom)[src]
+    b0 = w * (mu0.density if x0 is None else np.asarray(x0, dtype=float))
+    tol = NEWTON_TOL * max(1.0, float(a.sum() + b0.sum()))
+
+    def solve(step_tau, b, g0, lam, schedule):
+        term = _ConjugateTerm(E, w, 2.0 * step_tau, spherical)
+        return _dual_newton(a, b, cost, schedule, NEWTON_MAX_ITER, tol, g0,
+                            term, (lam,) if spherical else ())
+
+    def solve_from(step_tau, start):
+        """Warm final level from start = (b, g, lam) if given; the full
+        continuation from b0 if that fails.  -> (solve, Newton count)"""
+        count = 0
+        if start is not None:
+            sol = solve(step_tau, *start, STEP_EPS_SCHEDULE[-1:])
+            count = sum(sol.levels)
+            if solve_converged(sol.gnorm, tol):
+                return sol, count
+        sol = solve(step_tau, b0, None, 0.0, STEP_EPS_SCHEDULE)
+        return sol, count + sum(sol.levels)
+
+    s, start = 1.0, None
+    if warm[0] is not None:
+        _, g_prev, lam_prev, s = warm[0]
+        start = (b0, g_prev, lam_prev)
+    sol, iterations = solve_from(tau / s, start)
+    settled = not spherical
+    for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
+        s_new = shk_squared_derivative(
+            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps))
+        if abs(s_new - s) <= 1e-13 * s:
+            settled = True
+            break
+        s = s_new
+        sol, count = solve_from(tau / s, (sol.b, sol.g, sol.theta[0]))
+        iterations += count
+
+    rho = sol.b / w
+    if spherical:
+        rho = rho / float(w @ rho)
+    nu = DiscreteMeasure(dom, rho)
+    f_full = np.zeros(dom.n_nodes)
+    f_full[src] = sol.f
+    lam = float(sol.theta[0]) if spherical else 0.0
+    warm[0] = (f_full, sol.g, lam, s)
+    final = hk_distance_squared(mu0, nu, warm_start=(f_full, sol.g))
+    d2 = _metric_d2(spherical, final.dual_value)[0]
+    converged = (settled and solve_converged(sol.gnorm, tol)
+                 and final.converged)
+    return MMStepResult(nu, d2 / (2.0 * tau) + float(w @ E(rho)),
+                        _metric_d2(spherical, final.hk_squared)[0],
+                        sol.gnorm, iterations, converged, final.plan)
+
+
+def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
+                density_cap) -> MMStepResult:
     """Implicit step of either metric, by L-BFGS-B over u = log density.
 
     The squared-distance part of the gradient comes from the converged
     dual potentials, exact at the optimum by the envelope argument.  With
     spherical set, u maps to the unit-mass density e^u / (w . e^u) and
     HK^2 to SHK^2.  A density cap is a box constraint on u."""
-    if tau <= 0:
-        raise ValueError("step size must be positive")
     dom = mu0.domain
     w = dom.weights
-    if warm is None:
-        warm = [None]
 
     def density(u):
         if not spherical:
             return np.exp(u)
         e = np.exp(u - np.max(u))
         return e / float(w @ e)
-
-    def metric_d2(hk2):  # squared step distance, its derivative in HK^2
-        if spherical:
-            return shk_from_hk_squared(hk2) ** 2, shk_squared_derivative(hk2)
-        return hk2, 1.0
 
     def solve(rho):
         res = hk_distance_squared(mu0, DiscreteMeasure(dom, rho),
@@ -164,7 +344,7 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm,
     def fun(u):
         rho = density(u)
         res = solve(rho)
-        d2, slope = metric_d2(res.dual_value)
+        d2, slope = _metric_d2(spherical, res.dual_value)
         val = d2 / (2.0 * tau) + float(w @ E(rho))
         g_rho = (slope * (w * res.target_slope) / (2.0 * tau)
                  + w * E.derivative(rho))
@@ -189,8 +369,8 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm,
     converged = bool((out.success or grad_norm < 10 * STEP_GRAD_TOL)
                      and final.converged)
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
-                        metric_d2(final.hk_squared)[0], grad_norm,
-                        int(out.nit), converged, final.plan)
+                        _metric_d2(spherical, final.hk_squared)[0],
+                        grad_norm, int(out.nit), converged, final.plan)
 
 
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -198,14 +378,17 @@ def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
             density_cap: float | None = None) -> MMStepResult:
     """Implicit step in the transport-growth metric.  A density cap bounds
     the new density from above, for hard-constrained functionals such as
-    the linear-below-one limit energy."""
+    the linear-below-one limit energy.  x0 (default: mu0's density) is the
+    starting density: the target of the first opening sweep on the dual
+    path, the L-BFGS-B start otherwise.  warm is a one-element list whose
+    entry carries the solver state from step to step."""
     return _implicit_step(mu0, tau, E, False, x0, warm, density_cap)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
                 x0: np.ndarray | None = None, warm=None) -> MMStepResult:
-    """Implicit step in the spherical metric over unit-mass measures; the
-    log-densities are renormalized inside the objective."""
+    """Implicit step in the spherical metric over unit-mass measures; x0
+    and warm as in mm_step."""
     if not has_unit_mass(mu0):
         raise ValueError("spherical step requires a unit-mass input")
     return _implicit_step(mu0, tau, E, True, x0, warm, None)
@@ -239,8 +422,9 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
                   density_cap: float | None = None) -> MMTrajectory:
     """Iterate implicit steps from mu0; metric is "hk" or "shk".  Distance
     solves are warm-started across steps; density_cap (HK only) bounds
-    every iterate as in mm_step.  Solver accuracy is fixed: STEP_GRAD_TOL
-    and STEP_MAX_ITER here, the distance solve's defaults in hk."""
+    every iterate as in mm_step.  Solver accuracy is fixed:
+    STEP_EPS_SCHEDULE, STEP_GRAD_TOL and STEP_MAX_ITER here, the Newton
+    settings in hk."""
     spherical = is_spherical(metric)
     if spherical and density_cap is not None:
         raise ValueError("density_cap applies to the HK step only")
@@ -269,7 +453,8 @@ def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
                       metric: str = "hk", n_restarts: int = 3,
                       seed: int = 0) -> float:
     """Largest pairwise objective gap of the step output over randomly
-    perturbed initial guesses."""
+    perturbed starting densities x0, which seed the dual step's first
+    opening sweep (the L-BFGS-B start where the step has no conjugate)."""
     rng = np.random.default_rng(seed)
     step = shk_mm_step if is_spherical(metric) else mm_step
     outs = [step(mu0, tau, E).objective]

@@ -148,3 +148,23 @@ def test_NE_conditions_quadratic():
     # an aggressively positive lam must fail for the same entropy
     rep_bad = check_NE_conditions(E, lam=50.0, d=1)
     assert not rep_bad["convex"]
+
+
+def test_closed_form_conjugates():
+    # E*(p) = p rho - E(rho) at rho = E*'(p), and E*'' = 1 / E''(rho)
+    for E, p in ((power_mass_entropy(1.0, 2.0, -1.0), np.linspace(-0.5, 3, 9)),
+                 (power_mass_entropy(1.5, 2.7, 0.3), np.linspace(0.4, 3, 9)),
+                 (neg_power_entropy(0.5, 1.0), np.linspace(-3, -0.1, 9))):
+        rho, estar, curv = E.conjugate(p)
+        assert np.allclose(estar, p * rho - E(rho), atol=1e-14)
+        inside = rho > 0
+        assert np.allclose(E.derivative(rho[inside]), p[inside], atol=1e-12)
+        assert np.allclose(curv[inside] * E.second_derivative(rho[inside]),
+                           1.0, atol=1e-12)
+    # outside its domain the neg_power conjugate is +inf
+    assert np.all(np.isinf(neg_power_entropy(0.5, 1.0).conjugate(
+        np.array([0.0, 1.0]))[1]))
+    for E in (neg_power_entropy(0.5, 0.0), linear_entropy(-1.0),
+              zero_entropy(), table_entropy([0.0, 1.0, 2.0], [0.0, 1.0, 4.0],
+                                            recession_slope=math.inf)):
+        assert E.conjugate is None

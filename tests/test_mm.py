@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import hkflow.mm
 from hkflow.entropy import (eval_functional, linear_entropy,
-                            neg_power_entropy, power_mass_entropy)
+                            neg_power_entropy, power_mass_entropy,
+                            table_entropy)
+from hkflow.hk import DEFAULT_EPS_SCHEDULE
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        iterate_sqrt_growth_bound, iterate_upper_bound,
@@ -229,3 +231,95 @@ def test_trajectory_resolves_steps_at_call_time(interval17, monkeypatch,
     mm_trajectory(prob, 0.05, 3, quadratic_entropy(), metric=metric)
     used = "shk_mm_step" if metric == "shk" else "mm_step"
     assert calls == {name: 3 if name == used else 0 for name in calls}
+
+
+def _gate_measure(n, metric):
+    dom = unit_interval(n)
+    if metric == "hk":
+        return sinusoid_measure(dom, base=0.8, amplitude=0.2)
+    mu = sinusoid_measure(dom, base=1.0, amplitude=0.3)
+    return DiscreteMeasure(dom, mu.density / mu.mass)
+
+
+@pytest.mark.parametrize("metric, n, tau, entropy", [
+    ("hk", 33, 0.005, "quadratic"), ("hk", 33, 0.02, "quadratic"),
+    ("hk", 64, 0.0025, "quadratic"), ("shk", 33, 0.02, "quadratic"),
+    ("shk", 33, 0.005, "quadratic"), ("shk", 33, 0.02, "neg_power")])
+def test_dual_step_solves_the_lbfgs_problem(monkeypatch, metric, n, tau,
+                                            entropy):
+    # at the distance solve's own eps schedule both solvers minimize the
+    # same function, d(dual value)^2 / (2 tau) + E, so the dual step's
+    # objective may not exceed the L-BFGS-B optimum
+    monkeypatch.setattr(hkflow.mm, "STEP_EPS_SCHEDULE", DEFAULT_EPS_SCHEDULE)
+    E = (quadratic_entropy() if entropy == "quadratic"
+         else neg_power_entropy(0.5, 1.0))
+    mu0 = _gate_measure(n, metric)
+    spherical = metric == "shk"
+    step = shk_mm_step if spherical else mm_step
+    dual = step(mu0, tau, E)
+    lbfgs = hkflow.mm._lbfgs_step(mu0, tau, E, spherical, None, [None],
+                                   None)
+    assert dual.converged and lbfgs.converged
+    assert dual.objective <= lbfgs.objective + 1e-12 * abs(lbfgs.objective)
+
+
+def test_warm_dual_step_is_cheap_and_certified(interval33, monkeypatch):
+    solves = []
+
+    def recording(*args, **kw):
+        res = original(*args, **kw)
+        solves.append((kw.get("warm_start") is not None, res.converged))
+        return res
+
+    original = hkflow.mm.hk_distance_squared
+    monkeypatch.setattr(hkflow.mm, "hk_distance_squared", recording)
+    # the setting of the benchmark's hk-evi-1d flow
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.2)
+    warm = [None]
+    first = mm_step(mu0, 0.005, E, warm=warm)
+    second = mm_step(first.measure, 0.005, E, warm=warm)
+    assert first.converged and second.converged
+    assert second.iterations <= 5
+    # one certifying distance solve per step, warm-started and converged
+    assert solves == [(True, True), (True, True)]
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_unconverged_dual_solve_fails_the_step(interval17, monkeypatch,
+                                               metric):
+    def unconverged_dual(*args, **kw):
+        return original(*args, **kw)._replace(gnorm=1.0)
+
+    original = hkflow.mm._dual_newton
+    monkeypatch.setattr(hkflow.mm, "_dual_newton", unconverged_dual)
+    E = quadratic_entropy()
+    mu0 = _gate_measure(17, metric)
+    step = shk_mm_step if metric == "shk" else mm_step
+    res = step(mu0, 0.05, E)
+    assert not res.converged
+    assert res.grad_norm == 1.0
+    with pytest.raises(RuntimeError, match="did not converge"):
+        mm_trajectory(mu0, 0.05, 2, E, metric=metric)
+
+
+def test_table_entropy_flow_takes_lbfgs(interval33):
+    # a tabulated energy has no closed-form conjugate: its steps run
+    # L-BFGS-B, and still descend
+    c = np.linspace(0.0, 3.0, 31)
+    E = table_entropy(c, c * c - c, recession_slope=math.inf)
+    assert E.conjugate is None
+    mu0 = sinusoid_measure(interval33)
+    traj = mm_trajectory(mu0, 0.05, 2, E, metric="hk")
+    energies = traj.energy(E)
+    for k, d2 in enumerate(traj.distances_squared):
+        assert energies[k + 1] + d2 / 0.1 <= energies[k] + 1e-9
+
+
+def test_step_from_zero_measure_stays_zero(interval17):
+    # growth from nothing costs mass / (2 tau) = 10 per unit, more than
+    # E' = 2c - 1 can gain
+    zero = DiscreteMeasure(interval17, np.zeros(interval17.n_nodes))
+    res = mm_step(zero, 0.05, quadratic_entropy())
+    assert res.converged
+    assert float(np.max(res.measure.density)) <= 1e-12
