@@ -15,19 +15,23 @@ Two solvers are provided.
 ``hk_distance_squared`` (any support size) adds an entropic penalty of
 weight eps to the program and maximizes its smooth, strictly concave dual
 over potentials (f, g) with damped Newton steps: each step solves the
-dense (n + m) Hessian system by Cholesky and halves the step until the
-dual gains more than its roundoff band, or stays inside that band while
-the gradient's max-norm falls.  eps is continued along a decreasing
-schedule (1e-1 down to 1e-6).  Each level starts from the previous
-level's potentials and opens with one closed-form unbalanced-Sinkhorn
-sweep (exact block ascent in f, then in g; Chizat, Peyre, Schmitzer &
-Vialard, Math. Comp. 2018), which removes the overshoot of the previous
-level's plan before Newton takes over.  A warm start from given
-potentials solves at the final eps only, and redoes the full
-continuation if its result would not count as converged.  The same Newton
-loop solves the minimizing-movement step of ``mm``: the dual is linear in
-the target masses, which it then maximizes over jointly, through the convex
-conjugate of the energy.
+(n + m) Hessian system and halves the step until the dual gains more than
+its roundoff band, or stays inside that band while the gradient's max-norm
+falls.  The system is dense and solved by Cholesky on small grids; on
+large ones (2-D grids), where at small eps nearly all of the plan is
+roundoff, Newton runs on a kept support of the plan with a sparse LU
+solve, and each level is checked on the full plan before it ends
+(truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  eps is
+continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
+starts from the previous level's potentials and opens with one
+closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
+g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes
+the overshoot of the previous level's plan before Newton takes over.  A
+warm start from given potentials solves at the final eps only, and redoes
+the full continuation if its result would not count as converged.  The
+same Newton loop solves the minimizing-movement step of ``mm``: the dual
+is linear in the target masses, which it then maximizes over jointly,
+through the convex conjugate of the energy.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -43,6 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 from scipy.special import xlogy
 
 from .measures import DiscreteMeasure, GridDomain
@@ -55,6 +61,18 @@ DEFAULT_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-6, 11))
 # gradient tolerance per unit of total mass
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-11
+
+# The distance solve runs Newton on a kept part of the plan (the sparse
+# path) when the system has at least SPARSE_MIN_SIZE unknowns and at most
+# SPARSE_MAX_FILL of the plan is kept.  An entry H_ij is kept when its
+# kernel H_ij / (a_i b_j) exceeds SPARSE_KEEP tol / (max(n, m) max a max b)
+# at the point the support is chosen, so each dropped entry is below
+# SPARSE_KEEP tol / max(n, m), far below the gradient tolerance.  Below
+# about 80 nodes, or where most of the plan is kept, dense Cholesky is
+# faster.
+SPARSE_MIN_SIZE = 160
+SPARSE_MAX_FILL = 0.15
+SPARSE_KEEP = 1e-3 * math.exp(-10.0)
 
 METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
 
@@ -104,7 +122,10 @@ class HKResult:
     node mass; together they give consistent value/gradient pairs for
     outer optimizations over the target measure.  ``level_iterations``
     holds the Newton count of each regularization level that ran, in
-    order; they sum to ``iterations``.
+    order; they sum to ``iterations``.  ``level_support`` holds, per level
+    in the same order, the kept plan entries of each support the level
+    chose: one entry n m on a dense level, and one more entry for each time
+    a sparse level chose its support again.
     """
 
     hk_squared: float
@@ -118,6 +139,7 @@ class HKResult:
     dual_value: float = 0.0
     target_slope: np.ndarray | None = None
     level_iterations: tuple = ()
+    level_support: tuple = ()
 
     @property
     def hk(self) -> float:
@@ -134,8 +156,9 @@ def regularized_dual(a, b, f, g, H, eps) -> float:
 class DualSolve(NamedTuple):
     """Final state of _dual_newton: the plan H_ij = a_i b_j exp((f_i + g_j -
     c_ij) / eps), the potentials, the extra dual variables and target masses
-    b of a conjugate term, per-level Newton counts, the last eps, the
-    gradient max-norm, the dual value and the plan's column sums."""
+    b of a conjugate term, per-level Newton counts and kept supports, the
+    last eps, the gradient max-norm, the dual value and the plan's column
+    sums."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -143,6 +166,7 @@ class DualSolve(NamedTuple):
     theta: np.ndarray
     b: np.ndarray
     levels: tuple
+    supports: tuple
     eps: float
     gnorm: float
     value: float
@@ -152,7 +176,8 @@ class DualSolve(NamedTuple):
 class _Point(NamedTuple):
     """One iterate of _dual_newton: variables, target masses, plan, dual
     value, row and column sums, a e^-f, b e^-g, gradient and its max-norm,
-    the term's Hessian addition, and whether all of these are finite."""
+    the term's Hessian addition, and whether all of these are finite.  On a
+    kept support H holds the kept entries only."""
 
     f: np.ndarray
     g: np.ndarray
@@ -168,6 +193,66 @@ class _Point(NamedTuple):
     gnorm: float
     extra: np.ndarray | None
     finite: bool
+
+
+class _Support(NamedTuple):
+    """Kept plan entries (rows, cols) and their costs, with the CSC pattern
+    (indices, indptr) of the Newton matrix on them: its data are the
+    diagonal, then H, then H^T, taken in the order ``order``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    cost: np.ndarray
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _kept_support(slack, cost, kernel_min):
+    """The plan entries whose kernel exp(slack) = H_ij / (a_i b_j) exceeds
+    kernel_min, or None when they are more than SPARSE_MAX_FILL of the
+    plan.  The test is on the kernel, not on H, so rows and columns of
+    small mass keep their nearly tight entries too."""
+    n, m = slack.shape
+    rows, cols = np.nonzero(slack > math.log(kernel_min))
+    if rows.size > SPARSE_MAX_FILL * n * m:
+        return None
+    diag = np.arange(n + m)
+    i = np.concatenate([diag, rows, n + cols])
+    j = np.concatenate([diag, n + cols, rows])
+    order = np.lexsort((i, j))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n + m))])
+    return _Support(rows, cols, cost[rows, cols], order, i[order], indptr)
+
+
+def _newton_direction(pt, eps, support):
+    """Solve M x = grad for the Newton matrix M (minus the dual's Hessian)
+    at pt: dense Cholesky on the full plan, sparse LU on a kept support.
+    M is positive definite, so LU needs no pivoting and the natural order
+    keeps its fill small."""
+    n, m = pt.r.size, pt.s.size
+    if support is None:
+        M = np.zeros((pt.grad.size, pt.grad.size))
+        M[:n, :n] = np.diag(pt.ea + pt.r / eps)
+        M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
+        M[:n, n:n + m] = pt.H / eps
+        M[n:n + m, :n] = pt.H.T / eps
+        if pt.extra is not None:
+            M += pt.extra
+        try:
+            return cho_solve(cho_factor(M, check_finite=False), pt.grad,
+                             check_finite=False)
+        except np.linalg.LinAlgError:
+            return np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]), pt.grad)
+    h = pt.H / eps
+    data = np.concatenate([pt.ea + pt.r / eps, pt.eb + pt.s / eps, h, h])
+    M = csc_matrix((data[support.order], support.indices, support.indptr),
+                   shape=(n + m, n + m))
+    try:
+        return splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve(pt.grad)
+    except RuntimeError:  # an exactly singular factor
+        return np.linalg.solve(M.toarray() + 1e-12 * np.eye(n + m), pt.grad)
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
@@ -216,17 +301,42 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
     (about gradient^2 eps) falls below that band, so there a trial whose
     dual stays inside the band is accepted when the max-norm of its
     gradient falls.  Otherwise the step is halved.
+
+    The Newton step solves the dense (n + m) system by Cholesky, except on
+    large plain distance solves (no term, n + m >= SPARSE_MIN_SIZE), where
+    at small eps almost all of the plan is roundoff.  There each level
+    chooses a kept support at its opening point (see _kept_support and
+    SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput. 2019, truncates the kernel
+    the same way), and Newton evaluates the plan on the kept entries only
+    and solves a sparse system by LU.  A level whose support would keep more
+    than SPARSE_MAX_FILL of the plan stays dense.  A sparse pass ends with
+    one evaluation on the full plan: if its gradient exceeds the kept one by
+    more than 1e-3 tol, the support is chosen again from there and the
+    level goes on; if it exceeds the pass's first gradient, the level
+    restarts from that first point on the full plan.  Every level thus ends
+    on a full evaluation, and the returned plan, gradient, dual value and
+    column sums are those of the full plan.
     """
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
 
-    def evaluate(f, g, theta, eps, b, opening=False):
+    def evaluate(f, g, theta, eps, b, opening=False, support=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if term is None:
-                log_plan = (log_a[:, None] + np.log(b)[None, :]
-                            + (f[:, None] + g[None, :] - cost) / eps)
-                H = np.exp(np.minimum(log_plan, 500.0))
+                if support is None:
+                    log_plan = (log_a[:, None] + np.log(b)[None, :]
+                                + (f[:, None] + g[None, :] - cost) / eps)
+                    H = np.exp(np.minimum(log_plan, 500.0))
+                    r = H.sum(axis=1)
+                    s = H.sum(axis=0)
+                else:
+                    i, j = support.rows, support.cols
+                    H = np.exp(np.minimum(
+                        log_a[i] + np.log(b)[j]
+                        + (f[i] + g[j] - support.cost) / eps, 500.0))
+                    r = np.bincount(i, H, n)
+                    s = np.bincount(j, H, m)
                 val = regularized_dual(a, b, f, g, H, eps)
                 grad_theta, extra, finite = (), None, True
             else:
@@ -244,8 +354,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
                 W = np.vstack([-K, np.diag(e_g - u), Z])
                 extra = (W * d) @ W.T
                 finite = bool(np.isfinite(d).all())
-            r = H.sum(axis=1)
-            s = H.sum(axis=0)
+                r = H.sum(axis=1)
+                s = H.sum(axis=0)
             ea = a * np.exp(-f)
             eb = b * np.exp(-g)
             grad = np.concatenate([ea - r, eb - s, grad_theta])
@@ -258,7 +368,9 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
     noise = 1e-14 * float(a.sum() + b.sum())
     g = np.zeros(m) if g0 is None else np.asarray(g0, float)
     theta = np.asarray(theta0, dtype=float)
-    levels = []
+    sparse = term is None and n + m >= SPARSE_MIN_SIZE
+    kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
+    levels, supports = [], []
     for eps in eps_schedule:
         shrink = -eps / (1.0 + eps)
         with np.errstate(divide="ignore"):
@@ -274,43 +386,61 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
             # 1 + eps sum a
             f = f - 1.0
         levels.append(0)
-        for _ in range(max_iter):
-            if pt.gnorm < tol:
-                break
-            M = np.zeros((pt.grad.size, pt.grad.size))
-            M[:n, :n] = np.diag(pt.ea + pt.r / eps)
-            M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
-            M[:n, n:n + m] = pt.H / eps
-            M[n:n + m, :n] = pt.H.T / eps
-            if pt.extra is not None:
-                M += pt.extra
-            try:
-                step = cho_solve(cho_factor(M, check_finite=False), pt.grad,
-                                 check_finite=False)
-            except np.linalg.LinAlgError:
-                step = np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]),
-                                       pt.grad)
-            t = 1.0
-            while t > 1e-13:
-                trial = evaluate(pt.f + t * step[:n], pt.g + t * step[n:n + m],
-                                 pt.theta + t * step[n + m:], eps, pt.b)
-                # a gain beyond roundoff decides; inside the roundoff band
-                # the dual cannot, so the gradient norm must fall instead
-                if trial.finite and (
-                        trial.val > pt.val + noise
-                        or (trial.val >= pt.val - noise
-                            and trial.gnorm < pt.gnorm)):
+        supports.append(())
+        sparse_level = sparse
+        while True:
+            support = None
+            if sparse_level:
+                support = _kept_support(
+                    (pt.f[:, None] + pt.g[None, :] - cost) / eps, cost,
+                    kernel_min)
+            supports[-1] += (n * m if support is None else support.rows.size,)
+            opened = pt
+            if support is not None:
+                pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b, support=support)
+            start = levels[-1]
+            for _ in range(max_iter - start):
+                if pt.gnorm < tol:
                     break
-                t *= 0.5
-            else:
+                step = _newton_direction(pt, eps, support)
+                t = 1.0
+                while t > 1e-13:
+                    trial = evaluate(pt.f + t * step[:n],
+                                     pt.g + t * step[n:n + m],
+                                     pt.theta + t * step[n + m:], eps, pt.b,
+                                     support=support)
+                    # a gain beyond roundoff decides; inside the roundoff
+                    # band the dual cannot, so the gradient norm must fall
+                    # instead
+                    if trial.finite and (
+                            trial.val > pt.val + noise
+                            or (trial.val >= pt.val - noise
+                                and trial.gnorm < pt.gnorm)):
+                        break
+                    t *= 0.5
+                else:
+                    break
+                # the accepted trial's plan, dual value and gradient are the
+                # next iterate's, so an accepted step computes nothing twice
+                pt = trial
+                levels[-1] += 1
+            if support is None:
                 break
-            # the accepted trial's plan, dual value and gradient are the
-            # next iterate's, so an accepted step computes nothing twice
-            pt = trial
-            levels[-1] += 1
+            # mass the support dropped shows in the full gradient.  A pass
+            # that ends worse than it began has let potentials drift until
+            # dropped entries dominate: a cluster of tiny masses can move
+            # freely on its kept entries.
+            kept_gnorm = pt.gnorm
+            pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
+            if pt.gnorm > opened.gnorm:
+                pt, sparse_level = opened, False
+            elif pt.gnorm <= kept_gnorm + 1e-3 * tol or levels[-1] == start:
+                break
+            if levels[-1] == max_iter:
+                break
         g, theta, b = pt.g, pt.theta, pt.b
-    return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels), eps,
-                     pt.gnorm, pt.val, pt.s)
+    return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
+                     tuple(supports), eps, pt.gnorm, pt.val, pt.s)
 
 
 def solve_converged(gnorm: float, scaled_tol: float) -> bool:
@@ -358,7 +488,8 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     g_full = np.zeros(n)
     slope = np.ones(n)  # slope 1 where no transport partner exists
     value = dual = base
-    levels, eps, gnorm = (), float(DEFAULT_EPS_SCHEDULE[-1]), 0.0
+    levels = supports = ()
+    eps, gnorm = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0
     scaled_tol = tol * max(1.0, m0 + m1)
     # a reachable source has a reachable target and vice versa, so a_r and
     # b_r are empty together
@@ -370,13 +501,14 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
             g0 = warm_start[1][cols]
             sched = DEFAULT_EPS_SCHEDULE[-1:]
         sol = _dual_newton(a_r, b_r, cost_r, sched, max_iter, scaled_tol, g0)
-        levels = sol.levels
+        levels, supports = sol.levels, sol.supports
         if warm_start is not None and not solve_converged(sol.gnorm,
                                                           scaled_tol):
             # stale warm start; redo the full continuation from scratch
             sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE,
                                max_iter, scaled_tol)
             levels += sol.levels
+            supports += sol.supports
         plan_r, f_r, g_r = sol.plan, sol.f, sol.g
         eps, gnorm, dual_r, s_r = sol.eps, sol.gnorm, sol.value, sol.col_sums
         plan[np.ix_(rows, cols)] = plan_r
@@ -390,7 +522,8 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                        - eps * (s_r / b_r - float(a_r.sum())))
     converged = solve_converged(gnorm, scaled_tol)
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
-                    sum(levels), converged, eps, float(dual), slope, levels)
+                    sum(levels), converged, eps, float(dual), slope, levels,
+                    supports)
 
 
 def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:

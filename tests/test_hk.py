@@ -293,6 +293,8 @@ def test_newton_counts_per_level(interval33):
     assert cold.iterations <= 90
     assert len(cold.level_iterations) == len(DEFAULT_EPS_SCHEDULE)
     assert sum(cold.level_iterations) == cold.iterations
+    # 33 nodes solve dense: one support, the whole plan, per level
+    assert cold.level_support == ((33 * 33,),) * len(DEFAULT_EPS_SCHEDULE)
     warm = hk_distance_squared(
         mu, nu, warm_start=(cold.potential_source, cold.potential_target))
     assert len(warm.level_iterations) == 1
@@ -302,6 +304,7 @@ def test_newton_counts_per_level(interval33):
     stale = hk_distance_squared(mu, nu, warm_start=(zero, zero))
     assert stale.converged
     assert stale.level_iterations[1:] == cold.level_iterations
+    assert stale.level_support[1:] == cold.level_support
     assert sum(stale.level_iterations) == stale.iterations
 
 

@@ -1,0 +1,179 @@
+"""The sparse path of the distance solve on 2-D grids against the dense one.
+
+Large plain distance solves run Newton on a kept support of the plan with
+a sparse LU solve; small ones, and the conjugate-term solves of the
+implicit step, keep the dense Cholesky path.  The dense path is forced
+here by raising hk.SPARSE_MIN_SIZE.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import hkflow.hk as hk
+from hkflow.entropy import power_mass_entropy
+from hkflow.hk import hk_distance_squared, transport_cost
+from hkflow.measures import DiscreteMeasure, GridDomain, unit_interval
+from hkflow.mm import mm_step
+
+from conftest import sinusoid_measure
+
+GRID = 17
+# four smooth pairs: density 1 + 0.2 sum cos(2 pi k.x + phase) over the
+# modes below, one phase triple per measure
+MODES = ((1, 0), (0, 1), (1, 1))
+SMOOTH_PHASES = (
+    ((0.3, 1.0, 2.0), (2.5, 4.0, 5.0)),
+    ((1.2, 5.1, 0.4), (4.4, 2.2, 3.3)),
+    ((5.9, 0.7, 3.8), (1.9, 3.6, 0.9)),
+    ((2.8, 4.6, 1.5), (0.1, 1.4, 4.7)),
+)
+# two two-Dirac pairs: ((row, column) node, mass)
+DIRAC_PAIRS = (
+    (((4, 8), 0.8), ((12, 8), 1.2)),
+    (((2, 2), 1.5), ((10, 14), 0.5)),
+)
+
+
+def square(upper=1.0):
+    return GridDomain((0.0, 0.0), (upper, upper), (GRID, GRID))
+
+
+def smooth_measure(dom, phases):
+    x = (dom.coordinates - np.asarray(dom.lower)) / (
+        np.asarray(dom.upper) - np.asarray(dom.lower))
+    rho = np.ones(dom.n_nodes)
+    for (kx, ky), ph in zip(MODES, phases):
+        rho += 0.2 * np.cos(2.0 * math.pi * (kx * x[:, 0] + ky * x[:, 1])
+                            + ph)
+    return DiscreteMeasure(dom, rho)
+
+
+def dirac_at(dom, node, mass):
+    k = node[0] * GRID + node[1]
+    rho = np.zeros(dom.n_nodes)
+    rho[k] = mass / dom.weights[k]
+    return DiscreteMeasure(dom, rho)
+
+
+def gaussian_measure(dom, centre, width):
+    r2 = ((dom.coordinates - np.asarray(centre)) ** 2).sum(axis=1)
+    return DiscreteMeasure(
+        dom, np.exp(-0.5 * r2 / width**2) / (2.0 * math.pi * width**2))
+
+
+def pair(case):
+    kind, k = case
+    if kind == "smooth":
+        dom = square()
+        return tuple(smooth_measure(dom, p) for p in SMOOTH_PHASES[k])
+    if kind == "far":
+        # on [0, 3]^2 some nodes lie more than pi/2 apart: infinite cost
+        dom = square(3.0)
+        return tuple(smooth_measure(dom, p) for p in SMOOTH_PHASES[0])
+    dom = square()
+    return tuple(dirac_at(dom, node, mass) for node, mass in DIRAC_PAIRS[k])
+
+
+def dense_solve(monkeypatch, mu0, mu1, **kw):
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "SPARSE_MIN_SIZE", math.inf)
+        return hk_distance_squared(mu0, mu1, **kw)
+
+
+def full_gradient(res, mu0, mu1):
+    """Max-norm of the dual gradient on the full plan at the returned
+    potentials, and that plan, computed here from scratch."""
+    dom = mu0.domain
+    a = mu0.density * dom.weights
+    b = mu1.density * dom.weights
+    src, tgt = np.flatnonzero(a), np.flatnonzero(b)
+    a, b = a[src], b[tgt]
+    f = res.potential_source[src]
+    g = res.potential_target[tgt]
+    cost = transport_cost(dom.distance_matrix())[np.ix_(src, tgt)]
+    with np.errstate(over="ignore"):
+        plan = np.outer(a, b) * np.exp(
+            (f[:, None] + g[None, :] - cost) / res.eps_final)
+        grad = np.concatenate([a * np.exp(-f) - plan.sum(axis=1),
+                               b * np.exp(-g) - plan.sum(axis=0)])
+    return float(np.max(np.abs(grad))), plan, src, tgt
+
+
+CASES = ([("smooth", k) for k in range(4)] + [("dirac", k) for k in range(2)]
+         + [("far", 0)])
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}")
+def test_sparse_path_agrees_with_dense_on_17x17(monkeypatch, case):
+    mu0, mu1 = pair(case)
+    sparse = hk_distance_squared(mu0, mu1)
+    dense = dense_solve(monkeypatch, mu0, mu1)
+    assert sparse.converged and dense.converged
+    assert sparse.hk_squared == pytest.approx(dense.hk_squared, rel=1e-12)
+    _, plan, src, tgt = full_gradient(sparse, mu0, mu1)
+    # the returned plan is the full Gibbs plan of the returned potentials
+    assert np.allclose(sparse.plan[np.ix_(src, tgt)], plan, rtol=1e-10,
+                       atol=0.0)
+    nm = src.size * tgt.size
+    assert all(s == (nm,) for s in dense.level_support)
+    assert len(sparse.level_support) == len(sparse.level_iterations)
+    if case[0] != "dirac":
+        assert any(s[0] < nm for s in sparse.level_support)
+    if case[0] == "far":
+        cost = transport_cost(mu0.domain.distance_matrix())
+        assert np.isinf(cost).any()
+
+
+@pytest.mark.parametrize("case", [("smooth", 0), ("far", 0)],
+                         ids=lambda c: c[0])
+def test_truncation_that_drops_mass_is_caught(monkeypatch, case):
+    # a keep threshold 1e8 times too high drops real mass; the full
+    # evaluation that ends each sparse pass must then either recover the
+    # dense distance or report the solve unconverged
+    mu0, mu1 = pair(case)
+    dense = dense_solve(monkeypatch, mu0, mu1)
+    monkeypatch.setattr(hk, "SPARSE_KEEP", hk.SPARSE_KEEP * 1e8)
+    res = hk_distance_squared(mu0, mu1)
+    assert any(len(s) > 1 for s in res.level_support)
+    gnorm, _, _, _ = full_gradient(res, mu0, mu1)
+    assert res.marginal_error == pytest.approx(gnorm, rel=1e-6, abs=1e-16)
+    scaled_tol = hk.NEWTON_TOL * max(1.0, mu0.mass + mu1.mass)
+    if res.converged:
+        assert gnorm <= 1e3 * scaled_tol
+        assert res.hk_squared == pytest.approx(dense.hk_squared, rel=1e-12)
+
+
+def test_sparse_path_with_tiny_tail_masses(monkeypatch):
+    # narrow Gaussians leave node masses down to 1e-90: clusters of tiny
+    # masses whose kept entries tie them only to each other can drift on
+    # the support until dropped entries overflow; such a level must restart
+    # on the full plan and the solve still converge
+    dom = square()
+    mu0 = gaussian_measure(dom, (0.3, 0.4), 0.05)
+    mu1 = gaussian_measure(dom, (0.6, 0.5), 0.05)
+    res = hk_distance_squared(mu0, mu1)
+    dense = dense_solve(monkeypatch, mu0, mu1)
+    assert res.converged and dense.converged
+    nm = dom.n_nodes ** 2
+    assert any(len(s) > 1 and s[-1] == nm for s in res.level_support)
+    assert res.dual_value == pytest.approx(dense.dual_value, rel=1e-12)
+    # the primal value of a converged solve moves by ~1e-9 relative with
+    # the stopping point here, in the dense solver too (tol 1e-11 vs 1e-13)
+    assert res.hk_squared == pytest.approx(dense.hk_squared, rel=1e-8)
+
+
+def test_one_dimensional_solves_stay_dense(monkeypatch):
+    def no_splu(*args, **kw):
+        raise AssertionError("sparse LU on a 1-D grid")
+
+    monkeypatch.setattr(hk, "splu", no_splu)
+    dom = unit_interval(33)
+    mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+    nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+    res = hk_distance_squared(mu, nu)
+    assert res.converged
+    assert all(s == (33 * 33,) for s in res.level_support)
+    step = mm_step(mu, 0.005, power_mass_entropy(1.0, 2.0, -1.0))
+    assert step.converged
