@@ -40,7 +40,7 @@ def distances_squared_along(measures, others,
             raise RuntimeError(f"distance solve for pair {k} did not "
                                f"converge (marginal error "
                                f"{res.marginal_error:.2e})")
-        warm = (res.potential_source, res.potential_target)
+        warm = res.potential_target
         d2[k] = to_metric(res.hk_squared)
     return d2
 

@@ -27,10 +27,10 @@ starts from the previous level's potentials and opens with one
 closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
 g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes
 the overshoot of the previous level's plan before Newton takes over.  A
-warm start from given potentials solves at the final eps only, and redoes
-the full continuation if its result would not count as converged.  The
-same Newton loop solves the minimizing-movement step of ``mm``: the dual
-is linear in the target masses, which it then maximizes over jointly,
+warm start from target potentials solves at the final eps only, and
+``_dual_newton`` reruns the full continuation if that does not converge.
+The same Newton loop solves the minimizing-movement step of ``mm``: the
+dual is linear in the target masses, which it then maximizes over jointly,
 through the convex conjugate of the energy.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
@@ -156,9 +156,10 @@ def regularized_dual(a, b, f, g, H, eps) -> float:
 class DualSolve(NamedTuple):
     """Final state of _dual_newton: the plan H_ij = a_i b_j exp((f_i + g_j -
     c_ij) / eps), the potentials, the extra dual variables and target masses
-    b of a conjugate term, per-level Newton counts and kept supports, the
-    last eps, the gradient max-norm, the dual value and the plan's column
-    sums."""
+    b of a conjugate term, per-level Newton counts and kept supports (of a
+    warm attempt, then of the cold rerun if one followed), the last eps, the
+    gradient max-norm, the converged verdict, the dual value and the plan's
+    column sums."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -169,6 +170,7 @@ class DualSolve(NamedTuple):
     supports: tuple
     eps: float
     gnorm: float
+    converged: bool
     value: float
     col_sums: np.ndarray
 
@@ -255,8 +257,8 @@ def _newton_direction(pt, eps, support):
         return np.linalg.solve(M.toarray() + 1e-12 * np.eye(n + m), pt.grad)
 
 
-def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
-                 term=None, theta0=()):
+def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
+                 theta0=(), warm=None):
     """Damped Newton maximization of the regularized dual
 
         D(f, g) = sum a (1 - e^-f) + sum b (1 - e^-g)
@@ -289,11 +291,10 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
     each of which zeroes its half of the gradient.  Block ascent never
     lowers the dual, and it removes the overshoot of the previous level's
     Gibbs plan at the smaller eps, which full Newton steps would otherwise
-    shrink only linearly.  As the sweep computes f from g, a warm start
-    needs only the target potentials g0.  With a term, the g-sweep still
-    maximizes every slope k_j, and theta opens at term.opening; should the
-    opening point leave the term's domain (dual -inf), f is lowered until
-    it is back inside.
+    shrink only linearly.  With a term, the g-sweep still maximizes every
+    slope k_j, and theta opens at term.opening; should the opening point
+    leave the term's domain (dual -inf), f is lowered until it is back
+    inside.
 
     A trial step is accepted when its dual value, gradient and Hessian are
     finite and the dual gains more than the roundoff band
@@ -316,7 +317,29 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
     restarts from that first point on the full plan.  Every level thus ends
     on a full evaluation, and the returned plan, gradient, dual value and
     column sums are those of the full plan.
+
+    A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
+    start (b, g, theta) solves the final level only (the sweep computes f
+    from g); should that not converge, the cold solve follows, and both
+    runs' levels and supports are returned.  Converged means a gradient
+    max-norm within 1e3 tol, as the line search can run out at the
+    roundoff floor a little above the tolerance itself.
     """
+    levels = supports = ()
+    if warm is not None:
+        sol = _continuation(a, cost, eps_schedule[-1:], max_iter, tol, term,
+                            *warm)
+        if sol.converged:
+            return sol
+        levels, supports = sol.levels, sol.supports
+    sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
+                        np.zeros(cost.shape[1]), theta0)
+    return sol._replace(levels=levels + sol.levels,
+                        supports=supports + sol.supports)
+
+
+def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
+    """_dual_newton's loop over one eps schedule from (b, g0, theta0)."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -366,7 +389,7 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
 
     # dual values closer than this differ by roundoff only
     noise = 1e-14 * float(a.sum() + b.sum())
-    g = np.zeros(m) if g0 is None else np.asarray(g0, float)
+    g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
     kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
@@ -440,14 +463,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, g0=None,
                 break
         g, theta, b = pt.g, pt.theta, pt.b
     return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
-                     tuple(supports), eps, pt.gnorm, pt.val, pt.s)
-
-
-def solve_converged(gnorm: float, scaled_tol: float) -> bool:
-    """A dual solve counts as converged when its gradient max-norm is within
-    1e3 times its mass-scaled tolerance: the line search can run out at the
-    roundoff floor a little above the tolerance itself."""
-    return gnorm <= 1e3 * scaled_tol
+                     tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
+                     pt.val, pt.s)
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -458,10 +475,10 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     A cold solve runs all of DEFAULT_EPS_SCHEDULE, with at most max_iter
     Newton steps per level and gradient tolerance tol per unit mass.
-    ``warm_start`` is the (source, target) potential pair of an earlier
-    solve; the target's seed the final level, whose opening sweep
-    recomputes the source's.  Mass with no transport partner (all of it,
-    for a zero measure) costs itself and needs no Newton step.
+    ``warm_start``, an earlier solve's ``potential_target``, seeds the
+    final level; _dual_newton reruns the full schedule if that fails.  Mass
+    with no transport partner (all of it, for a zero measure) costs itself
+    and needs no Newton step.
     """
     if not mu0.same_domain(mu1):
         raise ValueError("measures live on different grids")
@@ -489,26 +506,16 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     slope = np.ones(n)  # slope 1 where no transport partner exists
     value = dual = base
     levels = supports = ()
-    eps, gnorm = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0
+    eps, gnorm, converged = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0, True
     scaled_tol = tol * max(1.0, m0 + m1)
     # a reachable source has a reachable target and vice versa, so a_r and
     # b_r are empty together
     if a_r.size:
         cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
-        g0 = None
-        sched = DEFAULT_EPS_SCHEDULE
-        if warm_start is not None:
-            g0 = warm_start[1][cols]
-            sched = DEFAULT_EPS_SCHEDULE[-1:]
-        sol = _dual_newton(a_r, b_r, cost_r, sched, max_iter, scaled_tol, g0)
-        levels, supports = sol.levels, sol.supports
-        if warm_start is not None and not solve_converged(sol.gnorm,
-                                                          scaled_tol):
-            # stale warm start; redo the full continuation from scratch
-            sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE,
-                               max_iter, scaled_tol)
-            levels += sol.levels
-            supports += sol.supports
+        warm = None if warm_start is None else (b_r, warm_start[cols], ())
+        sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
+                           scaled_tol, warm=warm)
+        levels, supports, converged = sol.levels, sol.supports, sol.converged
         plan_r, f_r, g_r = sol.plan, sol.f, sol.g
         eps, gnorm, dual_r, s_r = sol.eps, sol.gnorm, sol.value, sol.col_sums
         plan[np.ix_(rows, cols)] = plan_r
@@ -520,7 +527,6 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         # each target node mass
         slope[cols] = ((1.0 - np.exp(-g_r))
                        - eps * (s_r / b_r - float(a_r.sum())))
-    converged = solve_converged(gnorm, scaled_tol)
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
                     sum(levels), converged, eps, float(dual), slope, levels,
                     supports)

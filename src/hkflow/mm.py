@@ -13,10 +13,11 @@ potentials of the distance solve: its regularized dual is linear in the
 target masses, so the minimum over the new density is the energy's convex
 conjugate (the generic formulation of Chizat, Peyre, Schmitzer & Vialard,
 Math. Comp. 2018, applied to gradient-flow steps as in Peyre, SIAM J.
-Imaging Sci. 2015).  Energies without a closed-form conjugate,
-density-capped steps and steps from the zero measure take L-BFGS-B over
-log-densities instead, with exact gradients from the dual potentials.
-hk.is_spherical picks the step a name selects."""
+Imaging Sci. 2015).  From the zero measure the HK step is separable and
+has a closed form.  Energies without a closed-form conjugate and
+density-capped steps take L-BFGS-B over log-densities instead, with exact
+gradients from the dual potentials.  hk.is_spherical picks the step a name
+selects."""
 
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ from .entropy import EntropySpec, eval_functional
 from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
                  _domain_cost, _dual_newton, has_unit_mass,
                  hk_distance_squared, is_spherical, regularized_dual,
-                 shk_from_hk_squared, shk_squared_derivative,
-                 solve_converged)
+                 shk_from_hk_squared, shk_squared_derivative)
 from .measures import DiscreteMeasure
 
 # L-BFGS-B settings of the implicit steps without a conjugate: gradient
@@ -60,15 +60,15 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec,
 
     With no transport the squared distance between constant levels is the
     pure reaction cost c0 + c - 2 sqrt(c0 c), whose c-derivative gives the
-    optimality condition above.
+    optimality condition above.  From c0 = 0 the cost is c, and the step is
+    0 unless E'(0) < -1 / (2 tau).
     """
     if c0 < 0 or tau <= 0:
         raise ValueError("needs nonnegative level and positive step")
-    if c0 == 0.0:
-        return 0.0
 
     def phi(c):
-        return 1.0 - math.sqrt(c0 / c) + 2.0 * tau * float(E.derivative(c))
+        root = math.sqrt(c0 / c) if c0 > 0 else 0.0
+        return 1.0 - root + 2.0 * tau * float(E.derivative(c))
 
     lo = c0 * 1e-12
     while phi(lo) > 0:
@@ -143,7 +143,10 @@ class MMStepResult:
     ``distance_squared`` and ``plan`` are that solve's.  On the dual path
     ``iterations`` counts the step's Newton iterations and ``grad_norm`` is
     the max-norm of the dual gradient at its end; on the L-BFGS-B path they
-    are L-BFGS-B iterations and the max-norm of the log-density gradient."""
+    are L-BFGS-B iterations and the max-norm of the log-density gradient.
+    ``warm`` = (g, lam, s) is the state the next step starts from: the
+    target potentials over all nodes, the spherical mass multiplier and step
+    scale (0 and 1 on the L-BFGS-B path)."""
 
     measure: DiscreteMeasure
     objective: float
@@ -152,21 +155,37 @@ class MMStepResult:
     iterations: int
     converged: bool
     plan: np.ndarray | None = None
+    warm: tuple | None = None
 
 
 def _implicit_step(mu0, tau, E, spherical, x0, warm,
                    density_cap) -> MMStepResult:
-    """Implicit step of either metric.  An energy with a closed-form
-    conjugate takes the concave dual step; linear, zero and table energies,
-    capped steps, and steps from the zero measure (which has no source
-    potentials) take L-BFGS-B."""
+    """Implicit step of either metric from warm, a previous step's ``warm``
+    or None.  An energy with a closed-form conjugate takes the concave dual
+    step, or its closed form from the zero measure (which has no source
+    potentials); linear, zero and table energies and capped steps take
+    L-BFGS-B."""
     if tau <= 0:
         raise ValueError("step size must be positive")
-    if warm is None:
-        warm = [None]
-    if E.conjugate is not None and density_cap is None and mu0.mass > 0:
+    if E.conjugate is not None and density_cap is None:
+        if mu0.mass == 0:
+            return _zero_source_step(mu0, tau, E)
         return _dual_step(mu0, tau, E, spherical, x0, warm)
     return _lbfgs_step(mu0, tau, E, spherical, x0, warm, density_cap)
+
+
+def _zero_source_step(mu0, tau, E) -> MMStepResult:
+    """HK step from the zero measure.  With no source HK^2 = mass(nu), so
+    each node minimizes rho / (2 tau) + E(rho) on its own:
+    rho = E*'(-1 / (2 tau)).  One distance solve certifies the step; it has
+    no potentials to warm-start the next one."""
+    w = mu0.domain.weights
+    nu = DiscreteMeasure(mu0.domain,
+                         E.conjugate(np.full(w.size, -0.5 / tau))[0])
+    final = hk_distance_squared(mu0, nu)
+    return MMStepResult(nu, final.dual_value / (2.0 * tau)
+                        + float(w @ E(nu.density)), final.hk_squared, 0.0, 0,
+                        final.converged, final.plan)
 
 
 def _metric_d2(spherical, hk2):
@@ -251,13 +270,13 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     found by a scalar fixed point on warm re-solves, HK^2 being the dual
     distance at the step's own potentials; rho is then renormalized.
 
-    A warm start (the previous step's g, lam and s in warm[0]) solves the
-    final eps-level only and falls back to the full STEP_EPS_SCHEDULE if
-    that has not converged.  x0 (default: mu0's density) gives the target
-    masses w x0 at which the first level's opening sweep runs.  The step
-    ends with one distance solve from mu0 to the new measure, warm-started
-    from the step's potentials, which supplies the distance, objective and
-    plan.
+    Each solve is one _dual_newton call over STEP_EPS_SCHEDULE with the
+    cold seed b0 = w x0 (x0 defaults to mu0's density), warm-started from
+    the previous step's warm = (g, lam, s) and, in the fixed point, from
+    the previous solve; _dual_newton falls back to the cold seed on its
+    own.  The step ends with one distance solve from mu0 to the new
+    measure, warm-started from the step's target potentials, which
+    supplies the distance, objective and plan.
     """
     dom = mu0.domain
     w = dom.weights
@@ -267,29 +286,19 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     cost = _domain_cost(dom)[src]
     b0 = w * (mu0.density if x0 is None else np.asarray(x0, dtype=float))
     tol = NEWTON_TOL * max(1.0, float(a.sum() + b0.sum()))
+    theta0 = (0.0,) if spherical else ()
 
-    def solve(step_tau, b, g0, lam, schedule):
+    def solve(step_tau, start):
         term = _ConjugateTerm(E, w, 2.0 * step_tau, spherical)
-        return _dual_newton(a, b, cost, schedule, NEWTON_MAX_ITER, tol, g0,
-                            term, (lam,) if spherical else ())
-
-    def solve_from(step_tau, start):
-        """Warm final level from start = (b, g, lam) if given; the full
-        continuation from b0 if that fails.  -> (solve, Newton count)"""
-        count = 0
-        if start is not None:
-            sol = solve(step_tau, *start, STEP_EPS_SCHEDULE[-1:])
-            count = sum(sol.levels)
-            if solve_converged(sol.gnorm, tol):
-                return sol, count
-        sol = solve(step_tau, b0, None, 0.0, STEP_EPS_SCHEDULE)
-        return sol, count + sum(sol.levels)
+        return _dual_newton(a, b0, cost, STEP_EPS_SCHEDULE, NEWTON_MAX_ITER,
+                            tol, term, theta0, start)
 
     s, start = 1.0, None
-    if warm[0] is not None:
-        _, g_prev, lam_prev, s = warm[0]
-        start = (b0, g_prev, lam_prev)
-    sol, iterations = solve_from(tau / s, start)
+    if warm is not None:
+        g_prev, lam_prev, s = warm
+        start = (b0, g_prev, (lam_prev,) if spherical else ())
+    sol = solve(tau / s, start)
+    iterations = sum(sol.levels)
     settled = not spherical
     for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
         s_new = shk_squared_derivative(
@@ -298,24 +307,21 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
             settled = True
             break
         s = s_new
-        sol, count = solve_from(tau / s, (sol.b, sol.g, sol.theta[0]))
-        iterations += count
+        sol = solve(tau / s, (sol.b, sol.g, sol.theta))
+        iterations += sum(sol.levels)
 
     rho = sol.b / w
     if spherical:
         rho = rho / float(w @ rho)
     nu = DiscreteMeasure(dom, rho)
-    f_full = np.zeros(dom.n_nodes)
-    f_full[src] = sol.f
-    lam = float(sol.theta[0]) if spherical else 0.0
-    warm[0] = (f_full, sol.g, lam, s)
-    final = hk_distance_squared(mu0, nu, warm_start=(f_full, sol.g))
+    final = hk_distance_squared(mu0, nu, warm_start=sol.g)
     d2 = _metric_d2(spherical, final.dual_value)[0]
-    converged = (settled and solve_converged(sol.gnorm, tol)
-                 and final.converged)
+    lam = float(sol.theta[0]) if spherical else 0.0
     return MMStepResult(nu, d2 / (2.0 * tau) + float(w @ E(rho)),
                         _metric_d2(spherical, final.hk_squared)[0],
-                        sol.gnorm, iterations, converged, final.plan)
+                        sol.gnorm, iterations,
+                        settled and sol.converged and final.converged,
+                        final.plan, (sol.g, lam, s))
 
 
 def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
@@ -325,9 +331,15 @@ def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
     The squared-distance part of the gradient comes from the converged
     dual potentials, exact at the optimum by the envelope argument.  With
     spherical set, u maps to the unit-mass density e^u / (w . e^u) and
-    HK^2 to SHK^2.  A density cap is a box constraint on u."""
+    HK^2 to SHK^2.  A density cap is a box constraint on u.  Distance solves
+    are warm-started from the last one (the first from warm).  As u hides
+    the gradient where rho is about 0, convergence also asks the
+    rho-problem's sign condition there: dJ/drho_j / w_j >= -1e3
+    STEP_GRAD_TOL, less the mass multiplier rho . dJ/drho when
+    spherical."""
     dom = mu0.domain
     w = dom.weights
+    g_warm = None if warm is None else warm[0]
 
     def density(u):
         if not spherical:
@@ -336,18 +348,22 @@ def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
         return e / float(w @ e)
 
     def solve(rho):
+        nonlocal g_warm
         res = hk_distance_squared(mu0, DiscreteMeasure(dom, rho),
-                                  warm_start=warm[0])
-        warm[0] = (res.potential_source, res.potential_target)
+                                  warm_start=g_warm)
+        g_warm = res.potential_target
         return res
+
+    def objective(rho, res):
+        """J = d^2 / (2 tau) + E at rho, and dJ/drho, from rho's solve."""
+        d2, slope = _metric_d2(spherical, res.dual_value)
+        g_rho = (slope * (w * res.target_slope) / (2.0 * tau)
+                 + w * E.derivative(rho))
+        return d2 / (2.0 * tau) + float(w @ E(rho)), g_rho
 
     def fun(u):
         rho = density(u)
-        res = solve(rho)
-        d2, slope = _metric_d2(spherical, res.dual_value)
-        val = d2 / (2.0 * tau) + float(w @ E(rho))
-        g_rho = (slope * (w * res.target_slope) / (2.0 * tau)
-                 + w * E.derivative(rho))
+        val, g_rho = objective(rho, solve(rho))
         grad_u = rho * g_rho
         if spherical:
             # chain rule through the normalization rho = e^u / (w . e^u)
@@ -365,12 +381,17 @@ def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
                             "ftol": 1e-14})
     rho1 = density(out.x)
     final = solve(rho1)
+    g_rho = objective(rho1, final)[1]
+    slack = g_rho / w - (float(rho1 @ g_rho) if spherical else 0.0)
+    empty = rho1 <= 1e-10 * float(np.max(rho1))
     grad_norm = float(np.max(np.abs(out.jac)))
     converged = bool((out.success or grad_norm < 10 * STEP_GRAD_TOL)
+                     and np.all(slack[empty] >= -1e3 * STEP_GRAD_TOL)
                      and final.converged)
     return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
                         _metric_d2(spherical, final.hk_squared)[0],
-                        grad_norm, int(out.nit), converged, final.plan)
+                        grad_norm, int(out.nit), converged, final.plan,
+                        (final.potential_target, 0.0, 1.0))
 
 
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -380,8 +401,8 @@ def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     the new density from above, for hard-constrained functionals such as
     the linear-below-one limit energy.  x0 (default: mu0's density) is the
     starting density: the target of the first opening sweep on the dual
-    path, the L-BFGS-B start otherwise.  warm is a one-element list whose
-    entry carries the solver state from step to step."""
+    path, the L-BFGS-B start otherwise.  warm is the previous step's
+    ``warm`` (default None: a cold start)."""
     return _implicit_step(mu0, tau, E, False, x0, warm, density_cap)
 
 
@@ -431,13 +452,14 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
     measures = [mu0]
     d2 = []
     objs = []
-    warm = [None]
+    warm = None
     cur = mu0
     for k in range(n_steps):
         if spherical:
             res = shk_mm_step(cur, tau, E, warm=warm)
         else:
             res = mm_step(cur, tau, E, warm=warm, density_cap=density_cap)
+        warm = res.warm
         if not res.converged:
             raise RuntimeError(f"implicit step {k + 1} did not converge: "
                                f"grad norm {res.grad_norm:.2e}, or its "

@@ -144,6 +144,22 @@ def test_mm_run_emits_per_step_csv(tmp_path):
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
 
+def test_mm_run_from_zero_measure(tmp_path):
+    # E = -sqrt(c) grows mass from nothing: c_k = (k tau)^2 on uniform data
+    cfg = {
+        "domain": {"lower": [0.0], "upper": [1.0], "nodes": [9]},
+        "initial": {"kind": "uniform", "value": 0},
+        "entropy": {"family": "neg_power", "q": 0.5, "beta": 1.0},
+        "tau": 0.05,
+        "n_steps": 3,
+    }
+    status, out = run_cli(tmp_path, "mm-run", cfg)
+    assert status == 0
+    lines = (out / "mm_run.csv").read_text().strip().splitlines()
+    masses = [float(r.split(",")[2]) for r in lines[1:]]
+    assert masses == pytest.approx([0.0, 0.0025, 0.01, 0.0225], rel=1e-6)
+
+
 def test_appendix_check_witness_exit_1(tmp_path):
     status, out = run_cli(tmp_path, "appendix-check", {"p": 0.4, "grid": 120})
     assert status == 1

@@ -201,7 +201,7 @@ def test_warm_start_agrees(interval17):
     nu = sinusoid_measure(interval17, base=0.6, amplitude=0.2)
     cold = hk_distance_squared(mu, nu)
     warm = hk_distance_squared(
-        mu, nu, warm_start=(cold.potential_source, cold.potential_target))
+        mu, nu, warm_start=cold.potential_target)
     assert warm.hk_squared == pytest.approx(cold.hk_squared, rel=1e-9)
 
 
@@ -265,7 +265,7 @@ def test_warm_resolve_from_own_potentials_is_immediate(interval33):
     cold = hk_distance_squared(mu, nu)
     assert cold.converged
     warm = hk_distance_squared(
-        mu, nu, warm_start=(cold.potential_source, cold.potential_target))
+        mu, nu, warm_start=cold.potential_target)
     assert warm.converged
     assert warm.iterations <= 1
     assert warm.hk_squared == pytest.approx(cold.hk_squared, abs=1e-14)
@@ -296,12 +296,12 @@ def test_newton_counts_per_level(interval33):
     # 33 nodes solve dense: one support, the whole plan, per level
     assert cold.level_support == ((33 * 33,),) * len(DEFAULT_EPS_SCHEDULE)
     warm = hk_distance_squared(
-        mu, nu, warm_start=(cold.potential_source, cold.potential_target))
+        mu, nu, warm_start=cold.potential_target)
     assert len(warm.level_iterations) == 1
     assert sum(warm.level_iterations) == warm.iterations
     # a stale warm start burns its level, then redoes the cold continuation
     zero = np.zeros(interval33.n_nodes)
-    stale = hk_distance_squared(mu, nu, warm_start=(zero, zero))
+    stale = hk_distance_squared(mu, nu, warm_start=zero)
     assert stale.converged
     assert stale.level_iterations[1:] == cold.level_iterations
     assert stale.level_support[1:] == cold.level_support

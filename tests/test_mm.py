@@ -9,7 +9,7 @@ import hkflow.mm
 from hkflow.entropy import (eval_functional, linear_entropy,
                             neg_power_entropy, power_mass_entropy,
                             table_entropy)
-from hkflow.hk import DEFAULT_EPS_SCHEDULE
+from hkflow.hk import DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        iterate_sqrt_growth_bound, iterate_upper_bound,
@@ -257,8 +257,7 @@ def test_dual_step_solves_the_lbfgs_problem(monkeypatch, metric, n, tau,
     spherical = metric == "shk"
     step = shk_mm_step if spherical else mm_step
     dual = step(mu0, tau, E)
-    lbfgs = hkflow.mm._lbfgs_step(mu0, tau, E, spherical, None, [None],
-                                   None)
+    lbfgs = hkflow.mm._lbfgs_step(mu0, tau, E, spherical, None, None, None)
     assert dual.converged and lbfgs.converged
     assert dual.objective <= lbfgs.objective + 1e-12 * abs(lbfgs.objective)
 
@@ -276,9 +275,8 @@ def test_warm_dual_step_is_cheap_and_certified(interval33, monkeypatch):
     # the setting of the benchmark's hk-evi-1d flow
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.2)
-    warm = [None]
-    first = mm_step(mu0, 0.005, E, warm=warm)
-    second = mm_step(first.measure, 0.005, E, warm=warm)
+    first = mm_step(mu0, 0.005, E)
+    second = mm_step(first.measure, 0.005, E, warm=first.warm)
     assert first.converged and second.converged
     assert second.iterations <= 5
     # one certifying distance solve per step, warm-started and converged
@@ -289,7 +287,7 @@ def test_warm_dual_step_is_cheap_and_certified(interval33, monkeypatch):
 def test_unconverged_dual_solve_fails_the_step(interval17, monkeypatch,
                                                metric):
     def unconverged_dual(*args, **kw):
-        return original(*args, **kw)._replace(gnorm=1.0)
+        return original(*args, **kw)._replace(gnorm=1.0, converged=False)
 
     original = hkflow.mm._dual_newton
     monkeypatch.setattr(hkflow.mm, "_dual_newton", unconverged_dual)
@@ -323,3 +321,56 @@ def test_step_from_zero_measure_stays_zero(interval17):
     res = mm_step(zero, 0.05, quadratic_entropy())
     assert res.converged
     assert float(np.max(res.measure.density)) <= 1e-12
+
+
+def test_flow_from_zero_measure_matches_scalar_steps():
+    # from nothing HK^2 is the new mass, so the first step has a closed
+    # form; E = -sqrt(c) then grows uniform data by the scalar steps
+    # c_k = (k tau)^2
+    dom = unit_interval(9)
+    E = neg_power_entropy(0.5, 1.0)
+    zero = DiscreteMeasure(dom, np.zeros(dom.n_nodes))
+    traj = mm_trajectory(zero, 0.05, 3, E)
+    c = 0.0
+    for k in range(1, 4):
+        c = scalar_mm_step(c, 0.05, E)
+        assert c == pytest.approx((k * 0.05) ** 2, rel=1e-9)
+        assert np.allclose(traj.measures[k].density, c, rtol=1e-6, atol=0.0)
+
+
+def test_lbfgs_step_not_converged_at_empty_nodes():
+    # u = log rho hides the gradient where the start density is empty:
+    # L-BFGS-B stops with nodes 1-3 empty, though transport fills them
+    dom = unit_interval(9)
+    mu0 = DiscreteMeasure(dom, np.array([0, 0, 0, 0, 1, 1, 1, 1, 1.0]))
+    E = quadratic_entropy()
+    lbfgs = hkflow.mm._lbfgs_step(mu0, 0.05, E, False, None, None, None)
+    dual = mm_step(mu0, 0.05, E)
+    assert dual.converged and not lbfgs.converged
+    assert dual.objective < lbfgs.objective - 0.05
+
+
+def test_stale_warm_step_falls_back_to_cold(interval33):
+    # the hk-evi-1d setting from a warm state far from the step's own:
+    # the final level burns its iterations, then the cold schedule runs
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.2)
+    cold = mm_step(mu0, 0.005, E)
+    stale = mm_step(mu0, 0.005, E, warm=(np.full(33, 20.0), 0.0, 1.0))
+    assert cold.converged and stale.converged
+    assert stale.iterations == NEWTON_MAX_ITER + cold.iterations
+    assert stale.objective == cold.objective
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_lbfgs_and_dual_warm_states_seed_each_other(metric):
+    # both step paths hand on the same (g, lam, s) warm state
+    E = quadratic_entropy()
+    mu0 = _gate_measure(17, metric)
+    spherical = metric == "shk"
+    step = shk_mm_step if spherical else mm_step
+    lbfgs = hkflow.mm._lbfgs_step(mu0, 0.05, E, spherical, None, None, None)
+    dual = step(lbfgs.measure, 0.05, E, warm=lbfgs.warm)
+    again = hkflow.mm._lbfgs_step(dual.measure, 0.05, E, spherical, None,
+                                  dual.warm, None)
+    assert lbfgs.converged and dual.converged and again.converged
