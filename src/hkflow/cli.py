@@ -26,6 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .config import REQUIRED, ConfigError, read_fields, read_tagged
 from .entropy import entropy_from_json, eval_functional
 from .evi import convergence_study, error_budget, evi_check
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
@@ -44,10 +45,6 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _setup_logging() -> None:
@@ -80,59 +77,53 @@ def write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config field {key!r}")
-    return cfg[key]
+# fields of each measure kind; a list of node densities is a measure too
+MEASURE_KINDS = {
+    "uniform": {"value": REQUIRED},
+    "sinusoid": {"base": 1.0, "amplitude": 0.1, "frequency": 1.0},
+    "diracs": {"nodes": REQUIRED, "masses": REQUIRED},
+}
+# fields of every flow verb, to which each adds its own
+FLOW_FIELDS = {"domain": REQUIRED, "initial": REQUIRED, "entropy": REQUIRED,
+               "metric": "hk"}
 
 
-def _check_fields(cfg: dict, allowed: set) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-
-
-def domain_from_config(cfg: dict) -> GridDomain:
-    _check_fields(cfg, {"lower", "upper", "nodes"})
-    return GridDomain(tuple(_require(cfg, "lower")),
-                      tuple(_require(cfg, "upper")),
-                      tuple(_require(cfg, "nodes")))
-
-
-def measure_from_config(cfg: dict, domain: GridDomain) -> DiscreteMeasure:
+def measure_from_config(cfg, domain: GridDomain, path: str) -> DiscreteMeasure:
+    """The measure of the config field at path."""
     if isinstance(cfg, list):
         return DiscreteMeasure(domain, np.asarray(cfg, dtype=float))
-    kind = _require(cfg, "kind")
-    x = domain.coordinates
+    kind, v = read_tagged(cfg, path, "kind", MEASURE_KINDS)
     if kind == "uniform":
         return DiscreteMeasure(domain,
-                               np.full(domain.n_nodes, float(cfg["value"])))
+                               np.full(domain.n_nodes, float(v["value"])))
     if kind == "sinusoid":
-        rho = (float(cfg.get("base", 1.0))
-               + float(cfg.get("amplitude", 0.1))
-               * np.sin(2.0 * math.pi * float(cfg.get("frequency", 1.0))
-                        * x[:, 0]))
-        return DiscreteMeasure(domain, rho)
-    if kind == "diracs":
-        rho = np.zeros(domain.n_nodes)
-        w = domain.weights
-        for node, mass in zip(cfg["nodes"], cfg["masses"]):
-            rho[int(node)] += float(mass) / w[int(node)]
-        return DiscreteMeasure(domain, rho)
-    raise ConfigError(f"unknown measure kind {kind!r}")
+        return DiscreteMeasure(domain, float(v["base"]) + float(
+            v["amplitude"]) * np.sin(2.0 * math.pi * float(v["frequency"])
+                                     * domain.coordinates[:, 0]))
+    rho = np.zeros(domain.n_nodes)
+    w = domain.weights
+    for node, mass in zip(v["nodes"], v["masses"]):
+        rho[int(node)] += float(mass) / w[int(node)]
+    return DiscreteMeasure(domain, rho)
 
 
-def flow_from_config(cfg: dict, fields: set):
-    """Initial measure, entropy and metric of a flow verb whose own fields
-    are fields; a spherical flow starts from the unit-mass rescaling."""
-    _check_fields(cfg, {"domain", "initial", "entropy", "metric"} | fields)
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "initial"), dom)
-    E = entropy_from_json(_require(cfg, "entropy"))
-    metric = cfg.get("metric", "hk")
-    if is_spherical(metric):
+def _shrinking(gaps: list) -> int:
+    """EXIT_OK unless a gap exceeds the one before it by over 1e-9."""
+    grew = any(g1 > g0 * (1.0 + 1e-9) for g0, g1 in zip(gaps, gaps[1:]))
+    return EXIT_ASSERTION if grew else EXIT_OK
+
+
+def flow_from_config(cfg: dict, fields: dict):
+    """Initial measure, entropy and metric of a flow verb, and the values
+    of its fields, FLOW_FIELDS and the verb's own fields; a spherical flow
+    starts from the unit-mass rescaling."""
+    v = read_fields(cfg, "", {**FLOW_FIELDS, **fields})
+    dom = GridDomain.from_dict(v["domain"])
+    mu0 = measure_from_config(v["initial"], dom, "initial")
+    E = entropy_from_json(v["entropy"])
+    if is_spherical(v["metric"]):
         mu0 = DiscreteMeasure(dom, mu0.density / mu0.mass)
-    return mu0, E, metric
+    return mu0, E, v["metric"], v
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +131,13 @@ def flow_from_config(cfg: dict, fields: set):
 
 
 def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"domain", "measure0", "measure1", "metric",
-                        "check_two_dirac"})
-    dom = domain_from_config(_require(cfg, "domain"))
-    mu0 = measure_from_config(_require(cfg, "measure0"), dom)
-    mu1 = measure_from_config(_require(cfg, "measure1"), dom)
-    spherical = is_spherical(cfg.get("metric", "hk"))
+    v = read_fields(cfg, "", {"domain": REQUIRED, "measure0": REQUIRED,
+                              "measure1": REQUIRED, "metric": "hk",
+                              "check_two_dirac": None})
+    dom = GridDomain.from_dict(v["domain"])
+    mu0 = measure_from_config(v["measure0"], dom, "measure0")
+    mu1 = measure_from_config(v["measure1"], dom, "measure1")
+    spherical = is_spherical(v["metric"])
     if spherical and not (has_unit_mass(mu0) and has_unit_mass(mu1)):
         raise ConfigError("spherical distance requires unit total mass")
     res = hk_distance_squared(mu0, mu1)
@@ -154,10 +146,11 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     if spherical:
         result["shk"] = shk_from_hk_squared(res.hk_squared)
     status = EXIT_OK
-    if cfg.get("check_two_dirac"):
-        spec = cfg["check_two_dirac"]
-        closed = hk_two_diracs(float(spec["mass0"]), float(spec["mass1"]),
-                               float(spec["distance"]))
+    if v["check_two_dirac"] is not None:
+        spec = read_fields(v["check_two_dirac"], "check_two_dirac",
+                           dict.fromkeys(("mass0", "mass1", "distance"),
+                                         REQUIRED))
+        closed = hk_two_diracs(*map(float, spec.values()))
         result["closed_form"] = closed
         gap = abs(res.hk_squared - closed)
         result["closed_form_gap"] = gap
@@ -168,9 +161,10 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric = flow_from_config(cfg, {"tau", "n_steps"})
-    traj = mm_trajectory(mu0, float(_require(cfg, "tau")),
-                         int(_require(cfg, "n_steps")), E, metric=metric)
+    mu0, E, metric, v = flow_from_config(cfg, {"tau": REQUIRED,
+                                               "n_steps": REQUIRED})
+    traj = mm_trajectory(mu0, float(v["tau"]), int(v["n_steps"]), E,
+                         metric=metric)
     rows = []
     for k, m in enumerate(traj.measures):
         rows.append([k, k * traj.tau, m.mass, float(np.min(m.density)),
@@ -187,13 +181,11 @@ def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric = flow_from_config(cfg, {"tau", "n_steps", "lambda",
-                                            "kappa"})
-    lam = float(_require(cfg, "lambda"))
-    kappa = float(cfg.get("kappa", 0.0))
-    tau = float(_require(cfg, "tau"))
-    traj = mm_trajectory(mu0, tau, int(_require(cfg, "n_steps")), E,
-                         metric=metric)
+    mu0, E, metric, v = flow_from_config(cfg, {
+        "tau": REQUIRED, "n_steps": REQUIRED, "lambda": REQUIRED,
+        "kappa": 0.0})
+    tau, lam, kappa = float(v["tau"]), float(v["lambda"]), float(v["kappa"])
+    traj = mm_trajectory(mu0, tau, int(v["n_steps"]), E, metric=metric)
     rep = evi_check(traj, E, lam, metric=metric)
     rows = []
     for k, (Rs, Rl) in enumerate(zip(rep.residuals_lambda_star,
@@ -222,13 +214,12 @@ def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric = flow_from_config(cfg, {"t_final", "tau_list"})
-    T = float(_require(cfg, "t_final"))
-    taus = [float(t) for t in _require(cfg, "tau_list")]
+    mu0, E, metric, v = flow_from_config(cfg, {"t_final": REQUIRED,
+                                               "tau_list": REQUIRED})
+    T, taus = float(v["t_final"]), [float(t) for t in v["tau_list"]]
     pde_solver = shk_flow_pde if is_spherical(metric) else hk_flow_pde
     w = mu0.domain.weights
     rows = []
-    gaps = []
     for tau in taus:
         n = int(round(T / tau))
         traj = mm_trajectory(mu0, tau, n, E, metric=metric)
@@ -238,17 +229,13 @@ def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         gap = float(w @ np.abs(traj.measures[-1].density
                                - ref.densities[-1]))
         rows.append([tau, gap])
-        gaps.append(gap)
     write_csv(out / "pde_compare.csv", ["tau", "l1_gap"], rows)
-    if any(g1 > g0 * (1.0 + 1e-9) for g0, g1 in zip(gaps, gaps[1:])):
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return _shrinking([r[1] for r in rows])
 
 
 def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"space", "n_probes"})
-    name = cfg.get("space", "cone")
-    n = int(cfg.get("n_probes", 100))
+    v = read_fields(cfg, "", {"space": "cone", "n_probes": 100})
+    name, n = v["space"], int(v["n_probes"])
     rng = np.random.default_rng(seed)
     if name == "euclidean":
         space = euclidean_box()
@@ -262,7 +249,7 @@ def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         sample = lambda: (float(rng.uniform(0.0, 1.2)),
                           float(rng.uniform(0.2, 3.0)))
     else:
-        raise ConfigError(f"unknown probe space {name!r}")
+        raise ConfigError(f"space: unknown probe space {name!r}")
     worst_cs = math.inf
     worst_sum = -math.inf
     for _ in range(n):
@@ -281,9 +268,8 @@ def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    _check_fields(cfg, {"p", "grid"})
-    p = float(cfg.get("p", 0.5))
-    n = int(cfg.get("grid", 200))
+    v = read_fields(cfg, "", {"p": 0.5, "grid": 200})
+    p, n = float(v["p"]), int(v["grid"])
     est = check_transfer_estimates(p, n_t=n, n_delta=n)
     report = {"p": p, "estimates_hold": bool(est["ok"]),
               "worst_margin": est["worst_margin"],
@@ -299,22 +285,17 @@ def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_convergence(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric = flow_from_config(cfg, {"tau_list", "t_final",
-                                            "lambda"})
-    taus = [float(t) for t in _require(cfg, "tau_list")]
-    T = float(_require(cfg, "t_final"))
-    lam = float(cfg.get("lambda", 0.0))
+    mu0, E, metric, v = flow_from_config(cfg, {
+        "tau_list": REQUIRED, "t_final": REQUIRED, "lambda": 0.0})
+    taus = [float(t) for t in v["tau_list"]]
+    T, lam = float(v["t_final"]), float(v["lambda"])
     rows = []
-    gaps = []
     for row in convergence_study(mu0, E, metric, taus, T):
         rep = evi_check(row["trajectory"], E, lam, metric=metric)
         rows.append([row["tau"], row["sup_gap"], rep.worst_residual])
-        gaps.append(row["sup_gap"])
     write_csv(out / "convergence_study.csv",
               ["tau", "sup_gap", "evi_worst_residual"], rows)
-    if any(g1 > g0 * (1.0 + 1e-9) for g0, g1 in zip(gaps, gaps[1:])):
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return _shrinking([r[1] for r in rows])
 
 
 VERBS = {

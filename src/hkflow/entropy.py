@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .config import REQUIRED, read_tagged
 from .measures import DiscreteMeasure
 
 
@@ -53,7 +54,7 @@ class EntropySpec:
     def second_derivative(self, c):
         return self.d2e(np.asarray(c, dtype=float))
 
-    def validate(self, c_grid: np.ndarray | None = None, tol: float = 1e-10) -> None:
+    def validate(self, c_grid: np.ndarray | None = None) -> None:
         """Check convexity and E' monotonicity on a log-spaced grid."""
         if c_grid is None:
             c_grid = np.logspace(-3, 2, 64)
@@ -64,10 +65,10 @@ class EntropySpec:
             h1 = c_grid[i + 1] - c_grid[i]
             slope_l = (vals[i] - vals[i - 1]) / h0
             slope_r = (vals[i + 1] - vals[i]) / h1
-            if slope_r - slope_l < -tol:
+            if slope_r - slope_l < -1e-10:
                 raise ValueError(f"E is not convex near c={c_grid[i]:g}")
         dv = self.derivative(c_grid)
-        if np.any(np.diff(dv) < -tol):
+        if np.any(np.diff(dv) < -1e-10):
             raise ValueError("E' is not nondecreasing")
         if self.c_low is not None and not self.derivative(self.c_low) < 0:
             raise ValueError("declared c_low does not satisfy E'(c_low) < 0")
@@ -166,33 +167,33 @@ def table_entropy(c_samples, e_samples, recession_slope: float,
     """Monotone-cubic interpolation of (c, E(c)) samples."""
     interp = PchipInterpolator(np.asarray(c_samples, float),
                                np.asarray(e_samples, float))
-    d1 = interp.derivative(1)
-    d2 = interp.derivative(2)
-    spec = EntropySpec(interp, d1, d2, recession_slope=recession_slope,
+    spec = EntropySpec(interp, interp.derivative(1), interp.derivative(2),
+                       recession_slope=recession_slope,
                        convexity_modulus=convexity_modulus,
                        family="custom_table")
-    c_lo = find_c_low(spec, float(np.min(c_samples)), float(np.max(c_samples)))
-    return EntropySpec(interp, d1, d2, recession_slope=recession_slope,
-                       convexity_modulus=convexity_modulus, c_low=c_lo,
-                       family="custom_table")
+    return replace(spec, c_low=find_c_low(spec, float(np.min(c_samples)),
+                                          float(np.max(c_samples))))
+
+
+# JSON family -> constructor and its fields, in the constructor's order
+FAMILIES = {
+    "power_mass": (power_mass_entropy, {"alpha": 1.0, "m": 2.0, "gamma": 0.0}),
+    "neg_power": (neg_power_entropy, {"q": 0.5, "beta": 1.0}),
+    "custom_table": (table_entropy, {"c": REQUIRED, "E": REQUIRED,
+                                     "recession_slope": REQUIRED,
+                                     "lambda": 0.0}),
+    "linear": (linear_entropy, {"gamma": -1.0}),
+    "zero": (zero_entropy, {}),
+}
 
 
 def entropy_from_json(text_or_dict) -> EntropySpec:
+    """The entropy of a JSON object {"family": ..., fields} or its text,
+    read at the path "entropy"; FAMILIES lists each family's fields."""
     d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    family = d["family"]
-    if family == "power_mass":
-        return power_mass_entropy(d.get("alpha", 1.0), d.get("m", 2.0),
-                                  d.get("gamma", 0.0))
-    if family == "neg_power":
-        return neg_power_entropy(d.get("q", 0.5), d.get("beta", 1.0))
-    if family == "custom_table":
-        return table_entropy(d["c"], d["E"], d["recession_slope"],
-                             d.get("lambda", 0.0))
-    if family == "linear":
-        return linear_entropy(d.get("gamma", -1.0))
-    if family == "zero":
-        return zero_entropy()
-    raise ValueError(f"unknown entropy family {family!r}")
+    family, values = read_tagged(d, "entropy", "family",
+                                 {k: f for k, (_, f) in FAMILIES.items()})
+    return FAMILIES[family][0](*values.values())
 
 
 def eval_functional(E: EntropySpec, mu: DiscreteMeasure,
@@ -208,19 +209,18 @@ def eval_functional(E: EntropySpec, mu: DiscreteMeasure,
     return value
 
 
-def eval_limit_functional(gamma: float, mu: DiscreteMeasure,
-                          tol: float = 1e-12) -> float:
-    """gamma * mass if the density stays below 1, +inf otherwise."""
-    if float(np.max(mu.density, initial=0.0)) > 1.0 + tol:
+def eval_limit_functional(gamma: float, mu: DiscreteMeasure) -> float:
+    """gamma * mass if the density stays below 1 + 1e-12, +inf otherwise."""
+    if float(np.max(mu.density, initial=0.0)) > 1.0 + 1e-12:
         return math.inf
     return gamma * mu.mass
 
 
-def find_c_low(E: EntropySpec, c_min: float = 1e-6, c_max: float = 1e3,
-               n: int = 64) -> Optional[float]:
-    """Search a log grid for a point with E'(c) < 0."""
+def find_c_low(E: EntropySpec, c_min: float = 1e-6,
+               c_max: float = 1e3) -> Optional[float]:
+    """Search a 64-point log grid for the largest point with E'(c) < 0."""
     c_min = max(c_min, 1e-12)
-    grid = np.logspace(math.log10(c_min), math.log10(c_max), max(n, 64))
+    grid = np.logspace(math.log10(c_min), math.log10(c_max), 64)
     dv = E.derivative(grid)
     neg = np.where(dv < 0)[0]
     if neg.size == 0:
@@ -228,20 +228,14 @@ def find_c_low(E: EntropySpec, c_min: float = 1e-6, c_max: float = 1e3,
     return float(grid[neg[-1]])
 
 
-def check_NE_conditions(E: EntropySpec, lam: float, d: int,
-                        rho_grid: np.ndarray | None = None,
-                        gamma_grid: np.ndarray | None = None,
-                        tol: float = 1e-8) -> dict:
+def check_NE_conditions(E: EntropySpec, lam: float, d: int) -> dict:
     """Grid certificate for geodesic lambda-convexity in dimension d.
 
     Tests convexity of N(rho, g) = (rho/g)^d E(g^(2+d)/rho^d) - lam/2 g^2
     through finite-difference Hessian eigenvalues, and (for d >= 2)
     non-increase of N in rho through first differences.
     """
-    if rho_grid is None:
-        rho_grid = np.logspace(-1, 1, 40)
-    if gamma_grid is None:
-        gamma_grid = np.logspace(-1, 1, 40)
+    rho_grid = gamma_grid = np.logspace(-1, 1, 40)
 
     def N(rho, g):
         return (rho / g) ** d * E(g ** (2 + d) / rho**d) - 0.5 * lam * g * g
@@ -279,14 +273,14 @@ def check_NE_conditions(E: EntropySpec, lam: float, d: int,
             mean = 0.5 * (frr + fgg)
             rad = math.hypot(0.5 * (frr - fgg), frg)
             worst_eig = min(worst_eig, mean - rad)
-    convex = worst_eig >= -tol
+    convex = worst_eig >= -1e-8
 
     worst_mono = -math.inf
     monotone = True
     if d >= 2:
         diffs = np.diff((d - 1) * vals, axis=0)
         worst_mono = float(np.max(diffs))
-        monotone = worst_mono <= tol
+        monotone = worst_mono <= 1e-8
     return {"convex": bool(convex), "monotone": bool(monotone),
             "overflow": False, "worst_hessian_eig": float(worst_eig),
             "worst_monotone": float(worst_mono)}

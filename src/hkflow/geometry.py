@@ -18,6 +18,7 @@ import numpy as np
 from .hk import hk_two_diracs
 
 SHRINK_EXPONENTS = range(3, 15)
+PROBE_TOL = 1e-6  # slack of the angle-sum and transfer probes' verdicts
 
 
 def comparison_angle(d_xy: float, d_xz: float, d_yz: float) -> float:
@@ -141,7 +142,7 @@ def direction_gap_squared(space: ProbeSpace, x, y, z) -> float:
                + 2.0 * upper_inner_product(space, x, y, z), 0.0)
 
 
-def check_angle_sum(space: ProbeSpace, x, y, z, tol: float = 1e-6) -> dict:
+def check_angle_sum(space: ProbeSpace, x, y, z) -> dict:
     """Local angle condition: the three upper angles of adjacent geodesic
     pairs at x sum to at most 2 pi."""
     a1 = upper_angle(space, x, y, z)
@@ -150,32 +151,30 @@ def check_angle_sum(space: ProbeSpace, x, y, z, tol: float = 1e-6) -> dict:
     m = space.geodesic(y, z, 0.5)
     s = (upper_angle(space, x, y, m) + upper_angle(space, x, m, z)
          + upper_angle(space, x, z, y))
-    return {"sum": s, "ok": s <= 2.0 * math.pi + tol,
+    return {"sum": s, "ok": s <= 2.0 * math.pi + PROBE_TOL,
             "angle_yz": a1, "angle_zy": a2}
 
 
-def check_cauchy_schwarz_transfer(space: ProbeSpace, x, o, y, z,
-                                  tol: float = 1e-6) -> dict:
+def check_cauchy_schwarz_transfer(space: ProbeSpace, x, o, y, z) -> dict:
     """Two-sided bound <g_xy, g_xo> + <g_xo, g_xz> >=
     -d(x,o) * direction gap between g_xy and g_xz."""
     lhs = (upper_inner_product(space, x, y, o)
            + upper_inner_product(space, x, o, z))
     gap = math.sqrt(direction_gap_squared(space, x, y, z))
     rhs = -space.distance(x, o) * gap
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs >= rhs - tol}
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs >= rhs - PROBE_TOL}
 
 
 def check_semiconcavity(space: ProbeSpace, p, q, f: Callable,
-                        kappa: float, n_samples: int = 33,
-                        tol: float = 1e-9) -> dict:
+                        kappa: float) -> dict:
     """kappa-concavity of t -> f(geodesic(p,q,t)):
     f(t) + kappa/2 t(1-t) >= (1-t) f(0) + t f(1) at sample parameters."""
-    ts = np.linspace(0.0, 1.0, n_samples)
+    ts = np.linspace(0.0, 1.0, 33)
     vals = np.array([f(space.geodesic(p, q, float(t))) for t in ts])
     slack = vals + 0.5 * kappa * ts * (1.0 - ts) \
         - ((1.0 - ts) * vals[0] + ts * vals[-1])
     worst = float(np.min(slack))
-    return {"ok": worst >= -tol, "worst_slack": worst,
+    return {"ok": worst >= -1e-9, "worst_slack": worst,
             "argmin_t": float(ts[int(np.argmin(slack))])}
 
 
@@ -212,9 +211,9 @@ def transfer_ratio(t: float, delta: float, p: float) -> float:
     return (s0 / (t * math.sin(delta) ** p)) * (s0 + s1) ** (p - 1.0)
 
 
-def check_transfer_estimates(p: float, n_t: int = 64, n_delta: int = 64,
-                             tol: float = 1e-12) -> dict:
-    """Grid check of (1 - beta)/r^p >= 1 - t and beta/r^p >= t.
+def check_transfer_estimates(p: float, n_t: int = 64,
+                             n_delta: int = 64) -> dict:
+    """Grid check of (1 - beta)/r^p >= 1 - t and beta/r^p >= t, to 1e-12.
 
     Both hold for every opening angle exactly when p >= 1/2; for smaller
     exponents the first inequality fails near delta = pi.
@@ -231,7 +230,7 @@ def check_transfer_estimates(p: float, n_t: int = 64, n_delta: int = 64,
             if m < worst:
                 worst = m
                 witness = (float(t), float(d))
-    return {"ok": worst >= -tol, "worst_margin": float(worst),
+    return {"ok": worst >= -1e-12, "worst_margin": float(worst),
             "witness": witness}
 
 

@@ -536,13 +536,12 @@ def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
     return hk_distance_squared(mu0, mu1).hk
 
 
-def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                   kkt_tol: float = 1e-10, max_newton: int = 2000) -> HKResult:
+def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     """Interior-point solve of the entropy-transport program, tiny supports.
 
     Minimizes the objective plus a vanishing log barrier on the coupling
     entries with damped Newton steps; the barrier weight is driven to
-    1e-14 so the complementarity residual falls below the tolerance.
+    5e-13 so the complementarity residual falls below 1e-10.
     """
     if not mu0.same_domain(mu1):
         raise ValueError("measures live on different grids")
@@ -589,8 +588,8 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     # certifies the KKT system
     barrier = 1e-2
     it = 0
-    while barrier > 0.005 * kkt_tol and it < max_newton:
-        barrier = max(barrier * 0.2, 0.005 * kkt_tol)
+    while barrier > 5e-13 and it < 2000:
+        barrier = max(barrier * 0.2, 5e-13)
         for _ in range(80):
             it += 1
             _, grad, hess = value_grad_hess(h, barrier)
@@ -626,8 +625,7 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     dense = np.zeros_like(cost)
     dense[pairs[:, 0], pairs[:, 1]] = h
     value = let_cost(dense, a, b, cost)
-    return HKResult(float(value), plan, f_full, g_full, kkt, it,
-                    kkt < kkt_tol)
+    return HKResult(float(value), plan, f_full, g_full, kkt, it, kkt < 1e-10)
 
 
 def hk_two_diracs(mass0: float, mass1: float, distance: float) -> float:

@@ -11,14 +11,13 @@ from .measures import DiscreteMeasure
 SLACK = 1e-12
 
 
-def in_pointwise_class(mu: DiscreteMeasure, delta: float,
-                       slack: float = SLACK) -> bool:
-    """delta <= density <= 1/delta at every grid node."""
+def in_pointwise_class(mu: DiscreteMeasure, delta: float) -> bool:
+    """delta <= density <= 1/delta at every grid node, to SLACK."""
     if not 0 < delta <= 1:
         raise ValueError("bound parameter must lie in (0, 1]")
     rho = mu.density
-    return bool(np.all(rho >= delta - slack)
-                and np.all(rho <= 1.0 / delta + slack))
+    return bool(np.all(rho >= delta - SLACK)
+                and np.all(rho <= 1.0 / delta + SLACK))
 
 
 def pointwise_class_margin(mu: DiscreteMeasure, delta: float) -> float:
@@ -41,10 +40,10 @@ def ball_average(mu: DiscreteMeasure, center_index: int,
     return float(w @ mu.density[mask] / w.sum())
 
 
-def in_ball_average_class(mu: DiscreteMeasure, radius: float, ratio: float,
-                          slack: float = SLACK) -> bool:
+def in_ball_average_class(mu: DiscreteMeasure, radius: float,
+                          ratio: float) -> bool:
     """Every ball-average of the density lies in [ratio, 1/ratio] relative
-    to the global mean density."""
+    to the global mean density, to SLACK."""
     if not 0 < ratio <= 1:
         raise ValueError("comparability ratio must lie in (0, 1]")
     mean = mu.mass / mu.domain.volume
@@ -52,7 +51,7 @@ def in_ball_average_class(mu: DiscreteMeasure, radius: float, ratio: float,
         return False
     for i in range(mu.domain.n_nodes):
         avg = ball_average(mu, i, radius)
-        if avg < ratio * mean - slack or avg > mean / ratio + slack:
+        if avg < ratio * mean - SLACK or avg > mean / ratio + SLACK:
             return False
     return True
 

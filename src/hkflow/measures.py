@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import REQUIRED, read_fields
+
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -91,7 +93,9 @@ class GridDomain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridDomain":
-        return cls(tuple(d["lower"]), tuple(d["upper"]), tuple(d["nodes"]))
+        f = read_fields(d, "domain", dict.fromkeys(("lower", "upper", "nodes"),
+                                                   REQUIRED))
+        return cls(tuple(f["lower"]), tuple(f["upper"]), tuple(f["nodes"]))
 
 
 def unit_interval(n: int = 33) -> GridDomain:

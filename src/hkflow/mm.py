@@ -53,8 +53,7 @@ STEP_SCALE_MAX_ITER = 20
 # scalar (reaction-only) steps
 
 
-def scalar_mm_step(c0: float, tau: float, E: EntropySpec,
-                   tol: float = 1e-12) -> float:
+def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
     """One implicit step of the scalar flow: the unique root of
     1 - sqrt(c0/c) + 2 tau E'(c) = 0, found by bisection.
 
@@ -83,7 +82,7 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec,
         if grow > 200:
             raise RuntimeError("scalar step does not stabilize: "
                                "E' too negative at large levels")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if phi(mid) < 0:
             lo = mid
@@ -101,15 +100,15 @@ def scalar_shk_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
 
 
 def scalar_step_monotonicity(c0: float, c1: float, tau: float,
-                             E: EntropySpec, tol: float = 1e-9) -> dict:
+                             E: EntropySpec) -> dict:
     """Order relations between the input level, the output level, and the
-    sign of E' at each: the step decreases the level exactly when E' at
-    the output is nonnegative."""
+    sign of E' at each, all to 1e-9: the step decreases the level exactly
+    when E' at the output is nonnegative."""
     d1 = float(E.derivative(c1))
     d0 = float(E.derivative(c0))
     return {
-        "decreases_iff_derivative_nonneg": (c1 <= c0 + tol) == (d1 >= -tol),
-        "increases_iff_derivative_nonpos": (c1 >= c0 - tol) == (d1 <= tol),
+        "decreases_iff_derivative_nonneg": (c1 <= c0 + 1e-9) == (d1 >= -1e-9),
+        "increases_iff_derivative_nonpos": (c1 >= c0 - 1e-9) == (d1 <= 1e-9),
         "derivative_in": d0,
         "derivative_out": d1,
     }
@@ -472,16 +471,15 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
 
 
 def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-                      metric: str = "hk", n_restarts: int = 3,
-                      seed: int = 0) -> float:
-    """Largest pairwise objective gap of the step output over randomly
-    perturbed starting densities x0, which seed the dual step's first
-    opening sweep (the L-BFGS-B start where the step has no conjugate)."""
-    rng = np.random.default_rng(seed)
+                      metric: str = "hk") -> float:
+    """Largest pairwise objective gap of the step output from mu0's density
+    and two seeded random perturbations of it as x0, which seeds the dual
+    step's first opening sweep (the L-BFGS-B start without a conjugate)."""
+    rng = np.random.default_rng(0)
     step = shk_mm_step if is_spherical(metric) else mm_step
     outs = [step(mu0, tau, E).objective]
     base = np.maximum(mu0.density, 1e-8)
-    for _ in range(n_restarts - 1):
+    for _ in range(2):
         x0 = base * np.exp(rng.normal(0.0, 0.3, base.shape))
         outs.append(step(mu0, tau, E, x0=x0).objective)
     return float(max(outs) - min(outs))
@@ -492,10 +490,10 @@ def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
 
 
 def iterate_upper_bound(rho_max0: float, k: int, tau: float,
-                        E: EntropySpec, search_hi: float = 1e6) -> float:
+                        E: EntropySpec) -> float:
     """Exponential bound rho_max0 * exp(8 max{-S, 0} k tau) with
     S = inf{E'(c) : c >= rho_max0}; requires tau * S >= -1/4."""
-    grid = np.geomspace(max(rho_max0, 1e-12), search_hi, 256)
+    grid = np.geomspace(max(rho_max0, 1e-12), 1e6, 256)
     S = float(np.min(E.derivative(grid)))
     if tau * S < -0.25:
         raise ValueError("step size too large for the exponential bound")
@@ -547,15 +545,14 @@ def check_density_bounds(traj: MMTrajectory, E: EntropySpec,
     return {"ok": ok, "steps": records}
 
 
-def plan_density_violation(step: MMStepResult, mu0: DiscreteMeasure,
-                           tol: float = 1e-9) -> float:
+def plan_density_violation(step: MMStepResult, mu0: DiscreteMeasure) -> float:
     """Fraction of the step's plan mass sent to nodes where the new
-    density exceeds the new density at the sending node."""
+    density exceeds the new density at the sending node by over 1e-9."""
     if step.plan is None:
         raise ValueError("step carries no transport plan")
     rho1 = step.measure.density
     total = float(step.plan.sum())
     if total <= 0:
         return 0.0
-    bad = rho1[None, :] > rho1[:, None] + tol
+    bad = rho1[None, :] > rho1[:, None] + 1e-9
     return float(step.plan[bad].sum()) / total

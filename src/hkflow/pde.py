@@ -2,8 +2,8 @@
 equation for the transport-growth flow, its mass-conserving spherical
 variant, and pointwise reaction-only equations.
 
-All PDE solvers use an explicit conservative flux discretization on
-one-dimensional grids with no-flux boundaries and a step-size guard.
+All PDE solvers use an explicit conservative flux discretization on 1-d
+grids with no-flux boundaries, steps of at most 1e-4 and a CFL guard.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def _advance(rho, E, dt, h, cell, alpha, reaction):
     return np.clip(rho + 0.5 * dt * (k1 + k2), 0.0, None)
 
 
-def _explicit_solve(mu0, E, t_final, dt, alpha, reaction,
-                    n_checkpoints, cfl_safety=0.45):
+def _explicit_solve(mu0, E, t_final, alpha, reaction, n_checkpoints):
     dom = mu0.domain
     if dom.dim != 1:
         raise ValueError("PDE reference solver supports 1-d grids only")
@@ -74,10 +73,10 @@ def _explicit_solve(mu0, E, t_final, dt, alpha, reaction,
     while t < t_final - 1e-15:
         mob_max = float(np.max(rho * E.second_derivative(rho), initial=0.0))
         if alpha > 0 and mob_max > 0:
-            dt_cfl = cfl_safety * h * h / (2.0 * alpha * mob_max)
+            dt_cfl = 0.45 * h * h / (2.0 * alpha * mob_max)
         else:
             dt_cfl = math.inf
-        step = min(dt, dt_cfl, t_final - t)
+        step = min(1e-4, dt_cfl, t_final - t)
         if next_idx < n_checkpoints:
             step = min(step, check_times[next_idx] - t)
         new = _advance(rho, E, step, h, cell, alpha, reaction)
@@ -98,19 +97,18 @@ def _explicit_solve(mu0, E, t_final, dt, alpha, reaction,
 
 
 def hk_flow_pde(mu0: DiscreteMeasure, E: EntropySpec, t_final: float,
-                dt: float = 1e-4, alpha: float = 1.0, beta: float = 4.0,
+                alpha: float = 1.0, beta: float = 4.0,
                 n_checkpoints: int = 11) -> PDETrajectory:
     """Diffusion with mobility rho E''(rho) plus reaction -beta rho E'(rho)."""
 
     def reaction(rho):
         return -beta * rho * E.derivative(rho)
 
-    return _explicit_solve(mu0, E, t_final, dt, alpha, reaction,
-                           n_checkpoints)
+    return _explicit_solve(mu0, E, t_final, alpha, reaction, n_checkpoints)
 
 
 def shk_flow_pde(mu0: DiscreteMeasure, E: EntropySpec, t_final: float,
-                 dt: float = 1e-4, alpha: float = 1.0, beta: float = 4.0,
+                 alpha: float = 1.0, beta: float = 4.0,
                  n_checkpoints: int = 11) -> PDETrajectory:
     """Mass-conserving variant: the reaction rate is recentred by the
     density-weighted mean of E', so the discrete mass stays constant."""
@@ -123,25 +121,21 @@ def shk_flow_pde(mu0: DiscreteMeasure, E: EntropySpec, t_final: float,
         mean = float(w @ (rho * E.derivative(rho))) / total
         return -beta * rho * (E.derivative(rho) - mean)
 
-    return _explicit_solve(mu0, E, t_final, dt, alpha, reaction,
-                           n_checkpoints)
+    return _explicit_solve(mu0, E, t_final, alpha, reaction, n_checkpoints)
 
 
 def spherical_reaction_ode(mu0: DiscreteMeasure, E: EntropySpec,
-                           t_final: float, dt: float = 1e-4,
-                           n_checkpoints: int = 11) -> PDETrajectory:
+                           t_final: float) -> PDETrajectory:
     """Pointwise system rho' = -4 rho (E'(rho) - weighted mean of E')."""
-    return shk_flow_pde(mu0, E, t_final, dt=dt, alpha=0.0, beta=4.0,
-                        n_checkpoints=n_checkpoints)
+    return shk_flow_pde(mu0, E, t_final, alpha=0.0, beta=4.0)
 
 
-def scalar_reaction_ode(c0: float, E: EntropySpec, t_final: float,
-                        dt: float = 1e-5) -> float:
+def scalar_reaction_ode(c0: float, E: EntropySpec, t_final: float) -> float:
     """Scalar equation c' = -4 c E'(c), explicit midpoint integration."""
     c = float(c0)
     t = 0.0
     while t < t_final - 1e-15:
-        step = min(dt, t_final - t)
+        step = min(1e-5, t_final - t)
         k1 = -4.0 * c * float(E.derivative(c))
         cm = max(c + 0.5 * step * k1, 0.0)
         k2 = -4.0 * cm * float(E.derivative(cm))

@@ -144,7 +144,7 @@ def test_iterated_bound_formulas():
 def test_restart_agreement(interval33):
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33)
-    gap = restart_agreement(mu0, 0.05, E, n_restarts=3, seed=0)
+    gap = restart_agreement(mu0, 0.05, E)
     assert gap <= 1e-5
 
 
