@@ -26,7 +26,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import REQUIRED, ConfigError, read_fields, read_tagged
+from .config import (REQUIRED, ConfigError, integer, listed, nested, number,
+                     positive, raw, read_fields, read_tagged, text)
 from .entropy import entropy_from_json, eval_functional
 from .evi import convergence_study, error_budget, evi_check
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
@@ -77,34 +78,59 @@ def write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def metric_name(value, path: str) -> str:
+    """A metric name that hk.is_spherical accepts."""
+    try:
+        is_spherical(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return value
+
+
 # fields of each measure kind; a list of node densities is a measure too
 MEASURE_KINDS = {
-    "uniform": {"value": REQUIRED},
-    "sinusoid": {"base": 1.0, "amplitude": 0.1, "frequency": 1.0},
-    "diracs": {"nodes": REQUIRED, "masses": REQUIRED},
+    "uniform": {"value": (number, REQUIRED)},
+    "sinusoid": {"base": (number, 1.0), "amplitude": (number, 0.1),
+                 "frequency": (number, 1.0)},
+    "diracs": {"nodes": (listed(integer(0)), REQUIRED),
+               "masses": (listed(number), REQUIRED)},
 }
 # fields of every flow verb, to which each adds its own
-FLOW_FIELDS = {"domain": REQUIRED, "initial": REQUIRED, "entropy": REQUIRED,
-               "metric": "hk"}
+FLOW_FIELDS = {"domain": (raw, REQUIRED), "initial": (raw, REQUIRED),
+               "entropy": (raw, REQUIRED), "metric": (metric_name, "hk")}
+
+
+def _density(cfg, domain: GridDomain, path: str) -> np.ndarray:
+    if isinstance(cfg, list):
+        return np.asarray(listed(number)(cfg, path))
+    kind, v = read_tagged(cfg, path, "kind", MEASURE_KINDS)
+    if kind == "uniform":
+        return np.full(domain.n_nodes, v["value"])
+    if kind == "sinusoid":
+        return v["base"] + v["amplitude"] * np.sin(
+            2.0 * math.pi * v["frequency"] * domain.coordinates[:, 0])
+    nodes, masses = v["nodes"], v["masses"]
+    if len(masses) != len(nodes):
+        raise ConfigError(f"{path}.masses: expected {len(nodes)} masses, "
+                          f"one per node, got {len(masses)}")
+    rho = np.zeros(domain.n_nodes)
+    w = domain.weights
+    for i, (node, mass) in enumerate(zip(nodes, masses)):
+        if node >= domain.n_nodes:
+            raise ConfigError(f"{path}.nodes[{i}]: node {node} outside the "
+                              f"{domain.n_nodes} grid nodes")
+        rho[node] += mass / w[node]
+    return rho
 
 
 def measure_from_config(cfg, domain: GridDomain, path: str) -> DiscreteMeasure:
-    """The measure of the config field at path."""
-    if isinstance(cfg, list):
-        return DiscreteMeasure(domain, np.asarray(cfg, dtype=float))
-    kind, v = read_tagged(cfg, path, "kind", MEASURE_KINDS)
-    if kind == "uniform":
-        return DiscreteMeasure(domain,
-                               np.full(domain.n_nodes, float(v["value"])))
-    if kind == "sinusoid":
-        return DiscreteMeasure(domain, float(v["base"]) + float(
-            v["amplitude"]) * np.sin(2.0 * math.pi * float(v["frequency"])
-                                     * domain.coordinates[:, 0]))
-    rho = np.zeros(domain.n_nodes)
-    w = domain.weights
-    for node, mass in zip(v["nodes"], v["masses"]):
-        rho[int(node)] += float(mass) / w[int(node)]
-    return DiscreteMeasure(domain, rho)
+    """The measure of the config field at path: a list of node densities or
+    an object of a kind in MEASURE_KINDS."""
+    rho = _density(cfg, domain, path)
+    try:
+        return DiscreteMeasure(domain, rho)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _shrinking(gaps: list) -> int:
@@ -131,9 +157,12 @@ def flow_from_config(cfg: dict, fields: dict):
 
 
 def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    v = read_fields(cfg, "", {"domain": REQUIRED, "measure0": REQUIRED,
-                              "measure1": REQUIRED, "metric": "hk",
-                              "check_two_dirac": None})
+    v = read_fields(cfg, "", {
+        "domain": (raw, REQUIRED), "measure0": (raw, REQUIRED),
+        "measure1": (raw, REQUIRED), "metric": (metric_name, "hk"),
+        "check_two_dirac": (nested({"mass0": (number, REQUIRED),
+                                    "mass1": (number, REQUIRED),
+                                    "distance": (number, REQUIRED)}), None)})
     dom = GridDomain.from_dict(v["domain"])
     mu0 = measure_from_config(v["measure0"], dom, "measure0")
     mu1 = measure_from_config(v["measure1"], dom, "measure1")
@@ -147,10 +176,7 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         result["shk"] = shk_from_hk_squared(res.hk_squared)
     status = EXIT_OK
     if v["check_two_dirac"] is not None:
-        spec = read_fields(v["check_two_dirac"], "check_two_dirac",
-                           dict.fromkeys(("mass0", "mass1", "distance"),
-                                         REQUIRED))
-        closed = hk_two_diracs(*map(float, spec.values()))
+        closed = hk_two_diracs(*v["check_two_dirac"].values())
         result["closed_form"] = closed
         gap = abs(res.hk_squared - closed)
         result["closed_form_gap"] = gap
@@ -161,10 +187,9 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric, v = flow_from_config(cfg, {"tau": REQUIRED,
-                                               "n_steps": REQUIRED})
-    traj = mm_trajectory(mu0, float(v["tau"]), int(v["n_steps"]), E,
-                         metric=metric)
+    mu0, E, metric, v = flow_from_config(cfg, {
+        "tau": (positive, REQUIRED), "n_steps": (integer(1), REQUIRED)})
+    traj = mm_trajectory(mu0, v["tau"], v["n_steps"], E, metric=metric)
     rows = []
     for k, m in enumerate(traj.measures):
         rows.append([k, k * traj.tau, m.mass, float(np.min(m.density)),
@@ -182,10 +207,10 @@ def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
-        "tau": REQUIRED, "n_steps": REQUIRED, "lambda": REQUIRED,
-        "kappa": 0.0})
-    tau, lam, kappa = float(v["tau"]), float(v["lambda"]), float(v["kappa"])
-    traj = mm_trajectory(mu0, tau, int(v["n_steps"]), E, metric=metric)
+        "tau": (positive, REQUIRED), "n_steps": (integer(1), REQUIRED),
+        "lambda": (number, REQUIRED), "kappa": (number, 0.0)})
+    tau, lam, kappa = v["tau"], v["lambda"], v["kappa"]
+    traj = mm_trajectory(mu0, tau, v["n_steps"], E, metric=metric)
     rep = evi_check(traj, E, lam, metric=metric)
     rows = []
     for k, (Rs, Rl) in enumerate(zip(rep.residuals_lambda_star,
@@ -214,9 +239,10 @@ def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    mu0, E, metric, v = flow_from_config(cfg, {"t_final": REQUIRED,
-                                               "tau_list": REQUIRED})
-    T, taus = float(v["t_final"]), [float(t) for t in v["tau_list"]]
+    mu0, E, metric, v = flow_from_config(cfg, {
+        "t_final": (positive, REQUIRED),
+        "tau_list": (listed(positive, 1), REQUIRED)})
+    T, taus = v["t_final"], v["tau_list"]
     pde_solver = shk_flow_pde if is_spherical(metric) else hk_flow_pde
     w = mu0.domain.weights
     rows = []
@@ -234,8 +260,9 @@ def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    v = read_fields(cfg, "", {"space": "cone", "n_probes": 100})
-    name, n = v["space"], int(v["n_probes"])
+    v = read_fields(cfg, "", {"space": (text, "cone"),
+                              "n_probes": (integer(1), 100)})
+    name, n = v["space"], v["n_probes"]
     rng = np.random.default_rng(seed)
     if name == "euclidean":
         space = euclidean_box()
@@ -268,8 +295,8 @@ def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 
 def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
-    v = read_fields(cfg, "", {"p": 0.5, "grid": 200})
-    p, n = float(v["p"]), int(v["grid"])
+    v = read_fields(cfg, "", {"p": (number, 0.5), "grid": (integer(1), 200)})
+    p, n = v["p"], v["grid"]
     est = check_transfer_estimates(p, n_t=n, n_delta=n)
     report = {"p": p, "estimates_hold": bool(est["ok"]),
               "worst_margin": est["worst_margin"],
@@ -286,9 +313,9 @@ def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
 
 def run_convergence(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
-        "tau_list": REQUIRED, "t_final": REQUIRED, "lambda": 0.0})
-    taus = [float(t) for t in v["tau_list"]]
-    T, lam = float(v["t_final"]), float(v["lambda"])
+        "tau_list": (listed(positive, 2), REQUIRED),
+        "t_final": (positive, REQUIRED), "lambda": (number, 0.0)})
+    taus, T, lam = v["tau_list"], v["t_final"], v["lambda"]
     rows = []
     for row in convergence_study(mu0, E, metric, taus, T):
         rep = evi_check(row["trajectory"], E, lam, metric=metric)
@@ -338,7 +365,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         status = VERBS[args.verb](cfg, out, args.seed, args.tol_scale)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a value a solver rejects
         log.error("bad config: %s", exc)
         return EXIT_CONFIG
     except (RuntimeError, np.linalg.LinAlgError,

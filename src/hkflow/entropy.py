@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .config import REQUIRED, read_tagged
+from .config import REQUIRED, ConfigError, listed, number, read_tagged
 from .measures import DiscreteMeasure
 
 
@@ -177,12 +177,16 @@ def table_entropy(c_samples, e_samples, recession_slope: float,
 
 # JSON family -> constructor and its fields, in the constructor's order
 FAMILIES = {
-    "power_mass": (power_mass_entropy, {"alpha": 1.0, "m": 2.0, "gamma": 0.0}),
-    "neg_power": (neg_power_entropy, {"q": 0.5, "beta": 1.0}),
-    "custom_table": (table_entropy, {"c": REQUIRED, "E": REQUIRED,
-                                     "recession_slope": REQUIRED,
-                                     "lambda": 0.0}),
-    "linear": (linear_entropy, {"gamma": -1.0}),
+    "power_mass": (power_mass_entropy, {"alpha": (number, 1.0),
+                                        "m": (number, 2.0),
+                                        "gamma": (number, 0.0)}),
+    "neg_power": (neg_power_entropy, {"q": (number, 0.5),
+                                      "beta": (number, 1.0)}),
+    "custom_table": (table_entropy, {"c": (listed(number, 2), REQUIRED),
+                                     "E": (listed(number, 2), REQUIRED),
+                                     "recession_slope": (number, REQUIRED),
+                                     "lambda": (number, 0.0)}),
+    "linear": (linear_entropy, {"gamma": (number, -1.0)}),
     "zero": (zero_entropy, {}),
 }
 
@@ -193,7 +197,10 @@ def entropy_from_json(text_or_dict) -> EntropySpec:
     d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     family, values = read_tagged(d, "entropy", "family",
                                  {k: f for k, (_, f) in FAMILIES.items()})
-    return FAMILIES[family][0](*values.values())
+    try:
+        return FAMILIES[family][0](*values.values())
+    except ValueError as exc:
+        raise ConfigError(f"entropy: {exc}") from None
 
 
 def eval_functional(E: EntropySpec, mu: DiscreteMeasure,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import REQUIRED, read_fields
+from .config import REQUIRED, ConfigError, integer, listed, number, \
+    read_fields
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,13 @@ class GridDomain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridDomain":
-        f = read_fields(d, "domain", dict.fromkeys(("lower", "upper", "nodes"),
-                                                   REQUIRED))
-        return cls(tuple(f["lower"]), tuple(f["upper"]), tuple(f["nodes"]))
+        f = read_fields(d, "domain", {"lower": (listed(number), REQUIRED),
+                                      "upper": (listed(number), REQUIRED),
+                                      "nodes": (listed(integer(2)), REQUIRED)})
+        try:
+            return cls(tuple(f["lower"]), tuple(f["upper"]), tuple(f["nodes"]))
+        except ValueError as exc:
+            raise ConfigError(f"domain: {exc}") from None
 
 
 def unit_interval(n: int = 33) -> GridDomain:

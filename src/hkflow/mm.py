@@ -160,27 +160,32 @@ class MMStepResult:
 def _implicit_step(mu0, tau, E, spherical, x0, warm,
                    density_cap) -> MMStepResult:
     """Implicit step of either metric from warm, a previous step's ``warm``
-    or None.  An energy with a closed-form conjugate takes the concave dual
-    step, or its closed form from the zero measure (which has no source
-    potentials); linear, zero and table energies and capped steps take
-    L-BFGS-B."""
+    or None.  A step from the zero measure (which has no source potentials)
+    takes its closed form; otherwise an energy with a closed-form conjugate
+    takes the concave dual step, and linear, zero and table energies and
+    capped steps take L-BFGS-B."""
     if tau <= 0:
         raise ValueError("step size must be positive")
+    if mu0.mass == 0:
+        return _zero_source_step(mu0, tau, E, density_cap)
     if E.conjugate is not None and density_cap is None:
-        if mu0.mass == 0:
-            return _zero_source_step(mu0, tau, E)
         return _dual_step(mu0, tau, E, spherical, x0, warm)
     return _lbfgs_step(mu0, tau, E, spherical, x0, warm, density_cap)
 
 
-def _zero_source_step(mu0, tau, E) -> MMStepResult:
+def _zero_source_step(mu0, tau, E, density_cap) -> MMStepResult:
     """HK step from the zero measure.  With no source HK^2 = mass(nu), so
-    each node minimizes rho / (2 tau) + E(rho) on its own:
-    rho = E*'(-1 / (2 tau)).  One distance solve certifies the step; it has
+    each node minimizes rho / (2 tau) + E(rho) on its own: rho is the
+    scalar step from 0, held below the cap, and the cap itself where
+    1 + 2 tau E' < 0 there.  One distance solve certifies the step; it has
     no potentials to warm-start the next one."""
     w = mu0.domain.weights
-    nu = DiscreteMeasure(mu0.domain,
-                         E.conjugate(np.full(w.size, -0.5 / tau))[0])
+    cap = math.inf if density_cap is None else density_cap
+    if cap < math.inf and 1.0 + 2.0 * tau * float(E.derivative(cap)) < 0:
+        level = cap
+    else:
+        level = min(scalar_mm_step(0.0, tau, E), cap)
+    nu = DiscreteMeasure(mu0.domain, np.full(w.size, level))
     final = hk_distance_squared(mu0, nu)
     return MMStepResult(nu, final.dual_value / (2.0 * tau)
                         + float(w @ E(nu.density)), final.hk_squared, 0.0, 0,

@@ -295,3 +295,62 @@ def test_unconverged_solves_exit_3(tmp_path, monkeypatch):
     status, _ = run_cli(tmp_path, "evi-check", {**flow, "lambda": 0.0},
                         name="evi.json")
     assert status == 3
+
+
+NINE = {"lower": [0.0], "upper": [1.0], "nodes": [9]}
+FLOW9 = {"domain": NINE, "initial": {"kind": "uniform", "value": 1.0},
+         "entropy": QUADRATIC}
+DIRAC9 = {"domain": NINE, "measure1": {"kind": "uniform", "value": 1.0}}
+
+
+@pytest.mark.parametrize("verb, cfg, path", [
+    ("distance", {**DIRAC9, "measure0": {"kind": "diracs", "nodes": [100],
+                                         "masses": [1.0]}},
+     "measure0.nodes[0]"),
+    ("distance", {**DIRAC9, "measure0": {"kind": "diracs", "nodes": [-1],
+                                         "masses": [1.0]}},
+     "measure0.nodes[0]"),
+    ("distance", {**DIRAC9, "measure0": {"kind": "diracs", "nodes": [2, 4],
+                                         "masses": [1.0]}},
+     "measure0.masses"),
+    ("mm-run", {**FLOW9, "tau": 0.05, "n_steps": 1.7}, "n_steps"),
+    ("mm-run", {**FLOW9, "tau": 0.05, "n_steps": True}, "n_steps"),
+    ("mm-run", {**FLOW9, "tau": 0.05, "n_steps": -2}, "n_steps"),
+    ("geometry-probe", {"space": "cone", "n_probes": 0}, "n_probes"),
+    ("appendix-check", {"p": 0.5, "grid": 0}, "grid"),
+    ("pde-compare", {**FLOW9, "t_final": 0.02, "tau_list": []}, "tau_list"),
+    ("convergence-study", {**FLOW9, "t_final": 0.04, "tau_list": []},
+     "tau_list"),
+    ("convergence-study", {**FLOW9, "t_final": 0.04, "tau_list": [0.02]},
+     "tau_list"),
+    ("convergence-study", {**FLOW9, "t_final": 0.04,
+                           "tau_list": [0.02, 0.0]}, "tau_list[1]"),
+    ("pde-compare", {**FLOW9, "t_final": 0.02, "tau_list": [0.0]},
+     "tau_list[0]"),
+    ("mm-run", {**FLOW9, "tau": "0.05", "n_steps": 1}, "tau"),
+    ("evi-check", {**FLOW9, "tau": 0.05, "n_steps": 1, "lambda": math.nan},
+     "lambda"),
+    # a mistyped field one level down
+    ("mm-run", {**FLOW9, "initial": {"kind": "sinusoid", "amplitde": 0.3},
+                "tau": 0.05, "n_steps": 1}, "initial.amplitde"),
+    ("mm-run", {**FLOW9, "entropy": {"family": "power_mass", "alhpa": 5},
+                "tau": 0.05, "n_steps": 1}, "entropy.alhpa"),
+    ("distance", {**DIRAC9, "measure0": {"kind": "uniform", "value": 1.0},
+                  "check_two_dirac": {"mass0": 1.0, "mass1": 1.0,
+                                      "distance": 0.0, "tol": 1e-3}},
+     "check_two_dirac.tol"),
+    ("mm-run", {**FLOW9, "domain": {"lower": [0.0], "upper": [1.0],
+                                    "nodse": [9]},
+                "tau": 0.05, "n_steps": 1}, "domain.nodse"),
+])
+def test_bad_value_exit_2_naming_its_field(tmp_path, monkeypatch, caplog,
+                                           verb, cfg, path):
+    def no_solve(*args, **kw):
+        raise AssertionError("distance solve before the config is read")
+
+    for module in (hkflow.cli, hkflow.mm, hkflow.evi):
+        monkeypatch.setattr(module, "hk_distance_squared", no_solve)
+    status, out = run_cli(tmp_path, verb, cfg)
+    assert status == 2
+    assert not any(out.iterdir())
+    assert path in caplog.text

@@ -96,6 +96,19 @@ def test_entropy_from_json_families():
         entropy_from_json({"family": "nope"})
 
 
+@pytest.mark.parametrize("spec, path", [
+    ({"family": "power_mass", "alhpa": 5.0}, "entropy.alhpa"),
+    ({"family": "zero", "gamma": 0.0}, "entropy.gamma"),
+    ({"family": "custom_table", "c": [0.0, 1.0], "E": [0.0, 1.0]},
+     "entropy.recession_slope"),
+    ({"family": "neg_power", "q": "0.5"}, "entropy.q"),
+    ({"alpha": 1.0}, "entropy.family"),
+])
+def test_entropy_from_json_rejects_bad_fields(spec, path):
+    with pytest.raises(ValueError, match=path.replace(".", r"\.")):
+        entropy_from_json(spec)
+
+
 def test_eval_functional_uniform():
     dom = unit_interval(17)
     mu = uniform_measure(dom, 2.0)

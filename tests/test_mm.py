@@ -338,6 +338,33 @@ def test_flow_from_zero_measure_matches_scalar_steps():
         assert np.allclose(traj.measures[k].density, c, rtol=1e-6, atol=0.0)
 
 
+def test_step_from_zero_measure_without_conjugate():
+    # a table energy steep enough to grow mass from nothing: every node
+    # takes the scalar step from 0, a root of 1 + 2 tau E'(c) = 0 near 1
+    dom = unit_interval(9)
+    c = np.linspace(0.0, 3.0, 31)
+    E = table_entropy(c, -20.0 * np.sqrt(c), recession_slope=0.0)
+    zero = DiscreteMeasure(dom, np.zeros(dom.n_nodes))
+    res = mm_step(zero, 0.05, E)
+    assert res.converged
+    assert np.allclose(res.measure.density, scalar_mm_step(0.0, 0.05, E),
+                       rtol=1e-12, atol=0.0)
+    assert res.measure.density[0] == pytest.approx(1.0011774, rel=1e-6)
+    assert res.objective == pytest.approx(-10.0000037, rel=1e-6)
+
+
+def test_capped_step_from_zero_measure_fills_to_the_cap():
+    # E = -20 c gains more than growth costs at every level: the capped
+    # step fills every node to the cap
+    dom = unit_interval(9)
+    zero = DiscreteMeasure(dom, np.zeros(dom.n_nodes))
+    res = mm_step(zero, 0.05, linear_entropy(-20.0), density_cap=1.0)
+    assert res.converged
+    assert np.all(res.measure.density == 1.0)
+    # HK^2 from nothing is the new mass, 1
+    assert res.objective == pytest.approx(1.0 / 0.1 - 20.0, rel=1e-9)
+
+
 def test_lbfgs_step_not_converged_at_empty_nodes():
     # u = log rho hides the gradient where the start density is empty:
     # L-BFGS-B stops with nodes 1-3 empty, though transport fills them
