@@ -4,7 +4,7 @@ with default REQUIRED for a field that must be present.  A reader maps the
 JSON value at a dotted path to its Python value.  Unknown, missing and
 malformed fields raise ConfigError naming their path."""
 
-import math
+import sys
 
 
 class ConfigError(ValueError):
@@ -54,7 +54,8 @@ def text(value, path: str) -> str:
 
 
 def number(value, path: str) -> float:
-    ok = type(value) in (int, float) and math.isfinite(value)
+    # false for nan and inf, and for an int too large to be a float
+    ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     return float(_expect(ok, path, "a finite number", value))
 
 

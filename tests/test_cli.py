@@ -330,6 +330,8 @@ DIRAC9 = {"domain": NINE, "measure1": {"kind": "uniform", "value": 1.0}}
     ("mm-run", {**FLOW9, "tau": "0.05", "n_steps": 1}, "tau"),
     ("evi-check", {**FLOW9, "tau": 0.05, "n_steps": 1, "lambda": math.nan},
      "lambda"),
+    ("evi-check", {**FLOW9, "tau": 0.05, "n_steps": 1, "lambda": 10**400},
+     "lambda"),
     # a mistyped field one level down
     ("mm-run", {**FLOW9, "initial": {"kind": "sinusoid", "amplitde": 0.3},
                 "tau": 0.05, "n_steps": 1}, "initial.amplitde"),
