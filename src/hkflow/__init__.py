@@ -9,7 +9,7 @@ from .entropy import (EntropySpec, check_NE_conditions, entropy_from_json,
                       table_entropy, zero_entropy)
 from .evi import (ContractionReport, ErrorBudget, EVIReport, contraction_check,
                   convergence_study, error_budget, evi_check,
-                  evi_residual_matrix, lambda_star)
+                  evi_residual_matrix, lambda_star, step_counts)
 from .geometry import (ProbeSpace, check_angle_sum,
                        check_cauchy_schwarz_transfer, check_semiconcavity,
                        comparison_angle, cone_over_segment,

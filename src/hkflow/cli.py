@@ -28,8 +28,8 @@ import scipy
 from . import __version__
 from .config import (REQUIRED, ConfigError, integer, listed, nested, number,
                      positive, raw, read_fields, read_tagged, text)
-from .entropy import entropy_from_json, eval_functional
-from .evi import convergence_study, error_budget, evi_check
+from .entropy import entropy_from_json
+from .evi import convergence_study, error_budget, evi_check, step_counts
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, transfer_ratio_minimum,
@@ -156,7 +156,7 @@ def flow_from_config(cfg: dict, fields: dict):
 # verbs
 
 
-def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_distance(cfg: dict, out: Path, seed: int) -> int:
     v = read_fields(cfg, "", {
         "domain": (raw, REQUIRED), "measure0": (raw, REQUIRED),
         "measure1": (raw, REQUIRED), "metric": (metric_name, "hk"),
@@ -180,38 +180,37 @@ def run_distance(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         result["closed_form"] = closed
         gap = abs(res.hk_squared - closed)
         result["closed_form_gap"] = gap
-        if gap > 1e-5 * tol_scale * (1.0 + closed):
+        if gap > 1e-5 * (1.0 + closed):
             status = EXIT_ASSERTION
     write_json(out / "distance.json", result)
     return status if res.converged else EXIT_SOLVER
 
 
-def run_mm(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_mm(cfg: dict, out: Path, seed: int) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
         "tau": (positive, REQUIRED), "n_steps": (integer(1), REQUIRED)})
     traj = mm_trajectory(mu0, v["tau"], v["n_steps"], E, metric=metric)
+    energies = traj.energy()
     rows = []
     for k, m in enumerate(traj.measures):
         rows.append([k, k * traj.tau, m.mass, float(np.min(m.density)),
-                     float(np.max(m.density)), eval_functional(E, m),
+                     float(np.max(m.density)), energies[k],
                      traj.distances_squared[k - 1] if k else 0.0])
     write_csv(out / "mm_run.csv",
               ["step", "time", "mass", "min_density", "max_density",
                "energy", "step_distance_squared"], rows)
-    energies = [r[5] for r in rows]
-    if any(e1 > e0 + 1e-9 * tol_scale for e0, e1 in zip(energies,
-                                                        energies[1:])):
+    if any(e1 > e0 + 1e-9 for e0, e1 in zip(energies, energies[1:])):
         return EXIT_ASSERTION
     return EXIT_OK
 
 
-def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_evi(cfg: dict, out: Path, seed: int) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
         "tau": (positive, REQUIRED), "n_steps": (integer(1), REQUIRED),
         "lambda": (number, REQUIRED), "kappa": (number, 0.0)})
     tau, lam, kappa = v["tau"], v["lambda"], v["kappa"]
     traj = mm_trajectory(mu0, tau, v["n_steps"], E, metric=metric)
-    rep = evi_check(traj, E, lam, metric=metric)
+    rep = evi_check(traj, lam)
     rows = []
     for k, (Rs, Rl) in enumerate(zip(rep.residuals_lambda_star,
                                      rep.residuals_lambda)):
@@ -223,7 +222,7 @@ def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     write_csv(out / "evi_residuals.csv",
               ["s", "t", "observer_id", "residual_lambda_star",
                "residual_lambda"], rows)
-    bud = error_budget(traj, kappa, lam, metric=metric)
+    bud = error_budget(traj, kappa, lam)
     write_json(out / "evi_summary.json", {
         "worst_residual_lambda_star": rep.worst_residual,
         "worst_residual_lambda": rep.worst_residual_lambda,
@@ -232,13 +231,13 @@ def run_evi(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
         "budget_bound_holds": bud.bound_holds,
         "slope_surrogate": bud.slope_surrogate,
     })
-    tol = math.sqrt(tau) * 4.0 * tol_scale
+    tol = math.sqrt(tau) * 4.0
     if rep.worst_residual > tol or not bud.bound_holds:
         return EXIT_ASSERTION
     return EXIT_OK
 
 
-def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_pde_compare(cfg: dict, out: Path, seed: int) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
         "t_final": (positive, REQUIRED),
         "tau_list": (listed(positive, 1), REQUIRED)})
@@ -246,8 +245,7 @@ def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     pde_solver = shk_flow_pde if is_spherical(metric) else hk_flow_pde
     w = mu0.domain.weights
     rows = []
-    for tau in taus:
-        n = int(round(T / tau))
+    for tau, n in zip(taus, step_counts(T, taus)):
         traj = mm_trajectory(mu0, tau, n, E, metric=metric)
         ref = pde_solver(mu0, E, T, n_checkpoints=n + 1)
         # the final time is shared by every tau, so the gap there compares
@@ -259,7 +257,7 @@ def run_pde_compare(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     return _shrinking([r[1] for r in rows])
 
 
-def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_geometry(cfg: dict, out: Path, seed: int) -> int:
     v = read_fields(cfg, "", {"space": (text, "cone"),
                               "n_probes": (integer(1), 100)})
     name, n = v["space"], v["n_probes"]
@@ -288,13 +286,12 @@ def run_geometry(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
               "worst_cs_residual": worst_cs,
               "worst_angle_sum": worst_sum}
     write_json(out / "geometry_probe.json", report)
-    tol = 1e-6 * tol_scale
-    if worst_cs < -tol or worst_sum > 2.0 * math.pi + tol:
+    if worst_cs < -1e-6 or worst_sum > 2.0 * math.pi + 1e-6:
         return EXIT_ASSERTION
     return EXIT_OK
 
 
-def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_appendix(cfg: dict, out: Path, seed: int) -> int:
     v = read_fields(cfg, "", {"p": (number, 0.5), "grid": (integer(1), 200)})
     p, n = v["p"], v["grid"]
     est = check_transfer_estimates(p, n_t=n, n_delta=n)
@@ -311,14 +308,14 @@ def run_appendix(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
     return EXIT_OK if est["ok"] else EXIT_ASSERTION
 
 
-def run_convergence(cfg: dict, out: Path, seed: int, tol_scale: float) -> int:
+def run_convergence(cfg: dict, out: Path, seed: int) -> int:
     mu0, E, metric, v = flow_from_config(cfg, {
         "tau_list": (listed(positive, 2), REQUIRED),
         "t_final": (positive, REQUIRED), "lambda": (number, 0.0)})
     taus, T, lam = v["tau_list"], v["t_final"], v["lambda"]
     rows = []
     for row in convergence_study(mu0, E, metric, taus, T):
-        rep = evi_check(row["trajectory"], E, lam, metric=metric)
+        rep = evi_check(row["trajectory"], lam)
         rows.append([row["tau"], row["sup_gap"], rep.worst_residual])
     write_csv(out / "convergence_study.csv",
               ["tau", "sup_gap", "evi_worst_residual"], rows)
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="JSON config path")
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol-scale", type=float, default=1.0)
     return ap
 
 
@@ -364,7 +360,7 @@ def main(argv=None) -> int:
         log.error("bad config: %s", exc)
         return EXIT_CONFIG
     try:
-        status = VERBS[args.verb](cfg, out, args.seed, args.tol_scale)
+        status = VERBS[args.verb](cfg, out, args.seed)
     except ValueError as exc:  # a ConfigError, or a value a solver rejects
         log.error("bad config: %s", exc)
         return EXIT_CONFIG
@@ -376,7 +372,6 @@ def main(argv=None) -> int:
         "verb": args.verb,
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "seed": args.seed,
-        "tol_scale": args.tol_scale,
         "versions": {"hkflow": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "wall_time_seconds": round(time.time() - t0, 3),

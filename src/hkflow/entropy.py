@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,10 +36,7 @@ class EntropySpec:
     de: Callable[[np.ndarray], np.ndarray]
     d2e: Callable[[np.ndarray], np.ndarray]
     recession_slope: float  # lim E(t)/t, may be +inf
-    convexity_modulus: float  # declared lambda of the generated functional
     c_low: Optional[float] = None  # witness with E'(c_low) < 0, if any
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
     # p -> (rho, E*(p), E*''(p)) with rho = E*'(p) the maximizing level and
     # E*'' = 1 / E''(rho); E* is +inf outside its domain.  None when E has
     # no closed-form conjugate or is not strictly convex.
@@ -76,8 +73,7 @@ class EntropySpec:
 
 def zero_entropy() -> EntropySpec:
     z = lambda c: np.zeros_like(np.asarray(c, dtype=float))
-    return EntropySpec(z, z, z, recession_slope=0.0, convexity_modulus=0.0,
-                       family="zero")
+    return EntropySpec(z, z, z, recession_slope=0.0)
 
 
 def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,
@@ -108,10 +104,7 @@ def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,
     if gamma < 0:
         # E'(c) < 0 for c below (-gamma / (alpha m))^(1/(m-1))
         c_low = 0.5 * (-gamma / (alpha * m)) ** (1.0 / (m - 1))
-    return EntropySpec(e, de, d2e, recession_slope=math.inf,
-                       convexity_modulus=2.0 * gamma, c_low=c_low,
-                       family="power_mass",
-                       params={"alpha": alpha, "m": m, "gamma": gamma},
+    return EntropySpec(e, de, d2e, recession_slope=math.inf, c_low=c_low,
                        conjugate=conjugate)
 
 
@@ -141,9 +134,8 @@ def neg_power_entropy(q: float = 0.5, beta: float = 1.0) -> EntropySpec:
         return (rho, np.where(inside, t * rho * (1.0 - q) / q, np.inf),
                 np.where(inside, rho / ((1.0 - q) * t), np.inf))
 
-    return EntropySpec(e, de, d2e, recession_slope=0.0, convexity_modulus=0.0,
-                       c_low=1.0 if beta > 0 else None, family="neg_power",
-                       params={"q": q, "beta": beta},
+    return EntropySpec(e, de, d2e, recession_slope=0.0,
+                       c_low=1.0 if beta > 0 else None,
                        conjugate=conjugate if beta > 0 else None)
 
 
@@ -157,20 +149,15 @@ def linear_entropy(gamma: float) -> EntropySpec:
 
     z = lambda c: np.zeros_like(np.asarray(c, dtype=float))
     return EntropySpec(e, de, z, recession_slope=gamma,
-                       convexity_modulus=0.0,
-                       c_low=1.0 if gamma < 0 else None,
-                       family="linear", params={"gamma": gamma})
+                       c_low=1.0 if gamma < 0 else None)
 
 
-def table_entropy(c_samples, e_samples, recession_slope: float,
-                  convexity_modulus: float = 0.0) -> EntropySpec:
+def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
     """Monotone-cubic interpolation of (c, E(c)) samples."""
     interp = PchipInterpolator(np.asarray(c_samples, float),
                                np.asarray(e_samples, float))
     spec = EntropySpec(interp, interp.derivative(1), interp.derivative(2),
-                       recession_slope=recession_slope,
-                       convexity_modulus=convexity_modulus,
-                       family="custom_table")
+                       recession_slope=recession_slope)
     return replace(spec, c_low=find_c_low(spec, float(np.min(c_samples)),
                                           float(np.max(c_samples))))
 
@@ -184,8 +171,7 @@ FAMILIES = {
                                       "beta": (number, 1.0)}),
     "custom_table": (table_entropy, {"c": (listed(number, 2), REQUIRED),
                                      "E": (listed(number, 2), REQUIRED),
-                                     "recession_slope": (number, REQUIRED),
-                                     "lambda": (number, 0.0)}),
+                                     "recession_slope": (number, REQUIRED)}),
     "linear": (linear_entropy, {"gamma": (number, -1.0)}),
     "zero": (zero_entropy, {}),
 }

@@ -94,14 +94,15 @@ def evi_residual_matrix(times: np.ndarray, phis: np.ndarray,
     return R
 
 
-def evi_check(traj: MMTrajectory, E: EntropySpec, lam: float,
-              metric: str = "hk", observers=None) -> EVIReport:
-    """Integrated EVI residuals of a trajectory against a set of observers,
-    reported both with the corrected parameter and with lam itself."""
+def evi_check(traj: MMTrajectory, lam: float, observers=None) -> EVIReport:
+    """Integrated EVI residuals of a trajectory, in its metric and for its
+    energy, against a set of observers, reported both with the corrected
+    parameter and with lam itself."""
+    E, metric = traj.E, traj.metric
     if observers is None:
         observers = default_observers(traj.measures[0], metric)
     times = traj.times
-    phis = np.array([eval_functional(E, m) for m in traj.measures])
+    phis = traj.energy()
     if not np.all(np.isfinite(phis)):
         raise ValueError("trajectory sample with infinite energy")
     lam_s = lambda_star(lam)
@@ -144,9 +145,9 @@ def direction_gap_surrogates(d2_steps: np.ndarray,
     return np.maximum(gaps, 0.0)
 
 
-def error_budget(traj: MMTrajectory, kappa: float, lam: float,
-                 metric: str = "hk") -> ErrorBudget:
-    """Per-step incremental errors of the implicit scheme.
+def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
+    """Per-step incremental errors of the implicit scheme, in the
+    trajectory's metric.
 
     Step zero uses (1 - 2 lam) d2(x0,x1) + (1 + 1/(1 + lam tau)) slope^2;
     later steps use (1 - 2 lam + kappa/tau) d2(xn,xn+1) plus the
@@ -160,7 +161,7 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float,
     if n_steps < 1:
         raise ValueError("trajectory needs at least one step")
     d2_steps = np.asarray(traj.distances_squared, dtype=float)
-    d2_skips = distances_squared_along(ms[:-2], ms[2:], metric)
+    d2_skips = distances_squared_along(ms[:-2], ms[2:], traj.metric)
     slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
     deltas = np.zeros(n_steps)
     zero_gap = np.zeros(n_steps)
@@ -194,17 +195,19 @@ class ContractionReport:
 
 def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
                       lam: float, budget_a: ErrorBudget,
-                      budget_b: ErrorBudget,
-                      metric: str = "hk") -> ContractionReport:
-    """Budgeted non-expansion between two approximate flows:
+                      budget_b: ErrorBudget) -> ContractionReport:
+    """Budgeted non-expansion between two approximate flows in one metric:
     sup_t e^{lam* t} d(x1(t), x2(t)) <= d(0) + || 2 e^{2 lam* t}
     (Delta_1 + Delta_2) ||_{L1}^{1/2}."""
     if abs(traj_a.tau - traj_b.tau) > 1e-15 \
             or len(traj_a.measures) != len(traj_b.measures):
         raise ValueError("trajectories live on different time grids")
+    if traj_a.metric != traj_b.metric:
+        raise ValueError(f"trajectories of different metrics: "
+                         f"{traj_a.metric!r} and {traj_b.metric!r}")
     times = traj_a.times
     d = np.sqrt(np.maximum(distances_squared_along(
-        traj_a.measures, traj_b.measures, metric), 0.0))
+        traj_a.measures, traj_b.measures, traj_a.metric), 0.0))
     lam_s = lambda_star(lam)
     lhs = np.exp(lam_s * times) * d
     step_times = traj_a.tau * np.arange(len(budget_a.deltas))
@@ -221,20 +224,29 @@ def interpolate_constant_left(traj: MMTrajectory, t: float) -> DiscreteMeasure:
     return traj.measures[max(k, 0)]
 
 
+def step_counts(t_final: float, tau_list) -> list:
+    """Steps of each tau in tau_list to t_final; ValueError naming
+    tau_list[i] unless t_final / tau is whole to 1e-9 relative."""
+    ratios = [t_final / tau for tau in tau_list]
+    for i, r in enumerate(ratios):
+        if abs(r - round(r)) > 1e-9 * r:
+            raise ValueError(f"tau_list[{i}]: {tau_list[i]} does not divide "
+                             f"t_final {t_final}")
+    return [round(r) for r in ratios]
+
+
 def convergence_study(mu0: DiscreteMeasure, E: EntropySpec,
                       metric: str, tau_list, T: float) -> list:
-    """Sup-distance between interpolants at consecutive step sizes.
+    """Sup-distance between interpolants at consecutive step sizes, each of
+    which must divide T (see step_counts).
 
     Returns one row per consecutive (tau, tau_next) pair with the sup of
     the metric distance over the finer time grid on [0, T], and the
     coarser trajectory under "trajectory" for callers that check it
     further.
     """
-    taus = list(tau_list)
-    trajs = []
-    for tau in taus:
-        n = int(round(T / tau))
-        trajs.append(mm_trajectory(mu0, tau, n, E, metric=metric))
+    trajs = [mm_trajectory(mu0, tau, n, E, metric=metric)
+             for tau, n in zip(tau_list, step_counts(T, tau_list))]
     rows = []
     for ta, tb in zip(trajs[:-1], trajs[1:]):
         d2 = distances_squared_along(

@@ -55,7 +55,7 @@ STEP_SCALE_MAX_ITER = 20
 
 def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
     """One implicit step of the scalar flow: the unique root of
-    1 - sqrt(c0/c) + 2 tau E'(c) = 0, found by bisection.
+    1 - sqrt(c0/c) + 2 tau E'(c) = 0, found by bisection to 1e-12 relative.
 
     With no transport the squared distance between constant levels is the
     pure reaction cost c0 + c - 2 sqrt(c0 c), whose c-derivative gives the
@@ -82,7 +82,7 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
         if grow > 200:
             raise RuntimeError("scalar step does not stabilize: "
                                "E' too negative at large levels")
-    while hi - lo > 1e-12 * max(1.0, hi):
+    while hi - lo > 1e-12 * hi and hi > 1e-300:
         mid = 0.5 * (lo + hi)
         if phi(mid) < 0:
             lo = mid
@@ -421,10 +421,14 @@ def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
 
 @dataclass
 class MMTrajectory:
+    """One flow's iterates at step tau, with the metric and energy E it ran,
+    which the checks of a trajectory read from here."""
+
     tau: float
     measures: list
     distances_squared: list
-    objectives: list
+    metric: str
+    E: EntropySpec
 
     @property
     def times(self) -> np.ndarray:
@@ -438,8 +442,8 @@ class MMTrajectory:
     def densities(self) -> np.ndarray:
         return np.array([m.density for m in self.measures])
 
-    def energy(self, E: EntropySpec) -> np.ndarray:
-        return np.array([eval_functional(E, m) for m in self.measures])
+    def energy(self) -> np.ndarray:
+        return np.array([eval_functional(self.E, m) for m in self.measures])
 
 
 def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
@@ -455,7 +459,6 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
         raise ValueError("density_cap applies to the HK step only")
     measures = [mu0]
     d2 = []
-    objs = []
     warm = None
     cur = mu0
     for k in range(n_steps):
@@ -470,9 +473,8 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
                                "final distance solve failed")
         measures.append(res.measure)
         d2.append(res.distance_squared)
-        objs.append(res.objective)
         cur = res.measure
-    return MMTrajectory(tau, measures, d2, objs)
+    return MMTrajectory(tau, measures, d2, metric, E)
 
 
 def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -520,15 +522,16 @@ def iterate_sqrt_growth_bound(rho_max0: float, k: int, tau: float,
     return (math.sqrt(base) + 4.0 * e_star * k * tau) ** 2
 
 
-def check_density_bounds(traj: MMTrajectory, E: EntropySpec,
-                         metric: str = "hk", slack: float = 1e-9) -> dict:
-    """Verify the per-step comparison bounds along a trajectory.
+def check_density_bounds(traj: MMTrajectory, slack: float = 1e-9) -> dict:
+    """Verify the per-step comparison bounds along a trajectory, in its
+    metric and for its energy.
 
     Transport-growth flow: each iterate's max (min) is controlled by the
     scalar upper (lower) bound seeded at the previous iterate's extremes.
     Spherical flow: the running max never rises, the running min never
     falls."""
     dens = traj.densities()
+    E, spherical = traj.E, is_spherical(traj.metric)
     ok = True
     records = []
     for k in range(1, dens.shape[0]):
@@ -536,7 +539,7 @@ def check_density_bounds(traj: MMTrajectory, E: EntropySpec,
         prev_min = float(np.min(dens[k - 1]))
         cur_max = float(np.max(dens[k]))
         cur_min = float(np.min(dens[k]))
-        if is_spherical(metric):
+        if spherical:
             up = prev_max
             lo = prev_min
         else:

@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hkflow.entropy import (eval_functional, neg_power_entropy,
-                            power_mass_entropy)
+from hkflow.entropy import neg_power_entropy, power_mass_entropy
 from hkflow.evi import contraction_check, error_budget, evi_check
 from hkflow.geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                              cone_over_segment, direction_gap_squared,
@@ -139,7 +138,7 @@ def test_criterion_05_shk_maximum_principle():
     dom = unit_interval(33)
     mu0 = _normalized(sinusoid_measure(dom, base=1.0, amplitude=0.35))
     traj = mm_trajectory(mu0, 0.02, 20, EX13, metric="shk")
-    rep = check_density_bounds(traj, EX13, metric="shk", slack=1e-6)
+    rep = check_density_bounds(traj, slack=1e-6)
     worst = min(min(r["upper"] - r["max"], r["min"] - r["lower"])
                 for r in rep["steps"])
     _report(5, "spherical maximum principle", rep["ok"],
@@ -153,7 +152,7 @@ def test_criterion_06_hk_density_bounds():
     traj = mm_trajectory(mu0, tau, 30, EX12, metric="hk")
     assert EX12.c_low == pytest.approx(0.25)
     floor = iterate_lower_bound(float(np.min(mu0.density)), EX12.c_low)
-    per_step = check_density_bounds(traj, EX12, slack=1e-6)
+    per_step = check_density_bounds(traj, slack=1e-6)
     rho_max0 = float(np.max(mu0.density))
     ok = per_step["ok"]
     for k, m in enumerate(traj.measures):
@@ -255,7 +254,7 @@ def test_criterion_10_evi_residuals():
     for tau in taus:
         n = int(round(0.08 / tau))
         traj = mm_trajectory(mu0, tau, n, EX12, metric="hk")
-        rep = evi_check(traj, EX12, lam=-2.0)
+        rep = evi_check(traj, lam=-2.0)
         if rep.worst_residual > 4.0 * math.sqrt(tau):
             ok = False
         worsts.append(abs(rep.worst_residual))
@@ -263,9 +262,8 @@ def test_criterion_10_evi_residuals():
     if any(r < 1.2 for r in ratios):
         ok = False
     minimizer = uniform_measure(dom, 0.5)
-    stat = MMTrajectory(0.02, [minimizer] * 5, [0.0] * 4,
-                        [eval_functional(EX12, minimizer)] * 4)
-    stat_res = evi_check(stat, EX12, lam=-2.0,
+    stat = MMTrajectory(0.02, [minimizer] * 5, [0.0] * 4, "hk", EX12)
+    stat_res = evi_check(stat, lam=-2.0,
                          observers=[minimizer]).worst_residual
     ok = ok and abs(stat_res) <= 1e-8
     _report(10, "variational inequality residuals", ok,
@@ -280,12 +278,12 @@ def test_criterion_11_budgeted_contraction():
     tau, n = 0.02, 5
     traj_a = mm_trajectory(mu_a, tau, n, EX12, metric="shk")
     traj_b = mm_trajectory(mu_b, tau, n, EX12, metric="shk")
-    bud_a = error_budget(traj_a, kappa=2.0, lam=-2.0, metric="shk")
-    bud_b = error_budget(traj_b, kappa=2.0, lam=-2.0, metric="shk")
+    bud_a = error_budget(traj_a, kappa=2.0, lam=-2.0)
+    bud_b = error_budget(traj_b, kappa=2.0, lam=-2.0)
     rep = contraction_check(traj_a, traj_b, lam=-2.0, budget_a=bud_a,
-                            budget_b=bud_b, metric="shk")
+                            budget_b=bud_b)
     same = contraction_check(traj_a, traj_a, lam=-2.0, budget_a=bud_a,
-                             budget_b=bud_a, metric="shk")
+                             budget_b=bud_a)
     ok = rep.ok and same.ok and float(np.max(same.distances)) <= 1e-4 \
         and same.rhs >= 0.0
     _report(11, "budgeted non-expansion", ok,

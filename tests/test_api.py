@@ -28,7 +28,16 @@ def test_distance_solve_keeps_its_named_settings():
 REMOVED = {"tol", "kkt_tol", "max_newton", "slack", "dt", "cfl_safety",
            "search_hi", "n_restarts", "seed", "rho_grid", "gamma_grid",
            "n_samples"}
-REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}}
+REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"},
+                # a trajectory carries its metric and energy; the checks
+                # read them from it
+                "evi_check": {"E", "metric"}, "error_budget": {"metric"},
+                "contraction_check": {"metric"},
+                "check_density_bounds": {"E", "metric"},
+                "MMTrajectory.energy": {"E"}, "MMTrajectory": {"objectives"},
+                # fields and settings that nothing read
+                "EntropySpec": {"family", "params", "convexity_modulus"},
+                "table_entropy": {"convexity_modulus"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),

@@ -184,6 +184,29 @@ def test_geometry_probe_cone(tmp_path):
     assert report["worst_angle_sum"] <= 2.0 * math.pi + 1e-6
 
 
+@pytest.mark.parametrize("space", ["euclidean", "point_masses"])
+def test_geometry_probe_other_spaces(tmp_path, space):
+    status, out = run_cli(tmp_path, "geometry-probe",
+                          {"space": space, "n_probes": 40})
+    assert status == 0
+    report = json.loads((out / "geometry_probe.json").read_text())
+    assert report["space"] == space
+    assert report["worst_cs_residual"] >= -1e-6
+    assert report["worst_angle_sum"] <= 2.0 * math.pi + 1e-6
+
+
+def test_pde_compare_gap_shrinks_with_tau(tmp_path):
+    # uniform data flow by reaction alone; both step sizes end at t_final
+    cfg = {**FLOW, "t_final": 0.02, "tau_list": [0.02, 0.01]}
+    status, out = run_cli(tmp_path, "pde-compare", cfg)
+    assert status == 0
+    lines = (out / "pde_compare.csv").read_text().strip().splitlines()
+    assert lines[0] == "tau,l1_gap"
+    taus, gaps = zip(*[map(float, r.split(",")) for r in lines[1:]])
+    assert taus == (0.02, 0.01)
+    assert 0.0 < gaps[1] < gaps[0]
+
+
 def test_determinism_bit_identical(tmp_path):
     cfg = {"space": "cone", "n_probes": 25}
     s1, out1 = run_cli(tmp_path, "geometry-probe", cfg, name="a.json")
@@ -344,6 +367,13 @@ DIRAC9 = {"domain": NINE, "measure1": {"kind": "uniform", "value": 1.0}}
     ("mm-run", {**FLOW9, "domain": {"lower": [0.0], "upper": [1.0],
                                     "nodse": [9]},
                 "tau": 0.05, "n_steps": 1}, "domain.nodse"),
+    # a tau that does not divide t_final, checked before any trajectory
+    ("pde-compare", {**FLOW9, "t_final": 0.05, "tau_list": [0.1]},
+     "tau_list[0]"),
+    ("pde-compare", {**FLOW9, "t_final": 0.05, "tau_list": [0.05, 0.02]},
+     "tau_list[1]"),
+    ("convergence-study", {**FLOW9, "t_final": 0.05,
+                           "tau_list": [0.02, 0.01]}, "tau_list[0]"),
 ])
 def test_bad_value_exit_2_naming_its_field(tmp_path, monkeypatch, caplog,
                                            verb, cfg, path):

@@ -103,6 +103,9 @@ def test_entropy_from_json_families():
      "entropy.recession_slope"),
     ({"family": "neg_power", "q": "0.5"}, "entropy.q"),
     ({"alpha": 1.0}, "entropy.family"),
+    # a declared convexity modulus that no code read
+    ({"family": "custom_table", "c": [0.0, 1.0], "E": [0.0, 1.0],
+      "recession_slope": 1.0, "lambda": 0.0}, "entropy.lambda"),
 ])
 def test_entropy_from_json_rejects_bad_fields(spec, path):
     with pytest.raises(ValueError, match=path.replace(".", r"\.")):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import hkflow.evi
-from hkflow.entropy import eval_functional, power_mass_entropy
+from hkflow.entropy import power_mass_entropy
 from hkflow.evi import (contraction_check, convergence_study,
                         default_observers, distances_squared_along,
                         error_budget, evi_check, evi_residual_matrix,
-                        interpolate_constant_left, lambda_star)
+                        interpolate_constant_left, lambda_star, step_counts)
 from hkflow.hk import hk_distance_squared, shk_from_hk_squared
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
-from hkflow.mm import MMTrajectory, mm_trajectory
+from hkflow.mm import MMTrajectory, check_density_bounds, mm_trajectory
 
 from conftest import sinusoid_measure, unconverged
 
@@ -44,9 +44,8 @@ def test_stationary_trajectory_residual_zero(interval33):
     # minimizer itself as observer it is exactly zero
     E = quadratic_entropy()
     mu = uniform_measure(interval33, 0.5)
-    traj = MMTrajectory(0.05, [mu] * 5, [0.0] * 4, [
-        eval_functional(E, mu)] * 4)
-    rep = evi_check(traj, E, lam=-2.0, observers=[mu])
+    traj = MMTrajectory(0.05, [mu] * 5, [0.0] * 4, "hk", E)
+    rep = evi_check(traj, lam=-2.0, observers=[mu])
     assert abs(rep.worst_residual) <= 1e-8
 
 
@@ -54,7 +53,7 @@ def test_evi_residuals_negative_on_flow(interval33):
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.5)
     traj = mm_trajectory(mu0, 0.02, 5, E, metric="hk")
-    rep = evi_check(traj, E, lam=-2.0)
+    rep = evi_check(traj, lam=-2.0)
     assert rep.worst_residual <= 1e-6
     # the corrected parameter is the weaker requirement
     assert rep.worst_residual <= rep.worst_residual_lambda + 1e-12
@@ -68,7 +67,7 @@ def test_residual_shrinks_with_tau(interval33):
     for tau in (0.08, 0.04):
         n = int(round(0.16 / tau))
         traj = mm_trajectory(mu0, tau, n, E, metric="hk")
-        rep = evi_check(traj, E, lam=-2.0)
+        rep = evi_check(traj, lam=-2.0)
         assert rep.worst_residual <= 1e-6
         worsts.append(abs(rep.worst_residual))
     assert worsts[0] / worsts[1] >= 1.2
@@ -188,3 +187,50 @@ def test_unconverged_verification_distance_raises(interval17, monkeypatch):
     mu1 = sinusoid_measure(interval17, base=0.6, amplitude=0.2)
     with pytest.raises(RuntimeError, match="pair 0 .*marginal error"):
         distances_squared_along([mu0, mu1], mu1)
+
+
+def _unit_mass(measure):
+    return DiscreteMeasure(measure.domain, measure.density / measure.mass)
+
+
+def test_shk_checks_read_the_trajectory_metric(interval33):
+    # the values of the same checks with the metric passed by hand as
+    # "shk"; the HK checks of this trajectory give a worst residual of
+    # 3.8e-4 and an L1 budget of 0.0734658
+    E = quadratic_entropy()
+    mu0 = _unit_mass(sinusoid_measure(interval33, base=1.0, amplitude=0.3))
+    traj = mm_trajectory(mu0, 0.02, 4, E, metric="shk")
+    close = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
+    rep = evi_check(traj, lam=-2.0)
+    assert rep.worst_residual == close(3.9262812207465595e-05)
+    assert rep.worst_residual_lambda == close(6.565649330426463e-05)
+    budget = error_budget(traj, kappa=2.0, lam=-2.0)
+    assert budget.weighted_l1 == close(0.07346313175479957)
+    assert budget.l1_bound == close(0.10359056375139038)
+    assert list(budget.deltas) == close([
+        2.620106214355505, 1.0871121002797408, 0.2923921890789331,
+        0.034864300058555])
+    bounds = check_density_bounds(traj)
+    assert bounds["ok"]
+    assert [r["lower"] for r in bounds["steps"]] == close([
+        0.7, 0.8324964879160757, 0.8669630144267702, 0.8841240019743594])
+    assert [r["upper"] for r in bounds["steps"]] == close([
+        1.3, 1.1580157346585542, 1.1315064799680776, 1.1124788693849674])
+
+
+def test_contraction_of_different_metrics_raises(interval17):
+    E = quadratic_entropy()
+    mu0 = _unit_mass(sinusoid_measure(interval17, base=1.0, amplitude=0.3))
+    hk = mm_trajectory(mu0, 0.02, 2, E, metric="hk")
+    shk = mm_trajectory(mu0, 0.02, 2, E, metric="shk")
+    budgets = [error_budget(t, kappa=2.0, lam=-2.0) for t in (hk, shk)]
+    with pytest.raises(ValueError, match="different metrics"):
+        contraction_check(hk, shk, -2.0, *budgets)
+
+
+
+def test_step_counts_accept_rounded_ratios():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    assert step_counts(0.3, [0.1, 0.05]) == [3, 6]
+    assert step_counts(0.04, [0.02, 0.01, 0.005]) == [2, 4, 8]
+

@@ -110,7 +110,7 @@ def test_shk_trajectory_extremes_nested(interval33):
     mu0 = sinusoid_measure(interval33, base=1.0, amplitude=0.3)
     prob = DiscreteMeasure(interval33, mu0.density / mu0.mass)
     traj = mm_trajectory(prob, 0.02, 6, E, metric="shk")
-    rep = check_density_bounds(traj, E, metric="shk", slack=1e-6)
+    rep = check_density_bounds(traj, slack=1e-6)
     assert rep["ok"]
 
 
@@ -118,7 +118,7 @@ def test_hk_trajectory_density_bounds(interval33):
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33, base=0.5, amplitude=0.1)
     traj = mm_trajectory(mu0, 0.05, 6, E, metric="hk")
-    rep = check_density_bounds(traj, E, slack=1e-6)
+    rep = check_density_bounds(traj, slack=1e-6)
     assert rep["ok"]
     # global envelope: never below min(initial min, c_low)
     floor = iterate_lower_bound(float(np.min(mu0.density)), E.c_low)
@@ -172,7 +172,7 @@ def test_trajectory_bookkeeping(interval33):
     assert len(traj.distances_squared) == 3
     assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15])
     assert traj.slope_surrogates.shape == (3,)
-    energies = traj.energy(E)
+    energies = traj.energy()
     assert np.all(np.diff(energies) <= 1e-9)
 
 
@@ -309,7 +309,7 @@ def test_table_entropy_flow_takes_lbfgs(interval33):
     assert E.conjugate is None
     mu0 = sinusoid_measure(interval33)
     traj = mm_trajectory(mu0, 0.05, 2, E, metric="hk")
-    energies = traj.energy(E)
+    energies = traj.energy()
     for k, d2 in enumerate(traj.distances_squared):
         assert energies[k + 1] + d2 / 0.1 <= energies[k] + 1e-9
 
@@ -336,6 +336,20 @@ def test_flow_from_zero_measure_matches_scalar_steps():
         c = scalar_mm_step(c, 0.05, E)
         assert c == pytest.approx((k * 0.05) ** 2, rel=1e-9)
         assert np.allclose(traj.measures[k].density, c, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.001, 0.05])
+def test_step_from_zero_to_relative_accuracy(tau):
+    # E = -sqrt(c) from nothing: 1 + 2 tau E'(c) = 1 - tau / sqrt(c) = 0
+    # at c = tau^2, which the bisection must hit to its relative width
+    # however far below 1 the level is
+    E = neg_power_entropy(0.5, 1.0)
+    assert scalar_mm_step(0.0, tau, E) == pytest.approx(tau**2, rel=1e-11,
+                                                        abs=0.0)
+    dom = unit_interval(9)
+    res = mm_step(DiscreteMeasure(dom, np.zeros(dom.n_nodes)), tau, E)
+    assert res.converged
+    assert np.allclose(res.measure.density, tau**2, rtol=1e-11, atol=0.0)
 
 
 def test_step_from_zero_measure_without_conjugate():
