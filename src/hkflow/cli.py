@@ -34,8 +34,8 @@ from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, transfer_ratio_minimum,
                        two_dirac_space)
-from .hk import (has_unit_mass, hk_distance_squared, hk_two_diracs,
-                 is_spherical, shk_from_hk_squared)
+from .hk import (NEWTON_TOL, has_unit_mass, hk_distance_squared,
+                 hk_two_diracs, is_spherical, shk_from_hk_squared)
 from .measures import DiscreteMeasure, GridDomain
 from .mm import mm_trajectory
 from .pde import hk_flow_pde, shk_flow_pde
@@ -46,6 +46,9 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# gaps below the marginal mass error a converged solve may leave are noise
+GAP_FLOOR = 1e3 * NEWTON_TOL
 
 
 def _setup_logging() -> None:
@@ -134,8 +137,10 @@ def measure_from_config(cfg, domain: GridDomain, path: str) -> DiscreteMeasure:
 
 
 def _shrinking(gaps: list) -> int:
-    """EXIT_OK unless a gap exceeds the one before it by over 1e-9."""
-    grew = any(g1 > g0 * (1.0 + 1e-9) for g0, g1 in zip(gaps, gaps[1:]))
+    """EXIT_OK unless a gap exceeds both the one before it by over 1e-9
+    relative and GAP_FLOOR."""
+    grew = any(g1 > max(g0 * (1.0 + 1e-9), GAP_FLOOR)
+               for g0, g1 in zip(gaps, gaps[1:]))
     return EXIT_ASSERTION if grew else EXIT_OK
 
 

@@ -8,10 +8,11 @@ Two built-in families are provided:
 
 Custom tables interpolate (c, E(c)) samples with a monotone cubic.
 
-``power_mass`` and ``neg_power`` with beta > 0 also carry their convex
-conjugate E*(p) = sup_{c >= 0} (p c - E(c)) in closed form, through which
-the minimizing-movement step is one concave maximization; tables, linear
-and zero energies carry none.
+``power_mass``, ``neg_power`` with beta > 0 and tables also carry their
+convex conjugate E*(p) = sup_{c >= 0} (p c - E(c)), in closed form or (for
+tables) piece by piece, through which the minimizing-movement step is one
+concave maximization.  Linear and zero energies carry none: their steps
+have closed forms.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class EntropySpec:
     d2e: Callable[[np.ndarray], np.ndarray]
     recession_slope: float  # lim E(t)/t, may be +inf
     c_low: Optional[float] = None  # witness with E'(c_low) < 0, if any
-    # p -> (rho, E*(p), E*''(p)) with rho = E*'(p) the maximizing level and
-    # E*'' = 1 / E''(rho); E* is +inf outside its domain.  None when E has
-    # no closed-form conjugate or is not strictly convex.
+    # p -> (rho, E*(p), E*''(p)) for a 1-D array p, with rho = E*'(p) the
+    # maximizing level and E*'' = 1 / E''(rho); E* is +inf outside its
+    # domain.  None exactly for the linear energies (E'' = 0).
     conjugate: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, c):
@@ -153,11 +154,48 @@ def linear_entropy(gamma: float) -> EntropySpec:
 
 
 def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
-    """Monotone-cubic interpolation of (c, E(c)) samples."""
+    """Monotone-cubic interpolation of (c, E(c)) samples.
+
+    Its conjugate is the sup of p c - E(c) over [0, c_max], c_max the
+    largest sample, taken exactly piece by piece: the candidates are each
+    piece's ends and the roots of E' = p on it (E' is quadratic), the first
+    piece reaching down to 0.  A step therefore stays in [0, c_max], and a
+    non-convex table steps as its convex hull."""
     interp = PchipInterpolator(np.asarray(c_samples, float),
                                np.asarray(e_samples, float))
-    spec = EntropySpec(interp, interp.derivative(1), interp.derivative(2),
-                       recession_slope=recession_slope)
+    x = interp.x
+    lo = np.maximum(x[:-1], 0.0)
+    lo[0] = 0.0
+    keep = x[1:] > lo
+    # piece k: E' = (3 a t + 2 b) t + d at t = c - x_k, t in [t_lo, t_hi]
+    a, b, d = interp.c[:3, keep]
+    start = x[:-1][keep]
+    t_lo, t_hi = lo[keep] - start, x[1:][keep] - start
+    c_max = float(x[-1])
+    ends = np.append(lo[keep], c_max)
+    d2e = interp.derivative(2)
+
+    def conjugate(p):
+        p = np.asarray(p, dtype=float)
+        rhs = d - p[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * rhs), b))
+            t = np.stack([q / (3.0 * a), rhs / q], axis=-1)
+        # a root off its piece (or none: nan) becomes one of its ends
+        t = np.clip(np.nan_to_num(t, nan=0.0), t_lo[:, None], t_hi[:, None])
+        rho = np.hstack([np.broadcast_to(ends, (p.size, ends.size)),
+                         (start[:, None] + t).reshape(p.size, -1)])
+        val = p[:, None] * rho - interp(rho)
+        best = np.argmax(val, axis=1)[:, None]
+        rho = np.take_along_axis(rho, best, 1)[:, 0]
+        curv = d2e(rho)
+        with np.errstate(divide="ignore"):
+            curv = np.where((rho > 0) & (rho < c_max),
+                            1.0 / np.maximum(curv, 0.0), 0.0)
+        return rho, np.take_along_axis(val, best, 1)[:, 0], curv
+
+    spec = EntropySpec(interp, interp.derivative(1), d2e,
+                       recession_slope=recession_slope, conjugate=conjugate)
     return replace(spec, c_low=find_c_low(spec, float(np.min(c_samples)),
                                           float(np.max(c_samples))))
 

@@ -29,9 +29,9 @@ g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes
 the overshoot of the previous level's plan before Newton takes over.  A
 warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
-The same Newton loop solves the minimizing-movement step of ``mm``: the
-dual is linear in the target masses, which it then maximizes over jointly,
-through the convex conjugate of the energy.
+The same Newton loop solves every minimizing-movement step of ``mm`` that
+has no closed form: the dual is linear in the target masses, which it then
+maximizes over jointly, through the convex conjugate of the energy.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -117,10 +117,8 @@ class HKResult:
     """Solver output: squared distance plus certificates.
 
     ``dual_value`` is the regularized dual objective at the returned
-    potentials (a smooth surrogate of the squared distance) and
-    ``target_slope`` its exact derivative with respect to each target
-    node mass; together they give consistent value/gradient pairs for
-    outer optimizations over the target measure.  ``level_iterations``
+    potentials (a smooth surrogate of the squared distance).
+    ``level_iterations``
     holds the Newton count of each regularization level that ran, in
     order; they sum to ``iterations``.  ``level_support`` holds, per level
     in the same order, the kept plan entries of each support the level
@@ -137,7 +135,6 @@ class HKResult:
     converged: bool
     eps_final: float = 0.0
     dual_value: float = 0.0
-    target_slope: np.ndarray | None = None
     level_iterations: tuple = ()
     level_support: tuple = ()
 
@@ -158,8 +155,7 @@ class DualSolve(NamedTuple):
     c_ij) / eps), the potentials, the extra dual variables and target masses
     b of a conjugate term, per-level Newton counts and kept supports (of a
     warm attempt, then of the cold rerun if one followed), the last eps, the
-    gradient max-norm, the converged verdict, the dual value and the plan's
-    column sums."""
+    gradient max-norm, the converged verdict and the dual value."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -172,7 +168,6 @@ class DualSolve(NamedTuple):
     gnorm: float
     converged: bool
     value: float
-    col_sums: np.ndarray
 
 
 class _Point(NamedTuple):
@@ -315,8 +310,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     more than 1e-3 tol, the support is chosen again from there and the
     level goes on; if it exceeds the pass's first gradient, the level
     restarts from that first point on the full plan.  Every level thus ends
-    on a full evaluation, and the returned plan, gradient, dual value and
-    column sums are those of the full plan.
+    on a full evaluation, and the returned plan, gradient and dual value
+    are those of the full plan.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
@@ -464,7 +459,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
         g, theta, b = pt.g, pt.theta, pt.b
     return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
                      tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
-                     pt.val, pt.s)
+                     pt.val)
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -503,7 +498,6 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     plan = np.zeros((n, n))
     f_full = np.zeros(n)
     g_full = np.zeros(n)
-    slope = np.ones(n)  # slope 1 where no transport partner exists
     value = dual = base
     levels = supports = ()
     eps, gnorm, converged = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0, True
@@ -516,19 +510,14 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
                            scaled_tol, warm=warm)
         levels, supports, converged = sol.levels, sol.supports, sol.converged
-        plan_r, f_r, g_r = sol.plan, sol.f, sol.g
-        eps, gnorm, dual_r, s_r = sol.eps, sol.gnorm, sol.value, sol.col_sums
-        plan[np.ix_(rows, cols)] = plan_r
-        f_full[rows] = f_r
-        g_full[cols] = g_r
-        value = base + let_cost(plan_r, a_r, b_r, cost_r)
-        dual = base + dual_r
-        # exact derivative of the regularized dual value with respect to
-        # each target node mass
-        slope[cols] = ((1.0 - np.exp(-g_r))
-                       - eps * (s_r / b_r - float(a_r.sum())))
+        eps, gnorm = sol.eps, sol.gnorm
+        plan[np.ix_(rows, cols)] = sol.plan
+        f_full[rows] = sol.f
+        g_full[cols] = sol.g
+        value = base + let_cost(sol.plan, a_r, b_r, cost_r)
+        dual = base + sol.value
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
-                    sum(levels), converged, eps, float(dual), slope, levels,
+                    sum(levels), converged, eps, float(dual), levels,
                     supports)
 
 

@@ -13,11 +13,11 @@ potentials of the distance solve: its regularized dual is linear in the
 target masses, so the minimum over the new density is the energy's convex
 conjugate (the generic formulation of Chizat, Peyre, Schmitzer & Vialard,
 Math. Comp. 2018, applied to gradient-flow steps as in Peyre, SIAM J.
-Imaging Sci. 2015).  From the zero measure the HK step is separable and
-has a closed form.  Energies without a closed-form conjugate and
-density-capped steps take L-BFGS-B over log-densities instead, with exact
-gradients from the dual potentials.  hk.is_spherical picks the step a name
-selects."""
+Imaging Sci. 2015).  The steps of the other cases have closed forms, each
+certified by one distance solve: from the zero measure the HK step is
+separable, and an energy without a conjugate is linear, E = gamma c, so
+it depends on the mass alone and its HK step scales the input (its SHK
+step keeps it).  hk.is_spherical picks the step a name selects."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import EntropySpec, eval_functional
 from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
@@ -33,11 +32,6 @@ from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
                  hk_distance_squared, is_spherical, regularized_dual,
                  shk_from_hk_squared, shk_squared_derivative)
 from .measures import DiscreteMeasure
-
-# L-BFGS-B settings of the implicit steps without a conjugate: gradient
-# tolerance on the log-densities, iteration cap
-STEP_GRAD_TOL = 1e-7
-STEP_MAX_ITER = 500
 
 # eps schedule of the dual step: the distance solve's, continued to 1e-8.
 # At a final eps of 1e-6 the regularized minimizer moves uniform SHK data by
@@ -60,7 +54,9 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
     With no transport the squared distance between constant levels is the
     pure reaction cost c0 + c - 2 sqrt(c0 c), whose c-derivative gives the
     optimality condition above.  From c0 = 0 the cost is c, and the step is
-    0 unless E'(0) < -1 / (2 tau).
+    0 unless E'(0) < -1 / (2 tau).  A level that grows without bound (E'
+    below -1 / (2 tau) at every level) has no step: the objective is
+    unbounded below, and the step raises ValueError.
     """
     if c0 < 0 or tau <= 0:
         raise ValueError("needs nonnegative level and positive step")
@@ -80,8 +76,9 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
         hi *= 2.0
         grow += 1
         if grow > 200:
-            raise RuntimeError("scalar step does not stabilize: "
-                               "E' too negative at large levels")
+            raise ValueError(f"the step objective is unbounded below at "
+                             f"tau = {tau:g}: 1 + 2 tau E' < 0 at every "
+                             "level")
     while hi - lo > 1e-12 * hi and hi > 1e-300:
         mid = 0.5 * (lo + hi)
         if phi(mid) < 0:
@@ -141,11 +138,10 @@ class MMStepResult:
     measure, with d^2 from the step's final distance solve's dual value;
     ``distance_squared`` and ``plan`` are that solve's.  On the dual path
     ``iterations`` counts the step's Newton iterations and ``grad_norm`` is
-    the max-norm of the dual gradient at its end; on the L-BFGS-B path they
-    are L-BFGS-B iterations and the max-norm of the log-density gradient.
-    ``warm`` = (g, lam, s) is the state the next step starts from: the
-    target potentials over all nodes, the spherical mass multiplier and step
-    scale (0 and 1 on the L-BFGS-B path)."""
+    the max-norm of the dual gradient at its end; a closed-form step has
+    both 0.  ``warm`` = (g, lam, s) is the state the next step starts from:
+    the target potentials over all nodes, the spherical mass multiplier and
+    step scale (0 and 1 after a closed-form step)."""
 
     measure: DiscreteMeasure
     objective: float
@@ -157,39 +153,35 @@ class MMStepResult:
     warm: tuple | None = None
 
 
-def _implicit_step(mu0, tau, E, spherical, x0, warm,
-                   density_cap) -> MMStepResult:
+def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     """Implicit step of either metric from warm, a previous step's ``warm``
-    or None.  A step from the zero measure (which has no source potentials)
-    takes its closed form; otherwise an energy with a closed-form conjugate
-    takes the concave dual step, and linear, zero and table energies and
-    capped steps take L-BFGS-B."""
+    or None.  An energy with a conjugate takes the concave dual step from a
+    source with mass; every other step has a closed form:
+
+    * from the zero measure HK^2 = mass(nu), so each node minimizes
+      rho / (2 tau) + E(rho) on its own: rho = scalar_mm_step(0, tau, E);
+    * a linear energy depends on the mass alone, and HK^2(mu0, nu) >=
+      (sqrt m0 - sqrt m1)^2 with equality at nu = c mu0, so its HK step is
+      c mu0 with c = scalar_mm_step(1, tau, E); its SHK step is mu0.
+
+    One distance solve, warm-started from warm, certifies a closed form."""
     if tau <= 0:
         raise ValueError("step size must be positive")
     if mu0.mass == 0:
-        return _zero_source_step(mu0, tau, E, density_cap)
-    if E.conjugate is not None and density_cap is None:
-        return _dual_step(mu0, tau, E, spherical, x0, warm)
-    return _lbfgs_step(mu0, tau, E, spherical, x0, warm, density_cap)
-
-
-def _zero_source_step(mu0, tau, E, density_cap) -> MMStepResult:
-    """HK step from the zero measure.  With no source HK^2 = mass(nu), so
-    each node minimizes rho / (2 tau) + E(rho) on its own: rho is the
-    scalar step from 0, held below the cap, and the cap itself where
-    1 + 2 tau E' < 0 there.  One distance solve certifies the step; it has
-    no potentials to warm-start the next one."""
-    w = mu0.domain.weights
-    cap = math.inf if density_cap is None else density_cap
-    if cap < math.inf and 1.0 + 2.0 * tau * float(E.derivative(cap)) < 0:
-        level = cap
+        rho = np.full(mu0.density.size, scalar_mm_step(0.0, tau, E))
+    elif E.conjugate is None:
+        rho = (1.0 if spherical else scalar_mm_step(1.0, tau, E)) * mu0.density
     else:
-        level = min(scalar_mm_step(0.0, tau, E), cap)
-    nu = DiscreteMeasure(mu0.domain, np.full(w.size, level))
-    final = hk_distance_squared(mu0, nu)
-    return MMStepResult(nu, final.dual_value / (2.0 * tau)
-                        + float(w @ E(nu.density)), final.hk_squared, 0.0, 0,
-                        final.converged, final.plan)
+        return _dual_step(mu0, tau, E, spherical, x0, warm)
+    nu = DiscreteMeasure(mu0.domain, rho)
+    final = hk_distance_squared(mu0, nu,
+                                warm_start=None if warm is None else warm[0])
+    d2 = _metric_d2(spherical, final.dual_value)[0]
+    return MMStepResult(nu, d2 / (2.0 * tau)
+                        + float(mu0.domain.weights @ E(rho)),
+                        _metric_d2(spherical, final.hk_squared)[0], 0.0, 0,
+                        final.converged, final.plan,
+                        (final.potential_target, 0.0, 1.0))
 
 
 def _metric_d2(spherical, hk2):
@@ -254,6 +246,12 @@ class _ConjugateTerm:
                 lam = hi - max(1.0, abs(hi))
             else:
                 lam = 0.5 * (lo + hi)
+        if math.isinf(lo) and excess < -1e-15:
+            # the mass stays below 1 however low lam goes: a table's steps
+            # stay in [0, c_max], which may hold no unit-mass density
+            raise ValueError("no unit-mass density within the energy's "
+                             "domain: the spherical step has no admissible "
+                             "measure")
         return np.array([lam])
 
 
@@ -328,86 +326,13 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
                         final.plan, (sol.g, lam, s))
 
 
-def _lbfgs_step(mu0, tau, E, spherical, x0, warm,
-                density_cap) -> MMStepResult:
-    """Implicit step of either metric, by L-BFGS-B over u = log density.
-
-    The squared-distance part of the gradient comes from the converged
-    dual potentials, exact at the optimum by the envelope argument.  With
-    spherical set, u maps to the unit-mass density e^u / (w . e^u) and
-    HK^2 to SHK^2.  A density cap is a box constraint on u.  Distance solves
-    are warm-started from the last one (the first from warm).  As u hides
-    the gradient where rho is about 0, convergence also asks the
-    rho-problem's sign condition there: dJ/drho_j / w_j >= -1e3
-    STEP_GRAD_TOL, less the mass multiplier rho . dJ/drho when
-    spherical."""
-    dom = mu0.domain
-    w = dom.weights
-    g_warm = None if warm is None else warm[0]
-
-    def density(u):
-        if not spherical:
-            return np.exp(u)
-        e = np.exp(u - np.max(u))
-        return e / float(w @ e)
-
-    def solve(rho):
-        nonlocal g_warm
-        res = hk_distance_squared(mu0, DiscreteMeasure(dom, rho),
-                                  warm_start=g_warm)
-        g_warm = res.potential_target
-        return res
-
-    def objective(rho, res):
-        """J = d^2 / (2 tau) + E at rho, and dJ/drho, from rho's solve."""
-        d2, slope = _metric_d2(spherical, res.dual_value)
-        g_rho = (slope * (w * res.target_slope) / (2.0 * tau)
-                 + w * E.derivative(rho))
-        return d2 / (2.0 * tau) + float(w @ E(rho)), g_rho
-
-    def fun(u):
-        rho = density(u)
-        val, g_rho = objective(rho, solve(rho))
-        grad_u = rho * g_rho
-        if spherical:
-            # chain rule through the normalization rho = e^u / (w . e^u)
-            grad_u = grad_u - w * rho * float(rho @ g_rho)
-        return val, grad_u
-
-    u0 = np.log(np.maximum(mu0.density if x0 is None else x0, 1e-14))
-    bounds = None
-    if density_cap is not None:
-        cap = math.log(density_cap)
-        u0 = np.minimum(u0, cap)
-        bounds = [(None, cap)] * u0.size
-    out = minimize(fun, u0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": STEP_MAX_ITER, "gtol": STEP_GRAD_TOL,
-                            "ftol": 1e-14})
-    rho1 = density(out.x)
-    final = solve(rho1)
-    g_rho = objective(rho1, final)[1]
-    slack = g_rho / w - (float(rho1 @ g_rho) if spherical else 0.0)
-    empty = rho1 <= 1e-10 * float(np.max(rho1))
-    grad_norm = float(np.max(np.abs(out.jac)))
-    converged = bool((out.success or grad_norm < 10 * STEP_GRAD_TOL)
-                     and np.all(slack[empty] >= -1e3 * STEP_GRAD_TOL)
-                     and final.converged)
-    return MMStepResult(DiscreteMeasure(dom, rho1), float(out.fun),
-                        _metric_d2(spherical, final.hk_squared)[0],
-                        grad_norm, int(out.nit), converged, final.plan,
-                        (final.potential_target, 0.0, 1.0))
-
-
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-            x0: np.ndarray | None = None, warm=None,
-            density_cap: float | None = None) -> MMStepResult:
-    """Implicit step in the transport-growth metric.  A density cap bounds
-    the new density from above, for hard-constrained functionals such as
-    the linear-below-one limit energy.  x0 (default: mu0's density) is the
-    starting density: the target of the first opening sweep on the dual
-    path, the L-BFGS-B start otherwise.  warm is the previous step's
+            x0: np.ndarray | None = None, warm=None) -> MMStepResult:
+    """Implicit step in the transport-growth metric.  x0 (default: mu0's
+    density) is the target of the dual step's first opening sweep; a
+    closed-form step does not read it.  warm is the previous step's
     ``warm`` (default None: a cold start)."""
-    return _implicit_step(mu0, tau, E, False, x0, warm, density_cap)
+    return _implicit_step(mu0, tau, E, False, x0, warm)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
@@ -416,7 +341,7 @@ def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
     and warm as in mm_step."""
     if not has_unit_mass(mu0):
         raise ValueError("spherical step requires a unit-mass input")
-    return _implicit_step(mu0, tau, E, True, x0, warm, None)
+    return _implicit_step(mu0, tau, E, True, x0, warm)
 
 
 @dataclass
@@ -447,16 +372,11 @@ class MMTrajectory:
 
 
 def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
-                  E: EntropySpec, metric: str = "hk",
-                  density_cap: float | None = None) -> MMTrajectory:
+                  E: EntropySpec, metric: str = "hk") -> MMTrajectory:
     """Iterate implicit steps from mu0; metric is "hk" or "shk".  Distance
-    solves are warm-started across steps; density_cap (HK only) bounds
-    every iterate as in mm_step.  Solver accuracy is fixed:
-    STEP_EPS_SCHEDULE, STEP_GRAD_TOL and STEP_MAX_ITER here, the Newton
-    settings in hk."""
+    solves are warm-started across steps.  Solver accuracy is fixed:
+    STEP_EPS_SCHEDULE here, the Newton settings in hk."""
     spherical = is_spherical(metric)
-    if spherical and density_cap is not None:
-        raise ValueError("density_cap applies to the HK step only")
     measures = [mu0]
     d2 = []
     warm = None
@@ -465,7 +385,7 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
         if spherical:
             res = shk_mm_step(cur, tau, E, warm=warm)
         else:
-            res = mm_step(cur, tau, E, warm=warm, density_cap=density_cap)
+            res = mm_step(cur, tau, E, warm=warm)
         warm = res.warm
         if not res.converged:
             raise RuntimeError(f"implicit step {k + 1} did not converge: "
@@ -481,7 +401,7 @@ def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
                       metric: str = "hk") -> float:
     """Largest pairwise objective gap of the step output from mu0's density
     and two seeded random perturbations of it as x0, which seeds the dual
-    step's first opening sweep (the L-BFGS-B start without a conjugate)."""
+    step's first opening sweep."""
     rng = np.random.default_rng(0)
     step = shk_mm_step if is_spherical(metric) else mm_step
     outs = [step(mu0, tau, E).objective]

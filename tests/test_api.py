@@ -1,8 +1,10 @@
 """Shape of the public API: solver settings are fixed where they are used,
 so no public callable forwards keyword arguments it does not name."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import hkflow
 from hkflow.hk import hk_distance_squared
@@ -37,7 +39,11 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 "MMTrajectory.energy": {"E"}, "MMTrajectory": {"objectives"},
                 # fields and settings that nothing read
                 "EntropySpec": {"family", "params", "convexity_modulus"},
-                "table_entropy": {"convexity_modulus"}}
+                "table_entropy": {"convexity_modulus"},
+                # every implicit step is the dual step or a closed form; the
+                # cap and the slope the L-BFGS-B step read are gone
+                "mm_step": {"density_cap"}, "mm_trajectory": {"density_cap"},
+                "HKResult": {"target_slope"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),
@@ -67,3 +73,22 @@ def test_removed_settings_stay_removed():
             if (p in REMOVED or p in REMOVED_FROM.get(name, ()))
             and (name, p) not in KEPT]
     assert back == []
+
+
+def test_no_unused_imports():
+    # each library module uses every name it imports; the package's own
+    # imports are its exports
+    unused = []
+    for path in sorted(Path(hkflow.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported - used]
+    assert sorted(unused) == []

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -160,6 +161,42 @@ def test_mm_run_from_zero_measure(tmp_path):
     assert masses == pytest.approx([0.0, 0.0025, 0.01, 0.0225], rel=1e-6)
 
 
+@pytest.mark.parametrize("entropy", [
+    {"family": "linear", "gamma": -2.0},
+    {"family": "custom_table", "c": [0.1 * k for k in range(31)],
+     "E": [(0.1 * k) ** 2 - 0.1 * k for k in range(31)],
+     "recession_slope": 5.0}])
+def test_mm_run_linear_and_table_energies(tmp_path, entropy):
+    cfg = {"domain": {"lower": [0.0], "upper": [1.0], "nodes": [33]},
+           "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+           "entropy": entropy, "tau": 0.05, "n_steps": 4}
+    status, out = run_cli(tmp_path, "mm-run", cfg)
+    assert status == 0
+    lines = (out / "mm_run.csv").read_text().strip().splitlines()
+    masses = [float(r.split(",")[2]) for r in lines[1:]]
+    if entropy["family"] == "linear":
+        # E = -2 mass scales the input by 1 / (1 + 2 tau gamma)^2 per step
+        assert masses == pytest.approx([0.8 * 1.5625**k for k in range(5)],
+                                       rel=1e-12, abs=0.0)
+    else:
+        # the table's steps stay inside it
+        assert all(0.0 <= float(r.split(",")[3]) and
+                   float(r.split(",")[4]) <= 3.0 for r in lines[1:])
+
+
+def test_mm_run_unbounded_step_exit_2(tmp_path, recwarn):
+    # E = -20 mass at tau = 0.05: 1 + 2 tau gamma < 0, so the step objective
+    # falls without bound as the mass grows and no step exists
+    cfg = {"domain": {"lower": [0.0], "upper": [1.0], "nodes": [33]},
+           "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+           "entropy": {"family": "linear", "gamma": -20.0},
+           "tau": 0.05, "n_steps": 4}
+    status, out = run_cli(tmp_path, "mm-run", cfg)
+    assert status == 2
+    assert not (out / "mm_run.csv").exists()
+    assert len(recwarn) == 0
+
+
 def test_appendix_check_witness_exit_1(tmp_path):
     status, out = run_cli(tmp_path, "appendix-check", {"p": 0.4, "grid": 120})
     assert status == 1
@@ -205,6 +242,29 @@ def test_pde_compare_gap_shrinks_with_tau(tmp_path):
     taus, gaps = zip(*[map(float, r.split(",")) for r in lines[1:]])
     assert taus == (0.02, 0.01)
     assert 0.0 < gaps[1] < gaps[0]
+
+
+def test_pde_compare_noise_gaps_exit_0(tmp_path):
+    # the SHK flow of uniform data is stationary: both gaps are solver noise
+    # (about 1e-9) below GAP_FLOOR, so their order decides nothing
+    cfg = {**FLOW, "metric": "shk", "t_final": 0.02, "tau_list": [0.02, 0.01]}
+    status, out = run_cli(tmp_path, "pde-compare", cfg)
+    assert status == 0
+    gaps = [float(r.split(",")[1]) for r in
+            (out / "pde_compare.csv").read_text().strip().splitlines()[1:]]
+    assert max(gaps) < hkflow.cli.GAP_FLOOR
+
+
+def test_growing_gaps_above_the_floor_exit_1(tmp_path, monkeypatch):
+    rows = [{"tau": tau, "sup_gap": gap, "trajectory": None}
+            for tau, gap in ((0.04, 1e-3), (0.02, 2e-3))]
+    monkeypatch.setattr(hkflow.cli, "convergence_study",
+                        lambda *args: rows)
+    monkeypatch.setattr(hkflow.cli, "evi_check",
+                        lambda *args: SimpleNamespace(worst_residual=0.0))
+    cfg = {**FLOW, "tau_list": [0.04, 0.02, 0.01], "t_final": 0.04}
+    status, _ = run_cli(tmp_path, "convergence-study", cfg)
+    assert status == 1
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -181,6 +181,36 @@ def test_closed_form_conjugates():
     assert np.all(np.isinf(neg_power_entropy(0.5, 1.0).conjugate(
         np.array([0.0, 1.0]))[1]))
     for E in (neg_power_entropy(0.5, 0.0), linear_entropy(-1.0),
-              zero_entropy(), table_entropy([0.0, 1.0, 2.0], [0.0, 1.0, 4.0],
-                                            recession_slope=math.inf)):
+              zero_entropy()):
         assert E.conjugate is None
+
+
+@pytest.mark.parametrize("samples", [lambda c: c * c - c,
+                                     lambda c: -20.0 * np.sqrt(c)])
+def test_table_conjugate_is_the_sup_over_the_table(samples):
+    # E*(p) = sup of p c - E(c) over [0, c_max], against a brute-force sup:
+    # a 3e5-point grid, refined around its best point.  The -20 sqrt(c)
+    # interpolant is not convex (E'' reaches -79).
+    c = np.linspace(0.0, 3.0, 31)
+    E = table_entropy(c, samples(c), recession_slope=0.0)
+    lo, hi = float(E.derivative(0.0)), float(E.derivative(3.0))
+    # below E'(0), across the range of E', above E'(c_max)
+    p = np.concatenate([lo - np.array([5.0, 0.5]), np.linspace(lo, hi, 23),
+                        hi + np.array([0.5, 5.0])])
+    rho, estar, curv = E.conjugate(p)
+    grid = np.linspace(0.0, 3.0, 300001)
+    e_grid = E(grid)
+    for pk, rk, ek, ck in zip(p, rho, estar, curv):
+        k = int(np.argmax(pk * grid - e_grid))
+        fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)],
+                           2001)
+        assert ek == pytest.approx(float(np.max(pk * fine - E(fine))),
+                                   abs=1e-10)
+        assert ek == pytest.approx(pk * rk - float(E(rk)), abs=1e-12)
+        assert 0.0 <= rk <= 3.0
+        if rk in (0.0, 3.0):
+            assert ck == 0.0
+        else:
+            assert ck * float(E.second_derivative(rk)) == pytest.approx(1.0)
+    # below E'(0) the sup sits at 0, above E'(c_max) at c_max
+    assert rho[0] == 0.0 and rho[-1] == 3.0

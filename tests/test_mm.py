@@ -18,7 +18,7 @@ from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        scalar_shk_mm_step, scalar_step_monotonicity,
                        scalar_upper_bound, shk_mm_step)
 
-from conftest import sinusoid_measure, unconverged
+from conftest import lbfgs_reference_step, sinusoid_measure, unconverged
 
 
 def quadratic_entropy():
@@ -155,15 +155,6 @@ def test_plan_density_violation_small(interval33):
     assert plan_density_violation(res, mu0) <= 0.01
 
 
-def test_density_cap_limits_growth(interval33):
-    # pure mass creation drive with a hard ceiling at density one
-    E = linear_entropy(-2.0)
-    mu0 = sinusoid_measure(interval33, base=0.5, amplitude=0.2)
-    traj = mm_trajectory(mu0, 0.05, 4, E, metric="hk", density_cap=1.0)
-    for m in traj.measures:
-        assert float(np.max(m.density)) <= 1.0 + 1e-9
-
-
 def test_trajectory_bookkeeping(interval33):
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33)
@@ -195,18 +186,6 @@ def test_unknown_metric_raises(interval17):
         mm_trajectory(mu0, 0.05, 1, E, metric="HK")
     with pytest.raises(ValueError, match="unknown metric 'HK'"):
         restart_agreement(mu0, 0.05, E, metric="HK")
-
-
-def test_density_cap_rejected_for_shk(interval17, monkeypatch):
-    def no_solve(*args, **kw):
-        raise AssertionError("distance solve before the check")
-
-    monkeypatch.setattr(hkflow.mm, "hk_distance_squared", no_solve)
-    mu0 = sinusoid_measure(interval17)
-    prob = DiscreteMeasure(interval17, mu0.density / mu0.mass)
-    with pytest.raises(ValueError, match="density_cap applies to the HK"):
-        mm_trajectory(prob, 0.05, 2, quadratic_entropy(), metric="shk",
-                      density_cap=1.0)
 
 
 @pytest.mark.parametrize("metric", ["hk", "shk"])
@@ -241,23 +220,29 @@ def _gate_measure(n, metric):
     return DiscreteMeasure(dom, mu.density / mu.mass)
 
 
+def quadratic_table():
+    c = np.linspace(0.0, 3.0, 31)
+    return table_entropy(c, c * c - c, recession_slope=math.inf)
+
+
 @pytest.mark.parametrize("metric, n, tau, entropy", [
     ("hk", 33, 0.005, "quadratic"), ("hk", 33, 0.02, "quadratic"),
     ("hk", 64, 0.0025, "quadratic"), ("shk", 33, 0.02, "quadratic"),
-    ("shk", 33, 0.005, "quadratic"), ("shk", 33, 0.02, "neg_power")])
+    ("shk", 33, 0.005, "quadratic"), ("shk", 33, 0.02, "neg_power"),
+    ("hk", 33, 0.05, "table"), ("shk", 33, 0.02, "table")])
 def test_dual_step_solves_the_lbfgs_problem(monkeypatch, metric, n, tau,
                                             entropy):
     # at the distance solve's own eps schedule both solvers minimize the
     # same function, d(dual value)^2 / (2 tau) + E, so the dual step's
     # objective may not exceed the L-BFGS-B optimum
     monkeypatch.setattr(hkflow.mm, "STEP_EPS_SCHEDULE", DEFAULT_EPS_SCHEDULE)
-    E = (quadratic_entropy() if entropy == "quadratic"
-         else neg_power_entropy(0.5, 1.0))
+    E = {"quadratic": quadratic_entropy, "table": quadratic_table,
+         "neg_power": lambda: neg_power_entropy(0.5, 1.0)}[entropy]()
     mu0 = _gate_measure(n, metric)
     spherical = metric == "shk"
     step = shk_mm_step if spherical else mm_step
     dual = step(mu0, tau, E)
-    lbfgs = hkflow.mm._lbfgs_step(mu0, tau, E, spherical, None, None, None)
+    lbfgs = lbfgs_reference_step(mu0, tau, E, spherical)
     assert dual.converged and lbfgs.converged
     assert dual.objective <= lbfgs.objective + 1e-12 * abs(lbfgs.objective)
 
@@ -301,17 +286,25 @@ def test_unconverged_dual_solve_fails_the_step(interval17, monkeypatch,
         mm_trajectory(mu0, 0.05, 2, E, metric=metric)
 
 
-def test_table_entropy_flow_takes_lbfgs(interval33):
-    # a tabulated energy has no closed-form conjugate: its steps run
-    # L-BFGS-B, and still descend
-    c = np.linspace(0.0, 3.0, 31)
-    E = table_entropy(c, c * c - c, recession_slope=math.inf)
-    assert E.conjugate is None
+def test_table_entropy_flow_takes_the_dual_step(interval33):
+    # a tabulated energy carries its exact piecewise conjugate: its steps
+    # run the dual step, and descend
+    E = quadratic_table()
+    assert E.conjugate is not None
     mu0 = sinusoid_measure(interval33)
     traj = mm_trajectory(mu0, 0.05, 2, E, metric="hk")
     energies = traj.energy()
     for k, d2 in enumerate(traj.distances_squared):
         assert energies[k + 1] + d2 / 0.1 <= energies[k] + 1e-9
+
+
+def test_spherical_step_without_a_unit_mass_table_density_raises():
+    # a table on [0, 0.5] holds no density of unit mass on [0, 1]
+    c = np.linspace(0.0, 0.5, 11)
+    E = table_entropy(c, c * c - c, recession_slope=0.0)
+    mu0 = _gate_measure(33, "shk")
+    with pytest.raises(ValueError, match="no unit-mass density"):
+        shk_mm_step(mu0, 0.02, E)
 
 
 def test_step_from_zero_measure_stays_zero(interval17):
@@ -367,25 +360,13 @@ def test_step_from_zero_measure_without_conjugate():
     assert res.objective == pytest.approx(-10.0000037, rel=1e-6)
 
 
-def test_capped_step_from_zero_measure_fills_to_the_cap():
-    # E = -20 c gains more than growth costs at every level: the capped
-    # step fills every node to the cap
-    dom = unit_interval(9)
-    zero = DiscreteMeasure(dom, np.zeros(dom.n_nodes))
-    res = mm_step(zero, 0.05, linear_entropy(-20.0), density_cap=1.0)
-    assert res.converged
-    assert np.all(res.measure.density == 1.0)
-    # HK^2 from nothing is the new mass, 1
-    assert res.objective == pytest.approx(1.0 / 0.1 - 20.0, rel=1e-9)
-
-
 def test_lbfgs_step_not_converged_at_empty_nodes():
     # u = log rho hides the gradient where the start density is empty:
     # L-BFGS-B stops with nodes 1-3 empty, though transport fills them
     dom = unit_interval(9)
     mu0 = DiscreteMeasure(dom, np.array([0, 0, 0, 0, 1, 1, 1, 1, 1.0]))
     E = quadratic_entropy()
-    lbfgs = hkflow.mm._lbfgs_step(mu0, 0.05, E, False, None, None, None)
+    lbfgs = lbfgs_reference_step(mu0, 0.05, E, False)
     dual = mm_step(mu0, 0.05, E)
     assert dual.converged and not lbfgs.converged
     assert dual.objective < lbfgs.objective - 0.05
@@ -405,13 +386,34 @@ def test_stale_warm_step_falls_back_to_cold(interval33):
 
 @pytest.mark.parametrize("metric", ["hk", "shk"])
 def test_lbfgs_and_dual_warm_states_seed_each_other(metric):
-    # both step paths hand on the same (g, lam, s) warm state
+    # the reference's warm state, the potentials of a plain distance solve
+    # with lam = 0 and s = 1, seeds a dual step, whose own warm state seeds
+    # the reference's distance solves
     E = quadratic_entropy()
     mu0 = _gate_measure(17, metric)
     spherical = metric == "shk"
     step = shk_mm_step if spherical else mm_step
-    lbfgs = hkflow.mm._lbfgs_step(mu0, 0.05, E, spherical, None, None, None)
+    lbfgs = lbfgs_reference_step(mu0, 0.05, E, spherical)
     dual = step(lbfgs.measure, 0.05, E, warm=lbfgs.warm)
-    again = hkflow.mm._lbfgs_step(dual.measure, 0.05, E, spherical, None,
-                                  dual.warm, None)
+    again = lbfgs_reference_step(dual.measure, 0.05, E, spherical,
+                                 warm=dual.warm)
     assert lbfgs.converged and dual.converged and again.converged
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+@pytest.mark.parametrize("gamma", [-2.0, 0.0, 3.0])
+def test_linear_energy_step_is_a_scaling(metric, gamma):
+    # E = gamma mass: HK^2(mu0, nu) >= (sqrt m0 - sqrt m1)^2 with equality
+    # at nu = c mu0, so the HK step scales mu0 by the scalar step from 1;
+    # the SHK step keeps mu0
+    E = linear_entropy(gamma)
+    mu0 = _gate_measure(17, metric)
+    spherical = metric == "shk"
+    step = shk_mm_step if spherical else mm_step
+    res = step(mu0, 0.05, E)
+    c = 1.0 if spherical else scalar_mm_step(1.0, 0.05, E)
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.measure.density, c * mu0.density)
+    # its warm state seeds a dual step
+    dual = step(res.measure, 0.05, quadratic_entropy(), warm=res.warm)
+    assert dual.converged
