@@ -12,7 +12,8 @@ Custom tables interpolate (c, E(c)) samples with a monotone cubic.
 convex conjugate E*(p) = sup_{c >= 0} (p c - E(c)), in closed form or (for
 tables) piece by piece, through which the minimizing-movement step is one
 concave maximization.  Linear and zero energies carry none: their steps
-have closed forms.
+have closed forms.  A table's E* may have kinks, which conjugate(p, delta)
+rounds over windows that vanish with delta.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ class EntropySpec:
     d2e: Callable[[np.ndarray], np.ndarray]
     recession_slope: float  # lim E(t)/t, may be +inf
     c_low: Optional[float] = None  # witness with E'(c_low) < 0, if any
-    # p -> (rho, E*(p), E*''(p)) for a 1-D array p, with rho = E*'(p) the
-    # maximizing level and E*'' = 1 / E''(rho); E* is +inf outside its
-    # domain.  None exactly for the linear energies (E'' = 0).
-    conjugate: Optional[Callable[[np.ndarray], tuple]] = None
+    # (p, delta=0) -> (rho, E*(p), E*''(p)) for a 1-D array p, with
+    # rho = E*'(p) the maximizing level and E*'' = 1 / E''(rho); E* is +inf
+    # outside its domain.  delta > 0 rounds each kink of E* (a jump of rho)
+    # over a window of width delta times the jump; the strictly convex
+    # families have none.  None exactly for the linear energies (E'' = 0).
+    conjugate: Optional[Callable[..., tuple]] = None
 
     def __call__(self, c):
         return self.e(np.asarray(c, dtype=float))
@@ -92,7 +95,7 @@ def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,
     def d2e(c):
         return alpha * m * (m - 1) * c ** (m - 2)
 
-    def conjugate(p):
+    def conjugate(p, delta=0.0):
         # E' maps c > 0 onto (gamma, inf); below gamma the supremum sits
         # at c = 0
         d = np.maximum(p - gamma, 0.0)
@@ -127,7 +130,7 @@ def neg_power_entropy(q: float = 0.5, beta: float = 1.0) -> EntropySpec:
         with np.errstate(divide="ignore"):
             return beta * q * (1.0 - q) * np.power(c, q - 2.0)
 
-    def conjugate(p):
+    def conjugate(p, delta=0.0):
         # E' maps c > 0 onto (-inf, 0); E* is +inf on p >= 0
         inside = p < 0
         t = np.where(inside, -p, 1.0)
@@ -154,48 +157,113 @@ def linear_entropy(gamma: float) -> EntropySpec:
 
 
 def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
-    """Monotone-cubic interpolation of (c, E(c)) samples.
+    """Monotone-cubic interpolation of (c, E(c)) samples, continued down to
+    0 by its first piece and above c_max, the largest sample, by the line of
+    slope r = recession_slope (+inf if r is), so lim E(t)/t = r; r must
+    reach the end slope E'(c_max), as in any convex E.
 
-    Its conjugate is the sup of p c - E(c) over [0, c_max], c_max the
-    largest sample, taken exactly piece by piece: the candidates are each
-    piece's ends and the roots of E' = p on it (E' is quadratic), the first
-    piece reaching down to 0.  A step therefore stays in [0, c_max], and a
-    non-convex table steps as its convex hull."""
+    The conjugate is exact: over [0, c_max] the sup of p c - E(c) among
+    each piece's ends and the roots of E' = p on it (E' is quadratic), +inf
+    above r.  Its argmax rho(p) is the convex hull's, which jumps across
+    each linear bridge [c1, c2] of the hull (a kink of E* at the bridge's
+    slope s; the constructor finds them as the jumps of rho) and from c_ray
+    to +inf at p = r.  delta > 0 rounds each kink: on |p - s| < delta
+    (c2 - c1) / 2 a cubic joins the exact E* at both ends, and above r E*
+    is that of E + delta (c - c_ray)^2 / 2."""
     interp = PchipInterpolator(np.asarray(c_samples, float),
                                np.asarray(e_samples, float))
     x = interp.x
-    lo = np.maximum(x[:-1], 0.0)
-    lo[0] = 0.0
+    c_max, r = float(x[-1]), float(recession_slope)
+    de, d2e = interp.derivative(1), interp.derivative(2)
+    if not r >= de(c_max) - 1e-9 * (1.0 + abs(de(c_max))):
+        raise ValueError(f"recession_slope {r:g} is below the table's end "
+                         f"slope E'(c_max) = {float(de(c_max)):g}")
+    lo = np.append(0.0, np.maximum(x[1:-1], 0.0))
     keep = x[1:] > lo
     # piece k: E' = (3 a t + 2 b) t + d at t = c - x_k, t in [t_lo, t_hi]
     a, b, d = interp.c[:3, keep]
     start = x[:-1][keep]
     t_lo, t_hi = lo[keep] - start, x[1:][keep] - start
-    c_max = float(x[-1])
     ends = np.append(lo[keep], c_max)
-    d2e = interp.derivative(2)
 
-    def conjugate(p):
-        p = np.asarray(p, dtype=float)
+    def argmax(p):
+        # exact rho(p) and E*(p) over [0, c_max], and whether rho is a root
+        # of E' = p; ends come first, so a root at an end is a corner
         rhs = d - p[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * rhs), b))
             t = np.stack([q / (3.0 * a), rhs / q], axis=-1)
-        # a root off its piece (or none: nan) becomes one of its ends
+            root = (t >= t_lo[:, None]) & (t <= t_hi[:, None])
         t = np.clip(np.nan_to_num(t, nan=0.0), t_lo[:, None], t_hi[:, None])
         rho = np.hstack([np.broadcast_to(ends, (p.size, ends.size)),
-                         (start[:, None] + t).reshape(p.size, -1)])
-        val = p[:, None] * rho - interp(rho)
-        best = np.argmax(val, axis=1)[:, None]
-        rho = np.take_along_axis(rho, best, 1)[:, 0]
-        curv = d2e(rho)
-        with np.errstate(divide="ignore"):
-            curv = np.where((rho > 0) & (rho < c_max),
-                            1.0 / np.maximum(curv, 0.0), 0.0)
-        return rho, np.take_along_axis(val, best, 1)[:, 0], curv
+                         (start[:, None] + t).reshape(p.size, 2 * a.size)])
+        root = np.hstack([np.zeros((p.size, ends.size), bool),
+                          root.reshape(p.size, 2 * a.size)])
+        best = np.argmax(p[:, None] * rho - interp(rho), axis=1)[:, None]
+        rho, root = (np.take_along_axis(v, best, 1)[:, 0] for v in (rho, root))
+        return rho, p * rho - interp(rho), root
 
-    spec = EntropySpec(interp, interp.derivative(1), d2e,
-                       recession_slope=recession_slope, conjugate=conjugate)
+    # hull bridges: bisect each jump of rho between neighbouring slopes of
+    # the table (9 per piece) to roundoff, following the larger rise
+    p = np.unique(de(start[:, None] + np.linspace(t_lo, t_hi, 9, axis=1)))
+    p = np.concatenate([[p[0] - 1.0], p[p < r], [min(p[-1] + 1.0, r)]])
+    rho = argmax(p)[0]
+    jump = np.flatnonzero(np.diff(rho) > 1e-9 * c_max)
+    p0, p1, c1, c2 = p[jump], p[jump + 1], rho[jump], rho[jump + 1]
+    for _ in range(64 if jump.size else 0):
+        mid = 0.5 * (p0 + p1)
+        c_mid = argmax(mid)[0]
+        left = c_mid - c1 >= c2 - c_mid
+        p1, c2 = np.where(left, mid, p1), np.where(left, c_mid, c2)
+        p0, c1 = np.where(left, p0, mid), np.where(left, c1, c_mid)
+    # a jump that ends at r is the ray's: rho runs from c_ray to +inf there
+    bridge = c2 - c1 > 1e-9 * c_max
+    ray = bridge & (p1 >= r)
+    c_ray = float(c1[ray][0] if ray.any() else rho[-1])
+    c1, c2 = c1[bridge & ~ray], c2[bridge & ~ray]
+    s = (interp(c2) - interp(c1)) / (c2 - c1)
+
+    def conjugate(p, delta=0.0):
+        p, delta = np.asarray(p, dtype=float), np.float64(delta)
+        rho, val, root = argmax(p)
+        with np.errstate(divide="ignore"):
+            curv = np.where(root, 1.0 / np.maximum(d2e(rho), delta), 0.0)
+        h = 0.5 * delta * (c2 - c1)
+        on = np.abs(p[:, None] - s) < h
+        hit = on.any(axis=1)
+        if hit.any():
+            # inside a window the cubic Hermite joining the exact ends, its
+            # secant kept within (m0 + m1) / 2 -+ (m1 - m0) / 6, which keeps
+            # it convex where y1 - y0 is roundoff
+            k = np.argmax(on[hit], axis=1)
+            H = 2.0 * h[k]
+            m, y, _ = argmax(np.concatenate([s[k] - h[k], s[k] + h[k]]))
+            (m0, m1), (y0, y1) = m.reshape(2, -1), y.reshape(2, -1)
+            u = (p[hit] - s[k] + h[k]) / H
+            sec = np.clip((y1 - y0) / H, (2.0 * m0 + m1) / 3.0,
+                          (m0 + 2.0 * m1) / 3.0)
+            c2_, c3_ = 3.0 * sec - 2.0 * m0 - m1, m0 + m1 - 2.0 * sec
+            val[hit] = y0 + u * H * (m0 + u * (c2_ + u * c3_))
+            rho[hit] = m0 + u * (2.0 * c2_ + 3.0 * u * c3_)
+            curv[hit] = (2.0 * c2_ + 6.0 * u * c3_) / H
+        # above r: E + delta (c - c_ray)^2 / 2 on the ray (+inf at delta 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, above = np.maximum(p - r, 0.0), p > r
+            return (np.where(above, c_ray + up / delta, rho),
+                    np.where(above, r * c_ray - float(interp(c_ray))
+                             + c_ray * up + up * up / (2.0 * delta), val),
+                    np.where(above, 1.0 / delta, curv))
+
+    def e(c):
+        c = np.asarray(c, dtype=float)
+        with np.errstate(invalid="ignore"):
+            return np.where(c > c_max, interp(c_max) + r * (c - c_max),
+                            interp(c))
+
+    spec = EntropySpec(
+        e, lambda c: np.where(np.asarray(c) > c_max, r, de(c)),
+        lambda c: np.where(np.asarray(c) > c_max, 0.0, d2e(c)),
+        recession_slope=r, conjugate=conjugate)
     return replace(spec, c_low=find_c_low(spec, float(np.min(c_samples)),
                                           float(np.max(c_samples))))
 

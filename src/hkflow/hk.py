@@ -268,13 +268,14 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     u_j = sum_i a_i exp((f_i + g_j - c_ij) / eps).  Given a ``term``, the
     second sum becomes a concave function F(k, theta) of the slopes and of
     extra variables theta (start theta0), maximized jointly with (f, g).
-    term.value(k, theta) returns (F, b, dF/dtheta, d, Z): b = dF/dk are the
-    target masses, and -F'' = W diag(d) W^T in the coordinates (k, theta),
-    with W = [I; Z].  Gradient and Hessian keep the form of the fixed-b
-    case, with the Hessian raised by V diag(d) V^T, where V stacks the
-    gradients of the k_j over the rows Z.  ``b`` then only seeds the first
-    opening sweep, and term.opening(k, theta) returns the maximizing theta
-    at given slopes.
+    term.value(k, theta, eps) returns (F, b, dF/dtheta, d, Z) at the
+    level's eps: b = dF/dk are the target masses, and -F'' = W diag(d) W^T
+    in the coordinates (k, theta), with W = [I; Z].  Gradient and Hessian
+    keep the form of the fixed-b case, with the Hessian raised by
+    V diag(d) V^T, where V stacks the gradients of the k_j over the rows Z.
+    ``b`` then only seeds the first opening sweep, and
+    term.opening(k, theta, eps) returns the maximizing theta at given
+    slopes.
 
     Every level opens with one unbalanced-Sinkhorn sweep at the current
     target masses: exact block maximization in closed form, first over f
@@ -365,8 +366,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                 e_g = np.exp(-g)
                 kappa = 1.0 - e_g - eps * (u - sa)
                 if opening:
-                    theta = term.opening(kappa, theta)
-                F, b, grad_theta, d, Z = term.value(kappa, theta)
+                    theta = term.opening(kappa, theta, eps)
+                F, b, grad_theta, d, Z = term.value(kappa, theta, eps)
                 H = K * b
                 val = float(a @ (1.0 - np.exp(-f))) + F
                 W = np.vstack([-K, np.diag(e_g - u), Z])

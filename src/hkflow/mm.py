@@ -141,7 +141,8 @@ class MMStepResult:
     the max-norm of the dual gradient at its end; a closed-form step has
     both 0.  ``warm`` = (g, lam, s) is the state the next step starts from:
     the target potentials over all nodes, the spherical mass multiplier and
-    step scale (0 and 1 after a closed-form step)."""
+    step scale (0 and 1 after a closed-form step, None after a step from
+    the zero measure, whose potentials carry nothing to start from)."""
 
     measure: DiscreteMeasure
     objective: float
@@ -164,12 +165,20 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
       (sqrt m0 - sqrt m1)^2 with equality at nu = c mu0, so its HK step is
       c mu0 with c = scalar_mm_step(1, tau, E); its SHK step is mu0.
 
-    One distance solve, warm-started from warm, certifies a closed form."""
+    One distance solve, warm-started from warm, certifies a closed form.
+    An HK step whose energy falls at least as fast as -mass / (2 tau)
+    (1 + 2 tau E'(inf) <= 0) has no minimizer and raises ValueError."""
     if tau <= 0:
         raise ValueError("step size must be positive")
+    if not spherical and 1.0 + 2.0 * tau * E.recession_slope <= 0:
+        raise ValueError(f"the step objective is unbounded below at tau = "
+                         f"{tau:g}: 1 + 2 tau E'(inf) <= 0")
     if mu0.mass == 0:
         rho = np.full(mu0.density.size, scalar_mm_step(0.0, tau, E))
     elif E.conjugate is None:
+        if np.any(E.second_derivative(np.geomspace(1e-3, 1e3, 7)) != 0):
+            raise ValueError("an energy without a conjugate must be linear "
+                             "(E'' = 0)")
         rho = (1.0 if spherical else scalar_mm_step(1.0, tau, E)) * mu0.density
     else:
         return _dual_step(mu0, tau, E, spherical, x0, warm)
@@ -181,6 +190,7 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
                         + float(mu0.domain.weights @ E(rho)),
                         _metric_d2(spherical, final.hk_squared)[0], 0.0, 0,
                         final.converged, final.plan,
+                        None if mu0.mass == 0 else
                         (final.potential_target, 0.0, 1.0))
 
 
@@ -198,16 +208,19 @@ class _ConjugateTerm:
 
     whose k-gradient w E*'(p) = w rho gives the target masses.  The
     spherical term adds the mass multiplier lam as theta:
-    F(k, lam) = -2 tau (sum_j w_j E*(p_j - lam) + lam), concave in both."""
+    F(k, lam) = -2 tau (sum_j w_j E*(p_j - lam) + lam), concave in both.
+    At each eps-level E* is rounded at its kinks with delta = eps / (2 tau),
+    which gives them the stiffness of the level's transport term."""
 
     def __init__(self, E, w, two_tau, spherical):
         self.E, self.w, self.two_tau = E, w, two_tau
         self.spherical = spherical
 
-    def value(self, kappa, theta):
+    def value(self, kappa, theta, eps):
         w, two_tau = self.w, self.two_tau
         lam = theta[0] if self.spherical else 0.0
-        rho, estar, curv = self.E.conjugate(-kappa / two_tau - lam)
+        rho, estar, curv = self.E.conjugate(-kappa / two_tau - lam,
+                                            eps / two_tau)
         F = -two_tau * (float(w @ estar) + lam)
         b = w * rho
         d = w * curv / two_tau
@@ -218,7 +231,7 @@ class _ConjugateTerm:
         return (F, b, (two_tau * (float(b.sum()) - 1.0),), d,
                 np.full((1, b.size), two_tau))
 
-    def opening(self, kappa, theta):
+    def opening(self, kappa, theta, eps):
         """The lam of unit mass at these slopes, by Newton's method kept
         inside a bracket: mass(lam) = sum w E*'(p - lam) falls as lam
         grows, and is +inf where some p - lam leaves the domain of E*."""
@@ -228,7 +241,7 @@ class _ConjugateTerm:
         lam = float(theta[0])
         lo, hi = -math.inf, math.inf
         for _ in range(200):
-            rho, _, curv = self.E.conjugate(p - lam)
+            rho, _, curv = self.E.conjugate(p - lam, eps / self.two_tau)
             excess = float(self.w @ rho) - 1.0
             if not excess <= 0.0:  # too much mass, or outside the domain
                 lo = lam
@@ -247,8 +260,8 @@ class _ConjugateTerm:
             else:
                 lam = 0.5 * (lo + hi)
         if math.isinf(lo) and excess < -1e-15:
-            # the mass stays below 1 however low lam goes: a table's steps
-            # stay in [0, c_max], which may hold no unit-mass density
+            # the mass stays below 1 however low lam goes: a table with
+            # E = +inf above c_max may hold no unit-mass density
             raise ValueError("no unit-mass density within the energy's "
                              "domain: the spherical step has no admissible "
                              "measure")

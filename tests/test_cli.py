@@ -165,23 +165,44 @@ def test_mm_run_from_zero_measure(tmp_path):
     {"family": "linear", "gamma": -2.0},
     {"family": "custom_table", "c": [0.1 * k for k in range(31)],
      "E": [(0.1 * k) ** 2 - 0.1 * k for k in range(31)],
-     "recession_slope": 5.0}])
+     "recession_slope": 5.0},
+    # E = -c / 2 on the table and, with slope -1/2, above it
+    {"family": "custom_table", "c": [0.0, 1.0, 2.0, 3.0],
+     "E": [0.0, -0.5, -1.0, -1.5], "recession_slope": -0.5}])
 def test_mm_run_linear_and_table_energies(tmp_path, entropy):
     cfg = {"domain": {"lower": [0.0], "upper": [1.0], "nodes": [33]},
            "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
            "entropy": entropy, "tau": 0.05, "n_steps": 4}
     status, out = run_cli(tmp_path, "mm-run", cfg)
     assert status == 0
-    lines = (out / "mm_run.csv").read_text().strip().splitlines()
-    masses = [float(r.split(",")[2]) for r in lines[1:]]
+    rows = [[float(v) for v in r.split(",")] for r in
+            (out / "mm_run.csv").read_text().strip().splitlines()[1:]]
+    masses = [r[2] for r in rows]
     if entropy["family"] == "linear":
         # E = -2 mass scales the input by 1 / (1 + 2 tau gamma)^2 per step
         assert masses == pytest.approx([0.8 * 1.5625**k for k in range(5)],
                                        rel=1e-12, abs=0.0)
-    else:
-        # the table's steps stay inside it
-        assert all(0.0 <= float(r.split(",")[3]) and
-                   float(r.split(",")[4]) <= 3.0 for r in lines[1:])
+    elif entropy["recession_slope"] == -0.5:
+        assert masses == pytest.approx([0.8 / 0.95 ** (2 * k)
+                                        for k in range(5)], rel=1e-6)
+    # every step descends: E(rho_k+1) + d^2 / (2 tau) <= E(rho_k)
+    for r0, r1 in zip(rows, rows[1:]):
+        assert r1[5] + r1[6] / 0.1 <= r0[5] + 1e-9
+
+
+def test_mm_run_table_below_its_end_slope_exit_2(tmp_path):
+    # a recession slope below E'(c_max) = 5 cannot be lim E(t) / t of a
+    # convex E
+    cfg = {"domain": {"lower": [0.0], "upper": [1.0], "nodes": [9]},
+           "initial": {"kind": "uniform", "value": 1.0},
+           "entropy": {"family": "custom_table",
+                       "c": [0.1 * k for k in range(31)],
+                       "E": [(0.1 * k) ** 2 - 0.1 * k for k in range(31)],
+                       "recession_slope": 0.0},
+           "tau": 0.05, "n_steps": 1}
+    status, out = run_cli(tmp_path, "mm-run", cfg)
+    assert status == 2
+    assert not (out / "mm_run.csv").exists()
 
 
 def test_mm_run_unbounded_step_exit_2(tmp_path, recwarn):

@@ -185,14 +185,16 @@ def test_closed_form_conjugates():
         assert E.conjugate is None
 
 
-@pytest.mark.parametrize("samples", [lambda c: c * c - c,
-                                     lambda c: -20.0 * np.sqrt(c)])
-def test_table_conjugate_is_the_sup_over_the_table(samples):
-    # E*(p) = sup of p c - E(c) over [0, c_max], against a brute-force sup:
-    # a 3e5-point grid, refined around its best point.  The -20 sqrt(c)
+@pytest.mark.parametrize("samples, slope", [(lambda c: c * c - c, math.inf),
+                                            (lambda c: -20.0 * np.sqrt(c),
+                                             0.0)])
+def test_table_conjugate_is_the_sup_over_the_table(samples, slope):
+    # E*(p) = sup of p c - E(c) over c >= 0, against a brute-force sup over
+    # [0, c_max]: a 3e5-point grid, refined around its best point.  Below
+    # the recession slope the line above c_max cannot win.  The -20 sqrt(c)
     # interpolant is not convex (E'' reaches -79).
     c = np.linspace(0.0, 3.0, 31)
-    E = table_entropy(c, samples(c), recession_slope=0.0)
+    E = table_entropy(c, samples(c), recession_slope=slope)
     lo, hi = float(E.derivative(0.0)), float(E.derivative(3.0))
     # below E'(0), across the range of E', above E'(c_max)
     p = np.concatenate([lo - np.array([5.0, 0.5]), np.linspace(lo, hi, 23),
@@ -214,3 +216,52 @@ def test_table_conjugate_is_the_sup_over_the_table(samples):
             assert ck * float(E.second_derivative(rk)) == pytest.approx(1.0)
     # below E'(0) the sup sits at 0, above E'(c_max) at c_max
     assert rho[0] == 0.0 and rho[-1] == 3.0
+    if slope == 0.0:
+        # above the recession slope the flat line beyond c_max makes it +inf
+        assert np.all(np.isinf(E.conjugate(np.array([1e-9, 2.0]))[1]))
+
+
+@pytest.mark.parametrize("samples, slope", [
+    ([0.0, 1.0, 2.0, 3.0], -0.5),
+    (np.linspace(0.0, 3.0, 31), math.inf)])
+def test_table_conjugate_rounds_each_kink(samples, slope):
+    # E = -c / 2 (rho jumps from 0 to +inf at p = -1/2) and a wavy table
+    # (rho jumps across each bridge of its hull): with delta > 0 the
+    # conjugate is C^1 and convex, with rho = dE*/dp, and it keeps the
+    # exact E* outside windows of width delta times each jump
+    c = np.asarray(samples, dtype=float)
+    E = table_entropy(c, -0.5 * c if slope == -0.5
+                      else c * c - c + 0.3 * np.sin(6.0 * c), slope)
+    delta = 1e-2
+    p = np.linspace(-1.5, 6.5, 40001)
+    exact = E.conjugate(p)
+    rho, estar, curv = E.conjugate(p, delta)
+    assert np.all(np.diff(rho) >= -1e-12) and np.all(curv >= 0.0)
+    dp = np.diff(p)
+    gap = np.diff(estar) - 0.5 * (rho[1:] + rho[:-1]) * dp
+    assert np.all(np.abs(gap) <= dp * dp * curv.max())
+    same = np.isclose(estar, exact[1], rtol=0.0, atol=1e-13)
+    assert same[np.isfinite(exact[1])].mean() > 0.5
+    assert np.array_equal(rho[same & (curv < 1.0 / delta)],
+                          exact[0][same & (curv < 1.0 / delta)])
+    if slope == -0.5:
+        above = p > -0.5
+        assert np.allclose(rho[above], (p[above] + 0.5) / delta)
+
+
+def test_table_continues_with_its_recession_slope():
+    # above c_max E follows the line of slope r; r = +inf makes it +inf,
+    # and an r below the end slope E'(c_max) cannot be a recession slope
+    c = np.linspace(0.0, 3.0, 31)
+    E = table_entropy(c, c * c - c, recession_slope=5.0)
+    assert E(4.0) == pytest.approx(6.0 + 5.0) and E.derivative(4.0) == 5.0
+    assert E.second_derivative(4.0) == 0.0
+    walled = table_entropy(c, c * c - c, recession_slope=math.inf)
+    assert math.isinf(walled(3.5))
+    dom = unit_interval(9)
+    assert math.isinf(eval_functional(walled, uniform_measure(dom, 4.0)))
+    with pytest.raises(ValueError, match="end slope"):
+        table_entropy(c, c * c - c, recession_slope=0.0)
+    with pytest.raises(ValueError, match="entropy: recession_slope"):
+        entropy_from_json({"family": "custom_table", "c": c.tolist(),
+                           "E": (c * c - c).tolist(), "recession_slope": 4.0})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,12 +300,66 @@ def test_table_entropy_flow_takes_the_dual_step(interval33):
 
 
 def test_spherical_step_without_a_unit_mass_table_density_raises():
-    # a table on [0, 0.5] holds no density of unit mass on [0, 1]
+    # a table on [0, 0.5] with recession slope +inf is +inf above 0.5, so
+    # no density of unit mass on [0, 1] has finite energy
     c = np.linspace(0.0, 0.5, 11)
-    E = table_entropy(c, c * c - c, recession_slope=0.0)
+    E = table_entropy(c, c * c - c, recession_slope=math.inf)
     mu0 = _gate_measure(33, "shk")
     with pytest.raises(ValueError, match="no unit-mass density"):
         shk_mm_step(mu0, 0.02, E)
+
+
+def _kinked_table(name):
+    c = np.linspace(0.0, 3.0, 31)
+    short = np.linspace(0.0, 0.5, 11)
+    return {
+        # E = -c / 2 and above c = 3 the same line: E* jumps from 0 to +inf
+        "linear": lambda: table_entropy([0.0, 1.0, 2.0, 3.0],
+                                        [0.0, -0.5, -1.0, -1.5], -0.5),
+        # not convex: the hull has linear bridges
+        "wavy": lambda: table_entropy(c, c * c - c + 0.3 * np.sin(6.0 * c),
+                                      math.inf),
+        # flat above 0.5, where most of the data lies
+        "short": lambda: table_entropy(short, short * short - short, 0.0),
+    }[name]()
+
+
+@pytest.mark.parametrize("name, metric", [
+    ("linear", "hk"), ("linear", "shk"), ("wavy", "shk"), ("short", "hk"),
+    ("short", "shk")])
+def test_table_flow_through_kinks_descends(name, metric):
+    # steps whose densities sit on a linear part of the table's hull, or on
+    # its continuation above c_max, where E* has a kink
+    dom = unit_interval(33)
+    mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+    if metric == "shk":
+        mu0 = DiscreteMeasure(dom, mu0.density / mu0.mass)
+    E = _kinked_table(name)
+    traj = mm_trajectory(mu0, 0.02, 4, E, metric=metric)
+    energies = traj.energy()
+    for k, d2 in enumerate(traj.distances_squared):
+        assert energies[k + 1] + d2 / 0.04 <= energies[k] + 1e-9
+    if (name, metric) == ("linear", "hk"):
+        # E = -mass / 2 scales the mass by 1 / (1 - tau)^2 per step
+        assert [m.mass for m in traj.measures] == pytest.approx(
+            [mu0.mass / 0.98 ** (2 * k) for k in range(5)], rel=1e-6)
+
+
+def test_step_without_a_minimizer_raises(interval17):
+    # 1 + 2 tau E'(inf) <= 0: growing one node lowers the objective without
+    # bound
+    mu0 = _gate_measure(17, "hk")
+    for E, tau in ((linear_entropy(-20.0), 0.05),
+                   (_kinked_table("linear"), 1.0)):
+        with pytest.raises(ValueError, match="unbounded below"):
+            mm_step(mu0, tau, E)
+
+
+def test_nonlinear_energy_without_conjugate_raises(interval17):
+    # the closed form c mu0 holds for linear energies only
+    E = replace(quadratic_entropy(), conjugate=None)
+    with pytest.raises(ValueError, match="must be linear"):
+        mm_step(_gate_measure(17, "hk"), 0.05, E)
 
 
 def test_step_from_zero_measure_stays_zero(interval17):
@@ -314,6 +369,8 @@ def test_step_from_zero_measure_stays_zero(interval17):
     res = mm_step(zero, 0.05, quadratic_entropy())
     assert res.converged
     assert float(np.max(res.measure.density)) <= 1e-12
+    # potentials from nothing seed nothing: the next step starts cold
+    assert res.warm is None
 
 
 def test_flow_from_zero_measure_matches_scalar_steps():
