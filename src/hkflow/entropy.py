@@ -59,6 +59,8 @@ class EntropySpec:
         """Check convexity and E' monotonicity on a log-spaced grid."""
         if c_grid is None:
             c_grid = np.logspace(-3, 2, 64)
+        # an E that is +inf beyond some level is checked on its domain
+        c_grid = c_grid[np.isfinite(self(c_grid))]
         vals = self(c_grid)
         # second differences on an uneven grid, normalized
         for i in range(1, len(c_grid) - 1):

@@ -258,6 +258,7 @@ def test_table_continues_with_its_recession_slope():
     assert E.second_derivative(4.0) == 0.0
     walled = table_entropy(c, c * c - c, recession_slope=math.inf)
     assert math.isinf(walled(3.5))
+    walled.validate()
     dom = unit_interval(9)
     assert math.isinf(eval_functional(walled, uniform_measure(dom, 4.0)))
     with pytest.raises(ValueError, match="end slope"):
