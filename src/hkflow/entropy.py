@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .config import REQUIRED, ConfigError, listed, number, read_tagged
 from .measures import DiscreteMeasure
@@ -171,7 +170,10 @@ def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
     slope s; the constructor finds them as the jumps of rho) and from c_ray
     to +inf at p = r.  delta > 0 rounds each kink: on |p - s| < delta
     (c2 - c1) / 2 a cubic joins the exact E* at both ends, and above r E*
-    is that of E + delta (c - c_ray)^2 / 2."""
+    is that of E + delta (c - c_ray)^2 / 2.  SciPy's interpolate is
+    imported here, so that a run without tables never loads it."""
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(np.asarray(c_samples, float),
                                np.asarray(e_samples, float))
     x = interp.x

@@ -17,11 +17,14 @@ weight eps to the program and maximizes its smooth, strictly concave dual
 over potentials (f, g) with damped Newton steps: each step solves the
 (n + m) Hessian system and halves the step until the dual gains more than
 its roundoff band, or stays inside that band while the gradient's max-norm
-falls.  The system is dense and solved by Cholesky on small grids; on
-large ones (2-D grids), where at small eps nearly all of the plan is
-roundoff, Newton runs on a kept support of the plan with a sparse LU
-solve, and each level is checked on the full plan before it ends
-(truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  eps is
+falls; a trial below the band is rejected on its dual value alone, before
+its gradient is formed.  The system is dense and solved by LAPACK's
+Cholesky on small grids; on large ones (2-D grids), where at small eps
+nearly all of the plan is roundoff, Newton runs on a kept support of the
+plan with a sparse LU solve, and each level is checked on the full plan
+before it ends (truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput.
+2019).  A factorization that fails is replaced by a solve with 1e-12 I
+added and counted in ``HKResult.factor_fallbacks``.  eps is
 continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
 starts from the previous level's potentials and opens with one
 closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
@@ -46,10 +49,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
-from scipy.special import xlogy
 
 from .measures import DiscreteMeasure, GridDomain
 
@@ -89,6 +91,12 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(x - top).sum(axis=axis)) + top.squeeze(axis)
 
 
+def _xlogy(x, y):
+    """x log y, exactly 0 where x = 0 (also at y = 0)."""
+    with np.errstate(all="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def transport_cost(distances: np.ndarray) -> np.ndarray:
     """-2 log cos d for d below pi/2, +inf at and beyond it."""
     d = np.asarray(distances, dtype=float)
@@ -103,8 +111,8 @@ def let_cost(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Entropy-transport objective of a coupling against node masses a, b."""
     r = plan.sum(axis=1)
     s = plan.sum(axis=0)
-    val = float(np.sum(xlogy(r, r) - xlogy(r, a) - r) + a.sum()
-                + np.sum(xlogy(s, s) - xlogy(s, b) - s) + b.sum())
+    val = float(np.sum(_xlogy(r, r) - _xlogy(r, a) - r) + a.sum()
+                + np.sum(_xlogy(s, s) - _xlogy(s, b) - s) + b.sum())
     finite = np.isfinite(cost)
     val += float(np.sum(plan[finite] * cost[finite]))
     if np.any(plan[~finite] > 0):
@@ -123,7 +131,9 @@ class HKResult:
     order; they sum to ``iterations``.  ``level_support`` holds, per level
     in the same order, the kept plan entries of each support the level
     chose: one entry n m on a dense level, and one more entry for each time
-    a sparse level chose its support again.
+    a sparse level chose its support again.  ``factor_fallbacks`` counts the
+    Newton systems whose factorization failed and were solved with 1e-12 I
+    added.
     """
 
     hk_squared: float
@@ -137,6 +147,7 @@ class HKResult:
     dual_value: float = 0.0
     level_iterations: tuple = ()
     level_support: tuple = ()
+    factor_fallbacks: int = 0
 
     @property
     def hk(self) -> float:
@@ -155,7 +166,9 @@ class DualSolve(NamedTuple):
     c_ij) / eps), the potentials, the extra dual variables and target masses
     b of a conjugate term, per-level Newton counts and kept supports (of a
     warm attempt, then of the cold rerun if one followed), the last eps, the
-    gradient max-norm, the converged verdict and the dual value."""
+    gradient max-norm, the converged verdict, the dual value and the
+    number of Newton systems whose factorization failed (solved with
+    1e-12 I added instead)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -168,13 +181,15 @@ class DualSolve(NamedTuple):
     gnorm: float
     converged: bool
     value: float
+    fallbacks: int
 
 
 class _Point(NamedTuple):
     """One iterate of _dual_newton: variables, target masses, plan, dual
     value, row and column sums, a e^-f, b e^-g, gradient and its max-norm,
-    the term's Hessian addition, and whether all of these are finite.  On a
-    kept support H holds the kept entries only."""
+    the factors (W, d) of the term's Hessian addition (W diag(d) W^T,
+    formed only where a Newton direction is taken), and whether all of
+    these are finite.  On a kept support H holds the kept entries only."""
 
     f: np.ndarray
     g: np.ndarray
@@ -188,7 +203,7 @@ class _Point(NamedTuple):
     eb: np.ndarray
     grad: np.ndarray
     gnorm: float
-    extra: np.ndarray | None
+    extra: tuple | None
     finite: bool
 
 
@@ -224,9 +239,10 @@ def _kept_support(slack, cost, kernel_min):
 
 def _newton_direction(pt, eps, support):
     """Solve M x = grad for the Newton matrix M (minus the dual's Hessian)
-    at pt: dense Cholesky on the full plan, sparse LU on a kept support.
-    M is positive definite, so LU needs no pivoting and the natural order
-    keeps its fill small."""
+    at pt: dense Cholesky (LAPACK potrf/potrs) on the full plan, sparse LU
+    on a kept support.  M is positive definite, so LU needs no pivoting
+    and the natural order keeps its fill small.  Returns x and whether the
+    factorization failed, in which case x solves M + 1e-12 I instead."""
     n, m = pt.r.size, pt.s.size
     if support is None:
         M = np.zeros((pt.grad.size, pt.grad.size))
@@ -235,21 +251,23 @@ def _newton_direction(pt, eps, support):
         M[:n, n:n + m] = pt.H / eps
         M[n:n + m, :n] = pt.H.T / eps
         if pt.extra is not None:
-            M += pt.extra
+            W, d = pt.extra
+            with np.errstate(over="ignore", invalid="ignore"):
+                M += (W * d) @ W.T
+        c, info = dpotrf(M, lower=0, clean=0)
+        if info == 0:
+            return dpotrs(c, pt.grad, lower=0)[0], False
+    else:
+        h = pt.H / eps
+        data = np.concatenate([pt.ea + pt.r / eps, pt.eb + pt.s / eps, h, h])
+        M = csc_matrix((data[support.order], support.indices,
+                        support.indptr), shape=(n + m, n + m))
         try:
-            return cho_solve(cho_factor(M, check_finite=False), pt.grad,
-                             check_finite=False)
-        except np.linalg.LinAlgError:
-            return np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]), pt.grad)
-    h = pt.H / eps
-    data = np.concatenate([pt.ea + pt.r / eps, pt.eb + pt.s / eps, h, h])
-    M = csc_matrix((data[support.order], support.indices, support.indptr),
-                   shape=(n + m, n + m))
-    try:
-        return splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True}).solve(pt.grad)
-    except RuntimeError:  # an exactly singular factor
-        return np.linalg.solve(M.toarray() + 1e-12 * np.eye(n + m), pt.grad)
+            return splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).solve(pt.grad), False
+        except RuntimeError:  # an exactly singular factor
+            M = M.toarray()
+    return np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]), pt.grad), True
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
@@ -292,12 +310,14 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     leave the term's domain (dual -inf), f is lowered until it is back
     inside.
 
-    A trial step is accepted when its dual value, gradient and Hessian are
-    finite and the dual gains more than the roundoff band
-    1e-14 (sum a + sum b).  Near the optimum the true gain of a Newton step
-    (about gradient^2 eps) falls below that band, so there a trial whose
-    dual stays inside the band is accepted when the max-norm of its
-    gradient falls.  Otherwise the step is halved.
+    A trial step is judged on its dual value first: one below the current
+    value less the roundoff band 1e-14 (sum a + sum b), or NaN, is rejected
+    before its gradient is formed.  Otherwise it is accepted when it is
+    finite and the dual gains more than the band; near the optimum the true
+    gain of a Newton step (about gradient^2 eps) falls below that band, so
+    there a trial inside the band is accepted when the max-norm of its
+    gradient falls.  Otherwise the step is halved.  The term's Hessian
+    W diag(d) W^T is formed only where a Newton direction is taken.
 
     The Newton step solves the dense (n + m) system by Cholesky, except on
     large plain distance solves (no term, n + m >= SPARSE_MIN_SIZE), where
@@ -321,17 +341,18 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     max-norm within 1e3 tol, as the line search can run out at the
     roundoff floor a little above the tolerance itself.
     """
-    levels = supports = ()
+    levels, supports, fallbacks = (), (), 0
     if warm is not None:
         sol = _continuation(a, cost, eps_schedule[-1:], max_iter, tol, term,
                             *warm)
         if sol.converged:
             return sol
-        levels, supports = sol.levels, sol.supports
+        levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
     sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
                         np.zeros(cost.shape[1]), theta0)
     return sol._replace(levels=levels + sol.levels,
-                        supports=supports + sol.supports)
+                        supports=supports + sol.supports,
+                        fallbacks=fallbacks + sol.fallbacks)
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
@@ -340,23 +361,25 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
     log_a = np.log(a)
     sa = float(a.sum())
 
-    def evaluate(f, g, theta, eps, b, opening=False, support=None):
+    def evaluate(f, g, theta, eps, b, opening=False, support=None,
+                 bar=None):
+        # a trial valued below bar (or NaN) is rejected: None, no gradient
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if term is None:
                 if support is None:
                     log_plan = (log_a[:, None] + np.log(b)[None, :]
                                 + (f[:, None] + g[None, :] - cost) / eps)
                     H = np.exp(np.minimum(log_plan, 500.0))
-                    r = H.sum(axis=1)
-                    s = H.sum(axis=0)
                 else:
                     i, j = support.rows, support.cols
                     H = np.exp(np.minimum(
                         log_a[i] + np.log(b)[j]
                         + (f[i] + g[j] - support.cost) / eps, 500.0))
-                    r = np.bincount(i, H, n)
-                    s = np.bincount(j, H, m)
                 val = regularized_dual(a, b, f, g, H, eps)
+                if bar is not None and not val >= bar:
+                    return None
+                r, s = ((H.sum(axis=1), H.sum(axis=0)) if support is None
+                        else (np.bincount(i, H, n), np.bincount(j, H, m)))
                 grad_theta, extra, finite = (), None, True
             else:
                 K = np.exp(np.minimum(
@@ -368,10 +391,11 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                 if opening:
                     theta = term.opening(kappa, theta, eps)
                 F, b, grad_theta, d, Z = term.value(kappa, theta, eps)
-                H = K * b
                 val = float(a @ (1.0 - np.exp(-f))) + F
-                W = np.vstack([-K, np.diag(e_g - u), Z])
-                extra = (W * d) @ W.T
+                if bar is not None and not val >= bar:
+                    return None
+                H = K * b
+                extra = (np.vstack([-K, np.diag(e_g - u), Z]), d)
                 finite = bool(np.isfinite(d).all())
                 r = H.sum(axis=1)
                 s = H.sum(axis=0)
@@ -389,7 +413,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
     kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
-    levels, supports = [], []
+    levels, supports, fallbacks = [], [], 0
     for eps in eps_schedule:
         shrink = -eps / (1.0 + eps)
         with np.errstate(divide="ignore"):
@@ -421,20 +445,20 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
             for _ in range(max_iter - start):
                 if pt.gnorm < tol:
                     break
-                step = _newton_direction(pt, eps, support)
+                step, failed = _newton_direction(pt, eps, support)
+                fallbacks += failed
                 t = 1.0
                 while t > 1e-13:
                     trial = evaluate(pt.f + t * step[:n],
                                      pt.g + t * step[n:n + m],
                                      pt.theta + t * step[n + m:], eps, pt.b,
-                                     support=support)
+                                     support=support, bar=pt.val - noise)
                     # a gain beyond roundoff decides; inside the roundoff
                     # band the dual cannot, so the gradient norm must fall
                     # instead
-                    if trial.finite and (
+                    if trial is not None and trial.finite and (
                             trial.val > pt.val + noise
-                            or (trial.val >= pt.val - noise
-                                and trial.gnorm < pt.gnorm)):
+                            or trial.gnorm < pt.gnorm):
                         break
                     t *= 0.5
                 else:
@@ -460,7 +484,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
         g, theta, b = pt.g, pt.theta, pt.b
     return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
                      tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
-                     pt.val)
+                     pt.val, fallbacks)
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -500,7 +524,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     f_full = np.zeros(n)
     g_full = np.zeros(n)
     value = dual = base
-    levels = supports = ()
+    levels, supports, fallbacks = (), (), 0
     eps, gnorm, converged = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0, True
     scaled_tol = tol * max(1.0, m0 + m1)
     # a reachable source has a reachable target and vice versa, so a_r and
@@ -511,7 +535,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
                            scaled_tol, warm=warm)
         levels, supports, converged = sol.levels, sol.supports, sol.converged
-        eps, gnorm = sol.eps, sol.gnorm
+        eps, gnorm, fallbacks = sol.eps, sol.gnorm, sol.fallbacks
         plan[np.ix_(rows, cols)] = sol.plan
         f_full[rows] = sol.f
         g_full[cols] = sol.g
@@ -519,7 +543,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         dual = base + sol.value
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
                     sum(levels), converged, eps, float(dual), levels,
-                    supports)
+                    supports, fallbacks)
 
 
 def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
@@ -565,7 +589,8 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     def value_grad_hess(h, barrier):
         r = A @ h
         s = B @ h
-        val = (float(np.sum(xlogy(r, r / a) - r) + np.sum(xlogy(s, s / b) - s))
+        val = (float(np.sum(_xlogy(r, r / a) - r)
+                     + np.sum(_xlogy(s, s / b) - s))
                + base + float(c @ h) - barrier * float(np.sum(np.log(h))))
         grad = (A.T @ np.log(r / a) + B.T @ np.log(s / b) + c - barrier / h)
         hess = (A.T * (1.0 / r) @ A + B.T * (1.0 / s) @ B

@@ -142,7 +142,9 @@ class MMStepResult:
     both 0.  ``warm`` = (g, lam, s) is the state the next step starts from:
     the target potentials over all nodes, the spherical mass multiplier and
     step scale (0 and 1 after a closed-form step, None after a step from
-    the zero measure, whose potentials carry nothing to start from)."""
+    the zero measure, whose potentials carry nothing to start from).
+    ``factor_fallbacks`` sums the factorization failures of the step's
+    solves (see HKResult)."""
 
     measure: DiscreteMeasure
     objective: float
@@ -152,6 +154,7 @@ class MMStepResult:
     converged: bool
     plan: np.ndarray | None = None
     warm: tuple | None = None
+    factor_fallbacks: int = 0
 
 
 def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
@@ -191,7 +194,8 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
                         _metric_d2(spherical, final.hk_squared)[0], 0.0, 0,
                         final.converged, final.plan,
                         None if mu0.mass == 0 else
-                        (final.potential_target, 0.0, 1.0))
+                        (final.potential_target, 0.0, 1.0),
+                        final.factor_fallbacks)
 
 
 def _metric_d2(spherical, hk2):
@@ -313,7 +317,7 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
         g_prev, lam_prev, s = warm
         start = (b0, g_prev, (lam_prev,) if spherical else ())
     sol = solve(tau / s, start)
-    iterations = sum(sol.levels)
+    iterations, fallbacks = sum(sol.levels), sol.fallbacks
     settled = not spherical
     for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
         s_new = shk_squared_derivative(
@@ -324,6 +328,7 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
         s = s_new
         sol = solve(tau / s, (sol.b, sol.g, sol.theta))
         iterations += sum(sol.levels)
+        fallbacks += sol.fallbacks
 
     rho = sol.b / w
     if spherical:
@@ -336,7 +341,8 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
                         _metric_d2(spherical, final.hk_squared)[0],
                         sol.gnorm, iterations,
                         settled and sol.converged and final.converged,
-                        final.plan, (sol.g, lam, s))
+                        final.plan, (sol.g, lam, s),
+                        fallbacks + final.factor_fallbacks)
 
 
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,

@@ -4,6 +4,10 @@ so no public callable forwards keyword arguments it does not name."""
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hkflow
@@ -92,3 +96,25 @@ def test_no_unused_imports():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported - used]
     assert sorted(unused) == []
+
+
+def test_import_leaves_heavy_scipy_packages_out():
+    # a fresh process, as this one has SciPy's optimize loaded already; a
+    # table energy loads interpolate when it is built, and only then
+    src = str(Path(hkflow.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (
+        "import json, sys\n"
+        "import hkflow, hkflow.cli\n"
+        "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.optimize')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "E = hkflow.table_entropy([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 6.0],"
+        " recession_slope=float('inf'))\n"
+        "print(json.dumps([loaded, float(E(2.0))]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded, value = json.loads(out)
+    assert loaded == []
+    assert value == 2.0

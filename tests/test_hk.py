@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import xlogy
 
+import hkflow.hk as hk
+from hkflow.entropy import power_mass_entropy
 from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
                        hk_distance, hk_distance_squared, hk_exact_small,
                        hk_two_diracs, is_spherical, mass_gap_lower_bound,
@@ -13,6 +18,8 @@ from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
                        transport_cost)
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
                              uniform_measure, unit_interval)
+
+from hkflow.mm import mm_step
 
 from conftest import dirac_measure, sinusoid_measure
 
@@ -322,3 +329,97 @@ def test_supports_beyond_quarter_circle_match_exact():
     assert res.converged and exact.converged
     assert exact.level_iterations == ()
     assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# private helpers against the SciPy calls they replace
+
+
+def test_xlogy_matches_scipy():
+    rng = np.random.default_rng(0)
+    y = np.concatenate([rng.random(10**5),
+                        np.exp(rng.uniform(-745.0, 709.0, 10**5)),
+                        [5e-324, 2.2e-308, 1.0, 1.8e308, np.inf]])
+    x = np.concatenate([rng.random(10**5),
+                        np.exp(rng.uniform(-300.0, 300.0, 10**5)),
+                        [1.8e308, 1e-300, 3.0, 2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_y, ref_log = hk._xlogy(1.0, y), xlogy(1.0, y)
+        got, ref = hk._xlogy(x, y), xlogy(x, y)
+        zeros = hk._xlogy(np.zeros(5), np.array([0.0, 5e-324, 1.0, 1e300,
+                                                  np.inf]))
+    # numpy's log may differ from the C library's in the last bit, which
+    # the product x log y can round to a second one
+    fin = np.isfinite(ref)
+    np.testing.assert_array_max_ulp(log_y[fin], ref_log[fin], maxulp=1)
+    np.testing.assert_array_equal(got[~fin], ref[~fin])
+    np.testing.assert_array_max_ulp(got[fin], ref[fin], maxulp=2)
+    assert np.array_equal(zeros, np.zeros(5))
+    assert hk._xlogy(0.0, 0.0) == 0.0 == xlogy(0.0, 0.0)
+
+
+def _dense_point(rng, n, m, k):
+    """A Newton point with a positive plan, and the (W, d) of a term with k
+    extra variables (none for k < 0)."""
+    H = rng.random((n, m)) + 0.1
+    ea, eb = rng.random(n) + 0.5, rng.random(m) + 0.5
+    grad = rng.standard_normal(n + m + max(k, 0))
+    extra = None
+    if k >= 0:
+        W = np.vstack([-rng.random((n, m)), np.diag(rng.random(m) + 0.5),
+                       np.full((k, m), 0.3)])
+        extra = (W, rng.random(m) + 0.1)
+    return hk._Point(None, None, None, None, H, 0.0, H.sum(axis=1),
+                     H.sum(axis=0), ea, eb, grad, 1.0, extra, True)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_newton_direction_matches_cho_solve(k):
+    # the matrix built the way the solver built it before it called LAPACK
+    # itself: the term's Hessian formed in full, then SciPy's Cholesky
+    rng = np.random.default_rng(3 + k)
+    n, m, eps = 7, 5, 0.01
+    pt = _dense_point(rng, n, m, k)
+    M = np.zeros((pt.grad.size, pt.grad.size))
+    M[:n, :n] = np.diag(pt.ea + pt.r / eps)
+    M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
+    M[:n, n:n + m] = pt.H / eps
+    M[n:n + m, :n] = pt.H.T / eps
+    if pt.extra is not None:
+        W, d = pt.extra
+        M += (W * d) @ W.T
+    ref = cho_solve(cho_factor(M, check_finite=False), pt.grad,
+                    check_finite=False)
+    step, failed = hk._newton_direction(pt, eps, None)
+    assert not failed
+    assert np.array_equal(step, ref)
+
+
+def _fail_first(real, failure):
+    """Wrap a factorization so that its first call reports failure."""
+    calls = []
+
+    def wrapped(*args, **kw):
+        calls.append(None)
+        out = real(*args, **kw)
+        return failure(out) if len(calls) == 1 else out
+    return wrapped
+
+
+def test_failed_cholesky_is_counted(monkeypatch, interval33):
+    mu = sinusoid_measure(interval33, base=0.8, amplitude=0.2)
+    nu = sinusoid_measure(interval33, base=0.5, amplitude=0.3, frequency=2.0)
+    clean = hk_distance_squared(mu, nu)
+    E = power_mass_entropy(1.0, 2.0, -1.0)
+    clean_step = mm_step(mu, 0.02, E)
+    assert clean.factor_fallbacks == clean_step.factor_fallbacks == 0
+    monkeypatch.setattr(hk, "dpotrf",
+                        _fail_first(hk.dpotrf, lambda out: (out[0], 1)))
+    res = hk_distance_squared(mu, nu)
+    assert res.factor_fallbacks == 1 and res.converged
+    assert abs(res.hk_squared - clean.hk_squared) <= 1e-12
+    monkeypatch.setattr(hk, "dpotrf",
+                        _fail_first(hk.dpotrf, lambda out: (out[0], 1)))
+    step = mm_step(mu, 0.02, E)
+    assert step.factor_fallbacks == 1 and step.converged

@@ -177,3 +177,23 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
     assert all(s == (33 * 33,) for s in res.level_support)
     step = mm_step(mu, 0.005, power_mass_entropy(1.0, 2.0, -1.0))
     assert step.converged
+
+
+def test_singular_sparse_factor_is_counted(monkeypatch):
+    # an exactly singular LU factor falls back to a dense solve with 1e-12 I
+    # added; the solve counts it and still converges to the same distance
+    mu0, mu1 = pair(("smooth", 0))
+    clean = hk_distance_squared(mu0, mu1)
+    real, calls = hk.splu, []
+
+    def singular_once(*args, **kw):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(hk, "splu", singular_once)
+    res = hk_distance_squared(mu0, mu1)
+    assert clean.factor_fallbacks == 0 and res.factor_fallbacks == 1
+    assert res.converged
+    assert res.hk_squared == pytest.approx(clean.hk_squared, rel=1e-12)
