@@ -14,17 +14,17 @@ Two solvers are provided.
 
 ``hk_distance_squared`` (any support size) adds an entropic penalty of
 weight eps to the program and maximizes its smooth, strictly concave dual
-over potentials (f, g) with damped Newton steps: each step solves the
-(n + m) Hessian system and halves the step until the dual gains more than
+over potentials (f, g) with damped Newton steps: each step eliminates g,
+whose block of the Hessian is diagonal, factors the Schur complement on f
+by LAPACK's Cholesky, and halves the step until the dual gains more than
 its roundoff band, or stays inside that band while the gradient's max-norm
 falls; a trial below the band is rejected on its dual value alone, before
-its gradient is formed.  The system is dense and solved by LAPACK's
-Cholesky on small grids; on large ones (2-D grids), where at small eps
-nearly all of the plan is roundoff, Newton runs on a kept support of the
-plan with a sparse LU solve, and each level is checked on the full plan
-before it ends (truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput.
-2019).  A factorization that fails is replaced by a solve with 1e-12 I
-added and counted in ``HKResult.factor_fallbacks``.  eps is
+its gradient is formed.  On large grids (2-D), where at small eps nearly
+all of the plan is roundoff, Newton runs on a kept support of the plan,
+whose Schur complement is one sparse product, and each level is checked
+on the full plan before it ends (truncated eps-scaling, Schmitzer, SIAM J.
+Sci. Comput. 2019).  A factorization that fails is replaced by a solve
+with 1e-12 I added and counted in ``HKResult.factor_fallbacks``.  eps is
 continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
 starts from the previous level's potentials and opens with one
 closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
@@ -50,8 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix
 
 from .measures import DiscreteMeasure, GridDomain
 
@@ -70,7 +69,7 @@ NEWTON_TOL = 1e-11
 # kernel H_ij / (a_i b_j) exceeds SPARSE_KEEP tol / (max(n, m) max a max b)
 # at the point the support is chosen, so each dropped entry is below
 # SPARSE_KEEP tol / max(n, m), far below the gradient tolerance.  Below
-# about 80 nodes, or where most of the plan is kept, dense Cholesky is
+# about 80 nodes, or where most of the plan is kept, the full plan is
 # faster.
 SPARSE_MIN_SIZE = 160
 SPARSE_MAX_FILL = 0.15
@@ -132,8 +131,8 @@ class HKResult:
     in the same order, the kept plan entries of each support the level
     chose: one entry n m on a dense level, and one more entry for each time
     a sparse level chose its support again.  ``factor_fallbacks`` counts the
-    Newton systems whose factorization failed and were solved with 1e-12 I
-    added.
+    Newton directions whose Schur complement failed to factor and was
+    solved with 1e-12 I added.
     """
 
     hk_squared: float
@@ -167,8 +166,8 @@ class DualSolve(NamedTuple):
     b of a conjugate term, per-level Newton counts and kept supports (of a
     warm attempt, then of the cold rerun if one followed), the last eps, the
     gradient max-norm, the converged verdict, the dual value and the
-    number of Newton systems whose factorization failed (solved with
-    1e-12 I added instead)."""
+    number of Newton directions whose Schur complement failed to factor
+    (solved with 1e-12 I added instead)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -187,8 +186,7 @@ class DualSolve(NamedTuple):
 class _Point(NamedTuple):
     """One iterate of _dual_newton: variables, target masses, plan, dual
     value, row and column sums, a e^-f, b e^-g, gradient and its max-norm,
-    the factors (W, d) of the term's Hessian addition (W diag(d) W^T,
-    formed only where a Newton direction is taken), and whether all of
+    the term's Hessian factors (K, e^-g - u, Z, d), and whether all of
     these are finite.  On a kept support H holds the kept entries only."""
 
     f: np.ndarray
@@ -208,16 +206,11 @@ class _Point(NamedTuple):
 
 
 class _Support(NamedTuple):
-    """Kept plan entries (rows, cols) and their costs, with the CSC pattern
-    (indices, indptr) of the Newton matrix on them: its data are the
-    diagonal, then H, then H^T, taken in the order ``order``."""
+    """Kept plan entries (rows, cols), row-major, and their costs."""
 
     rows: np.ndarray
     cols: np.ndarray
     cost: np.ndarray
-    order: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
 
 
 def _kept_support(slack, cost, kernel_min):
@@ -229,45 +222,49 @@ def _kept_support(slack, cost, kernel_min):
     rows, cols = np.nonzero(slack > math.log(kernel_min))
     if rows.size > SPARSE_MAX_FILL * n * m:
         return None
-    diag = np.arange(n + m)
-    i = np.concatenate([diag, rows, n + cols])
-    j = np.concatenate([diag, n + cols, rows])
-    order = np.lexsort((i, j))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n + m))])
-    return _Support(rows, cols, cost[rows, cols], order, i[order], indptr)
+    return _Support(rows, cols, cost[rows, cols])
 
 
 def _newton_direction(pt, eps, support):
     """Solve M x = grad for the Newton matrix M (minus the dual's Hessian)
-    at pt: dense Cholesky (LAPACK potrf/potrs) on the full plan, sparse LU
-    on a kept support.  M is positive definite, so LU needs no pivoting
-    and the natural order keeps its fill small.  Returns x and whether the
-    factorization failed, in which case x solves M + 1e-12 I instead."""
+    at pt.  In the order (y, g), y = (f, theta), M = [[A, B], [B^T, D]]
+    with a diagonal D = eb + s / eps + d w^2, B = H / eps + V diag(d w) and
+    A = diag(ea + r / eps) + V diag(d) V^T, where V = [-K; Z] and
+    w = e^-g - u come from the term (V = 0 without one).  g is eliminated:
+    LAPACK's Cholesky (potrf/potrs) factors S = A - B D^-1 B^T for x_y, and
+    x_g = D^-1 (grad_g - B^T x_y).  On a kept support B = H / eps is sparse
+    and S one sparse product.  A target node with D_j = 0 (no mass, no
+    curvature) has B's column j and grad_g_j zero, and step 0.  Returns x
+    and whether the factorization failed; x then solves S + 1e-12 I."""
     n, m = pt.r.size, pt.s.size
-    if support is None:
-        M = np.zeros((pt.grad.size, pt.grad.size))
-        M[:n, :n] = np.diag(pt.ea + pt.r / eps)
-        M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
-        M[:n, n:n + m] = pt.H / eps
-        M[n:n + m, :n] = pt.H.T / eps
-        if pt.extra is not None:
-            W, d = pt.extra
-            with np.errstate(over="ignore", invalid="ignore"):
-                M += (W * d) @ W.T
-        c, info = dpotrf(M, lower=0, clean=0)
-        if info == 0:
-            return dpotrs(c, pt.grad, lower=0)[0], False
-    else:
-        h = pt.H / eps
-        data = np.concatenate([pt.ea + pt.r / eps, pt.eb + pt.s / eps, h, h])
-        M = csc_matrix((data[support.order], support.indices,
-                        support.indptr), shape=(n + m, n + m))
-        try:
-            return splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True}).solve(pt.grad), False
-        except RuntimeError:  # an exactly singular factor
-            M = M.toarray()
-    return np.linalg.solve(M + 1e-12 * np.eye(M.shape[0]), pt.grad), True
+    grad_g = pt.grad[n:n + m]
+    D = pt.eb + pt.s / eps
+    B = pt.H / eps
+    if support is not None:
+        B = csr_matrix((B, (support.rows, support.cols)), shape=(n, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pt.extra is None:
+            S = np.diag(pt.ea + pt.r / eps)
+        else:
+            K, w, Z, d = pt.extra
+            V = np.vstack([-K, Z])
+            D = D + d * w * w
+            S = (V * d) @ V.T
+            S[np.diag_indices(n)] += pt.ea + pt.r / eps
+            B = np.vstack([B, np.zeros_like(Z)]) + V * (d * w)
+        inv = np.divide(1.0, D, out=np.zeros(m), where=D > 0)
+        if support is None:
+            BI = B * inv
+            S -= BI @ B.T
+        else:
+            BI = B.multiply(inv)
+            S -= (BI @ B.T).toarray()
+    rhs = np.concatenate([pt.grad[:n], pt.grad[n + m:]]) - BI @ grad_g
+    c, info = dpotrf(S, lower=0, clean=0)
+    x = (dpotrs(c, rhs, lower=0)[0] if info == 0
+         else np.linalg.solve(S + 1e-12 * np.eye(S.shape[0]), rhs))
+    return (np.concatenate([x[:n], inv * grad_g - BI.T @ x, x[n:]]),
+            info != 0)
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
@@ -316,23 +313,25 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     finite and the dual gains more than the band; near the optimum the true
     gain of a Newton step (about gradient^2 eps) falls below that band, so
     there a trial inside the band is accepted when the max-norm of its
-    gradient falls.  Otherwise the step is halved.  The term's Hessian
-    W diag(d) W^T is formed only where a Newton direction is taken.
+    gradient falls.  Otherwise the step is halved.  The term's Hessian is
+    formed only where a Newton direction is taken.
 
-    The Newton step solves the dense (n + m) system by Cholesky, except on
-    large plain distance solves (no term, n + m >= SPARSE_MIN_SIZE), where
-    at small eps almost all of the plan is roundoff.  There each level
-    chooses a kept support at its opening point (see _kept_support and
-    SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput. 2019, truncates the kernel
-    the same way), and Newton evaluates the plan on the kept entries only
-    and solves a sparse system by LU.  A level whose support would keep more
-    than SPARSE_MAX_FILL of the plan stays dense.  A sparse pass ends with
-    one evaluation on the full plan: if its gradient exceeds the kept one by
-    more than 1e-3 tol, the support is chosen again from there and the
-    level goes on; if it exceeds the pass's first gradient, the level
-    restarts from that first point on the full plan.  Every level thus ends
-    on a full evaluation, and the returned plan, gradient and dual value
-    are those of the full plan.
+    The Newton step eliminates g, whose Hessian block is diagonal, and
+    factors the Schur complement on (f, theta) by Cholesky (see
+    _newton_direction).  On large plain distance solves (no term,
+    n + m >= SPARSE_MIN_SIZE) at small eps almost all of the plan is
+    roundoff.  There each level chooses a kept support at its opening point
+    (see _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput.
+    2019, truncates the kernel the same way), and Newton evaluates the plan
+    on the kept entries only, where the Schur complement is one sparse
+    product.  A level whose support would keep more than SPARSE_MAX_FILL of
+    the plan stays dense.  A sparse pass ends with one evaluation on the
+    full plan: if its gradient exceeds the kept one by more than 1e-3 tol,
+    the support is chosen again from there and the level goes on; if it
+    exceeds the pass's first gradient, the level restarts from that first
+    point on the full plan.  Every level thus ends on a full evaluation,
+    and the returned plan, gradient and dual value are those of the full
+    plan.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
@@ -395,7 +394,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                 if bar is not None and not val >= bar:
                     return None
                 H = K * b
-                extra = (np.vstack([-K, np.diag(e_g - u), Z]), d)
+                extra = (K, e_g - u, Z, d)
                 finite = bool(np.isfinite(d).all())
                 r = H.sum(axis=1)
                 s = H.sum(axis=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hkflow.evi
-from hkflow.entropy import power_mass_entropy
+from hkflow.entropy import eval_functional, power_mass_entropy
 from hkflow.evi import (contraction_check, convergence_study,
                         default_observers, distances_squared_along,
                         error_budget, evi_check, evi_residual_matrix,
@@ -193,29 +193,36 @@ def _unit_mass(measure):
     return DiscreteMeasure(measure.domain, measure.density / measure.mass)
 
 
-def test_shk_checks_read_the_trajectory_metric(interval33):
-    # the values of the same checks with the metric passed by hand as
-    # "shk"; the HK checks of this trajectory give a worst residual of
-    # 3.8e-4 and an L1 budget of 0.0734658
+def test_shk_checks_read_the_trajectory_metric(monkeypatch, interval33):
+    # no metric is passed: evi_check, error_budget and check_density_bounds
+    # must take the spherical one from the trajectory
     E = quadratic_entropy()
     mu0 = _unit_mass(sinusoid_measure(interval33, base=1.0, amplitude=0.3))
     traj = mm_trajectory(mu0, 0.02, 4, E, metric="shk")
-    close = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
+    metrics = []
+
+    def spy(measures, others, metric="hk"):
+        metrics.append(metric)
+        return distances_squared_along(measures, others, metric)
+
+    monkeypatch.setattr(hkflow.evi, "distances_squared_along", spy)
     rep = evi_check(traj, lam=-2.0)
-    assert rep.worst_residual == close(3.9262812207465595e-05)
-    assert rep.worst_residual_lambda == close(6.565649330426463e-05)
-    budget = error_budget(traj, kappa=2.0, lam=-2.0)
-    assert budget.weighted_l1 == close(0.07346313175479957)
-    assert budget.l1_bound == close(0.10359056375139038)
-    assert list(budget.deltas) == close([
-        2.620106214355505, 1.0871121002797408, 0.2923921890789331,
-        0.034864300058555])
+    error_budget(traj, kappa=2.0, lam=-2.0)
+    assert metrics == ["shk"] * 4  # three observers, then the skips
+    worst = -math.inf
+    for obs in default_observers(mu0, "shk"):
+        d2 = distances_squared_along(traj.measures, obs, "shk")
+        R = evi_residual_matrix(traj.times, traj.energy(), d2,
+                                eval_functional(E, obs), lambda_star(-2.0))
+        worst = max(worst, float(np.max(R[np.triu_indices(R.shape[0], 1)])))
+    assert rep.worst_residual == worst
     bounds = check_density_bounds(traj)
+    dens = traj.densities()
     assert bounds["ok"]
-    assert [r["lower"] for r in bounds["steps"]] == close([
-        0.7, 0.8324964879160757, 0.8669630144267702, 0.8841240019743594])
-    assert [r["upper"] for r in bounds["steps"]] == close([
-        1.3, 1.1580157346585542, 1.1315064799680776, 1.1124788693849674])
+    assert [r["upper"] for r in bounds["steps"]] == [
+        float(np.max(x)) for x in dens[:-1]]
+    assert [r["lower"] for r in bounds["steps"]] == [
+        float(np.min(x)) for x in dens[:-1]]
 
 
 def test_contraction_of_different_metrics_raises(interval17):

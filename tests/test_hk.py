@@ -360,40 +360,82 @@ def test_xlogy_matches_scipy():
 
 
 def _dense_point(rng, n, m, k):
-    """A Newton point with a positive plan, and the (W, d) of a term with k
-    extra variables (no term for k None)."""
+    """A Newton point with a positive plan, and the (K, w, Z, d) of a term
+    with k extra variables (no term for k None)."""
     H = rng.random((n, m)) + 0.1
     ea, eb = rng.random(n) + 0.5, rng.random(m) + 0.5
     grad = rng.standard_normal(n + m + (k or 0))
     extra = None
     if k is not None:
-        W = np.vstack([-rng.random((n, m)), np.diag(rng.random(m) + 0.5),
-                       np.full((k, m), 0.3)])
-        extra = (W, rng.random(m) + 0.1)
+        K, w = rng.random((n, m)), rng.random(m) + 0.5
+        extra = (K, w, np.full((k, m), 0.3), rng.random(m) + 0.1)
     return hk._Point(None, None, None, None, H, 0.0, H.sum(axis=1),
                      H.sum(axis=0), ea, eb, grad, 1.0, extra, True)
 
 
-@pytest.mark.parametrize("k", [None, 0, 1])
-def test_newton_direction_matches_cho_solve(k):
-    # the matrix built the way the solver built it before it called LAPACK
-    # itself: the term's Hessian formed in full, then SciPy's Cholesky
-    rng = np.random.default_rng(3)
-    n, m, eps = 7, 5, 0.01
-    pt = _dense_point(rng, n, m, k)
+def _full_newton_matrix(pt, eps):
+    """The (n + m + k)-square Newton matrix of pt in the order (f, g,
+    theta), the term's Hessian formed in full as W diag(d) W^T with
+    W = [-K; diag(w); Z]."""
+    n, m = pt.r.size, pt.s.size
     M = np.zeros((pt.grad.size, pt.grad.size))
     M[:n, :n] = np.diag(pt.ea + pt.r / eps)
     M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
     M[:n, n:n + m] = pt.H / eps
     M[n:n + m, :n] = pt.H.T / eps
     if pt.extra is not None:
-        W, d = pt.extra
+        K, w, Z, d = pt.extra
+        W = np.vstack([-K, np.diag(w), Z])
         M += (W * d) @ W.T
+    return M
+
+
+def _max_rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("k", [None, 0, 1])
+def test_newton_direction_matches_cho_solve(k):
+    # the Schur solve on (f, theta) against SciPy's Cholesky of the full
+    # matrix: the same solution up to roundoff
+    rng = np.random.default_rng(3)
+    n, m, eps = 7, 5, 0.01
+    pt = _dense_point(rng, n, m, k)
+    M = _full_newton_matrix(pt, eps)
     ref = cho_solve(cho_factor(M, check_finite=False), pt.grad,
                     check_finite=False)
     step, failed = hk._newton_direction(pt, eps, None)
     assert not failed
-    assert np.array_equal(step, ref)
+    assert _max_rel(step, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_decoupled_target_nodes_leave_the_newton_system(k):
+    # a target node with no mass (b_j = 0: no plan column, eb_j = 0) and no
+    # curvature (d_j = 0) has a zero row and column in the full matrix,
+    # which no Cholesky factors; the Schur solve gives it step 0 and solves
+    # the rest exactly
+    rng = np.random.default_rng(5)
+    n, m, eps = 7, 5, 0.01
+    pt = _dense_point(rng, n, m, k)
+    empty = np.array([1, 3])
+    H, eb, grad = pt.H.copy(), pt.eb.copy(), pt.grad.copy()
+    H[:, empty] = 0.0
+    eb[empty] = 0.0
+    grad[n + empty] = 0.0
+    K, w, Z, d = pt.extra
+    d = d.copy()
+    d[empty] = 0.0
+    pt = pt._replace(H=H, r=H.sum(axis=1), s=H.sum(axis=0), eb=eb,
+                     grad=grad, extra=(K, w, Z, d))
+    M = _full_newton_matrix(pt, eps)
+    assert hk.dpotrf(M)[1] > 0
+    keep = np.setdiff1d(np.arange(M.shape[0]), n + empty)
+    ref = cho_solve(cho_factor(M[np.ix_(keep, keep)]), grad[keep])
+    step, failed = hk._newton_direction(pt, eps, None)
+    assert not failed
+    assert np.array_equal(step[n + empty], np.zeros(2))
+    assert _max_rel(step[keep], ref) <= 1e-12
 
 
 def _fail_first(real, failure):
@@ -423,3 +465,24 @@ def test_failed_cholesky_is_counted(monkeypatch, interval33):
                         _fail_first(hk.dpotrf, lambda out: (out[0], 1)))
     step = mm_step(mu, 0.02, E)
     assert step.factor_fallbacks == 1 and step.converged
+
+
+def _sin_cos_square(nodes):
+    """0.8 + 0.2 sin 2 pi x cos 2 pi y on a nodes x nodes unit square."""
+    dom = GridDomain((0.0, 0.0), (1.0, 1.0), (nodes, nodes))
+    x = dom.coordinates
+    return DiscreteMeasure(dom, 0.8 + 0.2 * np.sin(2.0 * math.pi * x[:, 0])
+                           * np.cos(2.0 * math.pi * x[:, 1]))
+
+
+@pytest.mark.parametrize("grid, tau", [("1d", 0.005), ("2d", 0.01)])
+def test_cold_steps_with_empty_target_nodes_factor_cleanly(grid, tau):
+    # for E = c^2 - c the conjugate leaves target nodes without mass and
+    # curvature at the first eps-levels, which made the full Newton matrix
+    # singular (5 and 7 failed factorizations); the Schur solve keeps them
+    # out of the system
+    mu = (sinusoid_measure(unit_interval(33), base=0.8, amplitude=0.2)
+          if grid == "1d" else _sin_cos_square(17))
+    step = mm_step(mu, tau, power_mass_entropy(1.0, 2.0, -1.0))
+    assert step.converged
+    assert step.factor_fallbacks == 0

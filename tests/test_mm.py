@@ -402,7 +402,7 @@ def test_step_from_zero_to_relative_accuracy(tau):
     assert np.allclose(res.measure.density, tau**2, rtol=1e-11, atol=0.0)
 
 
-def test_step_from_zero_measure_without_conjugate():
+def test_step_from_zero_measure_grows_mass_by_scalar_steps():
     # a table energy steep enough to grow mass from nothing: every node
     # takes the scalar step from 0, a root of 1 + 2 tau E'(c) = 0 near 1
     dom = unit_interval(9)

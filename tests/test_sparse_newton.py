@@ -1,9 +1,9 @@
 """The sparse path of the distance solve on 2-D grids against the dense one.
 
-Large plain distance solves run Newton on a kept support of the plan with
-a sparse LU solve; small ones, and the conjugate-term solves of the
-implicit step, keep the dense Cholesky path.  The dense path is forced
-here by raising hk.SPARSE_MIN_SIZE.
+Large plain distance solves run Newton on a kept support of the plan, where
+the Schur complement of the Newton matrix is one sparse product; small
+ones, and the conjugate-term solves of the implicit step, evaluate the full
+plan.  The dense path is forced here by raising hk.SPARSE_MIN_SIZE.
 """
 
 import math
@@ -165,10 +165,10 @@ def test_sparse_path_with_tiny_tail_masses(monkeypatch):
 
 
 def test_one_dimensional_solves_stay_dense(monkeypatch):
-    def no_splu(*args, **kw):
-        raise AssertionError("sparse LU on a 1-D grid")
+    def no_support(*args, **kw):
+        raise AssertionError("kept support on a 1-D grid")
 
-    monkeypatch.setattr(hk, "splu", no_splu)
+    monkeypatch.setattr(hk, "_kept_support", no_support)
     dom = unit_interval(33)
     mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
     nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
@@ -180,20 +180,26 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
 
 
 def test_singular_sparse_factor_is_counted(monkeypatch):
-    # an exactly singular LU factor falls back to a dense solve with 1e-12 I
-    # added; the solve counts it and still converges to the same distance
+    # the first Cholesky factorization on a kept support reports failure;
+    # the solve falls back to S + 1e-12 I, counts it and still converges to
+    # the same distance
     mu0, mu1 = pair(("smooth", 0))
     clean = hk_distance_squared(mu0, mu1)
-    real, calls = hk.splu, []
+    real_factor, real_direction = hk.dpotrf, hk._newton_direction
+    failed = []
 
-    def singular_once(*args, **kw):
-        calls.append(None)
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return real(*args, **kw)
+    def direction(pt, eps, support):
+        if support is None or failed:
+            return real_direction(pt, eps, support)
+        failed.append(eps)
+        with monkeypatch.context() as mp:
+            mp.setattr(hk, "dpotrf",
+                       lambda *a, **kw: (real_factor(*a, **kw)[0], 1))
+            return real_direction(pt, eps, support)
 
-    monkeypatch.setattr(hk, "splu", singular_once)
+    monkeypatch.setattr(hk, "_newton_direction", direction)
     res = hk_distance_squared(mu0, mu1)
+    assert len(failed) == 1
     assert clean.factor_fallbacks == 0 and res.factor_fallbacks == 1
     assert res.converged
     assert res.hk_squared == pytest.approx(clean.hk_squared, rel=1e-12)
