@@ -23,8 +23,8 @@ its gradient is formed.  On large grids (2-D), where at small eps nearly
 all of the plan is roundoff, Newton runs on a kept support of the plan,
 whose Schur complement is one sparse product, and each level is checked
 on the full plan before it ends (truncated eps-scaling, Schmitzer, SIAM J.
-Sci. Comput. 2019).  A factorization that fails is replaced by a solve
-with 1e-12 I added and counted in ``HKResult.factor_fallbacks``.  eps is
+Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
+restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
 continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
 starts from the previous level's potentials and opens with one
 closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
@@ -131,8 +131,8 @@ class HKResult:
     in the same order, the kept plan entries of each support the level
     chose: one entry n m on a dense level, and one more entry for each time
     a sparse level chose its support again.  ``factor_fallbacks`` counts the
-    Newton directions whose Schur complement failed to factor and was
-    solved with 1e-12 I added.
+    Newton directions whose Schur complement failed to factor: solved with
+    1e-12 I added on the full plan, restarted on it from a kept support.
     """
 
     hk_squared: float
@@ -167,7 +167,7 @@ class DualSolve(NamedTuple):
     warm attempt, then of the cold rerun if one followed), the last eps, the
     gradient max-norm, the converged verdict, the dual value and the
     number of Newton directions whose Schur complement failed to factor
-    (solved with 1e-12 I added instead)."""
+    (solved with 1e-12 I added, or by a restart from a kept support)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -253,12 +253,8 @@ def _newton_direction(pt, eps, support):
             S[np.diag_indices(n)] += pt.ea + pt.r / eps
             B = np.vstack([B, np.zeros_like(Z)]) + V * (d * w)
         inv = np.divide(1.0, D, out=np.zeros(m), where=D > 0)
-        if support is None:
-            BI = B * inv
-            S -= BI @ B.T
-        else:
-            BI = B.multiply(inv)
-            S -= (BI @ B.T).toarray()
+        BI = B * inv if support is None else B.multiply(inv)
+        S -= BI @ B.T if support is None else (BI @ B.T).toarray()
     rhs = np.concatenate([pt.grad[:n], pt.grad[n + m:]]) - BI @ grad_g
     c, info = dpotrf(S, lower=0, clean=0)
     x = (dpotrs(c, rhs, lower=0)[0] if info == 0
@@ -328,10 +324,10 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     the plan stays dense.  A sparse pass ends with one evaluation on the
     full plan: if its gradient exceeds the kept one by more than 1e-3 tol,
     the support is chosen again from there and the level goes on; if it
-    exceeds the pass's first gradient, the level restarts from that first
-    point on the full plan.  Every level thus ends on a full evaluation,
-    and the returned plan, gradient and dual value are those of the full
-    plan.
+    exceeds the pass's first gradient, or S failed to factor on the
+    support, the level restarts from that first point on the full plan.
+    Every level thus ends on a full evaluation, and the returned plan,
+    gradient and dual value are those of the full plan.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
@@ -440,12 +436,14 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
             opened = pt
             if support is not None:
                 pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b, support=support)
-            start = levels[-1]
+            start, failed = levels[-1], False
             for _ in range(max_iter - start):
                 if pt.gnorm < tol:
                     break
                 step, failed = _newton_direction(pt, eps, support)
                 fallbacks += failed
+                if failed and support is not None:
+                    break
                 t = 1.0
                 while t > 1e-13:
                     trial = evaluate(pt.f + t * step[:n],
@@ -468,13 +466,13 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                 levels[-1] += 1
             if support is None:
                 break
-            # mass the support dropped shows in the full gradient.  A pass
-            # that ends worse than it began has let potentials drift until
-            # dropped entries dominate: a cluster of tiny masses can move
-            # freely on its kept entries.
+            # mass the support dropped shows in the full gradient.  A cluster
+            # of tiny masses tied only to itself by its kept entries can
+            # drift on them until dropped entries dominate (the pass ends
+            # worse than it began) or make S fail to factor.
             kept_gnorm = pt.gnorm
             pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
-            if pt.gnorm > opened.gnorm:
+            if failed or pt.gnorm > opened.gnorm:
                 pt, sparse_level = opened, False
             elif pt.gnorm <= kept_gnorm + 1e-3 * tol or levels[-1] == start:
                 break

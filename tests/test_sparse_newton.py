@@ -181,8 +181,8 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
 
 def test_singular_sparse_factor_is_counted(monkeypatch):
     # the first Cholesky factorization on a kept support reports failure;
-    # the solve falls back to S + 1e-12 I, counts it and still converges to
-    # the same distance
+    # the level restarts on the full plan, the solve counts it and still
+    # converges to the same distance
     mu0, mu1 = pair(("smooth", 0))
     clean = hk_distance_squared(mu0, mu1)
     real_factor, real_direction = hk.dpotrf, hk._newton_direction
@@ -200,6 +200,8 @@ def test_singular_sparse_factor_is_counted(monkeypatch):
     monkeypatch.setattr(hk, "_newton_direction", direction)
     res = hk_distance_squared(mu0, mu1)
     assert len(failed) == 1
+    level = list(hk.DEFAULT_EPS_SCHEDULE).index(failed[0])
+    assert res.level_support[level][-1] == mu0.domain.n_nodes ** 2
     assert clean.factor_fallbacks == 0 and res.factor_fallbacks == 1
     assert res.converged
     assert res.hk_squared == pytest.approx(clean.hk_squared, rel=1e-12)
