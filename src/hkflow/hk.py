@@ -14,27 +14,31 @@ Two solvers are provided.
 
 ``hk_distance_squared`` (any support size) adds an entropic penalty of
 weight eps to the program and maximizes its smooth, strictly concave dual
-over potentials (f, g) with damped Newton steps: each step eliminates g,
-whose block of the Hessian is diagonal, factors the Schur complement on f
-by LAPACK's Cholesky, and halves the step until the dual gains more than
-its roundoff band, or stays inside that band while the gradient's max-norm
-falls; a trial below the band is rejected on its dual value alone, before
-its gradient is formed.  On large grids (2-D), where at small eps nearly
-all of the plan is roundoff, Newton runs on a kept support of the plan,
-whose Schur complement is one sparse product, and each level is checked
-on the full plan before it ends (truncated eps-scaling, Schmitzer, SIAM J.
-Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
-restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
-continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
-starts from the previous level's potentials and opens with one
-closed-form unbalanced-Sinkhorn sweep (exact block ascent in f, then in
-g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes
-the overshoot of the previous level's plan before Newton takes over.  A
-warm start from target potentials solves at the final eps only, and
-``_dual_newton`` reruns the full continuation if that does not converge.
-The same Newton loop solves every minimizing-movement step of ``mm`` that
-has no closed form: the dual is linear in the target masses, which it then
-maximizes over jointly, through the convex conjugate of the energy.
+over potentials (f, g) with damped Newton steps.  The dual is linear in the
+target masses b, and the same Newton loop solves every minimizing-movement
+step of ``mm`` that has no closed form, with that linear term replaced by
+the energy's convex conjugate, maximized over jointly: a distance solve is
+the step's loop with fixed target masses.  Every iterate is evaluated the
+same way, from the kernel K_ij = a_i exp((f_i + g_j - c_ij) / eps), whose
+plan is K diag(b).  Each Newton step eliminates g, whose block of the
+Hessian is diagonal, factors the Schur complement on f, diagonal plus one
+product K diag(.) K^T, by LAPACK's Cholesky, and halves the step until the
+dual gains more than its roundoff band, or stays inside that band while
+the gradient's max-norm falls; a trial below the band is rejected on its
+dual value alone, before its gradient is formed.  On large grids (2-D),
+where at small eps nearly all of the plan is roundoff, a distance solve
+runs Newton on a kept support of the plan, where that product is sparse,
+and each level is checked on the full plan before it ends (truncated
+eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
+factorization adds 1e-12 I (a sparse level restarts dense) and is counted
+in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
+schedule (1e-1 down to 1e-6).  Each level starts from the previous level's
+potentials and opens with one closed-form unbalanced-Sinkhorn sweep (exact
+block ascent in f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math.
+Comp. 2018), which removes the overshoot of the previous level's plan
+before Newton takes over.  A warm start from target potentials solves at
+the final eps only, and ``_dual_newton`` reruns the full continuation if
+that does not converge.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -161,13 +165,14 @@ def regularized_dual(a, b, f, g, H, eps) -> float:
 
 
 class DualSolve(NamedTuple):
-    """Final state of _dual_newton: the plan H_ij = a_i b_j exp((f_i + g_j -
-    c_ij) / eps), the potentials, the extra dual variables and target masses
-    b of a conjugate term, per-level Newton counts and kept supports (of a
-    warm attempt, then of the cold rerun if one followed), the last eps, the
-    gradient max-norm, the converged verdict, the dual value and the
-    number of Newton directions whose Schur complement failed to factor
-    (solved with 1e-12 I added, or by a restart from a kept support)."""
+    """Final state of _dual_newton: the last iterate's plan K diag(b),
+    H_ij = a_i b_j exp((f_i + g_j - c_ij) / eps), the potentials, the extra
+    dual variables and target masses b (of a conjugate term), per-level
+    Newton counts and kept supports (of a warm attempt, then of the cold
+    rerun if one followed), the last eps, the gradient max-norm, the
+    converged verdict, the dual value and the number of Newton directions
+    whose Schur complement failed to factor (solved with 1e-12 I added, or
+    by a restart from a kept support)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -184,16 +189,19 @@ class DualSolve(NamedTuple):
 
 
 class _Point(NamedTuple):
-    """One iterate of _dual_newton: variables, target masses, plan, dual
-    value, row and column sums, a e^-f, b e^-g, gradient and its max-norm,
-    the term's Hessian factors (K, e^-g - u, Z, d), and whether all of
-    these are finite.  On a kept support H holds the kept entries only."""
+    """One iterate of _dual_newton: variables, target masses, kernel
+    K_ij = a_i exp((f_i + g_j - c_ij) / eps) (the plan is K diag(b)), dual
+    value, the plan's row and column sums r = K b and s = b u (u the
+    column sums of K), a e^-f, b e^-g, gradient and its max-norm, the
+    Hessian factors (e^-g - u, Z, d) (Z empty and d = 0 in a distance
+    solve), and whether all of these are finite.  On a kept support K
+    holds the kept entries only."""
 
     f: np.ndarray
     g: np.ndarray
     theta: np.ndarray
     b: np.ndarray
-    H: np.ndarray
+    K: np.ndarray
     val: float
     r: np.ndarray
     s: np.ndarray
@@ -201,7 +209,7 @@ class _Point(NamedTuple):
     eb: np.ndarray
     grad: np.ndarray
     gnorm: float
-    extra: tuple | None
+    extra: tuple
     finite: bool
 
 
@@ -227,40 +235,43 @@ def _kept_support(slack, cost, kernel_min):
 
 def _newton_direction(pt, eps, support):
     """Solve M x = grad for the Newton matrix M (minus the dual's Hessian)
-    at pt.  In the order (y, g), y = (f, theta), M = [[A, B], [B^T, D]]
-    with a diagonal D = eb + s / eps + d w^2, B = H / eps + V diag(d w) and
-    A = diag(ea + r / eps) + V diag(d) V^T, where V = [-K; Z] and
-    w = e^-g - u come from the term (V = 0 without one).  g is eliminated:
-    LAPACK's Cholesky (potrf/potrs) factors S = A - B D^-1 B^T for x_y, and
-    x_g = D^-1 (grad_g - B^T x_y).  On a kept support B = H / eps is sparse
-    and S one sparse product.  A target node with D_j = 0 (no mass, no
-    curvature) has B's column j and grad_g_j zero, and step 0.  Returns x
-    and whether the factorization failed; x then solves S + 1e-12 I."""
+    at pt.  With w = e^-g - u and the term's (Z, d) (Z empty and d = 0 in a
+    distance solve), M = [[A, B], [B^T, diag(D)]] in the order (f, theta,
+    g), where D = eb + s / eps + d w^2, B = [K diag(beta); Z diag(d w)] with
+    beta = b / eps - d w, and A = diag(ea + r / eps, 0) + V diag(d) V^T with
+    V = [-K; Z].  g is eliminated: LAPACK's Cholesky (potrf/potrs) factors
+    the Schur complement S = A - B D^-1 B^T, whose f block
+    diag(ea + r / eps) + K diag(d - beta^2 / D) K^T is one product (a
+    sparse one on a kept support), and x_g = D^-1 (grad_g - beta K^T x_f -
+    d w Z^T x_theta).  A target node with D_j = 0 (no mass, no curvature)
+    has beta_j = d_j = 0 and step 0.  Returns x and whether the
+    factorization failed; x then solves S + 1e-12 I."""
+    w, Z, d = pt.extra
     n, m = pt.r.size, pt.s.size
     grad_g = pt.grad[n:n + m]
-    D = pt.eb + pt.s / eps
-    B = pt.H / eps
-    if support is not None:
-        B = csr_matrix((B, (support.rows, support.cols)), shape=(n, m))
+    K = pt.K if support is None else csr_matrix(
+        (pt.K, (support.rows, support.cols)), shape=(n, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        if pt.extra is None:
-            S = np.diag(pt.ea + pt.r / eps)
-        else:
-            K, w, Z, d = pt.extra
-            V = np.vstack([-K, Z])
-            D = D + d * w * w
-            S = (V * d) @ V.T
-            S[np.diag_indices(n)] += pt.ea + pt.r / eps
-            B = np.vstack([B, np.zeros_like(Z)]) + V * (d * w)
+        dw = d * w
+        D = pt.eb + pt.s / eps + dw * w
         inv = np.divide(1.0, D, out=np.zeros(m), where=D > 0)
-        BI = B * inv if support is None else B.multiply(inv)
-        S -= BI @ B.T if support is None else (BI @ B.T).toarray()
-    rhs = np.concatenate([pt.grad[:n], pt.grad[n + m:]]) - BI @ grad_g
+        beta = pt.b / eps - dw
+        coef = d - beta * beta * inv
+        S = np.empty((n + Z.shape[0],) * 2)
+        S[:n, :n] = ((K * coef) @ K.T if support is None
+                     else (K.multiply(coef) @ K.T).toarray())
+        S[:n, n:] = K @ (Z * (-d - beta * dw * inv)).T
+        S[n:, :n] = S[:n, n:].T
+        S[n:, n:] = (Z * (d - dw * dw * inv)) @ Z.T
+        S[np.diag_indices(n)] += pt.ea + pt.r / eps
+    rhs = np.concatenate([pt.grad[:n] - K @ (beta * inv * grad_g),
+                          pt.grad[n + m:] - Z @ (dw * inv * grad_g)])
     c, info = dpotrf(S, lower=0, clean=0)
     x = (dpotrs(c, rhs, lower=0)[0] if info == 0
          else np.linalg.solve(S + 1e-12 * np.eye(S.shape[0]), rhs))
-    return (np.concatenate([x[:n], inv * grad_g - BI.T @ x, x[n:]]),
-            info != 0)
+    x_f, x_theta = x[:n], x[n:]
+    x_g = inv * (grad_g - beta * (K.T @ x_f) - dw * (Z.T @ x_theta))
+    return np.concatenate([x_f, x_g, x_theta]), info != 0
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
@@ -281,12 +292,13 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     extra variables theta (start theta0), maximized jointly with (f, g).
     term.value(k, theta, eps) returns (F, b, dF/dtheta, d, Z) at the
     level's eps: b = dF/dk are the target masses, and -F'' = W diag(d) W^T
-    in the coordinates (k, theta), with W = [I; Z].  Gradient and Hessian
-    keep the form of the fixed-b case, with the Hessian raised by
-    V diag(d) V^T, where V stacks the gradients of the k_j over the rows Z.
-    ``b`` then only seeds the first opening sweep, and
-    term.opening(k, theta, eps) returns the maximizing theta at given
-    slopes.
+    in the coordinates (k, theta), with W = [I; Z].  Without a term the
+    solve is a distance solve, F = b.k with d = 0 and no theta, so every
+    solve evaluates its iterates the same way (the kernel K, the slopes k,
+    then F) and takes its Newton steps from one Schur complement (see
+    _newton_direction).  With a term ``b`` only seeds the first opening
+    sweep, and term.opening(k, theta, eps) returns the maximizing theta at
+    given slopes.
 
     Every level opens with one unbalanced-Sinkhorn sweep at the current
     target masses: exact block maximization in closed form, first over f
@@ -355,52 +367,44 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
+    empty = np.empty((0, m))
 
     def evaluate(f, g, theta, eps, b, opening=False, support=None,
                  bar=None):
         # a trial valued below bar (or NaN) is rejected: None, no gradient
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if term is None:
-                if support is None:
-                    log_plan = (log_a[:, None] + np.log(b)[None, :]
-                                + (f[:, None] + g[None, :] - cost) / eps)
-                    H = np.exp(np.minimum(log_plan, 500.0))
-                else:
-                    i, j = support.rows, support.cols
-                    H = np.exp(np.minimum(
-                        log_a[i] + np.log(b)[j]
-                        + (f[i] + g[j] - support.cost) / eps, 500.0))
-                val = regularized_dual(a, b, f, g, H, eps)
-                if bar is not None and not val >= bar:
-                    return None
-                r, s = ((H.sum(axis=1), H.sum(axis=0)) if support is None
-                        else (np.bincount(i, H, n), np.bincount(j, H, m)))
-                grad_theta, extra, finite = (), None, True
-            else:
+            if support is None:
                 K = np.exp(np.minimum(
                     log_a[:, None] + (f[:, None] + g[None, :] - cost) / eps,
                     500.0))
                 u = K.sum(axis=0)
-                e_g = np.exp(-g)
-                kappa = 1.0 - e_g - eps * (u - sa)
+            else:
+                i, j = support.rows, support.cols
+                K = np.exp(np.minimum(
+                    log_a[i] + (f[i] + g[j] - support.cost) / eps, 500.0))
+                u = np.bincount(j, K, m)
+            e_g = np.exp(-g)
+            kappa = 1.0 - e_g - eps * (u - sa)
+            if term is None:
+                # a distance solve: the linear term F = b.kappa
+                F, grad_theta, d, Z = b @ kappa, (), np.zeros(m), empty
+            else:
                 if opening:
                     theta = term.opening(kappa, theta, eps)
                 F, b, grad_theta, d, Z = term.value(kappa, theta, eps)
-                val = float(a @ (1.0 - np.exp(-f))) + F
-                if bar is not None and not val >= bar:
-                    return None
-                H = K * b
-                extra = (K, e_g - u, Z, d)
-                finite = bool(np.isfinite(d).all())
-                r = H.sum(axis=1)
-                s = H.sum(axis=0)
+            val = float(a @ (1.0 - np.exp(-f)) + F)
+            if bar is not None and not val >= bar:
+                return None
+            r = K @ b if support is None else np.bincount(i, K * b[j], n)
+            s = b * u
             ea = a * np.exp(-f)
-            eb = b * np.exp(-g)
+            eb = b * e_g
             grad = np.concatenate([ea - r, eb - s, grad_theta])
             gnorm = float(np.max(np.abs(grad)))
-        finite = finite and math.isfinite(val) and math.isfinite(gnorm)
-        return _Point(f, g, np.asarray(theta, dtype=float), b, H, val, r, s,
-                      ea, eb, grad, gnorm, extra, finite)
+        finite = (bool(np.isfinite(d).all()) and math.isfinite(val)
+                  and math.isfinite(gnorm))
+        return _Point(f, g, np.asarray(theta, dtype=float), b, K, val, r, s,
+                      ea, eb, grad, gnorm, (e_g - u, Z, d), finite)
 
     # dual values closer than this differ by roundoff only
     noise = 1e-14 * float(a.sum() + b.sum())
@@ -479,7 +483,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
             if levels[-1] == max_iter:
                 break
         g, theta, b = pt.g, pt.theta, pt.b
-    return DualSolve(pt.H, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
+    return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
                      tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
                      pt.val, fallbacks)
 

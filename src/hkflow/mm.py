@@ -29,8 +29,8 @@ import numpy as np
 from .entropy import EntropySpec, eval_functional
 from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
                  _domain_cost, _dual_newton, has_unit_mass,
-                 hk_distance_squared, is_spherical, regularized_dual,
-                 shk_from_hk_squared, shk_squared_derivative)
+                 hk_distance_squared, is_spherical, metric_squared,
+                 regularized_dual, shk_squared_derivative)
 from .measures import DiscreteMeasure
 
 # eps schedule of the dual step: the distance solve's, continued to 1e-8.
@@ -188,21 +188,14 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     nu = DiscreteMeasure(mu0.domain, rho)
     final = hk_distance_squared(mu0, nu,
                                 warm_start=None if warm is None else warm[0])
-    d2 = _metric_d2(spherical, final.dual_value)[0]
-    return MMStepResult(nu, d2 / (2.0 * tau)
+    d2 = metric_squared("shk" if spherical else "hk")
+    return MMStepResult(nu, d2(final.dual_value) / (2.0 * tau)
                         + float(mu0.domain.weights @ E(rho)),
-                        _metric_d2(spherical, final.hk_squared)[0], 0.0, 0,
+                        d2(final.hk_squared), 0.0, 0,
                         final.converged, final.plan,
                         None if mu0.mass == 0 else
                         (final.potential_target, 0.0, 1.0),
                         final.factor_fallbacks)
-
-
-def _metric_d2(spherical, hk2):
-    """Squared step distance and its derivative in HK^2."""
-    if spherical:
-        return shk_from_hk_squared(hk2) ** 2, shk_squared_derivative(hk2)
-    return hk2, 1.0
 
 
 class _ConjugateTerm:
@@ -335,10 +328,10 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
         rho = rho / float(w @ rho)
     nu = DiscreteMeasure(dom, rho)
     final = hk_distance_squared(mu0, nu, warm_start=sol.g)
-    d2 = _metric_d2(spherical, final.dual_value)[0]
+    d2 = metric_squared("shk" if spherical else "hk")
     lam = float(sol.theta[0]) if spherical else 0.0
-    return MMStepResult(nu, d2 / (2.0 * tau) + float(w @ E(rho)),
-                        _metric_d2(spherical, final.hk_squared)[0],
+    return MMStepResult(nu, d2(final.dual_value) / (2.0 * tau)
+                        + float(w @ E(rho)), d2(final.hk_squared),
                         sol.gnorm, iterations,
                         settled and sol.converged and final.converged,
                         final.plan, (sol.g, lam, s),

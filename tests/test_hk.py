@@ -360,16 +360,17 @@ def test_xlogy_matches_scipy():
 
 
 def _dense_point(rng, n, m, k):
-    """A Newton point with a positive plan, and the (K, w, Z, d) of a term
-    with k extra variables (no term for k None)."""
-    H = rng.random((n, m)) + 0.1
+    """A Newton point with a positive kernel K and target masses b, so plan
+    H = K diag(b), and the (e^-g - u, Z, d) of a term with k extra
+    variables (for k None: a distance solve, d = 0 and Z empty)."""
+    K, b = rng.random((n, m)) + 0.1, rng.random(m) + 0.5
+    H = K * b
     ea, eb = rng.random(n) + 0.5, rng.random(m) + 0.5
     grad = rng.standard_normal(n + m + (k or 0))
-    extra = None
-    if k is not None:
-        K, w = rng.random((n, m)), rng.random(m) + 0.5
-        extra = (K, w, np.full((k, m), 0.3), rng.random(m) + 0.1)
-    return hk._Point(None, None, None, None, H, 0.0, H.sum(axis=1),
+    w = rng.random(m) + 0.5
+    extra = ((w, np.empty((0, m)), np.zeros(m)) if k is None
+             else (w, np.full((k, m), 0.3), rng.random(m) + 0.1))
+    return hk._Point(None, None, None, b, K, 0.0, H.sum(axis=1),
                      H.sum(axis=0), ea, eb, grad, 1.0, extra, True)
 
 
@@ -378,33 +379,44 @@ def _full_newton_matrix(pt, eps):
     theta), the term's Hessian formed in full as W diag(d) W^T with
     W = [-K; diag(w); Z]."""
     n, m = pt.r.size, pt.s.size
+    H = pt.K * pt.b
     M = np.zeros((pt.grad.size, pt.grad.size))
     M[:n, :n] = np.diag(pt.ea + pt.r / eps)
     M[n:n + m, n:n + m] = np.diag(pt.eb + pt.s / eps)
-    M[:n, n:n + m] = pt.H / eps
-    M[n:n + m, :n] = pt.H.T / eps
-    if pt.extra is not None:
-        K, w, Z, d = pt.extra
-        W = np.vstack([-K, np.diag(w), Z])
-        M += (W * d) @ W.T
-    return M
+    M[:n, n:n + m] = H / eps
+    M[n:n + m, :n] = H.T / eps
+    w, Z, d = pt.extra
+    W = np.vstack([-pt.K, np.diag(w), Z])
+    return M + (W * d) @ W.T
 
 
 def _max_rel(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("k", [None, 0, 1])
-def test_newton_direction_matches_cho_solve(k):
+@pytest.mark.parametrize("k, kept", [(None, False), (0, False), (1, False),
+                                     (None, True)],
+                         ids=["None", "0", "1", "None-kept"])
+def test_newton_direction_matches_cho_solve(k, kept):
     # the Schur solve on (f, theta) against SciPy's Cholesky of the full
-    # matrix: the same solution up to roundoff
+    # matrix: the same solution up to roundoff.  On a kept support (about
+    # half the entries) the full matrix is built from the kept entries
     rng = np.random.default_rng(3)
     n, m, eps = 7, 5, 0.01
     pt = _dense_point(rng, n, m, k)
+    support = None
+    if kept:
+        rows, cols = np.nonzero(rng.random((n, m)) < 0.5)
+        support = hk._Support(rows, cols, np.zeros(rows.size))
+        K = np.zeros((n, m))
+        K[rows, cols] = pt.K[rows, cols]
+        pt = pt._replace(K=K, r=K @ pt.b, s=pt.b * K.sum(axis=0))
     M = _full_newton_matrix(pt, eps)
     ref = cho_solve(cho_factor(M, check_finite=False), pt.grad,
                     check_finite=False)
-    step, failed = hk._newton_direction(pt, eps, None)
+    if kept:
+        pt = pt._replace(K=pt.K[rows, cols])
+    step, failed = hk._newton_direction(pt, eps, support)
     assert not failed
     assert _max_rel(step, ref) <= 1e-12
 
@@ -419,15 +431,16 @@ def test_decoupled_target_nodes_leave_the_newton_system(k):
     n, m, eps = 7, 5, 0.01
     pt = _dense_point(rng, n, m, k)
     empty = np.array([1, 3])
-    H, eb, grad = pt.H.copy(), pt.eb.copy(), pt.grad.copy()
-    H[:, empty] = 0.0
+    b, eb, grad = pt.b.copy(), pt.eb.copy(), pt.grad.copy()
+    b[empty] = 0.0
     eb[empty] = 0.0
     grad[n + empty] = 0.0
-    K, w, Z, d = pt.extra
+    w, Z, d = pt.extra
     d = d.copy()
     d[empty] = 0.0
-    pt = pt._replace(H=H, r=H.sum(axis=1), s=H.sum(axis=0), eb=eb,
-                     grad=grad, extra=(K, w, Z, d))
+    H = pt.K * b
+    pt = pt._replace(b=b, r=H.sum(axis=1), s=H.sum(axis=0), eb=eb,
+                     grad=grad, extra=(w, Z, d))
     M = _full_newton_matrix(pt, eps)
     assert hk.dpotrf(M)[1] > 0
     keep = np.setdiff1d(np.arange(M.shape[0]), n + empty)
