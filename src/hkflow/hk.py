@@ -36,9 +36,9 @@ schedule (1e-1 down to 1e-6).  Each level starts from the previous level's
 potentials and opens with one closed-form unbalanced-Sinkhorn sweep (exact
 block ascent in f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math.
 Comp. 2018), which removes the overshoot of the previous level's plan
-before Newton takes over.  A warm start from target potentials solves at
-the final eps only, and ``_dual_newton`` reruns the full continuation if
-that does not converge.
+before Newton takes over; a distance solve closes with one more f-sweep.
+A warm start from target potentials solves at the final eps only, and
+``_dual_newton`` reruns the full continuation if that does not converge.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -339,7 +339,10 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     exceeds the pass's first gradient, or S failed to factor on the
     support, the level restarts from that first point on the full plan.
     Every level thus ends on a full evaluation, and the returned plan,
-    gradient and dual value are those of the full plan.
+    gradient and dual value are those of the full plan.  A distance solve
+    then closes with one f-sweep at the last g, so that each plan row holds
+    exactly a e^-f, and returns that point: the primal value of its plan
+    does not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
@@ -483,6 +486,15 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
             if levels[-1] == max_iter:
                 break
         g, theta, b = pt.g, pt.theta, pt.b
+    if term is None:
+        # a closing f-sweep, exact maximization over f at the last g, so
+        # that each plan row holds a e^-f.  Newton stops on the gradient's
+        # max-norm, and a source node of tiny mass (down to 1e-90 in a
+        # narrow Gaussian's tail) may keep plan mass near the tolerance, far
+        # above its own, whose term r log(r / a) would move the primal
+        # value by about tol log(tol / a)
+        f = shrink * _lse((pt.g - cost) / eps + np.log(b), axis=1)
+        pt = evaluate(f, pt.g, pt.theta, eps, b)
     return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
                      tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
                      pt.val, fallbacks)

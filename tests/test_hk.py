@@ -451,6 +451,27 @@ def test_decoupled_target_nodes_leave_the_newton_system(k):
     assert _max_rel(step[keep], ref) <= 1e-12
 
 
+def test_distance_solve_plan_rows_hold_their_marginal(interval33):
+    # narrow Gaussians leave source masses down to 1e-68; Newton stops on
+    # the gradient's max-norm, where such a row may still carry plan mass
+    # near the tolerance, many times its own.  The closing f-sweep leaves
+    # each plan row with mass a e^-f, up to the roundoff of
+    # exp((f + g - c) / eps) at eps = 1e-6
+    x = interval33.coordinates[:, 0]
+
+    def gaussian(centre):
+        return DiscreteMeasure(interval33, np.exp(-0.5 * ((x - centre) / 0.04)
+                                                  ** 2))
+
+    mu, nu = gaussian(0.3), gaussian(0.6)
+    res = hk_distance_squared(mu, nu)
+    assert res.converged
+    a = mu.density * interval33.weights
+    assert a.min() < 1e-60
+    np.testing.assert_allclose(res.plan.sum(axis=1),
+                               a * np.exp(-res.potential_source), rtol=1e-9)
+
+
 def _fail_first(real, failure):
     """Wrap a factorization so that its first call reports failure."""
     calls = []
