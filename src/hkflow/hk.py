@@ -27,7 +27,7 @@ dual gains more than its roundoff band, or stays inside that band while
 the gradient's max-norm falls; a trial below the band is rejected on its
 dual value alone, before its gradient is formed.  On large grids (2-D),
 where at small eps nearly all of the plan is roundoff, a distance solve
-runs Newton on a kept support of the plan, where that product is sparse,
+runs Newton on a kept support of the plan, where that product is banded,
 and each level is checked on the full plan before it ends (truncated
 eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
 factorization adds 1e-12 I (a sparse level restarts dense) and is counted
@@ -53,8 +53,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse import csr_matrix
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 from .measures import DiscreteMeasure, GridDomain
 
@@ -214,63 +213,92 @@ class _Point(NamedTuple):
 
 
 class _Support(NamedTuple):
-    """Kept plan entries (rows, cols), row-major, and their costs."""
+    """Kept plan entries (rows, cols), row-major, their costs, and the pair
+    plan of S's band: int32 pairs (p, q) of entries in one column, rows[p] >=
+    rows[q], their int32 slots in LAPACK lower band storage, and the
+    half-bandwidth kd; None (S is dense) where it exceeds n m pairs."""
 
     rows: np.ndarray
     cols: np.ndarray
     cost: np.ndarray
+    pairs: tuple | None
+
+    @classmethod
+    def build(cls, rows, cols, cost, n, m):
+        count = np.bincount(cols, minlength=m)
+        if count @ (count + 1) // 2 > n * m:
+            return cls(rows, cols, cost, None)
+        order = np.argsort(cols, kind="stable").astype(np.int32)
+        start = np.repeat(np.cumsum(count) - count, count)
+        reps = np.arange(rows.size) - start + 1
+        p = np.repeat(order, reps)
+        q = order[np.arange(p.size)
+                  + np.repeat(start - np.cumsum(reps) + reps, reps)]
+        kd = int((rows[p] - rows[q]).max(initial=0))
+        slot = (rows[p] + kd * rows[q]).astype(np.int32)
+        return cls(rows, cols, cost, (p, q, slot, kd))
 
 
 def _kept_support(slack, cost, kernel_min):
     """The plan entries whose kernel exp(slack) = H_ij / (a_i b_j) exceeds
-    kernel_min, or None when they are more than SPARSE_MAX_FILL of the
-    plan.  The test is on the kernel, not on H, so rows and columns of
-    small mass keep their nearly tight entries too."""
+    kernel_min, with their pair plan, or None when they are more than
+    SPARSE_MAX_FILL of the plan.  The test is on the kernel, not on H, so
+    rows and columns of small mass keep their nearly tight entries too."""
     n, m = slack.shape
     rows, cols = np.nonzero(slack > math.log(kernel_min))
     if rows.size > SPARSE_MAX_FILL * n * m:
         return None
-    return _Support(rows, cols, cost[rows, cols])
+    return _Support.build(rows, cols, cost[rows, cols], n, m)
 
 
 def _newton_direction(pt, eps, support):
     """Solve M x = grad for the Newton matrix M (minus the dual's Hessian)
     at pt.  With w = e^-g - u and the term's (Z, d) (Z empty and d = 0 in a
     distance solve), M = [[A, B], [B^T, diag(D)]] in the order (f, theta,
-    g), where D = eb + s / eps + d w^2, B = [K diag(beta); Z diag(d w)] with
-    beta = b / eps - d w, and A = diag(ea + r / eps, 0) + V diag(d) V^T with
-    V = [-K; Z].  g is eliminated: LAPACK's Cholesky (potrf/potrs) factors
-    the Schur complement S = A - B D^-1 B^T, whose f block
-    diag(ea + r / eps) + K diag(d - beta^2 / D) K^T is one product (a
-    sparse one on a kept support), and x_g = D^-1 (grad_g - beta K^T x_f -
-    d w Z^T x_theta).  A target node with D_j = 0 (no mass, no curvature)
-    has beta_j = d_j = 0 and step 0.  Returns x and whether the
-    factorization failed; x then solves S + 1e-12 I."""
+    g), where D = eb + s / eps + d w^2, B = [K diag(beta); Z diag(d w)]
+    with beta = b / eps - d w, and A = diag(ea + r / eps, 0) + V diag(d)
+    V^T with V = [-K; Z].  g is eliminated; Cholesky factors S = A - B D^-1
+    B^T, f block diag(ea + r / eps) + K diag(d - beta^2 / D) K^T, banded
+    (pbtrf) on a kept support with a pair plan, else dense (potrf), and x_g
+    = D^-1 (grad_g - beta K^T x_f - d w Z^T x_theta).  A node with D_j = 0
+    (no mass, no curvature) has step 0.  Returns x and whether the
+    factorization failed; x then solves S + 1e-12 I, or is None on a kept
+    support."""
     w, Z, d = pt.extra
-    n, m = pt.r.size, pt.s.size
+    n, m, k = pt.r.size, pt.s.size, Z.shape[0]
     grad_g = pt.grad[n:n + m]
-    K = pt.K if support is None else csr_matrix(
-        (pt.K, (support.rows, support.cols)), shape=(n, m))
+    band = support is not None and support.pairs is not None
+    K = pt.K if support is None or band else np.bincount(
+        support.rows * m + support.cols, pt.K, n * m).reshape(n, m)
     with np.errstate(over="ignore", invalid="ignore"):
         dw = d * w
         D = pt.eb + pt.s / eps + dw * w
         inv = np.divide(1.0, D, out=np.zeros(m), where=D > 0)
         beta = pt.b / eps - dw
         coef = d - beta * beta * inv
-        S = np.empty((n + Z.shape[0],) * 2)
-        S[:n, :n] = ((K * coef) @ K.T if support is None
-                     else (K.multiply(coef) @ K.T).toarray())
-        S[:n, n:] = K @ (Z * (-d - beta * dw * inv)).T
-        S[n:, :n] = S[:n, n:].T
-        S[n:, n:] = (Z * (d - dw * dw * inv)) @ Z.T
-        S[np.diag_indices(n)] += pt.ea + pt.r / eps
-    rhs = np.concatenate([pt.grad[:n] - K @ (beta * inv * grad_g),
-                          pt.grad[n + m:] - Z @ (dw * inv * grad_g)])
-    c, info = dpotrf(S, lower=0, clean=0)
-    x = (dpotrs(c, rhs, lower=0)[0] if info == 0
+        if band:
+            (p, q, slot, kd), i, j = support.pairs, support.rows, support.cols
+            S = np.bincount(slot, (K * coef[j])[p] * K[q],
+                            (kd + 1) * n).reshape(n, kd + 1).T
+        else:
+            S = (K * coef) @ K.T
+            if k:
+                C = K @ (Z * (-d - beta * dw * inv)).T
+                S = np.block([[S, C], [C.T, (Z * (d - dw * dw * inv)) @ Z.T]])
+        S[0 if band else np.diag_indices(n)] += pt.ea + pt.r / eps
+    rhs = pt.grad[:n] - (np.bincount(i, K * (beta * inv * grad_g)[j], n)
+                         if band else K @ (beta * inv * grad_g))
+    if k:
+        rhs = np.concatenate([rhs, pt.grad[n + m:] - Z @ (dw * inv * grad_g)])
+    c, info = dpbtrf(S, lower=1) if band else dpotrf(S, lower=0, clean=0)
+    if info != 0 and support is not None:
+        return None, True
+    x = (dpbtrs(c, rhs, lower=1)[0] if band
+         else dpotrs(c, rhs, lower=0)[0] if info == 0
          else np.linalg.solve(S + 1e-12 * np.eye(S.shape[0]), rhs))
     x_f, x_theta = x[:n], x[n:]
-    x_g = inv * (grad_g - beta * (K.T @ x_f) - dw * (Z.T @ x_theta))
+    Kt_x = np.bincount(j, K * x_f[i], m) if band else K.T @ x_f
+    x_g = inv * (grad_g - beta * Kt_x - (dw * (Z.T @ x_theta) if k else 0))
     return np.concatenate([x_f, x_g, x_theta]), info != 0
 
 
@@ -331,8 +359,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     roundoff.  There each level chooses a kept support at its opening point
     (see _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput.
     2019, truncates the kernel the same way), and Newton evaluates the plan
-    on the kept entries only, where the Schur complement is one sparse
-    product.  A level whose support would keep more than SPARSE_MAX_FILL of
+    on the kept entries only, where the Schur complement is banded (see
+    _Support).  A level whose support would keep more than SPARSE_MAX_FILL of
     the plan stays dense.  A sparse pass ends with one evaluation on the
     full plan: if its gradient exceeds the kept one by more than 1e-3 tol,
     the support is chosen again from there and the level goes on; if it

@@ -109,7 +109,7 @@ def test_import_leaves_heavy_scipy_packages_out():
         "import json, sys\n"
         "import hkflow, hkflow.cli\n"
         "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.optimize',\n"
-        "         'scipy.sparse.linalg')\n"
+        "         'scipy.sparse', 'scipy.sparse.linalg')\n"
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "E = hkflow.table_entropy([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 6.0],"
         " recession_slope=float('inf'))\n"

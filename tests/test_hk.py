@@ -394,20 +394,24 @@ def _max_rel(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("k, kept", [(None, False), (0, False), (1, False),
-                                     (None, True)],
-                         ids=["None", "0", "1", "None-kept"])
+@pytest.mark.parametrize("k, kept", [(None, None), (0, None), (1, None),
+                                     (None, 0.5), (None, 0.7)],
+                         ids=["None", "0", "1", "None-kept", "None-filled"])
 def test_newton_direction_matches_cho_solve(k, kept):
     # the Schur solve on (f, theta) against SciPy's Cholesky of the full
-    # matrix: the same solution up to roundoff.  On a kept support (about
-    # half the entries) the full matrix is built from the kept entries
+    # matrix: the same solution up to roundoff.  On a kept support (a share
+    # `kept` of the entries) the full matrix is built from the kept entries.
+    # Half of them make 34 column pairs and S is formed in band storage;
+    # 0.7 of them make more pairs than the 35 plan entries, and S is formed
+    # from K scattered into the plan
     rng = np.random.default_rng(3)
     n, m, eps = 7, 5, 0.01
     pt = _dense_point(rng, n, m, k)
     support = None
     if kept:
-        rows, cols = np.nonzero(rng.random((n, m)) < 0.5)
-        support = hk._Support(rows, cols, np.zeros(rows.size))
+        rows, cols = np.nonzero(rng.random((n, m)) < kept)
+        support = hk._Support.build(rows, cols, np.zeros(rows.size), n, m)
+        assert (support.pairs is None) == (kept == 0.7)
         K = np.zeros((n, m))
         K[rows, cols] = pt.K[rows, cols]
         pt = pt._replace(K=K, r=K @ pt.b, s=pt.b * K.sum(axis=0))
@@ -419,6 +423,45 @@ def test_newton_direction_matches_cho_solve(k, kept):
     step, failed = hk._newton_direction(pt, eps, support)
     assert not failed
     assert _max_rel(step, ref) <= 1e-12
+
+
+def test_band_holds_the_schur_complement_of_the_kept_entries(monkeypatch):
+    # a random support on a 6 x 6 grid (entries within one grid step, each
+    # kept with probability 0.7): the band handed to LAPACK holds the lower
+    # band of S = diag(ea + r / eps) + K diag(-beta^2 / D) K^T, K the kept
+    # entries scattered into the plan, and kd is the largest row spread of
+    # a column
+    rng = np.random.default_rng(11)
+    side, eps = 6, 0.01
+    n = m = side * side
+    pt = _dense_point(rng, n, m, None)
+    node = np.stack(np.divmod(np.arange(n), side), axis=1)
+    near = np.abs(node[:, None] - node[None, :]).max(axis=2) <= 1
+    rows, cols = np.nonzero(near & (rng.random((n, m)) < 0.7))
+    support = hk._Support.build(rows, cols, np.zeros(rows.size), n, m)
+    p, q, slot, kd = support.pairs
+    assert p.dtype == q.dtype == slot.dtype == np.int32
+    assert kd == max(np.ptp(rows[cols == j]) for j in np.unique(cols))
+    K = np.zeros((n, m))
+    K[rows, cols] = pt.K[rows, cols]
+    pt = pt._replace(K=K[rows, cols], r=K @ pt.b, s=pt.b * K.sum(axis=0))
+    bands, real = [], hk.dpbtrf
+
+    def record(ab, **kw):
+        bands.append(ab.copy())
+        return real(ab, **kw)
+
+    monkeypatch.setattr(hk, "dpbtrf", record)
+    step, failed = hk._newton_direction(pt, eps, support)
+    assert not failed and len(bands) == 1
+    D = pt.eb + pt.s / eps
+    S = np.diag(pt.ea + pt.r / eps) - (K * (pt.b / eps) ** 2 / D) @ K.T
+    assert not np.tril(S, -kd - 1).any()
+    ref = np.zeros((kd + 1, n))
+    for off in range(kd + 1):
+        ref[off, :n - off] = np.diag(S, -off)
+    assert bands[0].shape == ref.shape
+    assert _max_rel(bands[0], ref) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1])

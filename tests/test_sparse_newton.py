@@ -1,9 +1,9 @@
 """The sparse path of the distance solve on 2-D grids against the dense one.
 
 Large plain distance solves run Newton on a kept support of the plan, where
-the Schur complement of the Newton matrix is one sparse product; small
-ones, and the conjugate-term solves of the implicit step, evaluate the full
-plan.  The dense path is forced here by raising hk.SPARSE_MIN_SIZE.
+the Schur complement of the Newton matrix is banded; small ones, and the
+conjugate-term solves of the implicit step, evaluate the full plan.  The
+dense path is forced here by raising hk.SPARSE_MIN_SIZE.
 """
 
 import math
@@ -179,21 +179,25 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
     assert step.converged
 
 
-def test_singular_sparse_factor_is_counted(monkeypatch):
-    # the first Cholesky factorization on a kept support reports failure;
-    # the level restarts on the full plan, the solve counts it and still
-    # converges to the same distance
+@pytest.mark.parametrize("band", [False, True], ids=["filled", "band"])
+def test_singular_sparse_factor_is_counted(monkeypatch, band):
+    # the first Cholesky factorization on a kept support of one kind (S in
+    # band storage, or formed from K scattered into the full plan, as on
+    # the first sparse level of a 17 x 17 grid) reports failure; the level
+    # restarts on the full plan, the solve counts it and still converges to
+    # the same distance
     mu0, mu1 = pair(("smooth", 0))
     clean = hk_distance_squared(mu0, mu1)
-    real_factor, real_direction = hk.dpotrf, hk._newton_direction
+    name = "dpbtrf" if band else "dpotrf"
+    real_factor, real_direction = getattr(hk, name), hk._newton_direction
     failed = []
 
     def direction(pt, eps, support):
-        if support is None or failed:
+        if support is None or (support.pairs is not None) != band or failed:
             return real_direction(pt, eps, support)
         failed.append(eps)
         with monkeypatch.context() as mp:
-            mp.setattr(hk, "dpotrf",
+            mp.setattr(hk, name,
                        lambda *a, **kw: (real_factor(*a, **kw)[0], 1))
             return real_direction(pt, eps, support)
 
