@@ -6,7 +6,8 @@ Two built-in families are provided:
   geodesically (2*gamma)-convex in the transport-growth metric;
 * ``neg_power``:   E(c) = -beta * c**q  (beta >= 0, q in (0, 1)).
 
-Custom tables interpolate (c, E(c)) samples with a monotone cubic.
+Custom tables interpolate (c, E(c)) samples with a shape-preserving
+quadratic spline, convex on convex samples.
 
 ``power_mass``, ``neg_power`` with beta > 0 and tables also carry their
 convex conjugate E*(p) = sup_{c >= 0} (p c - E(c)), in closed form or (for
@@ -60,15 +61,11 @@ class EntropySpec:
             c_grid = np.logspace(-3, 2, 64)
         # an E that is +inf beyond some level is checked on its domain
         c_grid = c_grid[np.isfinite(self(c_grid))]
-        vals = self(c_grid)
-        # second differences on an uneven grid, normalized
-        for i in range(1, len(c_grid) - 1):
-            h0 = c_grid[i] - c_grid[i - 1]
-            h1 = c_grid[i + 1] - c_grid[i]
-            slope_l = (vals[i] - vals[i - 1]) / h0
-            slope_r = (vals[i + 1] - vals[i]) / h1
-            if slope_r - slope_l < -1e-10:
-                raise ValueError(f"E is not convex near c={c_grid[i]:g}")
+        # the rise of the secant slopes on an uneven grid
+        bent = np.flatnonzero(np.diff(np.diff(self(c_grid)) / np.diff(c_grid))
+                              < -1e-10)
+        if bent.size:
+            raise ValueError(f"E is not convex near c={c_grid[bent[0] + 1]:g}")
         dv = self.derivative(c_grid)
         if np.any(np.diff(dv) < -1e-10):
             raise ValueError("E' is not nondecreasing")
@@ -158,61 +155,86 @@ def linear_entropy(gamma: float) -> EntropySpec:
 
 
 def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
-    """Monotone-cubic interpolation of (c, E(c)) samples, continued down to
-    0 by its first piece and above c_max, the largest sample, by the line of
-    slope r = recession_slope (+inf if r is), so lim E(t)/t = r; r must
-    reach the end slope E'(c_max), as in any convex E.
+    """Shape-preserving quadratic spline of (c, E(c)) samples (Schumaker,
+    SIAM J. Numer. Anal. 20 (1983) 854-864), continued down to 0 by its
+    first piece and above c_max, the largest sample, by the line of slope
+    r = recession_slope (+inf if r is), so lim E(t)/t = r; r must reach the
+    end slope E'(c_max), as in any convex E.  The knot slopes are the
+    3-point parabola's (reflected about the end secants), and each interval
+    has one inner knot, where E' passes the secant slope (mid-interval at
+    an inflection).  So E' is piecewise linear, convex samples give a
+    convex E, and quadratic samples the quadratic.
 
-    The conjugate is exact: over [0, c_max] the sup of p c - E(c) among
-    each piece's ends and the roots of E' = p on it (E' is quadratic), +inf
-    above r.  Its argmax rho(p) is the convex hull's, which jumps across
-    each linear bridge [c1, c2] of the hull (a kink of E* at the bridge's
-    slope s; the constructor finds them as the jumps of rho) and from c_ray
-    to +inf at p = r.  delta > 0 rounds each kink: on |p - s| < delta
-    (c2 - c1) / 2 a cubic joins the exact E* at both ends, and above r E*
-    is that of E + delta (c - c_ray)^2 / 2.  SciPy's interpolate is
-    imported here, so that a run without tables never loads it."""
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(np.asarray(c_samples, float),
-                               np.asarray(e_samples, float))
-    x = interp.x
-    c_max, r = float(x[-1]), float(recession_slope)
-    de, d2e = interp.derivative(1), interp.derivative(2)
-    if not r >= de(c_max) - 1e-9 * (1.0 + abs(de(c_max))):
+    The conjugate is exact: over [0, c_max] the sup of p c - E(c) among 0,
+    c_max and the root of E' = p on each piece, +inf above r.  Its argmax
+    rho(p) is the convex hull's, which jumps across each linear bridge
+    [c1, c2] of the hull (a kink of E* at the bridge's slope s; the
+    constructor finds them as the jumps of rho) and from c_ray to +inf at
+    p = r.  delta > 0 rounds each kink: on |p - s| < delta (c2 - c1) / 2 a
+    cubic joins the exact E* at both ends, and above r E* is that of
+    E + delta (c - c_ray)^2 / 2."""
+    x, y = np.asarray(c_samples, float), np.asarray(e_samples, float)
+    if x.ndim != 1 or not 1 < x.size == y.size or not np.all(np.diff(x) > 0):
+        raise ValueError("c must be 2 or more increasing levels, one per E")
+    dx, d = np.diff(x), np.diff(y) / np.diff(x)
+    m = np.concatenate([d[:1], (dx[1:] * d[:-1] + dx[:-1] * d[1:])
+                        / (dx[1:] + dx[:-1]), d[-1:]])
+    m[0], m[-1] = 2.0 * d[0] - m[1], 2.0 * d[-1] - m[-2]
+    # the inner knot at x + t dx, where E' = d; t within roundoff of [0, 1]
+    # is clipped, so a linear run after a convex one stays convex
+    t = np.divide(m[1:] - d, m[1:] - m[:-1], out=np.full_like(d, 0.5),
+                  where=m[1:] != m[:-1])
+    t = np.where(np.abs(t - 0.5) <= 0.5 + 1e-9, np.clip(t, 0.0, 1.0), 0.5)
+    sigma = 2.0 * d - t * m[:-1] - (1.0 - t) * m[1:]  # E' at the inner knot
+    # E and E' at every knot z; the line above c_max is the last piece
+    weave = lambda u, v, last: np.append(np.column_stack([u, v]), last)
+    z = weave(x[:-1], x[:-1] + t * dx, x[-1])
+    ez = weave(y[:-1], y[:-1] + 0.5 * (m[:-1] + sigma) * t * dx, y[-1])
+    knot_slopes = weave(m[:-1], sigma, m[-1])
+    dz = np.diff(z)
+    q = np.append(np.divide(np.diff(knot_slopes), dz, out=np.zeros_like(dz),
+                            where=dz > 0), 0.0)
+    c_max, r, end = float(x[-1]), float(recession_slope), float(m[-1])
+    if not r >= end - 1e-9 * (1.0 + abs(end)):
         raise ValueError(f"recession_slope {r:g} is below the table's end "
-                         f"slope E'(c_max) = {float(de(c_max)):g}")
-    lo = np.append(0.0, np.maximum(x[1:-1], 0.0))
-    keep = x[1:] > lo
-    # piece k: E' = (3 a t + 2 b) t + d at t = c - x_k, t in [t_lo, t_hi]
-    a, b, d = interp.c[:3, keep]
-    start = x[:-1][keep]
-    t_lo, t_hi = lo[keep] - start, x[1:][keep] - start
-    ends = np.append(lo[keep], c_max)
+                         f"slope E'(c_max) = {end:g}")
+    g = np.append(knot_slopes[:-1], r)
+
+    def spline(order):
+        # E, E' or E'' on the piece of each c; a knot takes its left piece
+        def f(c):
+            k = np.maximum(np.searchsorted(z, c) - 1, 0)
+            u = np.asarray(c, dtype=float) - z[k]
+            return (ez[k] + u * (g[k] + 0.5 * q[k] * u), g[k] + q[k] * u,
+                    q[k])[order]
+        return f
+
+    e, de, d2e = spline(0), spline(1), spline(2)
+    # the pieces over [0, c_max], the first reaching down to 0
+    lo, hi = np.append(0.0, np.maximum(z[1:-1], 0.0)), z[1:]
+    keep = hi > lo
+    zk, gk, qk, lo, hi = (v[keep] for v in (z[:-1], g[:-1], q[:-1], lo, hi))
 
     def argmax(p):
         # exact rho(p) and E*(p) over [0, c_max], and whether rho is a root
-        # of E' = p; ends come first, so a root at an end is a corner
-        rhs = d - p[:, None]
+        # of E' = p; 0 and c_max come first, so a root there is a corner
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * rhs), b))
-            t = np.stack([q / (3.0 * a), rhs / q], axis=-1)
-            root = (t >= t_lo[:, None]) & (t <= t_hi[:, None])
-        t = np.clip(np.nan_to_num(t, nan=0.0), t_lo[:, None], t_hi[:, None])
-        rho = np.hstack([np.broadcast_to(ends, (p.size, ends.size)),
-                         (start[:, None] + t).reshape(p.size, 2 * a.size)])
-        root = np.hstack([np.zeros((p.size, ends.size), bool),
-                          root.reshape(p.size, 2 * a.size)])
-        best = np.argmax(p[:, None] * rho - interp(rho), axis=1)[:, None]
+            c = zk + np.nan_to_num((p[:, None] - gk) / qk)
+        rho = np.hstack([np.broadcast_to([0.0, c_max], (p.size, 2)),
+                         np.clip(c, lo, hi)])
+        root = np.hstack([np.zeros((p.size, 2), bool), (c >= lo) & (c <= hi)])
+        best = np.argmax(p[:, None] * rho - e(rho), axis=1)[:, None]
         rho, root = (np.take_along_axis(v, best, 1)[:, 0] for v in (rho, root))
-        return rho, p * rho - interp(rho), root
+        return rho, p * rho - e(rho), root
 
-    # hull bridges: bisect each jump of rho between neighbouring slopes of
-    # the table (9 per piece) to roundoff, following the larger rise
-    p = np.unique(de(start[:, None] + np.linspace(t_lo, t_hi, 9, axis=1)))
+    # hull bridges: between neighbouring knot slopes rho is linear in p
+    # unless it jumps there; bisect each bracket whose midpoint leaves the
+    # chord to roundoff, following the larger rise
+    p = np.unique(np.append(knot_slopes, de(0.0)))
     p = np.concatenate([[p[0] - 1.0], p[p < r], [min(p[-1] + 1.0, r)]])
     rho = argmax(p)[0]
-    jump = np.flatnonzero(np.diff(rho) > 1e-9 * c_max)
+    bent = argmax(0.5 * (p[1:] + p[:-1]))[0] - 0.5 * (rho[1:] + rho[:-1])
+    jump = np.flatnonzero(np.abs(bent) > 1e-9 * c_max)
     p0, p1, c1, c2 = p[jump], p[jump + 1], rho[jump], rho[jump + 1]
     for _ in range(64 if jump.size else 0):
         mid = 0.5 * (p0 + p1)
@@ -225,7 +247,7 @@ def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
     ray = bridge & (p1 >= r)
     c_ray = float(c1[ray][0] if ray.any() else rho[-1])
     c1, c2 = c1[bridge & ~ray], c2[bridge & ~ray]
-    s = (interp(c2) - interp(c1)) / (c2 - c1)
+    s = (e(c2) - e(c1)) / (c2 - c1)
 
     def conjugate(p, delta=0.0):
         p, delta = np.asarray(p, dtype=float), np.float64(delta)
@@ -254,20 +276,11 @@ def table_entropy(c_samples, e_samples, recession_slope: float) -> EntropySpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             up, above = np.maximum(p - r, 0.0), p > r
             return (np.where(above, c_ray + up / delta, rho),
-                    np.where(above, r * c_ray - float(interp(c_ray))
+                    np.where(above, r * c_ray - float(e(c_ray))
                              + c_ray * up + up * up / (2.0 * delta), val),
                     np.where(above, 1.0 / delta, curv))
 
-    def e(c):
-        c = np.asarray(c, dtype=float)
-        with np.errstate(invalid="ignore"):
-            return np.where(c > c_max, interp(c_max) + r * (c - c_max),
-                            interp(c))
-
-    spec = EntropySpec(
-        e, lambda c: np.where(np.asarray(c) > c_max, r, de(c)),
-        lambda c: np.where(np.asarray(c) > c_max, 0.0, d2e(c)),
-        recession_slope=r, conjugate=conjugate)
+    spec = EntropySpec(e, de, d2e, recession_slope=r, conjugate=conjugate)
     return replace(spec, c_low=find_c_low(spec, float(np.min(c_samples)),
                                           float(np.max(c_samples))))
 
@@ -352,30 +365,20 @@ def check_NE_conditions(E: EntropySpec, lam: float, d: int) -> dict:
             return {"convex": False, "monotone": False, "overflow": True,
                     "worst_hessian_eig": math.nan, "worst_monotone": math.nan}
 
-    # finite-difference Hessian on the (log-spaced) grid, interior points
-    worst_eig = math.inf
-    for i in range(1, len(rho_grid) - 1):
-        hr0 = rho_grid[i] - rho_grid[i - 1]
-        hr1 = rho_grid[i + 1] - rho_grid[i]
-        for j in range(1, len(gamma_grid) - 1):
-            hg0 = gamma_grid[j] - gamma_grid[j - 1]
-            hg1 = gamma_grid[j + 1] - gamma_grid[j]
-            frr = 2 * (
-                (vals[i + 1, j] - vals[i, j]) / hr1
-                - (vals[i, j] - vals[i - 1, j]) / hr0
-            ) / (hr0 + hr1)
-            fgg = 2 * (
-                (vals[i, j + 1] - vals[i, j]) / hg1
-                - (vals[i, j] - vals[i, j - 1]) / hg0
-            ) / (hg0 + hg1)
-            frg = (
-                vals[i + 1, j + 1] - vals[i + 1, j - 1]
-                - vals[i - 1, j + 1] + vals[i - 1, j - 1]
-            ) / ((hr0 + hr1) * (hg0 + hg1))
-            # smaller eigenvalue of the symmetric 2x2 [[frr, frg], [frg, fgg]]
-            mean = 0.5 * (frr + fgg)
-            rad = math.hypot(0.5 * (frr - fgg), frg)
-            worst_eig = min(worst_eig, mean - rad)
+    # finite-difference Hessian on the (log-spaced) grid, interior points:
+    # h0, h1 are the steps below and above each, in rho (axis 0) and gamma
+    hr0, hr1 = np.diff(rho_grid)[:-1, None], np.diff(rho_grid)[1:, None]
+    hg0, hg1 = np.diff(gamma_grid)[:-1], np.diff(gamma_grid)[1:]
+    mid = vals[1:-1, 1:-1]
+    frr = 2 * ((vals[2:, 1:-1] - mid) / hr1
+               - (mid - vals[:-2, 1:-1]) / hr0) / (hr0 + hr1)
+    fgg = 2 * ((vals[1:-1, 2:] - mid) / hg1
+               - (mid - vals[1:-1, :-2]) / hg0) / (hg0 + hg1)
+    frg = (vals[2:, 2:] - vals[2:, :-2] - vals[:-2, 2:] + vals[:-2, :-2]
+           ) / ((hr0 + hr1) * (hg0 + hg1))
+    # smaller eigenvalue of the symmetric 2x2 [[frr, frg], [frg, fgg]]
+    worst_eig = float(np.min(0.5 * (frr + fgg)
+                             - np.hypot(0.5 * (frr - fgg), frg)))
     convex = worst_eig >= -1e-8
 
     worst_mono = -math.inf

@@ -528,6 +528,18 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                      pt.val, fallbacks)
 
 
+def _node_masses(mu0: DiscreteMeasure, mu1: DiscreteMeasure):
+    """The total masses of a pair on one grid, the nodes src and tgt that
+    carry mass, their masses a and b, and the cost between them."""
+    if not mu0.same_domain(mu1):
+        raise ValueError("measures live on different grids")
+    w = mu0.domain.weights
+    a_full, b_full = mu0.density * w, mu1.density * w
+    src, tgt = np.flatnonzero(a_full > 0), np.flatnonzero(b_full > 0)
+    return (float(a_full.sum()), float(b_full.sum()), src, tgt, a_full[src],
+            b_full[tgt], _domain_cost(mu0.domain)[np.ix_(src, tgt)])
+
+
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                         max_iter: int = NEWTON_MAX_ITER,
                         tol: float = NEWTON_TOL,
@@ -541,20 +553,8 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     with no transport partner (all of it, for a zero measure) costs itself
     and needs no Newton step.
     """
-    if not mu0.same_domain(mu1):
-        raise ValueError("measures live on different grids")
-    dom = mu0.domain
-    w = dom.weights
-    a_full = mu0.density * w
-    b_full = mu1.density * w
-    m0, m1 = float(a_full.sum()), float(b_full.sum())
-
-    n = dom.n_nodes
-    src = np.where(a_full > 0)[0]
-    tgt = np.where(b_full > 0)[0]
-    a = a_full[src]
-    b = b_full[tgt]
-    cost = _domain_cost(dom)[np.ix_(src, tgt)]
+    m0, m1, src, tgt, a, b, cost = _node_masses(mu0, mu1)
+    n = mu0.domain.n_nodes
     reachable_src = np.isfinite(cost).any(axis=1)
     reachable_tgt = np.isfinite(cost).any(axis=0)
     base = float(a[~reachable_src].sum() + b[~reachable_tgt].sum())
@@ -598,21 +598,12 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     entries with damped Newton steps; the barrier weight is driven to
     5e-13 so the complementarity residual falls below 1e-10.
     """
-    if not mu0.same_domain(mu1):
-        raise ValueError("measures live on different grids")
+    _, _, src, tgt, a, b, cost = _node_masses(mu0, mu1)
     dom = mu0.domain
-    w = dom.weights
-    a_full = mu0.density * w
-    b_full = mu1.density * w
-    src = np.where(a_full > 0)[0]
-    tgt = np.where(b_full > 0)[0]
     if src.size > 8 or tgt.size > 8:
         raise ValueError("exact solver limited to supports of eight nodes")
     if src.size == 0 or tgt.size == 0:
         return hk_distance_squared(mu0, mu1)
-    a = a_full[src]
-    b = b_full[tgt]
-    cost = _domain_cost(dom)[np.ix_(src, tgt)]
     pairs = np.argwhere(np.isfinite(cost))
     base = float(a.sum() + b.sum())
     f_full = np.zeros(dom.n_nodes)

@@ -383,15 +383,22 @@ def test_criterion_15_determinism(tmp_path):
         "tau": 0.05,
         "n_steps": 2,
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    # and one step of a non-convex table, through the bridges of its hull
+    c = [0.1 * k for k in range(31)]
+    table = dict(cfg, n_steps=1, entropy={
+        "family": "custom_table", "c": c,
+        "E": [x * x - x + 0.3 * math.sin(6.0 * x) for x in c],
+        "recession_slope": 10.0})
     bodies = []
-    for run in ("one", "two"):
-        out = tmp_path / run
-        status = main(["mm-run", "--config", str(cfg_path),
-                       "--out", str(out), "--seed", "3"])
-        assert status == 0
-        bodies.append((out / "mm_run.csv").read_bytes())
+    for name, run_cfg in (("power", cfg), ("table", table)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(run_cfg))
+        for run in ("one", "two"):
+            out = tmp_path / name / run
+            status = main(["mm-run", "--config", str(cfg_path),
+                           "--out", str(out), "--seed", "3"])
+            assert status == 0
+            bodies.append((out / "mm_run.csv").read_bytes())
     geo_cfg = tmp_path / "geo.json"
     geo_cfg.write_text(json.dumps({"space": "cone", "n_probes": 50}))
     geo_bodies = []
@@ -400,6 +407,7 @@ def test_criterion_15_determinism(tmp_path):
         assert main(["geometry-probe", "--config", str(geo_cfg),
                      "--out", str(out), "--seed", "9"]) == 0
         geo_bodies.append((out / "geometry_probe.json").read_bytes())
-    ok = bodies[0] == bodies[1] and geo_bodies[0] == geo_bodies[1]
+    ok = (bodies[0] == bodies[1] and bodies[2] == bodies[3]
+          and geo_bodies[0] == geo_bodies[1])
     _report(15, "deterministic reports", ok,
             "bit-identical CSV and JSON across reruns")

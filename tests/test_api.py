@@ -99,8 +99,8 @@ def test_no_unused_imports():
 
 
 def test_import_leaves_heavy_scipy_packages_out():
-    # a fresh process, as this one has SciPy's optimize loaded already; a
-    # table energy loads interpolate when it is built, and only then
+    # a fresh process, as this one has SciPy's optimize loaded already;
+    # building a table energy loads none of them either
     src = str(Path(hkflow.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -110,9 +110,9 @@ def test_import_leaves_heavy_scipy_packages_out():
         "import hkflow, hkflow.cli\n"
         "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.optimize',\n"
         "         'scipy.sparse', 'scipy.sparse.linalg')\n"
-        "loaded = [m for m in heavy if m in sys.modules]\n"
         "E = hkflow.table_entropy([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 6.0],"
         " recession_slope=float('inf'))\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
         "print(json.dumps([loaded, float(E(2.0))]))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -75,10 +75,13 @@ def test_validate_accepts_convex_rejects_concave():
 
 
 def test_table_entropy_interpolates():
+    # the spline of quadratic samples is the quadratic itself
     c = np.linspace(0.0, 4.0, 33)
     E = table_entropy(c, c**2 - c, recession_slope=math.inf)
-    assert E(1.7) == pytest.approx(1.7**2 - 1.7, abs=2e-2)
-    assert E.derivative(2.0) == pytest.approx(3.0, abs=2e-2)
+    x = np.linspace(0.0, 4.0, 1001)
+    assert np.allclose(E(x), x**2 - x, rtol=0.0, atol=1e-12)
+    assert np.allclose(E.derivative(x), 2.0 * x - 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(E.second_derivative(x), 2.0, rtol=1e-12, atol=0.0)
     assert E(np.asarray(c[5])) == pytest.approx(c[5]**2 - c[5], abs=1e-12)
 
 
@@ -106,6 +109,13 @@ def test_entropy_from_json_families():
     # a declared convexity modulus that no code read
     ({"family": "custom_table", "c": [0.0, 1.0], "E": [0.0, 1.0],
       "recession_slope": 1.0, "lambda": 0.0}, "entropy.lambda"),
+    # malformed tables: unsorted or repeated c, or fewer E than c
+    ({"family": "custom_table", "c": [0.0, 2.0, 1.0], "E": [0.0, 1.0, 2.0],
+      "recession_slope": 5.0}, "entropy: c must be 2 or more increasing"),
+    ({"family": "custom_table", "c": [0.0, 1.0, 1.0], "E": [0.0, 1.0, 2.0],
+      "recession_slope": 5.0}, "entropy: c must be 2 or more increasing"),
+    ({"family": "custom_table", "c": [0.0, 1.0, 2.0], "E": [0.0, 1.0],
+      "recession_slope": 5.0}, "entropy: c must be 2 or more increasing"),
 ])
 def test_entropy_from_json_rejects_bad_fields(spec, path):
     with pytest.raises(ValueError, match=path.replace(".", r"\.")):
@@ -185,14 +195,14 @@ def test_closed_form_conjugates():
         assert E.conjugate is None
 
 
-@pytest.mark.parametrize("samples, slope", [(lambda c: c * c - c, math.inf),
-                                            (lambda c: -20.0 * np.sqrt(c),
-                                             0.0)])
+@pytest.mark.parametrize("samples, slope", [
+    (lambda c: c * c - c, math.inf), (lambda c: -20.0 * np.sqrt(c), 0.0),
+    (lambda c: c * c - c + 0.3 * np.sin(6.0 * c), 20.0)])
 def test_table_conjugate_is_the_sup_over_the_table(samples, slope):
     # E*(p) = sup of p c - E(c) over c >= 0, against a brute-force sup over
     # [0, c_max]: a 3e5-point grid, refined around its best point.  Below
-    # the recession slope the line above c_max cannot win.  The -20 sqrt(c)
-    # interpolant is not convex (E'' reaches -79).
+    # the recession slope the line above c_max cannot win.  The wavy
+    # spline is not convex (E'' reaches -19).
     c = np.linspace(0.0, 3.0, 31)
     E = table_entropy(c, samples(c), recession_slope=slope)
     lo, hi = float(E.derivative(0.0)), float(E.derivative(3.0))
