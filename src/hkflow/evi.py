@@ -27,8 +27,10 @@ def distances_squared_along(measures, others,
     is a list of the same length or one fixed measure.
 
     Consecutive pairs along a trajectory lie one step apart, so each solve
-    is warm-started from the previous pair's dual potentials.  An
-    unconverged solve raises RuntimeError."""
+    is warm-started from the previous pair's dual potentials.  Where the
+    pairs lie too far apart for that, the solve notices at its first Newton
+    step and runs the cold schedule instead (see hk.WARM_MISMATCH), with
+    the cold solve's result.  An unconverged solve raises RuntimeError."""
     to_metric = metric_squared(metric)
     if isinstance(others, DiscreteMeasure):
         others = [others] * len(measures)

@@ -39,6 +39,11 @@ Comp. 2018), which removes the overshoot of the previous level's plan
 before Newton takes over; a distance solve closes with one more f-sweep.
 A warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
+A warm distance solve whose opening marginals are far off (mismatch above
+WARM_MISMATCH of the total mass) and whose first full Newton step is
+rejected is handed to that continuation at once, without a Newton step at
+the final eps: damped Newton from a point that far off would run out its
+iterations, while eps-continuation reaches it.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
@@ -77,6 +82,16 @@ NEWTON_TOL = 1e-11
 SPARSE_MIN_SIZE = 160
 SPARSE_MAX_FILL = 0.15
 SPARSE_KEEP = 1e-3 * math.exp(-10.0)
+
+# A warm distance start whose full first Newton step is rejected, and whose
+# opening point's marginal mismatch |grad_(f, g)|_1 exceeds WARM_MISMATCH
+# (sum a + sum b), is handed to the cold schedule at once.  On the distance
+# chains of the 1-D benchmark verbs the warm starts that fail open at
+# 2.0-4.2 % and none takes its full step.  Those that converge open at
+# 0.63 % or less (one at 2.2 %, whose cold solve is no costlier), or take
+# their full step (the certification solves after a cold SHK step open at
+# 1.5-7.7 %).  The gradient's max-norm does not separate the two groups.
+WARM_MISMATCH = 1e-2
 
 METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
 
@@ -128,14 +143,16 @@ class HKResult:
 
     ``dual_value`` is the regularized dual objective at the returned
     potentials (a smooth surrogate of the squared distance).
-    ``level_iterations``
-    holds the Newton count of each regularization level that ran, in
-    order; they sum to ``iterations``.  ``level_support`` holds, per level
-    in the same order, the kept plan entries of each support the level
-    chose: one entry n m on a dense level, and one more entry for each time
-    a sparse level chose its support again.  ``factor_fallbacks`` counts the
-    Newton directions whose Schur complement failed to factor: solved with
-    1e-12 I added on the full plan, restarted on it from a kept support.
+    ``level_iterations`` holds the Newton count of each regularization
+    level that ran, in order; they sum to ``iterations``.  A warm solve
+    holds one entry when the warm start held; otherwise the warm attempt's
+    count (0 when it was triaged, see WARM_MISMATCH) followed by the cold
+    schedule's counts.  ``level_support`` holds, per level in the same
+    order, the kept plan entries of each support the level chose: one entry
+    n m on a dense level, and one more entry for each time a sparse level
+    chose its support again.  ``factor_fallbacks`` counts the Newton
+    directions whose Schur complement failed to factor: solved with 1e-12 I
+    added on the full plan, restarted on it from a kept support.
     """
 
     hk_squared: float
@@ -375,14 +392,20 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
     from g); should that not converge, the cold solve follows, and both
-    runs' levels and supports are returned.  Converged means a gradient
-    max-norm within 1e3 tol, as the line search can run out at the
-    roundoff floor a little above the tolerance itself.
+    runs' levels and supports are returned.  A warm distance solve is
+    triaged at its first line search: if the full step is rejected and the
+    opening point's marginal mismatch |grad_(f, g)|_1, on the full plan,
+    exceeds WARM_MISMATCH (sum a + sum b), the warm attempt ends there with
+    0 steps and the cold solve follows, so its result is the cold solve's.
+    Steps (with a term) are not triaged: an SHK step warm from the previous
+    step can meet the same test and still converge at the final level.
+    Converged means a gradient max-norm within 1e3 tol, as the line search
+    can run out at the roundoff floor a little above the tolerance itself.
     """
     levels, supports, fallbacks = (), (), 0
     if warm is not None:
         sol = _continuation(a, cost, eps_schedule[-1:], max_iter, tol, term,
-                            *warm)
+                            *warm, triage=term is None)
         if sol.converged:
             return sol
         levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
@@ -393,8 +416,11 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
                         fallbacks=fallbacks + sol.fallbacks)
 
 
-def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
-    """_dual_newton's loop over one eps schedule from (b, g0, theta0)."""
+def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
+                  triage=False):
+    """_dual_newton's loop over one eps schedule from (b, g0, theta0).  With
+    ``triage``, a level whose opening mismatch exceeds WARM_MISMATCH ends
+    unconverged, with no step taken, when its first full step is rejected."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -437,8 +463,14 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
         return _Point(f, g, np.asarray(theta, dtype=float), b, K, val, r, s,
                       ea, eb, grad, gnorm, (e_g - u, Z, d), finite)
 
+    def solved(pt, converged):
+        return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b,
+                         tuple(levels), tuple(supports), eps, pt.gnorm,
+                         converged, pt.val, fallbacks)
+
+    total = float(a.sum() + b.sum())
     # dual values closer than this differ by roundoff only
-    noise = 1e-14 * float(a.sum() + b.sum())
+    noise = 1e-14 * total
     g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
@@ -461,6 +493,9 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
         levels.append(0)
         supports.append(())
         sparse_level = sparse
+        # measured on the full plan, before any support is kept
+        hopeless = triage and float(np.abs(pt.grad).sum()) > (
+            WARM_MISMATCH * total)
         while True:
             support = None
             if sparse_level:
@@ -492,6 +527,10 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
                             trial.val > pt.val + noise
                             or trial.gnorm < pt.gnorm):
                         break
+                    if hopeless and t == 1.0 and levels[-1] == 0:
+                        # too far off for damped Newton at this eps: the
+                        # caller's cold schedule continues into it instead
+                        return solved(opened, False)
                     t *= 0.5
                 else:
                     break
@@ -523,9 +562,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0):
         # value by about tol log(tol / a)
         f = shrink * _lse((pt.g - cost) / eps + np.log(b), axis=1)
         pt = evaluate(f, pt.g, pt.theta, eps, b)
-    return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b, tuple(levels),
-                     tuple(supports), eps, pt.gnorm, pt.gnorm <= 1e3 * tol,
-                     pt.val, fallbacks)
+    return solved(pt, pt.gnorm <= 1e3 * tol)
 
 
 def _node_masses(mu0: DiscreteMeasure, mu1: DiscreteMeasure):
@@ -548,13 +585,22 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     A cold solve runs all of DEFAULT_EPS_SCHEDULE, with at most max_iter
     Newton steps per level and gradient tolerance tol per unit mass.
-    ``warm_start``, an earlier solve's ``potential_target``, seeds the
-    final level; _dual_newton reruns the full schedule if that fails.  Mass
-    with no transport partner (all of it, for a zero measure) costs itself
-    and needs no Newton step.
+    ``warm_start``, an earlier solve's ``potential_target`` (a finite array
+    of one value per grid node, else ValueError), seeds the final level;
+    _dual_newton reruns the full schedule if that fails, at once when the
+    warm point is far off (see WARM_MISMATCH).  Mass with no transport
+    partner (all of it, for a zero measure) costs itself and needs no
+    Newton step.
     """
     m0, m1, src, tgt, a, b, cost = _node_masses(mu0, mu1)
     n = mu0.domain.n_nodes
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=float)
+        if warm_start.shape != (n,):
+            raise ValueError(f"warm_start has shape {warm_start.shape}, "
+                             f"expected ({n},)")
+        if not np.isfinite(warm_start).all():
+            raise ValueError("warm_start has non-finite entries")
     reachable_src = np.isfinite(cost).any(axis=1)
     reachable_tgt = np.isfinite(cost).any(axis=0)
     base = float(a[~reachable_src].sum() + b[~reachable_tgt].sum())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hkflow.evi
+import hkflow.mm
 from hkflow.entropy import eval_functional, power_mass_entropy
 from hkflow.evi import (contraction_check, convergence_study,
                         default_observers, distances_squared_along,
@@ -234,6 +235,34 @@ def test_contraction_of_different_metrics_raises(interval17):
     with pytest.raises(ValueError, match="different metrics"):
         contraction_check(hk, shk, -2.0, *budgets)
 
+
+
+def test_convergence_study_distance_newton_count(interval33, monkeypatch):
+    # the convergence-study verb on the benchmark's SHK setting: the study,
+    # then the EVI check of each row.  Warm distance starts far from their
+    # solution are handed to the cold schedule at their first Newton step
+    # (hk.WARM_MISMATCH); burning the final level's 60 iterations first
+    # made 1901.  The count is the same on every machine with one BLAS
+    # thread, as CI runs.
+    counts = []
+
+    def counted(solve):
+        def wrapped(*args, **kw):
+            res = solve(*args, **kw)
+            counts.append(res.iterations)
+            return res
+        return wrapped
+
+    for module in (hkflow.evi, hkflow.mm):
+        monkeypatch.setattr(module, "hk_distance_squared",
+                            counted(module.hk_distance_squared))
+    mu = sinusoid_measure(interval33, base=0.8, amplitude=0.2)
+    mu0 = DiscreteMeasure(interval33, mu.density / mu.mass)
+    for row in convergence_study(mu0, quadratic_entropy(), "shk",
+                                 (0.02, 0.01, 0.005), 0.04):
+        evi_check(row["trajectory"], 0.0)
+    assert len(counts) == 52
+    assert sum(counts) <= 1500
 
 
 def test_step_counts_accept_rounded_ratios():

@@ -19,7 +19,8 @@ from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
                              uniform_measure, unit_interval)
 
-from hkflow.mm import mm_step
+from hkflow.evi import default_observers
+from hkflow.mm import mm_step, mm_trajectory, shk_mm_step
 
 from conftest import dirac_measure, sinusoid_measure
 
@@ -306,13 +307,67 @@ def test_newton_counts_per_level(interval33):
         mu, nu, warm_start=cold.potential_target)
     assert len(warm.level_iterations) == 1
     assert sum(warm.level_iterations) == warm.iterations
-    # a stale warm start burns its level, then redoes the cold continuation
+    # a stale warm start is triaged at its first Newton direction (0 steps
+    # at its level), then the cold continuation runs as it would alone
     zero = np.zeros(interval33.n_nodes)
     stale = hk_distance_squared(mu, nu, warm_start=zero)
     assert stale.converged
+    assert stale.level_iterations[0] == 0
     assert stale.level_iterations[1:] == cold.level_iterations
     assert stale.level_support[1:] == cold.level_support
     assert sum(stale.level_iterations) == stale.iterations
+
+
+@pytest.mark.parametrize("bad", [np.zeros(32), np.full(33, np.inf),
+                                 np.full(33, -np.inf), np.zeros((33, 1))],
+                         ids=["short", "inf", "-inf", "column"])
+def test_malformed_warm_start_raises(interval33, bad):
+    mu = sinusoid_measure(interval33)
+    with pytest.raises(ValueError, match="warm_start"):
+        hk_distance_squared(mu, mu, warm_start=bad)
+
+
+def _benchmark_shk_start(domain):
+    mu = sinusoid_measure(domain, base=0.8, amplitude=0.2)
+    return DiscreteMeasure(domain, mu.density / mu.mass)
+
+
+def test_far_warm_start_triages_to_the_cold_solve(interval33):
+    # the first warm pair of evi_check on an SHK flow, (x1, o) after the
+    # cold (x0, o): its opening mismatch is above WARM_MISMATCH and the full
+    # step fails, so the warm level stops with no step and the result is
+    # the cold solve's, bit for bit
+    mu0 = _benchmark_shk_start(interval33)
+    traj = mm_trajectory(mu0, 0.02, 2, power_mass_entropy(1.0, 2.0, -1.0),
+                         metric="shk")
+    obs = default_observers(mu0, "shk")[0]
+    first = hk_distance_squared(traj.measures[0], obs)
+    warm = hk_distance_squared(traj.measures[1], obs,
+                               warm_start=first.potential_target)
+    cold = hk_distance_squared(traj.measures[1], obs)
+    assert warm.converged
+    assert warm.level_iterations == (0,) + cold.level_iterations
+    assert warm.hk_squared == cold.hk_squared
+    assert np.array_equal(warm.potential_target, cold.potential_target)
+
+
+def test_warm_start_taking_its_full_step_stays_warm(interval33, monkeypatch):
+    # the certification solve after a cold SHK step opens above
+    # WARM_MISMATCH, but its full Newton step is accepted: no triage
+    mu0 = _benchmark_shk_start(interval33)
+    step = shk_mm_step(mu0, 0.02, power_mass_entropy(1.0, 2.0, -1.0))
+    mismatch = []
+    direction = hk._newton_direction
+
+    def spy(pt, eps, support):
+        mismatch.append(float(np.abs(pt.grad).sum()))
+        return direction(pt, eps, support)
+
+    monkeypatch.setattr(hk, "_newton_direction", spy)
+    res = hk_distance_squared(mu0, step.measure, warm_start=step.warm[0])
+    assert mismatch[0] > hk.WARM_MISMATCH * (mu0.mass + step.measure.mass)
+    assert res.converged
+    assert len(res.level_iterations) == 1
 
 
 def test_supports_beyond_quarter_circle_match_exact():
