@@ -26,8 +26,9 @@ from .hk import (HKResult, cone_distance, dilation_cost, hk_distance,
                  hk_distance_squared, hk_exact_small, hk_two_diracs,
                  mass_gap_lower_bound, scaling_identity_gap, shk_distance,
                  shk_from_hk_squared)
-from .measures import (DiscreteMeasure, GridDomain, restrict, scale_measure,
-                       total_mass, uniform_measure, unit_interval)
+from .measures import (DiscreteMeasure, GridDomain, coarsen, restrict,
+                       scale_measure, total_mass, uniform_measure,
+                       unit_interval)
 from .mm import (MMStepResult, MMTrajectory, check_density_bounds,
                  iterate_lower_bound, iterate_sqrt_growth_bound,
                  iterate_upper_bound, mm_step, mm_trajectory,

@@ -37,6 +37,11 @@ potentials and opens with one closed-form unbalanced-Sinkhorn sweep (exact
 block ascent in f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math.
 Comp. 2018), which removes the overshoot of the previous level's plan
 before Newton takes over; a distance solve closes with one more f-sweep.
+On a grid of odd node counts per axis, a large cold distance solve runs
+the levels whose fine plan would stay full on the nested grid with half
+the intervals, from node masses summed onto it, and each fine level opens
+from the coarse potentials interpolated back (multiscale eps-scaling,
+Schmitzer 2019); it enters the fine grid at its first kept support.
 A warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
 A warm distance solve whose opening marginals are far off (mismatch above
@@ -101,11 +106,19 @@ def _domain_cost(domain: GridDomain) -> np.ndarray:
     return transport_cost(domain.distance_matrix())
 
 
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp of x along an axis, shifted by the maximum.  -inf
-    entries drop out; every slice needs one finite entry."""
-    top = x.max(axis=axis, keepdims=True)
-    return np.log(np.exp(x - top).sum(axis=axis)) + top.squeeze(axis)
+def _sweep(x, log_mass, cost, eps, axis):
+    """Exact maximization of the dual over one potential at the other, x: f
+    from g and log b (axis 1), or g from f and log a (axis 0); see
+    _dual_newton.  Its log-sum-exp is shifted by the maximum and runs in
+    place on one array the size of cost.  -inf entries drop out; every sum
+    needs one finite entry."""
+    y = np.expand_dims(x, 1 - axis) - cost
+    y /= eps
+    y += np.expand_dims(log_mass, 1 - axis)
+    top = y.max(axis=axis, keepdims=True)
+    y -= top
+    np.exp(y, out=y)
+    return -eps / (1.0 + eps) * (np.log(y.sum(axis=axis)) + top.squeeze(axis))
 
 
 def _xlogy(x, y):
@@ -153,6 +166,11 @@ class HKResult:
     chose its support again.  ``factor_fallbacks`` counts the Newton
     directions whose Schur complement failed to factor: solved with 1e-12 I
     added on the full plan, restarted on it from a kept support.
+    ``coarse_levels`` counts the leading levels of the cold schedule that
+    ran on the nested coarser grid (0 on any other solve); they keep their
+    place in both tuples, with the coarse Newton counts and the coarse
+    supports (n m of the coarse node masses), and ``iterations`` counts
+    both grids.
     """
 
     hk_squared: float
@@ -167,6 +185,7 @@ class HKResult:
     level_iterations: tuple = ()
     level_support: tuple = ()
     factor_fallbacks: int = 0
+    coarse_levels: int = 0
 
     @property
     def hk(self) -> float:
@@ -186,9 +205,10 @@ class DualSolve(NamedTuple):
     dual variables and target masses b (of a conjugate term), per-level
     Newton counts and kept supports (of a warm attempt, then of the cold
     rerun if one followed), the last eps, the gradient max-norm, the
-    converged verdict, the dual value and the number of Newton directions
+    converged verdict, the dual value, the number of Newton directions
     whose Schur complement failed to factor (solved with 1e-12 I added, or
-    by a restart from a kept support)."""
+    by a restart from a kept support) and the number of leading levels of
+    the cold schedule that ran on the coarser grid (see _coarse_to_fine)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -202,6 +222,7 @@ class DualSolve(NamedTuple):
     converged: bool
     value: float
     fallbacks: int
+    coarse: int = 0
 
 
 class _Point(NamedTuple):
@@ -254,6 +275,11 @@ class _Support(NamedTuple):
         kd = int((rows[p] - rows[q]).max(initial=0))
         slot = (rows[p] + kd * rows[q]).astype(np.int32)
         return cls(rows, cols, cost, (p, q, slot, kd))
+
+
+def _kernel_min(a, b, tol):
+    """The kernel below which _kept_support drops a plan entry."""
+    return SPARSE_KEEP * tol / (max(a.size, b.size) * a.max() * b.max())
 
 
 def _kept_support(slack, cost, kernel_min):
@@ -320,7 +346,7 @@ def _newton_direction(pt, eps, support):
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
-                 theta0=(), warm=None):
+                 theta0=(), warm=None, grid=None):
     """Damped Newton maximization of the regularized dual
 
         D(f, g) = sum a (1 - e^-f) + sum b (1 - e^-g)
@@ -389,7 +415,15 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     exactly a e^-f, and returns that point: the primal value of its plan
     does not depend on where Newton stopped in rows of tiny mass.
 
-    A cold solve runs the schedule from the seed (b, g = 0, theta0).  A warm
+    A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
+    plain distance solve given its ``grid`` = (domain, rows, cols), the
+    nodes of a and b, runs the levels before its first kept support on the
+    nested coarser grid when one exists and a or b has SPARSE_MIN_SIZE nodes
+    or more (see _coarse_to_fine).  Those levels keep the full plan on the
+    fine grid, where each Newton direction forms and factors a dense n x n
+    Schur complement.  On smaller grids (9 x 9, 11 x 11) the first fine
+    level, opened from an interpolated g that misses the node-scale ratio of
+    the masses, takes more Newton steps than the coarse levels save.  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
     from g); should that not converge, the cold solve follows, and both
     runs' levels and supports are returned.  A warm distance solve is
@@ -409,11 +443,64 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
         if sol.converged:
             return sol
         levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
-    sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
-                        np.zeros(cost.shape[1]), theta0)
+    if (term is None and grid is not None
+            and max(cost.shape) >= SPARSE_MIN_SIZE
+            and grid[0].coarser() is not None):
+        sol = _coarse_to_fine(a, b, cost, eps_schedule, max_iter, tol, *grid)
+    else:
+        sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
+                            np.zeros(cost.shape[1]), theta0)
     return sol._replace(levels=levels + sol.levels,
                         supports=supports + sol.supports,
                         fallbacks=fallbacks + sol.fallbacks)
+
+
+def _coarse_to_fine(a, b, cost, eps_schedule, max_iter, tol, domain, rows,
+                    cols):
+    """_dual_newton's cold distance solve between the node masses a and b at
+    the nodes rows and cols of a grid that nests a coarser one, whose
+    leading levels run on the coarser grid (multiscale eps-scaling,
+    Schmitzer, SIAM J. Sci. Comput. 2019).  Both mass vectors are summed
+    onto the coarse nodes by full weighting, and the coarse solve is the
+    same _continuation, one level at a time.  Before each coarse level the
+    coarse g is interpolated linearly to the fine targets, and the fine
+    level opens with its sweep from there.  A coarse node of no mass takes
+    its g from the g-sweep at the coarse f, which does not depend on b (the
+    seed 0 where no coarse source is in reach).  The first level whose fine
+    opening point keeps a support (see _kept_support), or the last one,
+    runs on the fine grid with every level after it."""
+    a_c, b_c = (domain.coarsen_masses(np.bincount(idx, x, domain.n_nodes))
+                for idx, x in ((rows, a), (cols, b)))
+    cost_c = _domain_cost(domain.coarser())
+    reach = np.isfinite(cost_c)
+    src = np.flatnonzero((a_c > 0) & reach[:, b_c > 0].any(axis=1))
+    tgt = np.flatnonzero((b_c > 0) & reach[a_c > 0].any(axis=0))
+    a_c, b_c, cost_c = a_c[src], b_c[tgt], cost_c[src]
+    log_a, kernel_min = np.log(a), _kernel_min(a, b, tol)
+    g, g_c = np.zeros(cost.shape[1]), np.zeros(tgt.size)
+    levels, supports, fallbacks, k = (), (), 0, 0
+    while k < len(eps_schedule) - 1 and src.size:
+        eps = eps_schedule[k]
+        f = _sweep(g, np.log(b), cost, eps, axis=1)
+        opening = _sweep(f, log_a, cost, eps, axis=0)
+        if _kept_support((f[:, None] + opening - cost) / eps, cost,
+                         kernel_min) is not None:
+            break
+        sol = _continuation(a_c, cost_c[:, tgt], (eps,), max_iter, tol, None,
+                            b_c, g_c, ())
+        levels += sol.levels
+        supports += sol.supports
+        fallbacks += sol.fallbacks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_all = _sweep(sol.f, np.log(a_c), cost_c, eps, axis=0)
+        g_all[tgt] = g_c = sol.g
+        g = domain.prolong(np.where(np.isfinite(g_all), g_all, 0.0))[cols]
+        k += 1
+    sol = _continuation(a, cost, eps_schedule[k:], max_iter, tol, None, b, g,
+                        ())
+    return sol._replace(levels=levels + sol.levels,
+                        supports=supports + sol.supports,
+                        fallbacks=fallbacks + sol.fallbacks, coarse=k)
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
@@ -430,16 +517,17 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                  bar=None):
         # a trial valued below bar (or NaN) is rejected: None, no gradient
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # K = exp(min(log a + (f + g - c) / eps, 500)), in place
             if support is None:
-                K = np.exp(np.minimum(
-                    log_a[:, None] + (f[:, None] + g[None, :] - cost) / eps,
-                    500.0))
-                u = K.sum(axis=0)
+                K, c, log_ai = f[:, None] + g[None, :], cost, log_a[:, None]
             else:
                 i, j = support.rows, support.cols
-                K = np.exp(np.minimum(
-                    log_a[i] + (f[i] + g[j] - support.cost) / eps, 500.0))
-                u = np.bincount(j, K, m)
+                K, c, log_ai = f[i] + g[j], support.cost, log_a[i]
+            K -= c
+            K /= eps
+            K += log_ai
+            np.exp(np.minimum(K, 500.0, out=K), out=K)
+            u = K.sum(axis=0) if support is None else np.bincount(j, K, m)
             e_g = np.exp(-g)
             kappa = 1.0 - e_g - eps * (u - sa)
             if term is None:
@@ -474,15 +562,13 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
-    kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
+    kernel_min = _kernel_min(a, b, tol)
     levels, supports, fallbacks = [], [], 0
     for eps in eps_schedule:
-        shrink = -eps / (1.0 + eps)
         with np.errstate(divide="ignore"):
-            f = shrink * _lse((g - cost) / eps + np.log(b), axis=1)
+            f = _sweep(g, np.log(b), cost, eps, axis=1)
         for _ in range(64):
-            g = shrink * _lse((f[:, None] - cost) / eps + log_a[:, None],
-                              axis=0)
+            g = _sweep(f, log_a, cost, eps, axis=0)
             pt = evaluate(f, g, theta, eps, b, opening=True)
             if pt.finite or term is None:
                 break
@@ -560,7 +646,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # narrow Gaussian's tail) may keep plan mass near the tolerance, far
         # above its own, whose term r log(r / a) would move the primal
         # value by about tol log(tol / a)
-        f = shrink * _lse((pt.g - cost) / eps + np.log(b), axis=1)
+        f = _sweep(pt.g, np.log(b), cost, eps, axis=1)
         pt = evaluate(f, pt.g, pt.theta, eps, b)
     return solved(pt, pt.gnorm <= 1e3 * tol)
 
@@ -611,7 +697,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     f_full = np.zeros(n)
     g_full = np.zeros(n)
     value = dual = base
-    levels, supports, fallbacks = (), (), 0
+    levels, supports, fallbacks, coarse = (), (), 0, 0
     eps, gnorm, converged = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0, True
     scaled_tol = tol * max(1.0, m0 + m1)
     # a reachable source has a reachable target and vice versa, so a_r and
@@ -620,9 +706,11 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
         warm = None if warm_start is None else (b_r, warm_start[cols], ())
         sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
-                           scaled_tol, warm=warm)
+                           scaled_tol, warm=warm,
+                           grid=(mu0.domain, rows, cols))
         levels, supports, converged = sol.levels, sol.supports, sol.converged
         eps, gnorm, fallbacks = sol.eps, sol.gnorm, sol.fallbacks
+        coarse = sol.coarse
         plan[np.ix_(rows, cols)] = sol.plan
         f_full[rows] = sol.f
         g_full[cols] = sol.g
@@ -630,7 +718,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         dual = base + sol.value
     return HKResult(float(value), plan, f_full, g_full, float(gnorm),
                     sum(levels), converged, eps, float(dual), levels,
-                    supports, fallbacks)
+                    supports, fallbacks, coarse)
 
 
 def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:

@@ -79,6 +79,38 @@ class GridDomain:
             w = np.kron(w, axis_w)
         return w
 
+    def coarser(self) -> "GridDomain | None":
+        """The nested grid on every second node, with half the intervals per
+        axis, or None when an axis has an even node count."""
+        if any(n % 2 == 0 for n in self.nodes_per_axis):
+            return None
+        return GridDomain(self.lower, self.upper,
+                          tuple((n + 1) // 2 for n in self.nodes_per_axis))
+
+    def prolong(self, values: np.ndarray) -> np.ndarray:
+        """Node values on ``coarser()``, interpolated linearly to this grid's
+        nodes (per axis: a node between two coarse nodes takes their mean)."""
+        return self._nested(values, transpose=False)
+
+    def coarsen_masses(self, masses: np.ndarray) -> np.ndarray:
+        """Full weighting, the transpose of ``prolong``: each node's mass goes
+        to the coarse node at it, or half to each of the two coarse nodes
+        beside it, per axis.  The total mass is kept."""
+        return self._nested(masses, transpose=True)
+
+    def _nested(self, x, transpose):
+        shape = self.nodes_per_axis
+        y = np.asarray(x, dtype=float).reshape(
+            shape if transpose else self.coarser().nodes_per_axis)
+        for axis, n in enumerate(shape):
+            c = (n + 1) // 2
+            P = np.zeros((n, c))
+            P[0::2] = np.eye(c)
+            P[1::2] = 0.5 * (np.eye(c)[:-1] + np.eye(c)[1:])
+            y = np.moveaxis(np.tensordot(P.T if transpose else P, y,
+                                         axes=(1, axis)), 0, axis)
+        return y.ravel()
+
     def distance_matrix(self) -> np.ndarray:
         """Pairwise Euclidean node distances, shape (n_nodes, n_nodes)."""
         x = self.coordinates
@@ -175,6 +207,17 @@ def scale_measure(mu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     if t < 0:
         raise ValueError("scale factor must be nonnegative")
     return DiscreteMeasure(mu.domain, t * t * mu.density)
+
+
+def coarsen(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """The measure on the nested coarser grid (``GridDomain.coarser``) whose
+    node masses are mu's, summed by full weighting; ValueError when the grid
+    does not nest."""
+    coarse = mu.domain.coarser()
+    if coarse is None:
+        raise ValueError("an axis has an even node count: no nested grid")
+    return DiscreteMeasure(
+        coarse, mu.domain.coarsen_masses(mu.node_masses) / coarse.weights)
 
 
 def restrict(mu: DiscreteMeasure, mask: np.ndarray) -> DiscreteMeasure:

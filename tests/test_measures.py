@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkflow.measures import (DiscreteMeasure, GridDomain, restrict,
+from hkflow.measures import (DiscreteMeasure, GridDomain, coarsen, restrict,
                              scale_measure, total_mass, uniform_measure,
                              unit_interval)
 
@@ -80,6 +80,43 @@ def test_restrict_zeroes_outside():
     nu = restrict(mu, keep)
     assert np.all(nu.density[~keep] == 0.0)
     assert np.all(nu.density[keep] == mu.density[keep])
+
+
+def test_coarser_grid_nests_every_second_node():
+    dom = GridDomain((0.0, -1.0), (2.0, 1.0), (17, 9))
+    coarse = dom.coarser()
+    assert coarse == GridDomain((0.0, -1.0), (2.0, 1.0), (9, 5))
+    fine = dom.coordinates.reshape(17, 9, 2)
+    assert np.allclose(fine[::2, ::2].reshape(-1, 2), coarse.coordinates,
+                       rtol=0.0, atol=1e-15)
+    assert unit_interval(3).coarser() == unit_interval(2)
+    for even in (GridDomain((0.0, 0.0), (1.0, 1.0), (16, 16)),
+                 GridDomain((0.0, 0.0), (1.0, 1.0), (17, 16)),
+                 unit_interval(2), unit_interval(32)):
+        assert even.coarser() is None
+        with pytest.raises(ValueError, match="even"):
+            coarsen(uniform_measure(even))
+
+
+@pytest.mark.parametrize("dom", [unit_interval(33),
+                                 GridDomain((0.0, 0.5), (1.0, 2.5), (17, 9))],
+                         ids=["1d", "2d"])
+def test_coarsen_keeps_mass_and_constants(dom):
+    rng = np.random.default_rng(3)
+    mu = DiscreteMeasure(dom, rng.uniform(0.0, 2.0, dom.n_nodes))
+    nu = coarsen(mu)
+    assert nu.domain == dom.coarser()
+    assert abs(nu.mass - mu.mass) <= 1e-15 * mu.mass
+    flat = coarsen(uniform_measure(dom, 0.7))
+    assert np.allclose(flat.density, 0.7, rtol=1e-15, atol=0.0)
+    # full weighting is the transpose of linear interpolation
+    v = rng.normal(size=nu.domain.n_nodes)
+    assert dom.prolong(v) @ mu.node_masses == pytest.approx(
+        v @ nu.node_masses, rel=1e-14)
+    # interpolation keeps the values at shared nodes and linear functions
+    x = dom.coordinates @ np.arange(1.0, dom.dim + 1.0)
+    xc = nu.domain.coordinates @ np.arange(1.0, dom.dim + 1.0)
+    assert np.allclose(dom.prolong(xc), x, rtol=0.0, atol=1e-14)
 
 
 def test_domain_dict_round_trip():

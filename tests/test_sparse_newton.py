@@ -1,9 +1,13 @@
-"""The sparse path of the distance solve on 2-D grids against the dense one.
+"""The sparse and coarse-to-fine paths of the distance solve on 2-D grids
+against the dense, fine-only one.
 
 Large plain distance solves run Newton on a kept support of the plan, where
 the Schur complement of the Newton matrix is banded; small ones, and the
 conjugate-term solves of the implicit step, evaluate the full plan.  The
-dense path is forced here by raising hk.SPARSE_MIN_SIZE.
+dense path is forced here by raising hk.SPARSE_MIN_SIZE.  On a grid that
+nests a coarser one, the levels before the first kept support run on the
+coarser grid; the fine grid alone is forced by a domain with no coarser
+grid.
 """
 
 import math
@@ -14,7 +18,7 @@ import pytest
 import hkflow.hk as hk
 from hkflow.entropy import power_mass_entropy
 from hkflow.hk import hk_distance_squared, transport_cost
-from hkflow.measures import DiscreteMeasure, GridDomain, unit_interval
+from hkflow.measures import DiscreteMeasure, GridDomain, coarsen, unit_interval
 from hkflow.mm import mm_step
 
 from conftest import sinusoid_measure
@@ -72,6 +76,21 @@ def pair(case):
         # on [0, 3]^2 some nodes lie more than pi/2 apart: infinite cost
         dom = square(3.0)
         return tuple(smooth_measure(dom, p) for p in SMOOTH_PHASES[0])
+    if kind == "gauss":
+        dom = square()
+        return (gaussian_measure(dom, (0.3, 0.4), 0.05),
+                gaussian_measure(dom, (0.6, 0.5), 0.05))
+    if kind == "point":
+        # one source node against a smooth target
+        dom = square()
+        return (dirac_at(dom, (5, 11), 0.7),
+                smooth_measure(dom, SMOOTH_PHASES[1][1]))
+    if kind == "half":
+        # no mass where x > 1/2: so have the coarse nodes there
+        dom = square()
+        mu0, mu1 = (smooth_measure(dom, p) for p in SMOOTH_PHASES[2])
+        return (DiscreteMeasure(dom, np.where(dom.coordinates[:, 0] > 0.5,
+                                              0.0, mu0.density)), mu1)
     dom = square()
     return tuple(dirac_at(dom, node, mass) for node, mass in DIRAC_PAIRS[k])
 
@@ -79,6 +98,12 @@ def pair(case):
 def dense_solve(monkeypatch, mu0, mu1, **kw):
     with monkeypatch.context() as mp:
         mp.setattr(hk, "SPARSE_MIN_SIZE", math.inf)
+        return hk_distance_squared(mu0, mu1, **kw)
+
+
+def fine_only_solve(monkeypatch, mu0, mu1, **kw):
+    with monkeypatch.context() as mp:
+        mp.setattr(GridDomain, "coarser", lambda self: None)
         return hk_distance_squared(mu0, mu1, **kw)
 
 
@@ -209,3 +234,68 @@ def test_singular_sparse_factor_is_counted(monkeypatch, band):
     assert clean.factor_fallbacks == 0 and res.factor_fallbacks == 1
     assert res.converged
     assert res.hk_squared == pytest.approx(clean.hk_squared, rel=1e-12)
+
+
+COARSE_CASES = ([("smooth", k) for k in range(4)]
+                + [("far", 0), ("gauss", 0), ("point", 0), ("half", 0)])
+
+
+@pytest.mark.parametrize("case", COARSE_CASES,
+                         ids=lambda c: f"{c[0]}{c[1]}")
+def test_coarse_levels_agree_with_the_fine_grid_alone(monkeypatch, case):
+    # the levels before the first kept support run on the nested 9 x 9
+    # grid; the fine levels then reach the fine-only solve's optimum
+    mu0, mu1 = pair(case)
+    res = hk_distance_squared(mu0, mu1)
+    fine = fine_only_solve(monkeypatch, mu0, mu1)
+    assert res.converged and fine.converged
+    assert res.coarse_levels > 0 and fine.coarse_levels == 0
+    levels = len(hk.DEFAULT_EPS_SCHEDULE)
+    assert len(res.level_iterations) == len(res.level_support) == levels
+    assert sum(res.level_iterations) == res.iterations
+    # a coarse level holds the coarse plan: every coarse node with mass
+    # reaches one with mass here
+    nc, mc = (np.count_nonzero(coarsen(mu).density) for mu in (mu0, mu1))
+    assert res.level_support[:res.coarse_levels] == (
+        ((nc * mc,),) * res.coarse_levels)
+    assert res.dual_value == pytest.approx(fine.dual_value, rel=1e-12)
+    # the primal value of the narrow Gaussians moves by ~1e-9 relative with
+    # the stopping point (test_sparse_path_with_tiny_tail_masses)
+    rel = 1e-8 if case[0] == "gauss" else 1e-12
+    assert res.hk_squared == pytest.approx(fine.hk_squared, rel=rel)
+
+
+def test_steps_and_small_or_unnested_solves_stay_on_the_fine_grid(
+        monkeypatch):
+    def no_coarse(*args, **kw):
+        raise AssertionError("coarse grid")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "_coarse_to_fine", no_coarse)
+        dom = unit_interval(33)
+        mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+        nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+        res = hk_distance_squared(mu, nu)
+        assert res.converged and res.coarse_levels == 0
+        assert len(res.level_iterations) == len(hk.DEFAULT_EPS_SCHEDULE)
+        dom = GridDomain((0.0, 0.0), (1.0, 1.0), (16, 16))
+        res = hk_distance_squared(*(smooth_measure(dom, p)
+                                    for p in SMOOTH_PHASES[0]))
+        assert res.converged and res.coarse_levels == 0
+        assert any(s[0] < dom.n_nodes ** 2 for s in res.level_support)
+        step = mm_step(pair(("smooth", 0))[0], 0.01,
+                       power_mass_entropy(1.0, 2.0, -1.0))
+        assert step.converged
+
+
+def test_stale_warm_start_reruns_through_the_coarse_grid():
+    # another pair's potentials are far off: the warm level is triaged (0
+    # steps) and the cold rerun coarsens the grid as a cold solve does
+    mu0, mu1 = pair(("smooth", 0))
+    cold = hk_distance_squared(mu0, mu1)
+    other = hk_distance_squared(*pair(("smooth", 1)))
+    stale = hk_distance_squared(mu0, mu1, warm_start=other.potential_target)
+    assert cold.coarse_levels > 0
+    assert stale.coarse_levels == cold.coarse_levels
+    assert stale.level_iterations == (0,) + cold.level_iterations
+    assert stale.hk_squared == cold.hk_squared
