@@ -37,11 +37,11 @@ potentials and opens with one closed-form unbalanced-Sinkhorn sweep (exact
 block ascent in f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math.
 Comp. 2018), which removes the overshoot of the previous level's plan
 before Newton takes over; a distance solve closes with one more f-sweep.
-On a grid of odd node counts per axis, a large cold distance solve runs
-the levels whose fine plan would stay full on the nested grid with half
-the intervals, from node masses summed onto it, and each fine level opens
-from the coarse potentials interpolated back (multiscale eps-scaling,
-Schmitzer 2019); it enters the fine grid at its first kept support.
+On a grid of odd node counts per axis, the level loop of a large cold
+distance solve runs each level whose fine opening keeps no support on the
+nested grid with half the intervals, from node masses summed onto it; the
+next level opens from the coarse potentials interpolated back
+(multiscale eps-scaling, Schmitzer 2019).
 A warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
 A warm distance solve whose opening marginals are far off (mismatch above
@@ -166,11 +166,11 @@ class HKResult:
     chose its support again.  ``factor_fallbacks`` counts the Newton
     directions whose Schur complement failed to factor: solved with 1e-12 I
     added on the full plan, restarted on it from a kept support.
-    ``coarse_levels`` counts the leading levels of the cold schedule that
-    ran on the nested coarser grid (0 on any other solve); they keep their
-    place in both tuples, with the coarse Newton counts and the coarse
-    supports (n m of the coarse node masses), and ``iterations`` counts
-    both grids.
+    ``coarse_levels`` counts the levels of the cold schedule that ran on
+    the nested coarser grid, those before its first kept support (0 on any
+    other solve); they keep their place in both tuples, with the coarse
+    Newton counts and supports (n m of the coarse node masses), and
+    ``iterations`` counts both grids.
     """
 
     hk_squared: float
@@ -208,7 +208,7 @@ class DualSolve(NamedTuple):
     converged verdict, the dual value, the number of Newton directions
     whose Schur complement failed to factor (solved with 1e-12 I added, or
     by a restart from a kept support) and the number of leading levels of
-    the cold schedule that ran on the coarser grid (see _coarse_to_fine)."""
+    the cold schedule that ran on the coarser grid (see _coarse_levels)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -282,13 +282,14 @@ def _kernel_min(a, b, tol):
     return SPARSE_KEEP * tol / (max(a.size, b.size) * a.max() * b.max())
 
 
-def _kept_support(slack, cost, kernel_min):
-    """The plan entries whose kernel exp(slack) = H_ij / (a_i b_j) exceeds
-    kernel_min, with their pair plan, or None when they are more than
-    SPARSE_MAX_FILL of the plan.  The test is on the kernel, not on H, so
-    rows and columns of small mass keep their nearly tight entries too."""
-    n, m = slack.shape
-    rows, cols = np.nonzero(slack > math.log(kernel_min))
+def _kept_support(f, g, cost, eps, kernel_min):
+    """The entries whose kernel H_ij / (a_i b_j) = exp((f_i + g_j - c_ij) /
+    eps) exceeds kernel_min, with their pair plan, or None when they are
+    more than SPARSE_MAX_FILL of the plan.  The test is on the kernel, not
+    on H, so rows and columns of small mass keep their tight entries too."""
+    n, m = cost.shape
+    rows, cols = np.nonzero((f[:, None] + g[None, :] - cost) / eps
+                            > math.log(kernel_min))
     if rows.size > SPARSE_MAX_FILL * n * m:
         return None
     return _Support.build(rows, cols, cost[rows, cols], n, m)
@@ -416,14 +417,15 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     does not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
-    plain distance solve given its ``grid`` = (domain, rows, cols), the
-    nodes of a and b, runs the levels before its first kept support on the
-    nested coarser grid when one exists and a or b has SPARSE_MIN_SIZE nodes
-    or more (see _coarse_to_fine).  Those levels keep the full plan on the
-    fine grid, where each Newton direction forms and factors a dense n x n
-    Schur complement.  On smaller grids (9 x 9, 11 x 11) the first fine
-    level, opened from an interpolated g that misses the node-scale ratio of
-    the masses, takes more Newton steps than the coarse levels save.  A warm
+    distance solve given its ``grid`` = (domain, rows, cols), the nodes of a
+    and b, takes a coarse-level runner (see _coarse_levels) when the grid
+    nests a coarser one and a or b has SPARSE_MIN_SIZE nodes or more; each
+    level before the first kept support, but the last, then runs on the
+    coarser grid, as on the fine one it would factor a dense n x n Schur
+    complement per Newton direction.  On smaller grids (9 x 9, 11 x 11) the
+    first fine level, opened from an interpolated g that misses the
+    node-scale ratio of the masses, takes more Newton steps than the coarse
+    levels save.  A warm
     start (b, g, theta) solves the final level only (the sweep computes f
     from g); should that not converge, the cold solve follows, and both
     runs' levels and supports are returned.  A warm distance solve is
@@ -443,71 +445,59 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
         if sol.converged:
             return sol
         levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
-    if (term is None and grid is not None
-            and max(cost.shape) >= SPARSE_MIN_SIZE
+    coarse = None
+    if (grid is not None and max(cost.shape) >= SPARSE_MIN_SIZE
             and grid[0].coarser() is not None):
-        sol = _coarse_to_fine(a, b, cost, eps_schedule, max_iter, tol, *grid)
-    else:
-        sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
-                            np.zeros(cost.shape[1]), theta0)
+        coarse = _coarse_levels(a, b, max_iter, tol, *grid)
+    sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
+                        np.zeros(cost.shape[1]), theta0, coarse=coarse)
     return sol._replace(levels=levels + sol.levels,
                         supports=supports + sol.supports,
                         fallbacks=fallbacks + sol.fallbacks)
 
 
-def _coarse_to_fine(a, b, cost, eps_schedule, max_iter, tol, domain, rows,
-                    cols):
-    """_dual_newton's cold distance solve between the node masses a and b at
-    the nodes rows and cols of a grid that nests a coarser one, whose
-    leading levels run on the coarser grid (multiscale eps-scaling,
-    Schmitzer, SIAM J. Sci. Comput. 2019).  Both mass vectors are summed
-    onto the coarse nodes by full weighting, and the coarse solve is the
-    same _continuation, one level at a time.  Before each coarse level the
-    coarse g is interpolated linearly to the fine targets, and the fine
-    level opens with its sweep from there.  A coarse node of no mass takes
-    its g from the g-sweep at the coarse f, which does not depend on b (the
-    seed 0 where no coarse source is in reach).  The first level whose fine
-    opening point keeps a support (see _kept_support), or the last one,
-    runs on the fine grid with every level after it."""
+def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
+    """The coarse-level runner of _dual_newton's cold distance solve between
+    the node masses a and b at the nodes rows and cols of a grid that nests
+    a coarser one (multiscale eps-scaling, Schmitzer, SIAM J. Sci. Comput.
+    2019), or None when no coarse source reaches a coarse target.  Both
+    mass vectors are summed onto the coarse nodes by full weighting.  The
+    runner solves the level at eps on the coarse grid by _continuation from
+    the last coarse g, and returns that solve and its g interpolated
+    linearly to the fine targets.  A coarse node of no mass takes its g
+    from the g-sweep at the coarse f, which does not depend on b (the seed
+    0 where no coarse source is in reach)."""
     a_c, b_c = (domain.coarsen_masses(np.bincount(idx, x, domain.n_nodes))
                 for idx, x in ((rows, a), (cols, b)))
     cost_c = _domain_cost(domain.coarser())
     reach = np.isfinite(cost_c)
     src = np.flatnonzero((a_c > 0) & reach[:, b_c > 0].any(axis=1))
     tgt = np.flatnonzero((b_c > 0) & reach[a_c > 0].any(axis=0))
+    if not src.size:
+        return None
     a_c, b_c, cost_c = a_c[src], b_c[tgt], cost_c[src]
-    log_a, kernel_min = np.log(a), _kernel_min(a, b, tol)
-    g, g_c = np.zeros(cost.shape[1]), np.zeros(tgt.size)
-    levels, supports, fallbacks, k = (), (), 0, 0
-    while k < len(eps_schedule) - 1 and src.size:
-        eps = eps_schedule[k]
-        f = _sweep(g, np.log(b), cost, eps, axis=1)
-        opening = _sweep(f, log_a, cost, eps, axis=0)
-        if _kept_support((f[:, None] + opening - cost) / eps, cost,
-                         kernel_min) is not None:
-            break
+    g_c = np.zeros(tgt.size)
+
+    def level(eps):
+        nonlocal g_c
         sol = _continuation(a_c, cost_c[:, tgt], (eps,), max_iter, tol, None,
                             b_c, g_c, ())
-        levels += sol.levels
-        supports += sol.supports
-        fallbacks += sol.fallbacks
         with np.errstate(divide="ignore", invalid="ignore"):
             g_all = _sweep(sol.f, np.log(a_c), cost_c, eps, axis=0)
         g_all[tgt] = g_c = sol.g
-        g = domain.prolong(np.where(np.isfinite(g_all), g_all, 0.0))[cols]
-        k += 1
-    sol = _continuation(a, cost, eps_schedule[k:], max_iter, tol, None, b, g,
-                        ())
-    return sol._replace(levels=levels + sol.levels,
-                        supports=supports + sol.supports,
-                        fallbacks=fallbacks + sol.fallbacks, coarse=k)
+        return sol, domain.prolong(
+            np.where(np.isfinite(g_all), g_all, 0.0))[cols]
+
+    return level
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
-                  triage=False):
+                  triage=False, coarse=None):
     """_dual_newton's loop over one eps schedule from (b, g0, theta0).  With
     ``triage``, a level whose opening mismatch exceeds WARM_MISMATCH ends
-    unconverged, with no step taken, when its first full step is rejected."""
+    unconverged, with no step taken, when its first full step is rejected.
+    With a ``coarse`` runner (see _coarse_levels), each level before the
+    first kept support, but the last, runs on the coarser grid."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -554,7 +544,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     def solved(pt, converged):
         return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b,
                          tuple(levels), tuple(supports), eps, pt.gnorm,
-                         converged, pt.val, fallbacks)
+                         converged, pt.val, fallbacks, n_coarse)
 
     total = float(a.sum() + b.sum())
     # dual values closer than this differ by roundoff only
@@ -563,12 +553,22 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
     kernel_min = _kernel_min(a, b, tol)
-    levels, supports, fallbacks = [], [], 0
+    levels, supports, fallbacks, n_coarse = [], [], 0, 0
     for eps in eps_schedule:
         with np.errstate(divide="ignore"):
             f = _sweep(g, np.log(b), cost, eps, axis=1)
+        g = _sweep(f, log_a, cost, eps, axis=0)
+        support = (_kept_support(f, g, cost, eps, kernel_min)
+                   if sparse else None)
+        if coarse is not None and support is None and eps != eps_schedule[-1]:
+            sol, g = coarse(eps)
+            levels += sol.levels
+            supports += sol.supports
+            fallbacks += sol.fallbacks
+            n_coarse += 1
+            continue
+        coarse = None
         for _ in range(64):
-            g = _sweep(f, log_a, cost, eps, axis=0)
             pt = evaluate(f, g, theta, eps, b, opening=True)
             if pt.finite or term is None:
                 break
@@ -576,18 +576,13 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             # every u_j, so the g-sweep raises every slope k_j toward
             # 1 + eps sum a
             f = f - 1.0
+            g = _sweep(f, log_a, cost, eps, axis=0)
         levels.append(0)
         supports.append(())
-        sparse_level = sparse
         # measured on the full plan, before any support is kept
         hopeless = triage and float(np.abs(pt.grad).sum()) > (
             WARM_MISMATCH * total)
         while True:
-            support = None
-            if sparse_level:
-                support = _kept_support(
-                    (pt.f[:, None] + pt.g[None, :] - cost) / eps, cost,
-                    kernel_min)
             supports[-1] += (n * m if support is None else support.rows.size,)
             opened = pt
             if support is not None:
@@ -633,11 +628,14 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             kept_gnorm = pt.gnorm
             pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
             if failed or pt.gnorm > opened.gnorm:
-                pt, sparse_level = opened, False
+                pt, support = opened, None
             elif pt.gnorm <= kept_gnorm + 1e-3 * tol or levels[-1] == start:
                 break
             if levels[-1] == max_iter:
                 break
+            if support is not None:
+                # not restarted: the support is chosen again from here
+                support = _kept_support(pt.f, pt.g, cost, eps, kernel_min)
         g, theta, b = pt.g, pt.theta, pt.b
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so

@@ -81,7 +81,8 @@ class GridDomain:
 
     def coarser(self) -> "GridDomain | None":
         """The nested grid on every second node, with half the intervals per
-        axis, or None when an axis has an even node count."""
+        axis, or None when an axis has an even node count (then ``prolong``
+        and ``coarsen_masses`` raise ValueError)."""
         if any(n % 2 == 0 for n in self.nodes_per_axis):
             return None
         return GridDomain(self.lower, self.upper,
@@ -99,9 +100,11 @@ class GridDomain:
         return self._nested(masses, transpose=True)
 
     def _nested(self, x, transpose):
-        shape = self.nodes_per_axis
+        shape, coarse = self.nodes_per_axis, self.coarser()
+        if coarse is None:
+            raise ValueError("an axis has an even node count: no nested grid")
         y = np.asarray(x, dtype=float).reshape(
-            shape if transpose else self.coarser().nodes_per_axis)
+            shape if transpose else coarse.nodes_per_axis)
         for axis, n in enumerate(shape):
             c = (n + 1) // 2
             P = np.zeros((n, c))
@@ -213,11 +216,9 @@ def coarsen(mu: DiscreteMeasure) -> DiscreteMeasure:
     """The measure on the nested coarser grid (``GridDomain.coarser``) whose
     node masses are mu's, summed by full weighting; ValueError when the grid
     does not nest."""
+    masses = mu.domain.coarsen_masses(mu.node_masses)
     coarse = mu.domain.coarser()
-    if coarse is None:
-        raise ValueError("an axis has an even node count: no nested grid")
-    return DiscreteMeasure(
-        coarse, mu.domain.coarsen_masses(mu.node_masses) / coarse.weights)
+    return DiscreteMeasure(coarse, masses / coarse.weights)
 
 
 def restrict(mu: DiscreteMeasure, mask: np.ndarray) -> DiscreteMeasure:

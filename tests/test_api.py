@@ -79,14 +79,19 @@ def test_removed_settings_stay_removed():
     assert back == []
 
 
+def package_trees():
+    """The parsed source of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(hkflow.__file__).parent.glob("*.py"))}
+
+
 def test_no_unused_imports():
     # each library module uses every name it imports; the package's own
     # imports are its exports
     unused = []
-    for path in sorted(Path(hkflow.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in package_trees().items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -94,8 +99,22 @@ def test_no_unused_imports():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in imported - used]
+        unused += [f"{name}: {n}" for n in imported - used]
     assert sorted(unused) == []
+
+
+def test_no_unused_private_helpers():
+    # every private function or class defined in the package is referenced
+    # in it, by name or as an attribute: a refactor leaves no dead helper
+    nodes = [node for tree in package_trees().values()
+             for node in ast.walk(tree)]
+    private = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.endswith("__")}
+    used = {getattr(node, "id", getattr(node, "attr", None))
+            for node in nodes if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(private - used) == []
 
 
 def test_import_leaves_heavy_scipy_packages_out():

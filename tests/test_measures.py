@@ -96,6 +96,10 @@ def test_coarser_grid_nests_every_second_node():
         assert even.coarser() is None
         with pytest.raises(ValueError, match="even"):
             coarsen(uniform_measure(even))
+        # no coarse grid to interpolate from or to sum onto
+        for nested in (even.prolong, even.coarsen_masses):
+            with pytest.raises(ValueError, match="even"):
+                nested(np.ones(even.n_nodes))
 
 
 @pytest.mark.parametrize("dom", [unit_interval(33),

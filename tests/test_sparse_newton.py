@@ -265,13 +265,41 @@ def test_coarse_levels_agree_with_the_fine_grid_alone(monkeypatch, case):
     assert res.hk_squared == pytest.approx(fine.hk_squared, rel=rel)
 
 
+def test_each_fine_level_opens_once(monkeypatch):
+    # every level opens with one f-sweep and one g-sweep on the fine grid,
+    # whether it then runs on the coarse grid or keeps a support there, and
+    # the solve closes with one more f-sweep; each fine support built is
+    # one entry of level_support, so the handover's is not built twice
+    mu0, mu1 = pair(("smooth", 0))
+    nm = mu0.domain.n_nodes ** 2
+    fine = {"sweeps": 0, "supports": 0}
+    real_sweep, real_build = hk._sweep, hk._Support.build
+
+    def sweep(x, log_mass, cost, eps, axis):
+        fine["sweeps"] += cost.size == nm
+        return real_sweep(x, log_mass, cost, eps, axis)
+
+    def build(rows, cols, cost, n, m):
+        fine["supports"] += n * m == nm
+        return real_build(rows, cols, cost, n, m)
+
+    monkeypatch.setattr(hk, "_sweep", sweep)
+    monkeypatch.setattr(hk._Support, "build", build)
+    res = hk_distance_squared(mu0, mu1)
+    assert res.converged and res.coarse_levels > 0
+    assert fine["sweeps"] == 2 * len(hk.DEFAULT_EPS_SCHEDULE) + 1
+    assert fine["supports"] == sum(
+        s < nm for level in res.level_support[res.coarse_levels:]
+        for s in level)
+
+
 def test_steps_and_small_or_unnested_solves_stay_on_the_fine_grid(
         monkeypatch):
     def no_coarse(*args, **kw):
         raise AssertionError("coarse grid")
 
     with monkeypatch.context() as mp:
-        mp.setattr(hk, "_coarse_to_fine", no_coarse)
+        mp.setattr(hk, "_coarse_levels", no_coarse)
         dom = unit_interval(33)
         mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
         nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
