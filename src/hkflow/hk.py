@@ -27,21 +27,22 @@ dual gains more than its roundoff band, or stays inside that band while
 the gradient's max-norm falls; a trial below the band is rejected on its
 dual value alone, before its gradient is formed.  On large grids (2-D),
 where at small eps nearly all of the plan is roundoff, a distance solve
-runs Newton on a kept support of the plan, where that product is banded,
-and each level is checked on the full plan before it ends (truncated
-eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
-factorization adds 1e-12 I (a sparse level restarts dense) and is counted
-in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
-schedule (1e-1 down to 1e-6).  Each level starts from the previous level's
-potentials and opens with one closed-form unbalanced-Sinkhorn sweep (exact
-block ascent in f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math.
-Comp. 2018), which removes the overshoot of the previous level's plan
-before Newton takes over; a distance solve closes with one more f-sweep.
+runs Newton on a kept support of the plan, where that product is banded;
+the next level opens on that support, and each level is checked on the
+full plan once, before it ends (truncated eps-scaling, Schmitzer, SIAM J.
+Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
+restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
+continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
+starts from the previous level's potentials and opens with one closed-form
+unbalanced-Sinkhorn sweep (exact block ascent in f, then in g; Chizat,
+Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes the overshoot
+of the previous level's plan before Newton takes over; a distance solve
+closes with one more f-sweep.
 On a grid of odd node counts per axis, the level loop of a large cold
-distance solve runs each level whose fine opening keeps no support on the
-nested grid with half the intervals, from node masses summed onto it; the
-next level opens from the coarse potentials interpolated back
-(multiscale eps-scaling, Schmitzer 2019).
+distance solve runs its leading levels on the nested grid with half the
+intervals, from node masses summed onto it, while the coarse opening keeps
+no support; the next level opens on the full fine plan from the coarse
+potentials interpolated back (multiscale eps-scaling, Schmitzer 2019).
 A warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
 A warm distance solve whose opening marginals are far off (mismatch above
@@ -121,6 +122,20 @@ def _sweep(x, log_mass, cost, eps, axis):
     return -eps / (1.0 + eps) * (np.log(y.sum(axis=axis)) + top.squeeze(axis))
 
 
+def _grouped_sweep(x, log_mass, cost, eps, index, count):
+    """_sweep over kept plan entries only: the entries, of costs cost, come
+    in runs of count[k] >= 1 entries, one run per potential computed, and
+    index holds each entry's node of x and log_mass."""
+    y = x[index] - cost
+    y /= eps
+    y += log_mass[index]
+    start = np.cumsum(count) - count
+    top = np.maximum.reduceat(y, start)
+    y -= np.repeat(top, count)
+    np.exp(y, out=y)
+    return -eps / (1.0 + eps) * (np.log(np.add.reduceat(y, start)) + top)
+
+
 def _xlogy(x, y):
     """x log y, exactly 0 where x = 0 (also at y = 0)."""
     with np.errstate(all="ignore"):
@@ -167,10 +182,10 @@ class HKResult:
     directions whose Schur complement failed to factor: solved with 1e-12 I
     added on the full plan, restarted on it from a kept support.
     ``coarse_levels`` counts the levels of the cold schedule that ran on
-    the nested coarser grid, those before its first kept support (0 on any
-    other solve); they keep their place in both tuples, with the coarse
-    Newton counts and supports (n m of the coarse node masses), and
-    ``iterations`` counts both grids.
+    the nested coarser grid, the levels whose coarse opening keeps no
+    support (0 on any other solve); they keep their place in both tuples,
+    with the coarse Newton counts and supports (n m of the coarse node
+    masses), and ``iterations`` counts both grids.
     """
 
     hk_squared: float
@@ -208,7 +223,8 @@ class DualSolve(NamedTuple):
     converged verdict, the dual value, the number of Newton directions
     whose Schur complement failed to factor (solved with 1e-12 I added, or
     by a restart from a kept support) and the number of leading levels of
-    the cold schedule that ran on the coarser grid (see _coarse_levels)."""
+    the cold schedule that ran on the coarser grid, those whose coarse
+    opening keeps no support (see _coarse_levels)."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -251,30 +267,32 @@ class _Point(NamedTuple):
 
 
 class _Support(NamedTuple):
-    """Kept plan entries (rows, cols), row-major, their costs, and the pair
-    plan of S's band: int32 pairs (p, q) of entries in one column, rows[p] >=
-    rows[q], their int32 slots in LAPACK lower band storage, and the
-    half-bandwidth kd; None (S is dense) where it exceeds n m pairs."""
+    """Kept plan entries (rows, cols), row-major, their costs, the stable
+    order that sorts them by column, and the pair plan of S's band: pairs
+    (p, q) of entries in one column, rows[p] >= rows[q], their slots in
+    LAPACK lower band storage, and the half-bandwidth kd; None (S is dense)
+    where it exceeds n m pairs.  Indices are np.intp, as numpy indexes
+    with."""
 
     rows: np.ndarray
     cols: np.ndarray
     cost: np.ndarray
+    order: np.ndarray
     pairs: tuple | None
 
     @classmethod
     def build(cls, rows, cols, cost, n, m):
+        order = np.argsort(cols, kind="stable")
         count = np.bincount(cols, minlength=m)
         if count @ (count + 1) // 2 > n * m:
-            return cls(rows, cols, cost, None)
-        order = np.argsort(cols, kind="stable").astype(np.int32)
+            return cls(rows, cols, cost, order, None)
         start = np.repeat(np.cumsum(count) - count, count)
         reps = np.arange(rows.size) - start + 1
         p = np.repeat(order, reps)
         q = order[np.arange(p.size)
                   + np.repeat(start - np.cumsum(reps) + reps, reps)]
         kd = int((rows[p] - rows[q]).max(initial=0))
-        slot = (rows[p] + kd * rows[q]).astype(np.int32)
-        return cls(rows, cols, cost, (p, q, slot, kd))
+        return cls(rows, cols, cost, order, (p, q, rows[p] + kd * rows[q], kd))
 
 
 def _kernel_min(a, b, tol):
@@ -293,6 +311,23 @@ def _kept_support(f, g, cost, eps, kernel_min):
     if rows.size > SPARSE_MAX_FILL * n * m:
         return None
     return _Support.build(rows, cols, cost[rows, cols], n, m)
+
+
+def _support_opening(g, log_a, log_b, eps, kernel_min, support):
+    """A level's opening at eps on the kept support the last level ended on:
+    the f-sweep from g, grouped by row, and the g-sweep, grouped by column,
+    over the support's entries only, and the kept support there, those of
+    its entries whose kernel still exceeds kernel_min (see _kept_support).
+    None when a row or column has no entry on the support."""
+    i, j, c, order, _ = support
+    n, m = log_a.size, log_b.size
+    in_row, in_col = np.bincount(i, minlength=n), np.bincount(j, minlength=m)
+    if not (in_row.all() and in_col.all()):
+        return None
+    f = _grouped_sweep(g, log_b, c, eps, j, in_row)
+    g = _grouped_sweep(f, log_a, c[order], eps, i[order], in_col)
+    keep = (f[i] + g[j] - c) / eps > math.log(kernel_min)
+    return f, g, _Support.build(i[keep], j[keep], c[keep], n, m)
 
 
 def _newton_direction(pt, eps, support):
@@ -374,7 +409,8 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
 
     Every level opens with one unbalanced-Sinkhorn sweep at the current
     target masses: exact block maximization in closed form, first over f
-    with g fixed, then over g with f fixed,
+    with g fixed, then over g with f fixed (LSE over the kept entries only
+    when the level opens on a kept support, see below),
 
         f_i = -eps/(1+eps) LSE_j(log b_j + (g_j - c_ij)/eps),
         g_j = -eps/(1+eps) LSE_i(log a_i + (f_i - c_ij)/eps),
@@ -405,28 +441,35 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     2019, truncates the kernel the same way), and Newton evaluates the plan
     on the kept entries only, where the Schur complement is banded (see
     _Support).  A level whose support would keep more than SPARSE_MAX_FILL of
-    the plan stays dense.  A sparse pass ends with one evaluation on the
-    full plan: if its gradient exceeds the kept one by more than 1e-3 tol,
-    the support is chosen again from there and the level goes on; if it
-    exceeds the pass's first gradient, or S failed to factor on the
-    support, the level restarts from that first point on the full plan.
-    Every level thus ends on a full evaluation, and the returned plan,
-    gradient and dual value are those of the full plan.  A distance solve
-    then closes with one f-sweep at the last g, so that each plan row holds
+    the plan stays dense.  A level that follows one ended on a kept support
+    opens on it (see _support_opening): both sweeps run over its entries,
+    grouped by row and by column, the new support is those of its entries
+    whose kernel still passes the keep test at the new eps, and the opening
+    point is evaluated there; the full plan is not read until the pass
+    ends.  A level opens on the full plan, as above, after a dense level or
+    a restart, after the coarse levels, and when a row or column has no
+    kept entry.  A sparse pass ends with one evaluation on the full plan: if
+    its gradient exceeds the kept one by more than 1e-3 tol, the support is
+    chosen again from there and the level goes on; if it exceeds the pass's
+    first gradient, or S failed to factor on the support, the level
+    restarts from that first point, evaluated on the full plan.  Every
+    level thus ends on a full evaluation, and the returned plan, gradient
+    and dual value are those of the full plan.  A distance solve then
+    closes with one f-sweep at the last g, so that each plan row holds
     exactly a e^-f, and returns that point: the primal value of its plan
     does not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
     distance solve given its ``grid`` = (domain, rows, cols), the nodes of a
     and b, takes a coarse-level runner (see _coarse_levels) when the grid
-    nests a coarser one and a or b has SPARSE_MIN_SIZE nodes or more; each
-    level before the first kept support, but the last, then runs on the
-    coarser grid, as on the fine one it would factor a dense n x n Schur
-    complement per Newton direction.  On smaller grids (9 x 9, 11 x 11) the
-    first fine level, opened from an interpolated g that misses the
-    node-scale ratio of the masses, takes more Newton steps than the coarse
-    levels save.  A warm
-    start (b, g, theta) solves the final level only (the sweep computes f
+    nests a coarser one and a or b has SPARSE_MIN_SIZE nodes or more; the
+    leading levels but the last then run on the coarser grid while the
+    coarse grid's own opening keeps no support, as on the fine one they
+    would factor a dense n x n Schur complement per Newton direction.  On
+    smaller grids (9 x 9, 11 x 11) the first fine level, opened from an
+    interpolated g that misses the node-scale ratio of the masses, takes
+    more Newton steps than the coarse levels save.  A warm start
+    (b, g, theta) solves the final level only (the sweep computes f
     from g); should that not converge, the cold solve follows, and both
     runs' levels and supports are returned.  A warm distance solve is
     triaged at its first line search: if the full step is rejected and the
@@ -462,8 +505,12 @@ def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
     a coarser one (multiscale eps-scaling, Schmitzer, SIAM J. Sci. Comput.
     2019), or None when no coarse source reaches a coarse target.  Both
     mass vectors are summed onto the coarse nodes by full weighting.  The
-    runner solves the level at eps on the coarse grid by _continuation from
-    the last coarse g, and returns that solve and its g interpolated
+    runner opens the level at eps on the coarse grid from the last coarse
+    g, by the two sweeps of _dual_newton, and returns None when that
+    opening keeps a support (_kept_support with the coarse masses' keep
+    threshold): the fine grid then takes over, so no fine sweep runs only
+    to choose the grid.  Otherwise it solves the level by _continuation
+    from that opening and returns the solve and its g interpolated
     linearly to the fine targets.  A coarse node of no mass takes its g
     from the g-sweep at the coarse f, which does not depend on b (the seed
     0 where no coarse source is in reach)."""
@@ -476,14 +523,20 @@ def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
     if not src.size:
         return None
     a_c, b_c, cost_c = a_c[src], b_c[tgt], cost_c[src]
+    log_a, log_b, cost_t = np.log(a_c), np.log(b_c), cost_c[:, tgt]
+    kernel_min = _kernel_min(a_c, b_c, tol)
     g_c = np.zeros(tgt.size)
 
     def level(eps):
         nonlocal g_c
-        sol = _continuation(a_c, cost_c[:, tgt], (eps,), max_iter, tol, None,
-                            b_c, g_c, ())
+        f = _sweep(g_c, log_b, cost_t, eps, axis=1)
+        g = _sweep(f, log_a, cost_t, eps, axis=0)
+        if _kept_support(f, g, cost_t, eps, kernel_min) is not None:
+            return None
+        sol = _continuation(a_c, cost_t, (eps,), max_iter, tol, None, b_c, g,
+                            (), f0=f)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g_all = _sweep(sol.f, np.log(a_c), cost_c, eps, axis=0)
+            g_all = _sweep(sol.f, log_a, cost_c, eps, axis=0)
         g_all[tgt] = g_c = sol.g
         return sol, domain.prolong(
             np.where(np.isfinite(g_all), g_all, 0.0))[cols]
@@ -492,12 +545,14 @@ def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
-                  triage=False, coarse=None):
+                  triage=False, coarse=None, f0=None):
     """_dual_newton's loop over one eps schedule from (b, g0, theta0).  With
     ``triage``, a level whose opening mismatch exceeds WARM_MISMATCH ends
     unconverged, with no step taken, when its first full step is rejected.
-    With a ``coarse`` runner (see _coarse_levels), each level before the
-    first kept support, but the last, runs on the coarser grid."""
+    With a ``coarse`` runner (see _coarse_levels), each level, but the
+    last, runs on the coarser grid until the runner returns None.  Given
+    f0, the first level opens at (f0, g0), sweeps the caller made, on the
+    full plan."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -554,39 +609,54 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
     kernel_min = _kernel_min(a, b, tol)
     levels, supports, fallbacks, n_coarse = [], [], 0, 0
+    # the kept support the last level ended on (None: the full plan)
+    support = None
     for eps in eps_schedule:
-        with np.errstate(divide="ignore"):
-            f = _sweep(g, np.log(b), cost, eps, axis=1)
-        g = _sweep(f, log_a, cost, eps, axis=0)
-        support = (_kept_support(f, g, cost, eps, kernel_min)
-                   if sparse else None)
-        if coarse is not None and support is None and eps != eps_schedule[-1]:
-            sol, g = coarse(eps)
-            levels += sol.levels
-            supports += sol.supports
-            fallbacks += sol.fallbacks
-            n_coarse += 1
-            continue
+        if coarse is not None and eps != eps_schedule[-1]:
+            ran = coarse(eps)
+            if ran is not None:
+                sol, g = ran
+                levels += sol.levels
+                supports += sol.supports
+                fallbacks += sol.fallbacks
+                n_coarse += 1
+                continue
         coarse = None
-        for _ in range(64):
-            pt = evaluate(f, g, theta, eps, b, opening=True)
-            if pt.finite or term is None:
-                break
-            # outside the domain of the term (dual -inf): a lower f lowers
-            # every u_j, so the g-sweep raises every slope k_j toward
-            # 1 + eps sum a
-            f = f - 1.0
-            g = _sweep(f, log_a, cost, eps, axis=0)
+        kept = None if support is None else _support_opening(
+            g, log_a, np.log(b), eps, kernel_min, support)
+        if kept is not None:
+            # the full plan is first evaluated where the pass ends
+            f, g, support = kept
+            pt = opened = evaluate(f, g, theta, eps, b, support=support)
+        else:
+            if f0 is None:
+                with np.errstate(divide="ignore"):
+                    f = _sweep(g, np.log(b), cost, eps, axis=1)
+                g = _sweep(f, log_a, cost, eps, axis=0)
+                support = (_kept_support(f, g, cost, eps, kernel_min)
+                           if sparse else None)
+            else:
+                f, f0 = f0, None
+            for _ in range(64):
+                pt = evaluate(f, g, theta, eps, b, opening=True)
+                if pt.finite or term is None:
+                    break
+                # outside the domain of the term (dual -inf): a lower f
+                # lowers every u_j, so the g-sweep raises every slope k_j
+                # toward 1 + eps sum a
+                f = f - 1.0
+                g = _sweep(f, log_a, cost, eps, axis=0)
+            opened = pt
+            if support is not None:
+                pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
+                              support=support)
         levels.append(0)
         supports.append(())
-        # measured on the full plan, before any support is kept
-        hopeless = triage and float(np.abs(pt.grad).sum()) > (
+        # measured on the full plan, where a warm level opens
+        hopeless = triage and float(np.abs(opened.grad).sum()) > (
             WARM_MISMATCH * total)
         while True:
             supports[-1] += (n * m if support is None else support.rows.size,)
-            opened = pt
-            if support is not None:
-                pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b, support=support)
             start, failed = levels[-1], False
             for _ in range(max_iter - start):
                 if pt.gnorm < tol:
@@ -628,14 +698,21 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             kept_gnorm = pt.gnorm
             pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
             if failed or pt.gnorm > opened.gnorm:
-                pt, support = opened, None
+                # restart from the pass's opening point on the full plan
+                support = None
+                pt = opened if opened.K.ndim == 2 else evaluate(
+                    opened.f, opened.g, opened.theta, eps, opened.b)
             elif pt.gnorm <= kept_gnorm + 1e-3 * tol or levels[-1] == start:
                 break
             if levels[-1] == max_iter:
                 break
+            opened = pt
             if support is not None:
                 # not restarted: the support is chosen again from here
                 support = _kept_support(pt.f, pt.g, cost, eps, kernel_min)
+                if support is not None:
+                    pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
+                                  support=support)
         g, theta, b = pt.g, pt.theta, pt.b
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so

@@ -495,7 +495,7 @@ def test_band_holds_the_schur_complement_of_the_kept_entries(monkeypatch):
     rows, cols = np.nonzero(near & (rng.random((n, m)) < 0.7))
     support = hk._Support.build(rows, cols, np.zeros(rows.size), n, m)
     p, q, slot, kd = support.pairs
-    assert p.dtype == q.dtype == slot.dtype == np.int32
+    assert p.dtype == q.dtype == slot.dtype == np.intp
     assert kd == max(np.ptp(rows[cols == j]) for j in np.unique(cols))
     K = np.zeros((n, m))
     K[rows, cols] = pt.K[rows, cols]

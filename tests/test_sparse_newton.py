@@ -4,9 +4,10 @@ against the dense, fine-only one.
 Large plain distance solves run Newton on a kept support of the plan, where
 the Schur complement of the Newton matrix is banded; small ones, and the
 conjugate-term solves of the implicit step, evaluate the full plan.  The
-dense path is forced here by raising hk.SPARSE_MIN_SIZE.  On a grid that
-nests a coarser one, the levels before the first kept support run on the
-coarser grid; the fine grid alone is forced by a domain with no coarser
+dense path is forced here by raising hk.SPARSE_MIN_SIZE.  A level that
+follows one ended on a kept support opens on that support.  On a grid that
+nests a coarser one, the levels whose coarse opening keeps no support run on
+the coarser grid; the fine grid alone is forced by a domain with no coarser
 grid.
 """
 
@@ -243,8 +244,8 @@ COARSE_CASES = ([("smooth", k) for k in range(4)]
 @pytest.mark.parametrize("case", COARSE_CASES,
                          ids=lambda c: f"{c[0]}{c[1]}")
 def test_coarse_levels_agree_with_the_fine_grid_alone(monkeypatch, case):
-    # the levels before the first kept support run on the nested 9 x 9
-    # grid; the fine levels then reach the fine-only solve's optimum
+    # the levels whose coarse opening keeps no support run on the nested
+    # 9 x 9 grid; the fine levels then reach the fine-only solve's optimum
     mu0, mu1 = pair(case)
     res = hk_distance_squared(mu0, mu1)
     fine = fine_only_solve(monkeypatch, mu0, mu1)
@@ -266,10 +267,11 @@ def test_coarse_levels_agree_with_the_fine_grid_alone(monkeypatch, case):
 
 
 def test_each_fine_level_opens_once(monkeypatch):
-    # every level opens with one f-sweep and one g-sweep on the fine grid,
-    # whether it then runs on the coarse grid or keeps a support there, and
-    # the solve closes with one more f-sweep; each fine support built is
-    # one entry of level_support, so the handover's is not built twice
+    # the coarse grid decides its levels on its own opening, so the full
+    # fine plan is swept only by the handover level's f-sweep and g-sweep
+    # and by the closing f-sweep: every later level opens on the support
+    # the last one ended on.  Each fine support built is one entry of
+    # level_support, so the handover's is not built twice
     mu0, mu1 = pair(("smooth", 0))
     nm = mu0.domain.n_nodes ** 2
     fine = {"sweeps": 0, "supports": 0}
@@ -287,11 +289,117 @@ def test_each_fine_level_opens_once(monkeypatch):
     monkeypatch.setattr(hk._Support, "build", build)
     res = hk_distance_squared(mu0, mu1)
     assert res.converged and res.coarse_levels > 0
-    assert fine["sweeps"] == 2 * len(hk.DEFAULT_EPS_SCHEDULE) + 1
+    assert fine["sweeps"] == 3
     assert fine["supports"] == sum(
         s < nm for level in res.level_support[res.coarse_levels:]
         for s in level)
 
+
+
+def test_later_levels_open_on_the_last_support_as_on_the_full_plan(
+        monkeypatch):
+    # every fine level after the handover opens on the support the last
+    # level ended on: its f-sweep and g-sweep over the kept entries equal
+    # the sweeps over the full plan, whose dropped kernels are below
+    # kernel_min
+    mu0, mu1 = pair(("smooth", 0))
+    cost = hk._domain_cost(mu0.domain)
+    real = hk._support_opening
+    opened = []
+
+    def opening(g, log_a, log_b, eps, kernel_min, support):
+        kept = real(g, log_a, log_b, eps, kernel_min, support)
+        f = hk._sweep(g, log_b, cost, eps, axis=1)
+        g = hk._sweep(f, log_a, cost, eps, axis=0)
+        for x, ref in zip(kept[:2], (f, g)):
+            assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+        opened.append(eps)
+        return kept
+
+    monkeypatch.setattr(hk, "_support_opening", opening)
+    res = hk_distance_squared(mu0, mu1)
+    assert res.converged
+    assert opened == list(hk.DEFAULT_EPS_SCHEDULE[res.coarse_levels + 1:])
+
+
+def test_support_without_a_row_opens_on_the_full_plan(monkeypatch):
+    # the first level after the handover is handed its support less one
+    # row's entries: it opens on the full plan as the handover does, with
+    # two more full sweeps, and the solve is the one it would have been
+    mu0, mu1 = pair(("smooth", 0))
+    nm = mu0.domain.n_nodes ** 2
+    clean = hk_distance_squared(mu0, mu1)
+    real_opening, real_sweep = hk._support_opening, hk._sweep
+    cut, sweeps = [], []
+
+    def opening(g, log_a, log_b, eps, kernel_min, support):
+        if not cut:
+            keep = support.rows != support.rows[0]
+            support = hk._Support.build(
+                support.rows[keep], support.cols[keep], support.cost[keep],
+                log_a.size, log_b.size)
+            cut.append(real_opening(g, log_a, log_b, eps, kernel_min,
+                                    support))
+            return cut[0]
+        return real_opening(g, log_a, log_b, eps, kernel_min, support)
+
+    def sweep(x, log_mass, cost, eps, axis):
+        sweeps.append(cost.size == nm)
+        return real_sweep(x, log_mass, cost, eps, axis)
+
+    monkeypatch.setattr(hk, "_support_opening", opening)
+    monkeypatch.setattr(hk, "_sweep", sweep)
+    res = hk_distance_squared(mu0, mu1)
+    assert cut == [None] and sum(sweeps) == 5
+    assert res.converged
+    assert res.level_iterations == clean.level_iterations
+    assert res.level_support == clean.level_support
+    assert res.hk_squared == pytest.approx(clean.hk_squared, rel=1e-12)
+
+
+def test_levels_after_a_dense_restart_open_on_the_full_plan(monkeypatch):
+    # on the narrow Gaussians of test_sparse_path_with_tiny_tail_masses a
+    # late level's Newton directions move from its kept support to the full
+    # plan: it records the n m entries it ended on, and the next level
+    # opens on the full plan, not on a support
+    mu0, mu1 = pair(("gauss", 0))
+    nm = mu0.domain.n_nodes ** 2
+    real_direction, real_opening = hk._newton_direction, hk._support_opening
+    real_sweep = hk._sweep
+    directions, on_support, full_sweeps = [], [], []
+
+    def direction(pt, eps, support):
+        directions.append((eps, support is None))
+        return real_direction(pt, eps, support)
+
+    def opening(g, log_a, log_b, eps, kernel_min, support):
+        on_support.append(eps)
+        return real_opening(g, log_a, log_b, eps, kernel_min, support)
+
+    def sweep(x, log_mass, cost, eps, axis):
+        if cost.size == nm and axis == 1:
+            full_sweeps.append(eps)
+        return real_sweep(x, log_mass, cost, eps, axis)
+
+    monkeypatch.setattr(hk, "_newton_direction", direction)
+    monkeypatch.setattr(hk, "_support_opening", opening)
+    monkeypatch.setattr(hk, "_sweep", sweep)
+    res = hk_distance_squared(mu0, mu1)
+    assert res.converged
+    schedule = hk.DEFAULT_EPS_SCHEDULE
+
+    def dense_directions(k):
+        return [dense for eps, dense in directions if eps == schedule[k]]
+
+    restarted = [k for k in range(res.coarse_levels, len(schedule) - 1)
+                 if dense_directions(k)[:1] == [False]
+                 and True in dense_directions(k)]
+    assert restarted
+    for k in restarted:
+        assert len(res.level_support[k]) > 1
+        assert res.level_support[k][-1] == nm
+        assert schedule[k + 1] not in on_support
+        assert schedule[k + 1] in full_sweeps
 
 def test_steps_and_small_or_unnested_solves_stay_on_the_fine_grid(
         monkeypatch):
