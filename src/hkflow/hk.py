@@ -32,12 +32,15 @@ the next level opens on that support, and each level is checked on the
 full plan once, before it ends (truncated eps-scaling, Schmitzer, SIAM J.
 Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
 restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
-continued along a decreasing schedule (1e-1 down to 1e-6).  Each level
-starts from the previous level's potentials and opens with one closed-form
-unbalanced-Sinkhorn sweep (exact block ascent in f, then in g; Chizat,
-Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes the overshoot
-of the previous level's plan before Newton takes over; a distance solve
-closes with one more f-sweep.
+continued along a decreasing schedule (1e-1 down to 1e-6).  The first two
+levels of the loop start from the previous level's potentials; each later
+one from the line through the last two levels' target potentials,
+extrapolated in eps to its own (the dual path is first order in eps as
+eps -> 0; Cominetti & San Martin, Math. Programming 1994).  Every level
+opens with one closed-form unbalanced-Sinkhorn sweep (exact block ascent in
+f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which
+removes the overshoot of the previous level's plan before Newton takes
+over; a distance solve closes with one more f-sweep.
 On a grid of odd node counts per axis, the level loop of a large cold
 distance solve runs its leading levels on the nested grid with half the
 intervals, from node masses summed onto it, while the coarse opening keeps
@@ -113,9 +116,10 @@ def _sweep(x, log_mass, cost, eps, axis):
     _dual_newton.  Its log-sum-exp is shifted by the maximum and runs in
     place on one array the size of cost.  -inf entries drop out; every sum
     needs one finite entry."""
-    y = np.expand_dims(x, 1 - axis) - cost
+    along = (None, slice(None)) if axis else (slice(None), None)
+    y = x[along] - cost
     y /= eps
-    y += np.expand_dims(log_mass, 1 - axis)
+    y += log_mass[along]
     top = y.max(axis=axis, keepdims=True)
     y -= top
     np.exp(y, out=y)
@@ -363,7 +367,9 @@ def _newton_direction(pt, eps, support):
             S = (K * coef) @ K.T
             if k:
                 C = K @ (Z * (-d - beta * dw * inv)).T
-                S = np.block([[S, C], [C.T, (Z * (d - dw * dw * inv)) @ Z.T]])
+                S_f, S = S, np.empty((n + k, n + k))
+                S[:n, :n], S[:n, n:], S[n:, :n] = S_f, C, C.T
+                S[n:, n:] = (Z * (d - dw * dw * inv)) @ Z.T
         S[0 if band else np.diag_indices(n)] += pt.ea + pt.r / eps
     rhs = pt.grad[:n] - (np.bincount(i, K * (beta * inv * grad_g)[j], n)
                          if band else K @ (beta * inv * grad_g))
@@ -406,6 +412,18 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     _newton_direction).  With a term ``b`` only seeds the first opening
     sweep, and term.opening(k, theta, eps) returns the maximizing theta at
     given slopes.
+
+    A level opens from the g the last level ended on; from the third level
+    the loop runs on (the coarse levels below do not count), from the line
+    through the g at the ends of the last two levels instead,
+
+        g = g_k + (eps - eps_k) / (eps_k - eps_(k-1)) (g_k - g_(k-1)),
+
+    as the optimal potentials move linearly in eps as eps -> 0 (Cominetti
+    & San Martin, Math. Programming 67, 1994): on a geometric schedule the
+    factor is the schedule's ratio.  Opened from the previous g alone, a
+    level at small eps takes damped steps first (t = 2^-k, k growing by
+    one per level).
 
     Every level opens with one unbalanced-Sinkhorn sweep at the current
     target masses: exact block maximization in closed form, first over f
@@ -552,7 +570,10 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     With a ``coarse`` runner (see _coarse_levels), each level, but the
     last, runs on the coarser grid until the runner returns None.  Given
     f0, the first level opens at (f0, g0), sweeps the caller made, on the
-    full plan."""
+    full plan.  A level opens from the linear extrapolation in eps of the
+    g at the ends of the last two levels this loop ran, when there are
+    two: never on a warm attempt or a coarse level, whose schedules have
+    one level, nor on the two fine levels after the coarse ones."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -609,8 +630,9 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
     kernel_min = _kernel_min(a, b, tol)
     levels, supports, fallbacks, n_coarse = [], [], 0, 0
-    # the kept support the last level ended on (None: the full plan)
-    support = None
+    # the kept support the last level ended on (None: the full plan), and
+    # (eps, g) where the last two levels run by this loop ended
+    support, ends = None, []
     for eps in eps_schedule:
         if coarse is not None and eps != eps_schedule[-1]:
             ran = coarse(eps)
@@ -622,6 +644,10 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                 n_coarse += 1
                 continue
         coarse = None
+        if len(ends) == 2:
+            # open from the line through the last two ends (see _dual_newton)
+            (eps1, g1), (eps2, g2) = ends
+            g = g2 + (eps - eps2) / (eps2 - eps1) * (g2 - g1)
         kept = None if support is None else _support_opening(
             g, log_a, np.log(b), eps, kernel_min, support)
         if kept is not None:
@@ -714,6 +740,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                     pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
                                   support=support)
         g, theta, b = pt.g, pt.theta, pt.b
+        ends = ends[-1:] + [(eps, g)]
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so
         # that each plan row holds a e^-f.  Newton stops on the gradient's

@@ -242,8 +242,9 @@ def test_convergence_study_distance_newton_count(interval33, monkeypatch):
     # then the EVI check of each row.  Warm distance starts far from their
     # solution are handed to the cold schedule at their first Newton step
     # (hk.WARM_MISMATCH); burning the final level's 60 iterations first
-    # made 1901.  The count is the same on every machine with one BLAS
-    # thread, as CI runs.
+    # made 1901.  Opening each eps-level from the line through the last two
+    # levels' potentials took it from 1448 to 1102.  The count is the same
+    # on every machine with one BLAS thread, as CI runs.
     counts = []
 
     def counted(solve):
@@ -262,7 +263,7 @@ def test_convergence_study_distance_newton_count(interval33, monkeypatch):
                                  (0.02, 0.01, 0.005), 0.04):
         evi_check(row["trajectory"], 0.0)
     assert len(counts) == 52
-    assert sum(counts) <= 1500
+    assert sum(counts) <= 1250
 
 
 def test_step_counts_accept_rounded_ratios():

@@ -8,7 +8,8 @@ dense path is forced here by raising hk.SPARSE_MIN_SIZE.  A level that
 follows one ended on a kept support opens on that support.  On a grid that
 nests a coarser one, the levels whose coarse opening keeps no support run on
 the coarser grid; the fine grid alone is forced by a domain with no coarser
-grid.
+grid.  From the third level the loop runs on, each level opens from the
+line through the g at the ends of the last two levels, extrapolated in eps.
 """
 
 import math
@@ -435,3 +436,93 @@ def test_stale_warm_start_reruns_through_the_coarse_grid():
     assert stale.coarse_levels == cold.coarse_levels
     assert stale.level_iterations == (0,) + cold.level_iterations
     assert stale.hk_squared == cold.hk_squared
+
+
+def _opening_potentials(monkeypatch, a, b, cost, **kw):
+    """Run _dual_newton over DEFAULT_EPS_SCHEDULE with spies: the g each
+    level opens from, by eps, on the fine grid (x of its first f-sweep on
+    the full plan or of its support opening) and on the coarse one, and per
+    coarse level the runner's result (the coarse solve, the prolonged g)."""
+    fine, coarse, ran = {}, {}, {}
+    sweep, support_opening = hk._sweep, hk._support_opening
+    runner = hk._coarse_levels
+
+    def spy_sweep(x, log_mass, c, eps, axis):
+        if axis == 1:
+            (fine if c.shape == cost.shape else coarse).setdefault(
+                eps, x.copy())
+        return sweep(x, log_mass, c, eps, axis)
+
+    def spy_opening(g, log_a, log_b, eps, kernel_min, support):
+        fine.setdefault(eps, g.copy())
+        return support_opening(g, log_a, log_b, eps, kernel_min, support)
+
+    def spy_runner(*args):
+        level = runner(*args)
+
+        def spied(eps):
+            ran[eps] = level(eps)
+            return ran[eps]
+        return None if level is None else spied
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "_sweep", spy_sweep)
+        mp.setattr(hk, "_support_opening", spy_opening)
+        mp.setattr(hk, "_coarse_levels", spy_runner)
+        sol = hk._dual_newton(a, b, cost, hk.DEFAULT_EPS_SCHEDULE,
+                              hk.NEWTON_MAX_ITER, hk.NEWTON_TOL, **kw)
+    return sol, fine, coarse, ran
+
+
+@pytest.mark.parametrize("case", ["1d", "17x17"])
+def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
+                                                             case):
+    # from the third level the loop runs on, each level opens from
+    # g_k + (eps - eps_k) / (eps_k - eps_(k-1)) (g_k - g_(k-1)), the g at
+    # the end of the last two levels extrapolated linearly in eps; the
+    # first two, each coarse level and a warm attempt open from the plain
+    # previous g
+    if case == "1d":
+        dom = unit_interval(33)
+        mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+        mu1 = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+    else:
+        mu0, mu1 = pair(("smooth", 0))
+    _, _, src, tgt, a, b, cost = hk._node_masses(mu0, mu1)
+    grid = (mu0.domain, src, tgt)
+    schedule = hk.DEFAULT_EPS_SCHEDULE
+    sol, fine, coarse, ran = _opening_potentials(monkeypatch, a, b, cost,
+                                                 grid=grid)
+    assert sol.converged
+    first = sol.coarse
+    assert first == (0 if case == "1d" else 4)
+    assert list(fine) == list(schedule[first:])
+
+    # the g level k ends on: the first k + 1 levels of the schedule run as
+    # they do in the whole schedule, and g is kept after the last
+    end = {k: hk._dual_newton(a, b, cost, schedule[:k + 1],
+                              hk.NEWTON_MAX_ITER, hk.NEWTON_TOL, grid=grid).g
+           for k in range(first, len(schedule) - 1)}
+    assert np.array_equal(fine[schedule[first]], np.zeros(b.size) if
+                          first == 0 else ran[schedule[first - 1]][1])
+    assert np.array_equal(fine[schedule[first + 1]], end[first])
+    for k in range(first + 2, len(schedule)):
+        g1, g2 = end[k - 2], end[k - 1]
+        ratio = (schedule[k] - schedule[k - 1]) / (
+            schedule[k - 1] - schedule[k - 2])
+        assert np.allclose(fine[schedule[k]], g2 + ratio * (g2 - g1),
+                           rtol=1e-14, atol=1e-14)
+        # the potentials move by tens of units of eps from level to level
+        assert np.abs(fine[schedule[k]] - g2).max() > schedule[k]
+    # coarse levels open from the last coarse level's g (0 at the first)
+    assert [eps for eps in ran if ran[eps] is not None] == list(
+        schedule[:first])
+    for k in range(first):
+        assert np.array_equal(coarse[schedule[k]], np.zeros_like(
+            coarse[schedule[k]]) if k == 0 else ran[schedule[k - 1]][0].g)
+    # a warm attempt solves the final level from the warm g itself
+    warm, fine, _, ran = _opening_potentials(
+        monkeypatch, a, b, cost, warm=(b, sol.g, ()), grid=grid)
+    assert warm.converged and len(warm.levels) == 1 and not ran
+    assert list(fine) == [schedule[-1]]
+    assert np.array_equal(fine[schedule[-1]], sol.g)
