@@ -215,6 +215,8 @@ def run_evi(cfg: dict, out: Path, seed: int) -> int:
         "lambda": (number, REQUIRED), "kappa": (number, 0.0)})
     tau, lam, kappa = v["tau"], v["lambda"], v["kappa"]
     traj = mm_trajectory(mu0, tau, v["n_steps"], E, metric=metric)
+    # the budget rejects 1 + lambda tau <= 0 before any file is written
+    bud = error_budget(traj, kappa, lam)
     rep = evi_check(traj, lam)
     rows = []
     for k, (Rs, Rl) in enumerate(zip(rep.residuals_lambda_star,
@@ -227,7 +229,6 @@ def run_evi(cfg: dict, out: Path, seed: int) -> int:
     write_csv(out / "evi_residuals.csv",
               ["s", "t", "observer_id", "residual_lambda_star",
                "residual_lambda"], rows)
-    bud = error_budget(traj, kappa, lam)
     write_json(out / "evi_summary.json", {
         "worst_residual_lambda_star": rep.worst_residual,
         "worst_residual_lambda": rep.worst_residual_lambda,

@@ -162,13 +162,13 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
     n_steps = len(ms) - 1
     if n_steps < 1:
         raise ValueError("trajectory needs at least one step")
+    if 1.0 + lam * tau <= 0:
+        raise ValueError("step size too large for this convexity parameter")
     d2_steps = np.asarray(traj.distances_squared, dtype=float)
     d2_skips = distances_squared_along(ms[:-2], ms[2:], traj.metric)
     slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
     deltas = np.zeros(n_steps)
     zero_gap = np.zeros(n_steps)
-    if 1.0 + lam * tau <= 0:
-        raise ValueError("step size too large for this convexity parameter")
     deltas[0] = ((1.0 - 2.0 * lam) * d2_steps[0]
                  + (1.0 + 1.0 / (1.0 + lam * tau)) * slope * slope)
     zero_gap[0] = deltas[0]

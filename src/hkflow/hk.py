@@ -33,7 +33,7 @@ full plan once, before it ends (truncated eps-scaling, Schmitzer, SIAM J.
 Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
 restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
 continued along a decreasing schedule (1e-1 down to 1e-6).  The first two
-levels of the loop start from the previous level's potentials; each later
+levels of a loop start from the previous level's potentials; each later
 one from the line through the last two levels' target potentials,
 extrapolated in eps to its own (the dual path is first order in eps as
 eps -> 0; Cominetti & San Martin, Math. Programming 1994).  Every level
@@ -41,11 +41,12 @@ opens with one closed-form unbalanced-Sinkhorn sweep (exact block ascent in
 f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which
 removes the overshoot of the previous level's plan before Newton takes
 over; a distance solve closes with one more f-sweep.
-On a grid of odd node counts per axis, the level loop of a large cold
-distance solve runs its leading levels on the nested grid with half the
-intervals, from node masses summed onto it, while the coarse opening keeps
-no support; the next level opens on the full fine plan from the coarse
-potentials interpolated back (multiscale eps-scaling, Schmitzer 2019).
+On a grid of odd node counts per axis, a large cold distance solve first
+runs the level loop on the nested grid with half the intervals, from node
+masses summed onto it, and hands over before the first level whose coarse
+opening keeps a support; a second loop runs the remaining levels on the
+fine grid from the coarse potentials interpolated back (multiscale
+eps-scaling, Schmitzer 2019).
 A warm start from target potentials solves at the final eps only, and
 ``_dual_newton`` reruns the full continuation if that does not converge.
 A warm distance solve whose opening marginals are far off (mismatch above
@@ -186,8 +187,9 @@ class HKResult:
     directions whose Schur complement failed to factor: solved with 1e-12 I
     added on the full plan, restarted on it from a kept support.
     ``coarse_levels`` counts the levels of the cold schedule that ran on
-    the nested coarser grid, the levels whose coarse opening keeps no
-    support (0 on any other solve); they keep their place in both tuples,
+    the nested coarser grid, those before the first whose coarse opening
+    keeps a support (0 on any other solve); they keep their place in both
+    tuples,
     with the coarse Newton counts and supports (n m of the coarse node
     masses), and ``iterations`` counts both grids.
     """
@@ -227,8 +229,9 @@ class DualSolve(NamedTuple):
     converged verdict, the dual value, the number of Newton directions
     whose Schur complement failed to factor (solved with 1e-12 I added, or
     by a restart from a kept support) and the number of leading levels of
-    the cold schedule that ran on the coarser grid, those whose coarse
-    opening keeps no support (see _coarse_levels)."""
+    the cold schedule that ran on the coarser grid (see _coarse_head).  The
+    coarse head itself is a DualSolve of the coarse problem, where its last
+    level ended."""
 
     plan: np.ndarray
     f: np.ndarray
@@ -297,11 +300,6 @@ class _Support(NamedTuple):
                   + np.repeat(start - np.cumsum(reps) + reps, reps)]
         kd = int((rows[p] - rows[q]).max(initial=0))
         return cls(rows, cols, cost, order, (p, q, rows[p] + kd * rows[q], kd))
-
-
-def _kernel_min(a, b, tol):
-    """The kernel below which _kept_support drops a plan entry."""
-    return SPARSE_KEEP * tol / (max(a.size, b.size) * a.max() * b.max())
 
 
 def _kept_support(f, g, cost, eps, kernel_min):
@@ -414,8 +412,9 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     given slopes.
 
     A level opens from the g the last level ended on; from the third level
-    the loop runs on (the coarse levels below do not count), from the line
-    through the g at the ends of the last two levels instead,
+    of a loop on (the coarse head below and the fine levels after it are
+    two loops), from the line through the g at the ends of that loop's
+    last two levels instead,
 
         g = g_k + (eps - eps_k) / (eps_k - eps_(k-1)) (g_k - g_(k-1)),
 
@@ -461,39 +460,40 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     _Support).  A level whose support would keep more than SPARSE_MAX_FILL of
     the plan stays dense.  A level that follows one ended on a kept support
     opens on it (see _support_opening): both sweeps run over its entries,
-    grouped by row and by column, the new support is those of its entries
-    whose kernel still passes the keep test at the new eps, and the opening
-    point is evaluated there; the full plan is not read until the pass
-    ends.  A level opens on the full plan, as above, after a dense level or
-    a restart, after the coarse levels, and when a row or column has no
-    kept entry.  A sparse pass ends with one evaluation on the full plan: if
-    its gradient exceeds the kept one by more than 1e-3 tol, the support is
-    chosen again from there and the level goes on; if it exceeds the pass's
-    first gradient, or S failed to factor on the support, the level
-    restarts from that first point, evaluated on the full plan.  Every
-    level thus ends on a full evaluation, and the returned plan, gradient
-    and dual value are those of the full plan.  A distance solve then
-    closes with one f-sweep at the last g, so that each plan row holds
-    exactly a e^-f, and returns that point: the primal value of its plan
-    does not depend on where Newton stopped in rows of tiny mass.
+    grouped by row and by column, and the new support is those of its entries
+    whose kernel still passes the keep test at the new eps.  A level opens on
+    the full plan, as above, as the first of a loop, after a dense level or a
+    restart, and when a row or column has no kept entry.  Either way, an
+    opening that keeps a support is evaluated on it only, and the full plan
+    is not read until the pass ends.  A sparse pass ends with one evaluation
+    on the full plan: if its gradient exceeds the kept one by more than 1e-3
+    tol, the support is chosen again from there and the level goes on; if it
+    exceeds the pass's first gradient, or S failed to factor on the support,
+    the level restarts from that first point, evaluated on the full plan.
+    Every level thus ends on a full evaluation, and the returned plan,
+    gradient and dual value are those of the full plan.  A distance solve
+    then closes with one f-sweep at the last g, so that each plan row holds
+    exactly a e^-f, and returns that point: the primal value of its plan does
+    not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
     distance solve given its ``grid`` = (domain, rows, cols), the nodes of a
-    and b, takes a coarse-level runner (see _coarse_levels) when the grid
-    nests a coarser one and a or b has SPARSE_MIN_SIZE nodes or more; the
-    leading levels but the last then run on the coarser grid while the
-    coarse grid's own opening keeps no support, as on the fine one they
-    would factor a dense n x n Schur complement per Newton direction.  On
-    smaller grids (9 x 9, 11 x 11) the first fine level, opened from an
-    interpolated g that misses the node-scale ratio of the masses, takes
-    more Newton steps than the coarse levels save.  A warm start
-    (b, g, theta) solves the final level only (the sweep computes f
-    from g); should that not converge, the cold solve follows, and both
-    runs' levels and supports are returned.  A warm distance solve is
-    triaged at its first line search: if the full step is rejected and the
-    opening point's marginal mismatch |grad_(f, g)|_1, on the full plan,
-    exceeds WARM_MISMATCH (sum a + sum b), the warm attempt ends there with
-    0 steps and the cold solve follows, so its result is the cold solve's.
+    and b, first runs the schedule but its last level on the coarser grid
+    (see _coarse_head) when the grid nests one and a or b has SPARSE_MIN_SIZE
+    nodes or more.  That coarse head hands over before the first level whose
+    coarse opening keeps a support: the levels before it would factor a dense
+    n x n Schur complement per Newton direction on the fine grid.  The fine
+    loop then runs the remaining levels from the coarse g interpolated to the
+    fine targets (from g = 0 when no coarse level ran).  On smaller grids
+    (9 x 9, 11 x 11) the first fine level, opened from an interpolated g that
+    misses the node-scale ratio of the masses, takes more Newton steps than
+    the coarse levels save.  A warm start (b, g, theta) solves the final
+    level only (the sweep computes f from g); should that not converge, the
+    cold solve follows, and both runs' levels and supports are returned.  A
+    warm distance solve is triaged at its first line search: if the full step
+    is rejected and the opening point's marginal mismatch |grad_(f, g)|_1
+    exceeds WARM_MISMATCH (sum a + sum b), the warm attempt ends there with 0
+    steps and the cold solve follows, so its result is the cold solve's.
     Steps (with a term) are not triaged: an SHK step warm from the previous
     step can meet the same test and still converge at the final level.
     Converged means a gradient max-norm within 1e3 tol, as the line search
@@ -506,32 +506,36 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
         if sol.converged:
             return sol
         levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
-    coarse = None
+    g0, head, coarse = np.zeros(cost.shape[1]), None, 0
     if (grid is not None and max(cost.shape) >= SPARSE_MIN_SIZE
             and grid[0].coarser() is not None):
-        coarse = _coarse_levels(a, b, max_iter, tol, *grid)
-    sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b,
-                        np.zeros(cost.shape[1]), theta0, coarse=coarse)
+        head = _coarse_head(a, b, eps_schedule[:-1], max_iter, tol, *grid)
+    if head is not None:
+        head, g0 = head
+        coarse = len(head.levels)
+        eps_schedule = eps_schedule[coarse:]
+        levels, supports = levels + head.levels, supports + head.supports
+        fallbacks += head.fallbacks
+    sol = _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0,
+                        theta0)
     return sol._replace(levels=levels + sol.levels,
                         supports=supports + sol.supports,
-                        fallbacks=fallbacks + sol.fallbacks)
+                        fallbacks=fallbacks + sol.fallbacks, coarse=coarse)
 
 
-def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
-    """The coarse-level runner of _dual_newton's cold distance solve between
-    the node masses a and b at the nodes rows and cols of a grid that nests
-    a coarser one (multiscale eps-scaling, Schmitzer, SIAM J. Sci. Comput.
-    2019), or None when no coarse source reaches a coarse target.  Both
-    mass vectors are summed onto the coarse nodes by full weighting.  The
-    runner opens the level at eps on the coarse grid from the last coarse
-    g, by the two sweeps of _dual_newton, and returns None when that
-    opening keeps a support (_kept_support with the coarse masses' keep
-    threshold): the fine grid then takes over, so no fine sweep runs only
-    to choose the grid.  Otherwise it solves the level by _continuation
-    from that opening and returns the solve and its g interpolated
-    linearly to the fine targets.  A coarse node of no mass takes its g
-    from the g-sweep at the coarse f, which does not depend on b (the seed
-    0 where no coarse source is in reach)."""
+def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
+    """The leading levels of _dual_newton's cold distance solve between the
+    node masses a and b at the nodes rows and cols of a grid that nests a
+    coarser one, run on that coarser grid (multiscale eps-scaling,
+    Schmitzer, SIAM J. Sci. Comput. 2019).  Both mass vectors are summed
+    onto the coarse nodes by full weighting, and one cold _continuation
+    over eps_schedule hands over before the first level whose coarse
+    opening keeps a support.  Returns that solve, ended where its last
+    level ended, and its g interpolated linearly to the fine targets; None
+    when no level ran or no coarse source reaches a coarse target.  A
+    coarse node of no mass takes its g from the g-sweep at the coarse f,
+    which does not depend on b (the seed 0 where no coarse source is in
+    reach)."""
     a_c, b_c = (domain.coarsen_masses(np.bincount(idx, x, domain.n_nodes))
                 for idx, x in ((rows, a), (cols, b)))
     cost_c = _domain_cost(domain.coarser())
@@ -541,39 +545,27 @@ def _coarse_levels(a, b, max_iter, tol, domain, rows, cols):
     if not src.size:
         return None
     a_c, b_c, cost_c = a_c[src], b_c[tgt], cost_c[src]
-    log_a, log_b, cost_t = np.log(a_c), np.log(b_c), cost_c[:, tgt]
-    kernel_min = _kernel_min(a_c, b_c, tol)
-    g_c = np.zeros(tgt.size)
-
-    def level(eps):
-        nonlocal g_c
-        f = _sweep(g_c, log_b, cost_t, eps, axis=1)
-        g = _sweep(f, log_a, cost_t, eps, axis=0)
-        if _kept_support(f, g, cost_t, eps, kernel_min) is not None:
-            return None
-        sol = _continuation(a_c, cost_t, (eps,), max_iter, tol, None, b_c, g,
-                            (), f0=f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_all = _sweep(sol.f, log_a, cost_c, eps, axis=0)
-        g_all[tgt] = g_c = sol.g
-        return sol, domain.prolong(
-            np.where(np.isfinite(g_all), g_all, 0.0))[cols]
-
-    return level
+    head = _continuation(a_c, cost_c[:, tgt], eps_schedule, max_iter, tol,
+                         None, b_c, np.zeros(tgt.size), (), handover=True)
+    if head is None:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _sweep(head.f, np.log(a_c), cost_c, head.eps, axis=0)
+    g[tgt] = head.g
+    return head, domain.prolong(np.where(np.isfinite(g), g, 0.0))[cols]
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
-                  triage=False, coarse=None, f0=None):
-    """_dual_newton's loop over one eps schedule from (b, g0, theta0).  With
-    ``triage``, a level whose opening mismatch exceeds WARM_MISMATCH ends
-    unconverged, with no step taken, when its first full step is rejected.
-    With a ``coarse`` runner (see _coarse_levels), each level, but the
-    last, runs on the coarser grid until the runner returns None.  Given
-    f0, the first level opens at (f0, g0), sweeps the caller made, on the
-    full plan.  A level opens from the linear extrapolation in eps of the
-    g at the ends of the last two levels this loop ran, when there are
-    two: never on a warm attempt or a coarse level, whose schedules have
-    one level, nor on the two fine levels after the coarse ones."""
+                  triage=False, handover=False):
+    """_dual_newton's loop over one eps schedule from (b, g0, theta0).  From
+    the third level on, a level opens from the linear extrapolation in eps
+    of the g at the ends of the last two levels.  With ``triage``, a level
+    whose opening mismatch exceeds WARM_MISMATCH ends unconverged, with no
+    step taken, when its first full step is rejected.  With ``handover``
+    (the coarse head of a distance solve, see _coarse_head), the loop ends
+    before the first level whose full-plan opening keeps a support, at any
+    problem size, and returns the point where the last level ended, with
+    that level's eps and no closing sweep; None when no level ran."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -617,10 +609,15 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         return _Point(f, g, np.asarray(theta, dtype=float), b, K, val, r, s,
                       ea, eb, grad, gnorm, (e_g - u, Z, d), finite)
 
-    def solved(pt, converged):
+    def full(pt):
+        # pt evaluated on the full plan
+        return pt if pt.K.ndim == 2 else evaluate(pt.f, pt.g, pt.theta, eps,
+                                                  pt.b)
+
+    def solved(pt, eps, converged):
         return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b,
                          tuple(levels), tuple(supports), eps, pt.gnorm,
-                         converged, pt.val, fallbacks, n_coarse)
+                         converged, pt.val, fallbacks)
 
     total = float(a.sum() + b.sum())
     # dual values closer than this differ by roundoff only
@@ -628,22 +625,13 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
     sparse = term is None and n + m >= SPARSE_MIN_SIZE
-    kernel_min = _kernel_min(a, b, tol)
-    levels, supports, fallbacks, n_coarse = [], [], 0, 0
+    # the kernel below which _kept_support drops a plan entry
+    kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
+    levels, supports, fallbacks = [], [], 0
     # the kept support the last level ended on (None: the full plan), and
-    # (eps, g) where the last two levels run by this loop ended
+    # (eps, g) where the last two levels ended
     support, ends = None, []
     for eps in eps_schedule:
-        if coarse is not None and eps != eps_schedule[-1]:
-            ran = coarse(eps)
-            if ran is not None:
-                sol, g = ran
-                levels += sol.levels
-                supports += sol.supports
-                fallbacks += sol.fallbacks
-                n_coarse += 1
-                continue
-        coarse = None
         if len(ends) == 2:
             # open from the line through the last two ends (see _dual_newton)
             (eps1, g1), (eps2, g2) = ends
@@ -651,34 +639,31 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         kept = None if support is None else _support_opening(
             g, log_a, np.log(b), eps, kernel_min, support)
         if kept is not None:
-            # the full plan is first evaluated where the pass ends
             f, g, support = kept
-            pt = opened = evaluate(f, g, theta, eps, b, support=support)
         else:
-            if f0 is None:
-                with np.errstate(divide="ignore"):
-                    f = _sweep(g, np.log(b), cost, eps, axis=1)
-                g = _sweep(f, log_a, cost, eps, axis=0)
-                support = (_kept_support(f, g, cost, eps, kernel_min)
-                           if sparse else None)
-            else:
-                f, f0 = f0, None
-            for _ in range(64):
-                pt = evaluate(f, g, theta, eps, b, opening=True)
-                if pt.finite or term is None:
-                    break
-                # outside the domain of the term (dual -inf): a lower f
-                # lowers every u_j, so the g-sweep raises every slope k_j
-                # toward 1 + eps sum a
-                f = f - 1.0
-                g = _sweep(f, log_a, cost, eps, axis=0)
-            opened = pt
-            if support is not None:
-                pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
-                              support=support)
+            with np.errstate(divide="ignore"):
+                f = _sweep(g, np.log(b), cost, eps, axis=1)
+            g = _sweep(f, log_a, cost, eps, axis=0)
+            support = (_kept_support(f, g, cost, eps, kernel_min)
+                       if sparse or handover else None)
+            if handover and support is not None:
+                break
+        # on a kept support, the full plan is first evaluated where the
+        # pass ends
+        for _ in range(64):
+            pt = evaluate(f, g, theta, eps, b, opening=True, support=support)
+            if pt.finite or term is None:
+                break
+            # outside the domain of the term (dual -inf): a lower f lowers
+            # every u_j, so the g-sweep raises every slope k_j toward
+            # 1 + eps sum a
+            f = f - 1.0
+            g = _sweep(f, log_a, cost, eps, axis=0)
+        opened = pt
         levels.append(0)
         supports.append(())
-        # measured on the full plan, where a warm level opens
+        # on a kept support the mismatch misses the dropped entries, far
+        # below WARM_MISMATCH
         hopeless = triage and float(np.abs(opened.grad).sum()) > (
             WARM_MISMATCH * total)
         while True:
@@ -707,7 +692,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                     if hopeless and t == 1.0 and levels[-1] == 0:
                         # too far off for damped Newton at this eps: the
                         # caller's cold schedule continues into it instead
-                        return solved(opened, False)
+                        return solved(full(opened), eps, False)
                     t *= 0.5
                 else:
                     break
@@ -722,12 +707,11 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             # drift on them until dropped entries dominate (the pass ends
             # worse than it began) or make S fail to factor.
             kept_gnorm = pt.gnorm
-            pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
+            pt = full(pt)
             if failed or pt.gnorm > opened.gnorm:
                 # restart from the pass's opening point on the full plan
                 support = None
-                pt = opened if opened.K.ndim == 2 else evaluate(
-                    opened.f, opened.g, opened.theta, eps, opened.b)
+                pt = full(opened)
             elif pt.gnorm <= kept_gnorm + 1e-3 * tol or levels[-1] == start:
                 break
             if levels[-1] == max_iter:
@@ -741,6 +725,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                                   support=support)
         g, theta, b = pt.g, pt.theta, pt.b
         ends = ends[-1:] + [(eps, g)]
+    if handover:
+        return solved(pt, ends[-1][0], pt.gnorm <= 1e3 * tol) if ends else None
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so
         # that each plan row holds a e^-f.  Newton stops on the gradient's
@@ -750,7 +736,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # value by about tol log(tol / a)
         f = _sweep(pt.g, np.log(b), cost, eps, axis=1)
         pt = evaluate(f, pt.g, pt.theta, eps, b)
-    return solved(pt, pt.gnorm <= 1e3 * tol)
+    return solved(pt, eps, pt.gnorm <= 1e3 * tol)
 
 
 def _node_masses(mu0: DiscreteMeasure, mu1: DiscreteMeasure):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import REQUIRED, ConfigError, integer, listed, number, \
+from .config import REQUIRED, ConfigError, integer, listed, number, raw, \
     read_fields
 
 
@@ -179,7 +179,13 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        return cls(GridDomain.from_dict(d["domain"]), np.asarray(d["density"]))
+        f = read_fields(d, "measure", {"domain": (raw, REQUIRED),
+                                       "density": (listed(number), REQUIRED)})
+        domain = GridDomain.from_dict(f["domain"])
+        try:
+            return cls(domain, np.asarray(f["density"]))
+        except ValueError as exc:
+            raise ConfigError(f"measure.density: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -344,6 +344,22 @@ def test_evi_check_exit_0(tmp_path):
     assert summary["budget_bound_holds"]
 
 
+def test_evi_check_step_too_large_for_lambda_exit_2(tmp_path):
+    # 1 + lambda tau = -0.5 leaves the error budget undefined: the verb
+    # fails before it writes a data file
+    cfg = {
+        "domain": DOMAIN,
+        "initial": {"kind": "sinusoid", "base": 0.8, "amplitude": 0.2},
+        "entropy": QUADRATIC,
+        "tau": 0.005,
+        "n_steps": 2,
+        "lambda": -300.0,
+    }
+    status, out = run_cli(tmp_path, "evi-check", cfg)
+    assert status == 2
+    assert list(out.iterdir()) == []
+
+
 def test_convergence_study_one_trajectory_per_tau(tmp_path, monkeypatch):
     built = []
 

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkflow.config import ConfigError
 from hkflow.measures import (DiscreteMeasure, GridDomain, coarsen, restrict,
                              scale_measure, total_mass, uniform_measure,
                              unit_interval)
@@ -135,6 +137,24 @@ def test_measure_json_round_trip():
     nu = DiscreteMeasure.from_json(mu.to_json())
     assert nu.domain == dom
     assert np.array_equal(nu.density, mu.density)
+
+
+DOMAIN3 = {"lower": [0.0], "upper": [1.0], "nodes": [3]}
+
+
+@pytest.mark.parametrize("d,path", [
+    ({"domain": DOMAIN3}, "measure.density"),
+    ({"domain": DOMAIN3, "density": [1, 1, 1], "mass": 3}, "measure.mass"),
+    ({"domain": DOMAIN3, "density": [1, True, 1]}, "measure.density[1]"),
+    ({"domain": DOMAIN3, "density": "abc"}, "measure.density"),
+    ({"domain": DOMAIN3, "density": [1, 1]}, "measure.density"),
+    ({"domain": DOMAIN3, "density": [1, -1, 1]}, "measure.density"),
+    ({"density": [1, 1, 1]}, "measure.domain"),
+    ([1, 1, 1], "measure"),
+])
+def test_measure_from_dict_rejects_bad_fields(d, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        DiscreteMeasure.from_dict(d)
 
 
 def test_measure_csv_output(tmp_path):

@@ -6,10 +6,11 @@ the Schur complement of the Newton matrix is banded; small ones, and the
 conjugate-term solves of the implicit step, evaluate the full plan.  The
 dense path is forced here by raising hk.SPARSE_MIN_SIZE.  A level that
 follows one ended on a kept support opens on that support.  On a grid that
-nests a coarser one, the levels whose coarse opening keeps no support run on
-the coarser grid; the fine grid alone is forced by a domain with no coarser
-grid.  From the third level the loop runs on, each level opens from the
-line through the g at the ends of the last two levels, extrapolated in eps.
+nests a coarser one, the levels before the first whose coarse opening keeps
+a support run on the coarser grid, as one level loop; the fine grid alone
+is forced by a domain with no coarser grid.  From the third level of a loop
+on, each level opens from the line through the g at the ends of that loop's
+last two levels, extrapolated in eps.
 """
 
 import math
@@ -267,6 +268,25 @@ def test_coarse_levels_agree_with_the_fine_grid_alone(monkeypatch, case):
     assert res.hk_squared == pytest.approx(fine.hk_squared, rel=rel)
 
 
+@pytest.mark.parametrize("side,coarse", [(8.0, 0), (5.0, 1)])
+def test_short_coarse_heads_agree_with_the_fine_grid_alone(monkeypatch, side,
+                                                           coarse):
+    # on [0, L]^2 the coarse head hands over at its first level's opening
+    # (L = 8: no level ran, the fine loop starts from g = 0) or at its
+    # second (L = 5), before the eps-predictor has two ends to use
+    dom = GridDomain((0.0, 0.0), (side, side), (GRID, GRID))
+    x, y = dom.coordinates.T
+    mu0 = DiscreteMeasure(dom, 1.0 + 0.2 * np.cos(2.0 * math.pi * x / side))
+    mu1 = DiscreteMeasure(dom, 1.0 + 0.2 * np.sin(2.0 * math.pi * y / side))
+    res = hk_distance_squared(mu0, mu1)
+    fine = fine_only_solve(monkeypatch, mu0, mu1)
+    assert res.converged and fine.converged
+    assert res.coarse_levels == coarse
+    assert len(res.level_iterations) == len(hk.DEFAULT_EPS_SCHEDULE)
+    assert res.dual_value == pytest.approx(fine.dual_value, rel=1e-12)
+    assert res.hk_squared == pytest.approx(fine.hk_squared, rel=1e-12)
+
+
 def test_each_fine_level_opens_once(monkeypatch):
     # the coarse grid decides its levels on its own opening, so the full
     # fine plan is swept only by the handover level's f-sweep and g-sweep
@@ -408,7 +428,7 @@ def test_steps_and_small_or_unnested_solves_stay_on_the_fine_grid(
         raise AssertionError("coarse grid")
 
     with monkeypatch.context() as mp:
-        mp.setattr(hk, "_coarse_levels", no_coarse)
+        mp.setattr(hk, "_coarse_head", no_coarse)
         dom = unit_interval(33)
         mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
         nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
@@ -441,11 +461,12 @@ def test_stale_warm_start_reruns_through_the_coarse_grid():
 def _opening_potentials(monkeypatch, a, b, cost, **kw):
     """Run _dual_newton over DEFAULT_EPS_SCHEDULE with spies: the g each
     level opens from, by eps, on the fine grid (x of its first f-sweep on
-    the full plan or of its support opening) and on the coarse one, and per
-    coarse level the runner's result (the coarse solve, the prolonged g)."""
-    fine, coarse, ran = {}, {}, {}
+    the full plan or of its support opening) and on the coarse one, and
+    what each call of the coarse head returned (the coarse solve, its g
+    prolonged to the fine targets)."""
+    fine, coarse, heads = {}, {}, []
     sweep, support_opening = hk._sweep, hk._support_opening
-    runner = hk._coarse_levels
+    coarse_head = hk._coarse_head
 
     def spy_sweep(x, log_mass, c, eps, axis):
         if axis == 1:
@@ -457,31 +478,42 @@ def _opening_potentials(monkeypatch, a, b, cost, **kw):
         fine.setdefault(eps, g.copy())
         return support_opening(g, log_a, log_b, eps, kernel_min, support)
 
-    def spy_runner(*args):
-        level = runner(*args)
-
-        def spied(eps):
-            ran[eps] = level(eps)
-            return ran[eps]
-        return None if level is None else spied
+    def spy_head(*args):
+        heads.append(coarse_head(*args))
+        return heads[-1]
 
     with monkeypatch.context() as mp:
         mp.setattr(hk, "_sweep", spy_sweep)
         mp.setattr(hk, "_support_opening", spy_opening)
-        mp.setattr(hk, "_coarse_levels", spy_runner)
+        mp.setattr(hk, "_coarse_head", spy_head)
         sol = hk._dual_newton(a, b, cost, hk.DEFAULT_EPS_SCHEDULE,
                               hk.NEWTON_MAX_ITER, hk.NEWTON_TOL, **kw)
-    return sol, fine, coarse, ran
+    return sol, fine, coarse, heads
+
+
+def _assert_opens_on_the_line(opened, end, schedule, levels):
+    """Each level k in levels opens from the line through the g at the
+    ends of levels k - 2 and k - 1, extrapolated in eps."""
+    for k in levels:
+        g1, g2 = end[k - 2], end[k - 1]
+        ratio = (schedule[k] - schedule[k - 1]) / (
+            schedule[k - 1] - schedule[k - 2])
+        assert np.allclose(opened[schedule[k]], g2 + ratio * (g2 - g1),
+                           rtol=1e-14, atol=1e-14)
+        # the potentials move by tens of units of eps from level to level
+        assert np.abs(opened[schedule[k]] - g2).max() > schedule[k]
 
 
 @pytest.mark.parametrize("case", ["1d", "17x17"])
 def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
                                                              case):
-    # from the third level the loop runs on, each level opens from
+    # from the third level of a loop on, each level opens from
     # g_k + (eps - eps_k) / (eps_k - eps_(k-1)) (g_k - g_(k-1)), the g at
-    # the end of the last two levels extrapolated linearly in eps; the
-    # first two, each coarse level and a warm attempt open from the plain
-    # previous g
+    # the end of that loop's last two levels extrapolated linearly in eps.
+    # The coarse head is one loop (its handover opening included), the fine
+    # levels after it another: the first two fine levels open from the
+    # prolonged coarse g and the plain previous g.  A warm attempt opens
+    # from the warm g itself
     if case == "1d":
         dom = unit_interval(33)
         mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
@@ -491,8 +523,9 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
     _, _, src, tgt, a, b, cost = hk._node_masses(mu0, mu1)
     grid = (mu0.domain, src, tgt)
     schedule = hk.DEFAULT_EPS_SCHEDULE
-    sol, fine, coarse, ran = _opening_potentials(monkeypatch, a, b, cost,
-                                                 grid=grid)
+    args = (hk.NEWTON_MAX_ITER, hk.NEWTON_TOL)
+    sol, fine, coarse, heads = _opening_potentials(monkeypatch, a, b, cost,
+                                                   grid=grid)
     assert sol.converged
     first = sol.coarse
     assert first == (0 if case == "1d" else 4)
@@ -500,29 +533,30 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
 
     # the g level k ends on: the first k + 1 levels of the schedule run as
     # they do in the whole schedule, and g is kept after the last
-    end = {k: hk._dual_newton(a, b, cost, schedule[:k + 1],
-                              hk.NEWTON_MAX_ITER, hk.NEWTON_TOL, grid=grid).g
+    end = {k: hk._dual_newton(a, b, cost, schedule[:k + 1], *args,
+                              grid=grid).g
            for k in range(first, len(schedule) - 1)}
     assert np.array_equal(fine[schedule[first]], np.zeros(b.size) if
-                          first == 0 else ran[schedule[first - 1]][1])
+                          first == 0 else heads[0][1])
     assert np.array_equal(fine[schedule[first + 1]], end[first])
-    for k in range(first + 2, len(schedule)):
-        g1, g2 = end[k - 2], end[k - 1]
-        ratio = (schedule[k] - schedule[k - 1]) / (
-            schedule[k - 1] - schedule[k - 2])
-        assert np.allclose(fine[schedule[k]], g2 + ratio * (g2 - g1),
-                           rtol=1e-14, atol=1e-14)
-        # the potentials move by tens of units of eps from level to level
-        assert np.abs(fine[schedule[k]] - g2).max() > schedule[k]
-    # coarse levels open from the last coarse level's g (0 at the first)
-    assert [eps for eps in ran if ran[eps] is not None] == list(
-        schedule[:first])
-    for k in range(first):
-        assert np.array_equal(coarse[schedule[k]], np.zeros_like(
-            coarse[schedule[k]]) if k == 0 else ran[schedule[k - 1]][0].g)
+    _assert_opens_on_the_line(fine, end, schedule,
+                              range(first + 2, len(schedule)))
+    if case == "1d":
+        assert heads == [] and coarse == {}
+    else:
+        # the coarse levels, then the opening the head hands over at
+        head, _ = heads[0]
+        assert len(heads) == 1 and len(head.levels) == first
+        assert list(coarse) == list(schedule[:first + 1])
+        end = {k: hk._coarse_head(a, b, schedule[:k + 1], *args,
+                                  *grid)[0].g for k in range(first)}
+        assert np.array_equal(head.g, end[first - 1])
+        assert not coarse[schedule[0]].any()
+        assert np.array_equal(coarse[schedule[1]], end[0])
+        _assert_opens_on_the_line(coarse, end, schedule, range(2, first + 1))
     # a warm attempt solves the final level from the warm g itself
-    warm, fine, _, ran = _opening_potentials(
+    warm, fine, _, heads = _opening_potentials(
         monkeypatch, a, b, cost, warm=(b, sol.g, ()), grid=grid)
-    assert warm.converged and len(warm.levels) == 1 and not ran
+    assert warm.converged and len(warm.levels) == 1 and not heads
     assert list(fine) == [schedule[-1]]
     assert np.array_equal(fine[schedule[-1]], sol.g)
