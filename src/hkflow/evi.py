@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropySpec, eval_functional
-from .hk import hk_distance_squared, is_spherical, metric_squared
+from .hk import (dilated_hk_squared, hk_distance_squared, is_spherical,
+                 metric_squared)
 from .measures import DiscreteMeasure, scale_measure, uniform_measure
 from .mm import MMTrajectory, mm_trajectory
 
@@ -47,12 +48,20 @@ def distances_squared_along(measures, others,
     return d2
 
 
+# mass factors s^2 of the default HK observers s^2 mu0
+HK_OBSERVER_MASS_FACTORS = (0.5, 1.0, 2.0)
+
+
 def default_observers(mu0: DiscreteMeasure, metric: str = "hk") -> list:
     """Finite-energy observers at nontrivial distances from the data:
-    mass rescalings for the transport-growth metric, blends with the
-    uniform probability for the spherical one."""
+    mass rescalings s^2 mu0, s^2 in HK_OBSERVER_MASS_FACTORS, for the
+    transport-growth metric, blends with the uniform probability for the
+    spherical one.  evi_check gets the distances to the HK ones from one
+    solve chain to mu0 through the dilation identity; the SHK blends
+    satisfy no such identity and are solved one chain each."""
     if not is_spherical(metric):
-        return [scale_measure(mu0, math.sqrt(c)) for c in (0.5, 1.0, 2.0)]
+        return [scale_measure(mu0, math.sqrt(c))
+                for c in HK_OBSERVER_MASS_FACTORS]
     unif = uniform_measure(mu0.domain, 1.0 / mu0.domain.volume)
     return [DiscreteMeasure(mu0.domain,
                             (1.0 - w) * unif.density + w * mu0.density)
@@ -99,20 +108,35 @@ def evi_residual_matrix(times: np.ndarray, phis: np.ndarray,
 def evi_check(traj: MMTrajectory, lam: float, observers=None) -> EVIReport:
     """Integrated EVI residuals of a trajectory, in its metric and for its
     energy, against a set of observers, reported both with the corrected
-    parameter and with lam itself."""
+    parameter and with lam itself.
+
+    Without observers, the default ones are used.  For HK their squared
+    distances come from one solve chain per trajectory, to its first sample
+    x0, through the dilation identity (hk.dilated_hk_squared) with the
+    sample masses and x0's mass; SHK default observers and explicitly
+    passed ones are solved directly, one chain each."""
     E, metric = traj.E, traj.metric
+    dilated = observers is None and not is_spherical(metric)
     if observers is None:
         observers = default_observers(traj.measures[0], metric)
     times = traj.times
     phis = traj.energy()
     if not np.all(np.isfinite(phis)):
         raise ValueError("trajectory sample with infinite energy")
+    if dilated:
+        x0 = traj.measures[0]
+        hk2 = distances_squared_along(traj.measures, x0, metric)
+        masses = np.array([m.mass for m in traj.measures])
+        dists = [dilated_hk_squared(hk2, masses, x0.mass, 1.0, math.sqrt(c))
+                 for c in HK_OBSERVER_MASS_FACTORS]
+    else:
+        dists = [distances_squared_along(traj.measures, obs, metric)
+                 for obs in observers]
     lam_s = lambda_star(lam)
     mats_star, mats_lam = [], []
     worst_star = worst_lam = -math.inf
-    for obs in observers:
+    for obs, d2 in zip(observers, dists):
         phi_o = eval_functional(E, obs)
-        d2 = distances_squared_along(traj.measures, obs, metric)
         Rs = evi_residual_matrix(times, phis, d2, phi_o, lam_s)
         Rl = evi_residual_matrix(times, phis, d2, phi_o, lam)
         mats_star.append(Rs)

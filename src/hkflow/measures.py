@@ -128,14 +128,15 @@ class GridDomain:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GridDomain":
-        f = read_fields(d, "domain", {"lower": (listed(number), REQUIRED),
-                                      "upper": (listed(number), REQUIRED),
-                                      "nodes": (listed(integer(2)), REQUIRED)})
+    def from_dict(cls, d: dict, path: str = "domain") -> "GridDomain":
+        """The domain of the JSON object d, its fields named from path."""
+        f = read_fields(d, path, {"lower": (listed(number), REQUIRED),
+                                  "upper": (listed(number), REQUIRED),
+                                  "nodes": (listed(integer(2)), REQUIRED)})
         try:
             return cls(tuple(f["lower"]), tuple(f["upper"]), tuple(f["nodes"]))
         except ValueError as exc:
-            raise ConfigError(f"domain: {exc}") from None
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def unit_interval(n: int = 33) -> GridDomain:
@@ -181,7 +182,7 @@ class DiscreteMeasure:
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
         f = read_fields(d, "measure", {"domain": (raw, REQUIRED),
                                        "density": (listed(number), REQUIRED)})
-        domain = GridDomain.from_dict(f["domain"])
+        domain = GridDomain.from_dict(f["domain"], "measure.domain")
         try:
             return cls(domain, np.asarray(f["density"]))
         except ValueError as exc:

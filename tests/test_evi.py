@@ -60,6 +60,32 @@ def test_evi_residuals_negative_on_flow(interval33):
     assert rep.worst_residual <= rep.worst_residual_lambda + 1e-12
 
 
+def test_hk_default_observer_distances_match_direct_solves(monkeypatch,
+                                                          interval33):
+    # the HK default observers s^2 x0 get their distances from one chain to
+    # x0 through the dilation identity, not from a chain each
+    E = quadratic_entropy()
+    mu0 = sinusoid_measure(interval33, base=0.8, amplitude=0.5)
+    traj = mm_trajectory(mu0, 0.02, 5, E, metric="hk")
+    metrics = []
+
+    def spy(measures, others, metric="hk"):
+        metrics.append(metric)
+        return distances_squared_along(measures, others, metric)
+
+    monkeypatch.setattr(hkflow.evi, "distances_squared_along", spy)
+    rep = evi_check(traj, lam=-2.0)
+    error_budget(traj, kappa=2.0, lam=-2.0)
+    assert metrics == ["hk"] * 2  # one observer chain, then the skips
+    for k, obs in enumerate(default_observers(mu0)):
+        d2 = distances_squared_along(traj.measures, obs)
+        for lam, mats in ((lambda_star(-2.0), rep.residuals_lambda_star),
+                          (-2.0, rep.residuals_lambda)):
+            R = evi_residual_matrix(traj.times, traj.energy(), d2,
+                                    eval_functional(E, obs), lam)
+            np.testing.assert_allclose(mats[k], R, rtol=0.0, atol=1e-10)
+
+
 def test_residual_shrinks_with_tau(interval33):
     # data strong enough that the residual signal dominates solver noise
     E = quadratic_entropy()

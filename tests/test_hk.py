@@ -10,10 +10,11 @@ from scipy.special import xlogy
 
 import hkflow.hk as hk
 from hkflow.entropy import power_mass_entropy
-from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance, dilation_cost,
-                       hk_distance, hk_distance_squared, hk_exact_small,
-                       hk_two_diracs, is_spherical, mass_gap_lower_bound,
-                       metric_squared, scaling_identity_gap, shk_distance,
+from hkflow.hk import (DEFAULT_EPS_SCHEDULE, cone_distance,
+                       dilated_hk_squared, dilation_cost, hk_distance,
+                       hk_distance_squared, hk_exact_small, hk_two_diracs,
+                       is_spherical, mass_gap_lower_bound, metric_squared,
+                       scaling_identity_gap, shk_distance,
                        shk_from_hk_squared, shk_squared_derivative,
                        transport_cost)
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
@@ -128,6 +129,21 @@ def test_scaling_identity(t0, t1):
     mu1 = sinusoid_measure(dom, base=0.5, amplitude=0.15, frequency=2.0)
     rep = scaling_identity_gap(mu0, mu1, t0, t1)
     assert abs(rep["gap"]) <= 1e-6 * (1.0 + rep["hk_squared"])
+
+
+def test_dilated_hk_squared_edge_cases():
+    # no solve: the identity alone
+    hk2, m0, m1 = 0.37, 1.3, 0.8
+    assert dilated_hk_squared(hk2, m0, m1, 1.0, 0.0) == m0  # HK^2(mu, 0)
+    assert dilated_hk_squared(hk2, m0, m1, 0.0, 1.0) == m1  # HK^2(0, nu)
+    assert dilated_hk_squared(hk2, m0, m1, 1.0, 1.0) == hk2
+    hk2s = np.array([0.1, 0.37, 0.9])
+    masses = np.array([1.0, 1.3, 0.6])
+    out = dilated_hk_squared(hk2s, masses, m1, 1.0, math.sqrt(2.0))
+    assert out.shape == (3,)
+    assert out.tolist() == [
+        dilated_hk_squared(float(h), float(m), m1, 1.0, math.sqrt(2.0))
+        for h, m in zip(hk2s, masses)]
 
 
 def test_triangle_inequality_random_small():

@@ -151,6 +151,8 @@ DOMAIN3 = {"lower": [0.0], "upper": [1.0], "nodes": [3]}
     ({"domain": DOMAIN3, "density": [1, -1, 1]}, "measure.density"),
     ({"density": [1, 1, 1]}, "measure.domain"),
     ([1, 1, 1], "measure"),
+    ({"domain": {"lower": [0.0], "upper": [1.0], "nodes": [1]},
+      "density": [1]}, "measure.domain.nodes[0]"),
 ])
 def test_measure_from_dict_rejects_bad_fields(d, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
