@@ -145,14 +145,11 @@ def direction_gap_squared(space: ProbeSpace, x, y, z) -> float:
 def check_angle_sum(space: ProbeSpace, x, y, z) -> dict:
     """Local angle condition: the three upper angles of adjacent geodesic
     pairs at x sum to at most 2 pi."""
-    a1 = upper_angle(space, x, y, z)
-    a2 = upper_angle(space, x, z, y)  # symmetric probe, should match a1
     # three pairwise angles among geodesics x->y, x->z and x->midpoint(y,z)
     m = space.geodesic(y, z, 0.5)
     s = (upper_angle(space, x, y, m) + upper_angle(space, x, m, z)
          + upper_angle(space, x, z, y))
-    return {"sum": s, "ok": s <= 2.0 * math.pi + PROBE_TOL,
-            "angle_yz": a1, "angle_zy": a2}
+    return {"sum": s, "ok": s <= 2.0 * math.pi + PROBE_TOL}
 
 
 def check_cauchy_schwarz_transfer(space: ProbeSpace, x, o, y, z) -> dict:

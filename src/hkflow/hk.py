@@ -840,16 +840,13 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     A[pairs[:, 0], np.arange(pairs.shape[0])] = 1.0
     B[pairs[:, 1], np.arange(pairs.shape[0])] = 1.0
 
-    def value_grad_hess(h, barrier):
+    def grad_hess(h, barrier):
         r = A @ h
         s = B @ h
-        val = (float(np.sum(_xlogy(r, r / a) - r)
-                     + np.sum(_xlogy(s, s / b) - s))
-               + base + float(c @ h) - barrier * float(np.sum(np.log(h))))
         grad = (A.T @ np.log(r / a) + B.T @ np.log(s / b) + c - barrier / h)
         hess = (A.T * (1.0 / r) @ A + B.T * (1.0 / s) @ B
                 + np.diag(barrier / h**2))
-        return val, grad, hess
+        return grad, hess
 
     h = np.outer(a, b)[pairs[:, 0], pairs[:, 1]] / max(base, 1.0) + 1e-3
     # follow the barrier central path: at weight b the complementarity
@@ -861,7 +858,7 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
         barrier = max(barrier * 0.2, 5e-13)
         for _ in range(80):
             it += 1
-            _, grad, hess = value_grad_hess(h, barrier)
+            grad, hess = grad_hess(h, barrier)
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -873,7 +870,7 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
             g_new = grad
             while t > 1e-16:
                 h_new = h - t * step
-                g_new = value_grad_hess(h_new, barrier)[1]
+                g_new = grad_hess(h_new, barrier)[0]
                 if float(np.linalg.norm(g_new)) <= (1.0 - 0.1 * t) * gnorm:
                     break
                 t *= 0.5
@@ -1015,7 +1012,7 @@ def dilation_cost(mu0: DiscreteMeasure, dilation: np.ndarray,
     if target_positions is None:
         d = np.zeros(mu0.domain.n_nodes)
     else:
-        d = mu0.domain.distance_matrix()[
-            np.arange(mu0.domain.n_nodes), np.asarray(target_positions)]
+        x = mu0.domain.coordinates
+        d = np.sqrt(((x - x[np.asarray(target_positions)]) ** 2).sum(-1))
     return float(np.sum(masses * (1.0 + q * q
                                   - 2.0 * q * np.cos(np.minimum(d, HALF_PI)))))

@@ -13,11 +13,11 @@ potentials of the distance solve: its regularized dual is linear in the
 target masses, so the minimum over the new density is the energy's convex
 conjugate (the generic formulation of Chizat, Peyre, Schmitzer & Vialard,
 Math. Comp. 2018, applied to gradient-flow steps as in Peyre, SIAM J.
-Imaging Sci. 2015).  The steps of the other cases have closed forms, each
-certified by one distance solve: from the zero measure the HK step is
-separable, and an energy without a conjugate is linear, E = gamma c, so
-it depends on the mass alone and its HK step scales the input (its SHK
-step keeps it).  hk.is_spherical picks the step a name selects."""
+Imaging Sci. 2015).  The steps of the other cases have closed forms and
+solve nothing: from the zero measure the HK step is separable, and an
+energy without a conjugate is linear, E = gamma c, so it depends on the
+mass alone and its HK step scales the input (its SHK step keeps it).
+hk.is_spherical picks the step a name selects."""
 
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import numpy as np
 from .entropy import EntropySpec, eval_functional
 from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
                  _domain_cost, _dual_newton, has_unit_mass,
-                 hk_distance_squared, is_spherical, metric_squared,
-                 regularized_dual, shk_squared_derivative)
+                 hk_distance_squared, is_spherical, mass_gap_lower_bound,
+                 metric_squared, regularized_dual, shk_squared_derivative)
 from .measures import DiscreteMeasure
 
 # eps schedule of the dual step: the distance solve's, continued to 1e-8.
@@ -135,16 +135,17 @@ def scalar_lower_bound(c0: float, tau: float, E: EntropySpec,
 @dataclass
 class MMStepResult:
     """One implicit step.  ``objective`` is d^2/(2 tau) + E at the new
-    measure, with d^2 from the step's final distance solve's dual value;
-    ``distance_squared`` and ``plan`` are that solve's.  On the dual path
-    ``iterations`` counts the step's Newton iterations and ``grad_norm`` is
-    the max-norm of the dual gradient at its end; a closed-form step has
-    both 0.  ``warm`` = (g, lam, s) is the state the next step starts from:
-    the target potentials over all nodes, the spherical mass multiplier and
-    step scale (0 and 1 after a closed-form step, None after a step from
-    the zero measure, whose potentials carry nothing to start from).
-    ``factor_fallbacks`` sums the factorization failures of the step's
-    solves (see HKResult)."""
+    measure.  On the dual path d^2 is the dual value of the step's final
+    distance solve, whose ``distance_squared`` and ``plan`` the step
+    returns; ``iterations`` counts the step's Newton iterations,
+    ``grad_norm`` is the max-norm of the dual gradient at its end, and
+    ``warm`` = (g, lam, s) is the state the next step starts from: the
+    target potentials over all nodes, the spherical mass multiplier and
+    step scale.  A closed-form step solves nothing: its squared distance
+    is the mass bound, which its diagonal plan attains, so its objective
+    is exact; its ``iterations`` and ``grad_norm`` are 0 and its ``warm``
+    is None.  ``factor_fallbacks`` sums the factorization failures of the
+    step's solves (see HKResult)."""
 
     measure: DiscreteMeasure
     objective: float
@@ -168,7 +169,12 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
       (sqrt m0 - sqrt m1)^2 with equality at nu = c mu0, so its HK step is
       c mu0 with c = scalar_mm_step(1, tau, E); its SHK step is mu0.
 
-    One distance solve, warm-started from warm, certifies a closed form.
+    A closed form solves nothing.  Both steps attain the mass bound
+    (sqrt m0 - sqrt m1)^2, in the discrete entropy-transport program too:
+    the diagonal plan H = diag(sqrt(a b)) of the node masses a, b costs
+    nothing and pays exactly the bound in its marginal terms, and the
+    bound holds by Jensen.  That bound, mapped to the metric, is the
+    step's distance; x0 and warm are not read.
     An HK step whose energy falls at least as fast as -mass / (2 tau)
     (1 + 2 tau E'(inf) <= 0) has no minimizer and raises ValueError."""
     if tau <= 0:
@@ -186,16 +192,11 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     else:
         return _dual_step(mu0, tau, E, spherical, x0, warm)
     nu = DiscreteMeasure(mu0.domain, rho)
-    final = hk_distance_squared(mu0, nu,
-                                warm_start=None if warm is None else warm[0])
-    d2 = metric_squared("shk" if spherical else "hk")
-    return MMStepResult(nu, d2(final.dual_value) / (2.0 * tau)
-                        + float(mu0.domain.weights @ E(rho)),
-                        d2(final.hk_squared), 0.0, 0,
-                        final.converged, final.plan,
-                        None if mu0.mass == 0 else
-                        (final.potential_target, 0.0, 1.0),
-                        final.factor_fallbacks)
+    w = mu0.domain.weights
+    d2 = metric_squared("shk" if spherical else "hk")(
+        mass_gap_lower_bound(mu0, nu))
+    return MMStepResult(nu, d2 / (2.0 * tau) + float(w @ E(rho)), d2, 0.0, 0,
+                        True, np.diag(w * np.sqrt(mu0.density * rho)))
 
 
 class _ConjugateTerm:
@@ -388,16 +389,12 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
     """Iterate implicit steps from mu0; metric is "hk" or "shk".  Distance
     solves are warm-started across steps.  Solver accuracy is fixed:
     STEP_EPS_SCHEDULE here, the Newton settings in hk."""
-    spherical = is_spherical(metric)
+    step = shk_mm_step if is_spherical(metric) else mm_step
     measures = [mu0]
     d2 = []
     warm = None
-    cur = mu0
     for k in range(n_steps):
-        if spherical:
-            res = shk_mm_step(cur, tau, E, warm=warm)
-        else:
-            res = mm_step(cur, tau, E, warm=warm)
+        res = step(measures[-1], tau, E, warm=warm)
         warm = res.warm
         if not res.converged:
             raise RuntimeError(f"implicit step {k + 1} did not converge: "
@@ -405,7 +402,6 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
                                "final distance solve failed")
         measures.append(res.measure)
         d2.append(res.distance_squared)
-        cur = res.measure
     return MMTrajectory(tau, measures, d2, metric, E)
 
 

@@ -9,6 +9,7 @@ import hkflow.evi
 import hkflow.mm
 from hkflow.cli import main
 from hkflow.hk import hk_two_diracs
+from hkflow.pde import hk_flow_pde
 
 from conftest import unconverged
 
@@ -253,11 +254,20 @@ def test_geometry_probe_other_spaces(tmp_path, space):
     assert report["worst_angle_sum"] <= 2.0 * math.pi + 1e-6
 
 
-def test_pde_compare_gap_shrinks_with_tau(tmp_path):
-    # uniform data flow by reaction alone; both step sizes end at t_final
+def test_pde_compare_gap_shrinks_with_tau(tmp_path, monkeypatch):
+    # uniform data flow by reaction alone; both step sizes end at t_final,
+    # so one reference solve serves every tau
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs)
+        return hk_flow_pde(*args, **kwargs)
+
+    monkeypatch.setattr(hkflow.cli, "hk_flow_pde", counting)
     cfg = {**FLOW, "t_final": 0.02, "tau_list": [0.02, 0.01]}
     status, out = run_cli(tmp_path, "pde-compare", cfg)
     assert status == 0
+    assert len(solves) == 1
     lines = (out / "pde_compare.csv").read_text().strip().splitlines()
     assert lines[0] == "tau,l1_gap"
     taus, gaps = zip(*[map(float, r.split(",")) for r in lines[1:]])

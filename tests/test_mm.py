@@ -10,7 +10,9 @@ import hkflow.mm
 from hkflow.entropy import (eval_functional, linear_entropy,
                             neg_power_entropy, power_mass_entropy,
                             table_entropy)
-from hkflow.hk import DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER
+from hkflow.hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER,
+                       hk_distance_squared, mass_gap_lower_bound,
+                       metric_squared)
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        iterate_sqrt_growth_bound, iterate_upper_bound,
@@ -413,19 +415,52 @@ def test_step_from_zero_to_relative_accuracy(tau):
     assert np.allclose(res.measure.density, tau**2, rtol=1e-11, atol=0.0)
 
 
-def test_step_from_zero_measure_grows_mass_by_scalar_steps():
+def _distance_solves(monkeypatch):
+    """The argument lists of the distance solves mm makes from now on."""
+    calls = []
+    original = hkflow.mm.hk_distance_squared
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(hkflow.mm, "hk_distance_squared", counting)
+    return calls
+
+
+def _assert_closed_form(res, mu0, tau, E, metric):
+    # a closed form solves nothing: its squared distance is the mass bound,
+    # which the diagonal plan H = diag(sqrt(a b)) attains, so its objective
+    # is exact, and it leaves no warm state
+    w, rho = mu0.domain.weights, res.measure.density
+    d2 = metric_squared(metric)(mass_gap_lower_bound(mu0, res.measure))
+    assert res.distance_squared == d2
+    assert res.objective == d2 / (2.0 * tau) + float(w @ E(rho))
+    assert np.array_equal(res.plan, np.diag(w * np.sqrt(mu0.density * rho)))
+    assert res.converged and res.warm is None
+    assert res.iterations == 0 and res.grad_norm == 0.0
+    # the bound is the entropic solve's value up to its bias
+    direct = hk_distance_squared(mu0, res.measure).hk_squared
+    hk2 = mass_gap_lower_bound(mu0, res.measure)
+    assert direct == pytest.approx(hk2, rel=1e-8, abs=1e-10)
+
+
+def test_step_from_zero_measure_grows_mass_by_scalar_steps(monkeypatch):
     # a table energy steep enough to grow mass from nothing: every node
     # takes the scalar step from 0, a root of 1 + 2 tau E'(c) = 0 near 1
     dom = unit_interval(9)
     c = np.linspace(0.0, 3.0, 31)
     E = table_entropy(c, -20.0 * np.sqrt(c), recession_slope=0.0)
     zero = DiscreteMeasure(dom, np.zeros(dom.n_nodes))
+    solves = _distance_solves(monkeypatch)
     res = mm_step(zero, 0.05, E)
-    assert res.converged
+    assert solves == []
     assert np.allclose(res.measure.density, scalar_mm_step(0.0, 0.05, E),
                        rtol=1e-12, atol=0.0)
     assert res.measure.density[0] == pytest.approx(1.0023238, rel=1e-6)
     assert res.objective == pytest.approx(-10.0000146, rel=1e-6)
+    assert not res.plan.any()
+    _assert_closed_form(res, zero, 0.05, E, "hk")
 
 
 def test_lbfgs_step_not_converged_at_empty_nodes():
@@ -475,7 +510,7 @@ def test_lbfgs_and_dual_warm_states_seed_each_other(metric):
 
 @pytest.mark.parametrize("metric", ["hk", "shk"])
 @pytest.mark.parametrize("gamma", [-2.0, 0.0, 3.0])
-def test_linear_energy_step_is_a_scaling(metric, gamma):
+def test_linear_energy_step_is_a_scaling(monkeypatch, metric, gamma):
     # E = gamma mass: HK^2(mu0, nu) >= (sqrt m0 - sqrt m1)^2 with equality
     # at nu = c mu0, so the HK step scales mu0 by the scalar step from 1;
     # the SHK step keeps mu0
@@ -483,10 +518,12 @@ def test_linear_energy_step_is_a_scaling(metric, gamma):
     mu0 = _gate_measure(17, metric)
     spherical = metric == "shk"
     step = shk_mm_step if spherical else mm_step
+    solves = _distance_solves(monkeypatch)
     res = step(mu0, 0.05, E)
+    assert solves == []
     c = 1.0 if spherical else scalar_mm_step(1.0, 0.05, E)
-    assert res.converged and res.iterations == 0
     assert np.array_equal(res.measure.density, c * mu0.density)
-    # its warm state seeds a dual step
+    _assert_closed_form(res, mu0, 0.05, E, metric)
+    # a dual step from its output starts cold
     dual = step(res.measure, 0.05, quadratic_entropy(), warm=res.warm)
     assert dual.converged
