@@ -74,8 +74,8 @@ class EntropySpec:
 
 
 def zero_entropy() -> EntropySpec:
-    z = lambda c: np.zeros_like(np.asarray(c, dtype=float))
-    return EntropySpec(z, z, z, recession_slope=0.0)
+    """E = 0, the linear energy of slope 0."""
+    return linear_entropy(0.0)
 
 
 def power_mass_entropy(alpha: float = 1.0, m: float = 2.0,

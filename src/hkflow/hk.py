@@ -26,21 +26,23 @@ product K diag(.) K^T, by LAPACK's Cholesky, and halves the step until the
 dual gains more than its roundoff band, or stays inside that band while
 the gradient's max-norm falls; a trial below the band is rejected on its
 dual value alone, before its gradient is formed.  On large grids (2-D),
-where at small eps nearly all of the plan is roundoff, a distance solve
-runs Newton on a kept support of the plan, where that product is banded;
-the next level opens on that support, and each level is checked on the
-full plan once, before it ends (truncated eps-scaling, Schmitzer, SIAM J.
-Sci. Comput. 2019).  A failed factorization adds 1e-12 I (a sparse level
-restarts dense) and is counted in ``HKResult.factor_fallbacks``.  eps is
-continued along a decreasing schedule (1e-1 down to 1e-6).  The first two
-levels of a loop start from the previous level's potentials; each later
-one from the line through the last two levels' target potentials,
-extrapolated in eps to its own (the dual path is first order in eps as
-eps -> 0; Cominetti & San Martin, Math. Programming 1994).  Every level
-opens with one closed-form unbalanced-Sinkhorn sweep (exact block ascent in
-f, then in g; Chizat, Peyre, Schmitzer & Vialard, Math. Comp. 2018), which
-removes the overshoot of the previous level's plan before Newton takes
-over; a distance solve closes with one more f-sweep.
+where at small eps nearly all of the plan is roundoff, every solve,
+distance solve and step alike, runs Newton on a kept support of the plan,
+where that product is banded (formed dense when the solve carries the
+spherical step's mass multiplier); the next level opens on that support,
+and each level is checked on the full plan once, before it ends
+(truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
+factorization adds 1e-12 I (a sparse level restarts dense) and is counted
+in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
+schedule (1e-1 down to 1e-6).  The first two levels of a loop start from
+the previous level's potentials; each later one from the line through the
+last two levels' target potentials, extrapolated in eps to its own (the
+dual path is first order in eps as eps -> 0; Cominetti & San Martin, Math.
+Programming 1994).  Every level opens with one closed-form
+unbalanced-Sinkhorn sweep (exact block ascent in f, then in g; Chizat,
+Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes the overshoot
+of the previous level's plan before Newton takes over; a distance solve
+closes with one more f-sweep.
 On a grid of odd node counts per axis, a large cold distance solve first
 runs the level loop on the nested grid with half the intervals, from node
 masses summed onto it, and hands over before the first level whose coarse
@@ -81,7 +83,7 @@ DEFAULT_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-6, 11))
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-11
 
-# The distance solve runs Newton on a kept part of the plan (the sparse
+# Every dual solve runs Newton on a kept part of the plan (the sparse
 # path) when the system has at least SPARSE_MIN_SIZE unknowns and at most
 # SPARSE_MAX_FILL of the plan is kept.  An entry H_ij is kept when its
 # kernel H_ij / (a_i b_j) exceeds SPARSE_KEEP tol / (max(n, m) max a max b)
@@ -340,7 +342,9 @@ def _newton_direction(pt, eps, support):
     with beta = b / eps - d w, and A = diag(ea + r / eps, 0) + V diag(d)
     V^T with V = [-K; Z].  g is eliminated; Cholesky factors S = A - B D^-1
     B^T, f block diag(ea + r / eps) + K diag(d - beta^2 / D) K^T, banded
-    (pbtrf) on a kept support with a pair plan, else dense (potrf), and x_g
+    (pbtrf) on a kept support with a pair plan and no theta (band storage
+    holds the f block only), else dense (potrf; on a kept support from K
+    scattered into n x m), and x_g
     = D^-1 (grad_g - beta K^T x_f - d w Z^T x_theta).  A node with D_j = 0
     (no mass, no curvature) has step 0.  Returns x and whether the
     factorization failed; x then solves S + 1e-12 I, or is None on a kept
@@ -348,7 +352,7 @@ def _newton_direction(pt, eps, support):
     w, Z, d = pt.extra
     n, m, k = pt.r.size, pt.s.size, Z.shape[0]
     grad_g = pt.grad[n:n + m]
-    band = support is not None and support.pairs is not None
+    band = support is not None and support.pairs is not None and k == 0
     K = pt.K if support is None or band else np.bincount(
         support.rows * m + support.cols, pt.K, n * m).reshape(n, m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,25 +455,27 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
 
     The Newton step eliminates g, whose Hessian block is diagonal, and
     factors the Schur complement on (f, theta) by Cholesky (see
-    _newton_direction).  On large plain distance solves (no term,
-    n + m >= SPARSE_MIN_SIZE) at small eps almost all of the plan is
-    roundoff.  There each level chooses a kept support at its opening point
-    (see _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput.
-    2019, truncates the kernel the same way), and Newton evaluates the plan
-    on the kept entries only, where the Schur complement is banded (see
-    _Support).  A level whose support would keep more than SPARSE_MAX_FILL of
-    the plan stays dense.  A level that follows one ended on a kept support
-    opens on it (see _support_opening): both sweeps run over its entries,
-    grouped by row and by column, and the new support is those of its entries
-    whose kernel still passes the keep test at the new eps.  A level opens on
+    _newton_direction).  On large solves (n + m >= SPARSE_MIN_SIZE), with
+    or without a term, at small eps almost all of the plan is roundoff.
+    There each level chooses a kept support at its opening point (see
+    _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput. 2019,
+    truncates the kernel the same way), and Newton evaluates the plan on
+    the kept entries only, where the Schur complement is banded (see
+    _Support; with theta it is formed dense from the kept entries).  A
+    level whose support would keep more than SPARSE_MAX_FILL of the plan
+    stays dense.  A level that follows one ended on a kept support opens on
+    it (see _support_opening): both sweeps run over its entries, grouped by
+    row and by column, and the new support is those of its entries whose
+    kernel still passes the keep test at the new eps.  A level opens on
     the full plan, as above, as the first of a loop, after a dense level or a
     restart, and when a row or column has no kept entry.  Either way, an
     opening that keeps a support is evaluated on it only, and the full plan
     is not read until the pass ends.  A sparse pass ends with one evaluation
     on the full plan: if its gradient exceeds the kept one by more than 1e-3
     tol, the support is chosen again from there and the level goes on; if it
-    exceeds the pass's first gradient, or S failed to factor on the support,
-    the level restarts from that first point, evaluated on the full plan.
+    exceeds the pass's first gradient, is not finite (outside the term's
+    domain), or S failed to factor on the support, the level restarts from
+    that first point, evaluated on the full plan.
     Every level thus ends on a full evaluation, and the returned plan,
     gradient and dual value are those of the full plan.  A distance solve
     then closes with one f-sweep at the last g, so that each plan row holds
@@ -624,7 +630,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     noise = 1e-14 * total
     g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
-    sparse = term is None and n + m >= SPARSE_MIN_SIZE
+    sparse = n + m >= SPARSE_MIN_SIZE
     # the kernel below which _kept_support drops a plan entry
     kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
     levels, supports, fallbacks = [], [], 0
@@ -705,10 +711,12 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             # mass the support dropped shows in the full gradient.  A cluster
             # of tiny masses tied only to itself by its kept entries can
             # drift on them until dropped entries dominate (the pass ends
-            # worse than it began) or make S fail to factor.
+            # worse than it began) or make S fail to factor.  On the full plan
+            # the dropped entries lower the slopes k, so a point inside a
+            # term's domain on the kept entries can be outside it there.
             kept_gnorm = pt.gnorm
             pt = full(pt)
-            if failed or pt.gnorm > opened.gnorm:
+            if failed or not pt.finite or pt.gnorm > opened.gnorm:
                 # restart from the pass's opening point on the full plan
                 support = None
                 pt = full(opened)

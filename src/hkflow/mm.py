@@ -208,26 +208,39 @@ class _ConjugateTerm:
     spherical term adds the mass multiplier lam as theta:
     F(k, lam) = -2 tau (sum_j w_j E*(p_j - lam) + lam), concave in both.
     At each eps-level E* is rounded at its kinks with delta = eps / (2 tau),
-    which gives them the stiffness of the level's transport term."""
+    which gives them the stiffness of the level's transport term.
 
-    def __init__(self, E, w, two_tau, spherical):
+    The solve's slopes k are those of the nodes in ``reach``, the targets
+    some source node reaches (within pi/2).  A node beyond pi/2 of every
+    source node carries no plan: its g is +inf at the optimum, so its
+    slope is fixed at 1 + eps sa, sa the source mass, and F sums over
+    every node."""
+
+    def __init__(self, E, w, two_tau, spherical, reach, sa):
         self.E, self.w, self.two_tau = E, w, two_tau
-        self.spherical = spherical
+        self.spherical, self.reach, self.sa = spherical, reach, sa
+
+    def density(self, kappa, theta, eps):
+        """(rho, E*(p), E*''(p)) at every node, p = -k / (2 tau) - lam, at
+        the slopes kappa of the nodes in reach."""
+        k = np.full(self.w.size, 1.0 + eps * self.sa)
+        k[self.reach] = kappa
+        lam = theta[0] if self.spherical else 0.0
+        return self.E.conjugate(-k / self.two_tau - lam, eps / self.two_tau)
 
     def value(self, kappa, theta, eps):
-        w, two_tau = self.w, self.two_tau
+        w, two_tau, reach = self.w, self.two_tau, self.reach
         lam = theta[0] if self.spherical else 0.0
-        rho, estar, curv = self.E.conjugate(-kappa / two_tau - lam,
-                                            eps / two_tau)
+        rho, estar, curv = self.density(kappa, theta, eps)
         F = -two_tau * (float(w @ estar) + lam)
         b = w * rho
-        d = w * curv / two_tau
+        d = (w * curv / two_tau)[reach]
         if not self.spherical:
-            return F, b, (), d, np.empty((0, b.size))
+            return F, b[reach], (), d, np.empty((0, d.size))
         # dF/dlam = 2 tau (mass - 1); lam enters every p_j with weight 2 tau
         # relative to k_j
-        return (F, b, (two_tau * (float(b.sum()) - 1.0),), d,
-                np.full((1, b.size), two_tau))
+        return (F, b[reach], (two_tau * (float(b.sum()) - 1.0),), d,
+                np.full((1, d.size), two_tau))
 
     def opening(self, kappa, theta, eps):
         """The lam of unit mass at these slopes, by Newton's method kept
@@ -235,11 +248,10 @@ class _ConjugateTerm:
         grows, and is +inf where some p - lam leaves the domain of E*."""
         if not self.spherical:
             return theta
-        p = -kappa / self.two_tau
         lam = float(theta[0])
         lo, hi = -math.inf, math.inf
         for _ in range(200):
-            rho, _, curv = self.E.conjugate(p - lam, eps / self.two_tau)
+            rho, _, curv = self.density(kappa, (lam,), eps)
             excess = float(self.w @ rho) - 1.0
             if not excess <= 0.0:  # too much mass, or outside the domain
                 lo = lam
@@ -290,52 +302,70 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     own.  The step ends with one distance solve from mu0 to the new
     measure, warm-started from the step's target potentials, which
     supplies the distance, objective and plan.
+
+    The solves run over the target nodes some source node reaches; the
+    others carry no plan, and the term holds their fixed slopes (see
+    _ConjugateTerm).  Their g is 0 in the warm state and the final solve's
+    start, which need finite potentials at every node.
     """
     dom = mu0.domain
     w = dom.weights
     a_full = mu0.density * w
     src = np.flatnonzero(a_full > 0)
     a = a_full[src]
-    cost = _domain_cost(dom)[src]
+    sa = float(a.sum())
+    cost = _domain_cost(dom)
+    reach = np.isfinite(cost[src]).any(axis=0)
+    cost = cost[np.ix_(src, reach)]
     b0 = w * (mu0.density if x0 is None else np.asarray(x0, dtype=float))
-    tol = NEWTON_TOL * max(1.0, float(a.sum() + b0.sum()))
+    tol = NEWTON_TOL * max(1.0, sa + float(b0.sum()))
     theta0 = (0.0,) if spherical else ()
 
     def solve(step_tau, start):
-        term = _ConjugateTerm(E, w, 2.0 * step_tau, spherical)
-        return _dual_newton(a, b0, cost, STEP_EPS_SCHEDULE, NEWTON_MAX_ITER,
-                            tol, term, theta0, start)
+        term = _ConjugateTerm(E, w, 2.0 * step_tau, spherical, reach, sa)
+        sol = _dual_newton(a, b0[reach], cost, STEP_EPS_SCHEDULE,
+                           NEWTON_MAX_ITER, tol, term, theta0, start)
+        # the density at every node: that of the fixed slope out of reach
+        far = np.full(sol.g.size, 1.0 + sol.eps * sa)
+        rho = term.density(far, sol.theta, sol.eps)[0]
+        rho[reach] = sol.b / w[reach]
+        return sol, rho
 
     s, start = 1.0, None
     if warm is not None:
         g_prev, lam_prev, s = warm
-        start = (b0, g_prev, (lam_prev,) if spherical else ())
-    sol = solve(tau / s, start)
+        start = (b0[reach], g_prev[reach], (lam_prev,) if spherical else ())
+    sol, rho = solve(tau / s, start)
     iterations, fallbacks = sum(sol.levels), sol.fallbacks
     settled = not spherical
     for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
+        # the dual distance at the solve's potentials; a node out of reach
+        # adds b_j k_j at its fixed slope
         s_new = shk_squared_derivative(
-            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps))
+            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps)
+            + (1.0 + sol.eps * sa) * float(w[~reach] @ rho[~reach]))
         if abs(s_new - s) <= 1e-13 * s:
             settled = True
             break
         s = s_new
-        sol = solve(tau / s, (sol.b, sol.g, sol.theta))
+        sol, rho = solve(tau / s, (sol.b, sol.g, sol.theta))
         iterations += sum(sol.levels)
         fallbacks += sol.fallbacks
 
-    rho = sol.b / w
     if spherical:
         rho = rho / float(w @ rho)
     nu = DiscreteMeasure(dom, rho)
-    final = hk_distance_squared(mu0, nu, warm_start=sol.g)
+    # a finite g over all nodes; the nodes out of reach take 0
+    g = np.zeros(w.size)
+    g[reach] = sol.g
+    final = hk_distance_squared(mu0, nu, warm_start=g)
     d2 = metric_squared("shk" if spherical else "hk")
     lam = float(sol.theta[0]) if spherical else 0.0
     return MMStepResult(nu, d2(final.dual_value) / (2.0 * tau)
                         + float(w @ E(rho)), d2(final.hk_squared),
                         sol.gnorm, iterations,
                         settled and sol.converged and final.converged,
-                        final.plan, (sol.g, lam, s),
+                        final.plan, (g, lam, s),
                         fallbacks + final.factor_fallbacks)
 
 

@@ -162,6 +162,19 @@ def test_mm_run_from_zero_measure(tmp_path):
     assert masses == pytest.approx([0.0, 0.0025, 0.01, 0.0225], rel=1e-6)
 
 
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_mm_run_with_nodes_beyond_every_source(tmp_path, metric):
+    # most nodes of [0, 4] lie beyond pi/2 of the three source nodes
+    cfg = {"domain": {"lower": [0.0], "upper": [4.0], "nodes": [33]},
+           "initial": {"kind": "diracs", "nodes": [0, 1, 2],
+                       "masses": [0.3, 0.3, 0.3]},
+           "entropy": {"family": "neg_power", "q": 0.5, "beta": 1.0},
+           "metric": metric, "tau": 0.05, "n_steps": 2}
+    status, out = run_cli(tmp_path, "mm-run", cfg)
+    assert status == 0
+    assert len((out / "mm_run.csv").read_text().strip().splitlines()) == 4
+
+
 @pytest.mark.parametrize("entropy", [
     {"family": "linear", "gamma": -2.0},
     {"family": "custom_table", "c": [0.1 * k for k in range(31)],

@@ -13,7 +13,8 @@ from hkflow.entropy import (eval_functional, linear_entropy,
 from hkflow.hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER,
                        hk_distance_squared, mass_gap_lower_bound,
                        metric_squared)
-from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
+from hkflow.measures import (DiscreteMeasure, GridDomain, uniform_measure,
+                             unit_interval)
 from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        iterate_sqrt_growth_bound, iterate_upper_bound,
                        mm_step, mm_trajectory, plan_density_violation,
@@ -21,7 +22,8 @@ from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        scalar_shk_mm_step, scalar_step_monotonicity,
                        scalar_upper_bound, shk_mm_step)
 
-from conftest import lbfgs_reference_step, sinusoid_measure, unconverged
+from conftest import (dirac_measure, lbfgs_reference_step, sinusoid_measure,
+                      unconverged)
 
 
 def quadratic_entropy():
@@ -413,6 +415,32 @@ def test_step_from_zero_to_relative_accuracy(tau):
     res = mm_step(DiscreteMeasure(dom, np.zeros(dom.n_nodes)), tau, E)
     assert res.converged
     assert np.allclose(res.measure.density, tau**2, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_step_with_nodes_beyond_every_source(metric):
+    # on [0, 4] the nodes past 1.82 lie beyond pi/2 of the three source
+    # nodes: they carry no plan, so each takes the density of the fixed
+    # slope 1 + eps sum a, the HK step from nothing, (tau / 2)^2 for
+    # E = -sqrt(c)
+    dom = GridDomain((0.0,), (4.0,), (33,))
+    E = neg_power_entropy(0.5, 1.0)
+    mu0 = dirac_measure(dom, [0, 1, 2], [0.3, 0.3, 0.3])
+    far = dom.coordinates[:, 0] > 0.25 + math.pi / 2
+    assert far.sum() == 18
+    if metric == "shk":
+        mu0 = DiscreteMeasure(dom, mu0.density / mu0.mass)
+        res = shk_mm_step(mu0, 0.05, E)
+        assert res.measure.mass == pytest.approx(1.0, abs=1e-12)
+    else:
+        res = mm_step(mu0, 0.05, E)
+        assert np.allclose(res.measure.density[far],
+                           scalar_mm_step(0.0, 0.05, E), rtol=1e-6, atol=0.0)
+    assert res.converged
+    assert np.isfinite(res.warm[0]).all()
+    nxt = (shk_mm_step if metric == "shk" else mm_step)(
+        res.measure, 0.05, E, warm=res.warm)
+    assert nxt.converged
 
 
 def _distance_solves(monkeypatch):

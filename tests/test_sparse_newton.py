@@ -1,16 +1,17 @@
-"""The sparse and coarse-to-fine paths of the distance solve on 2-D grids
+"""The sparse and coarse-to-fine paths of the dual solve on 2-D grids
 against the dense, fine-only one.
 
-Large plain distance solves run Newton on a kept support of the plan, where
-the Schur complement of the Newton matrix is banded; small ones, and the
-conjugate-term solves of the implicit step, evaluate the full plan.  The
-dense path is forced here by raising hk.SPARSE_MIN_SIZE.  A level that
-follows one ended on a kept support opens on that support.  On a grid that
-nests a coarser one, the levels before the first whose coarse opening keeps
-a support run on the coarser grid, as one level loop; the fine grid alone
-is forced by a domain with no coarser grid.  From the third level of a loop
-on, each level opens from the line through the g at the ends of that loop's
-last two levels, extrapolated in eps.
+Large solves, distance solves and implicit steps alike, run Newton on a
+kept support of the plan, where the Schur complement of the Newton matrix
+is banded (formed dense when the SHK step's mass multiplier is one of the
+unknowns); small ones evaluate the full plan.  The dense path is forced
+here by raising hk.SPARSE_MIN_SIZE.  A level that follows one ended on a
+kept support opens on that support.  On a grid that nests a coarser one,
+the levels before the first whose coarse opening keeps a support run on
+the coarser grid, as one level loop; the fine grid alone is forced by a
+domain with no coarser grid.  From the third level of a loop on, each
+level opens from the line through the g at the ends of that loop's last
+two levels, extrapolated in eps.
 """
 
 import math
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 
 import hkflow.hk as hk
-from hkflow.entropy import power_mass_entropy
+from hkflow.entropy import neg_power_entropy, power_mass_entropy
 from hkflow.hk import hk_distance_squared, transport_cost
 from hkflow.measures import DiscreteMeasure, GridDomain, coarsen, unit_interval
-from hkflow.mm import mm_step
+from hkflow.mm import STEP_EPS_SCHEDULE, mm_step, shk_mm_step
 
 from conftest import sinusoid_measure
 
@@ -205,6 +206,61 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
     assert all(s == (33 * 33,) for s in res.level_support)
     step = mm_step(mu, 0.005, power_mass_entropy(1.0, 2.0, -1.0))
     assert step.converged
+
+
+def step_case(case):
+    """A cold 17 x 17 implicit step at tau = 0.02: E = c^2 - c from
+    0.8 + 0.5 sin(2 pi x) cos(2 pi y) (HK or SHK), or E = -sqrt(c) from a
+    narrow Gaussian at (0.3, 0.4) over a floor of 0.05 (HK)."""
+    dom = square()
+    x, y = dom.coordinates.T
+    if case == "neg_power":
+        r2 = (x - 0.3) ** 2 + (y - 0.4) ** 2
+        mu = DiscreteMeasure(dom, np.exp(-r2 / 0.02) / (0.02 * math.pi)
+                             + 0.05)
+        return mm_step, mu, neg_power_entropy(0.5, 1.0)
+    mu = DiscreteMeasure(dom, 0.8 + 0.5 * np.sin(2.0 * math.pi * x)
+                         * np.cos(2.0 * math.pi * y))
+    E = power_mass_entropy(1.0, 2.0, -1.0)
+    if case == "shk":
+        return shk_mm_step, DiscreteMeasure(dom, mu.density / mu.mass), E
+    return mm_step, mu, E
+
+
+@pytest.mark.parametrize("case, iterations", [("hk", 77), ("shk", 75),
+                                              ("neg_power", None)])
+def test_steps_on_kept_supports_agree_with_the_full_plan(monkeypatch, case,
+                                                         iterations):
+    # an implicit step chooses kept supports by size as a distance solve
+    # does: its levels at the step-only eps 1e-7 and 1e-8 open on the
+    # support the last level ended on (SHK's theta stays out of band
+    # storage), and the step reaches the full-plan path's optimum in as
+    # many Newton steps.  On the Gaussian an iterate feasible on its kept
+    # entries leaves E*'s domain (p < 0) on the full plan, where the level
+    # restarts; it takes 116 Newton steps, 102 on the full plan
+    step, mu, E = step_case(case)
+    real = hk._support_opening
+    opened = []
+
+    def opening(g, log_a, log_b, eps, kernel_min, support):
+        opened.append(eps)
+        return real(g, log_a, log_b, eps, kernel_min, support)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "_support_opening", opening)
+        res = step(mu, 0.02, E)
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "SPARSE_MIN_SIZE", math.inf)
+        dense = step(mu, 0.02, E)
+    assert res.converged and dense.converged
+    assert res.objective == pytest.approx(dense.objective, rel=1e-12)
+    if iterations is None:
+        assert res.iterations <= 1.15 * dense.iterations
+        return
+    assert set(STEP_EPS_SCHEDULE[-2:]) <= set(opened)
+    assert res.iterations == dense.iterations == iterations
+    rho, ref = res.measure.density, dense.measure.density
+    assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("band", [False, True], ids=["filled", "band"])
