@@ -26,14 +26,12 @@ from .hk import (HKResult, cone_distance, dilation_cost, hk_distance,
                  hk_distance_squared, hk_exact_small, hk_two_diracs,
                  mass_gap_lower_bound, scaling_identity_gap, shk_distance,
                  shk_from_hk_squared)
-from .measures import (DiscreteMeasure, GridDomain, coarsen, restrict,
-                       scale_measure, total_mass, uniform_measure,
-                       unit_interval)
+from .measures import (DiscreteMeasure, GridDomain, coarsen, scale_measure,
+                       uniform_measure, unit_interval)
 from .mm import (MMStepResult, MMTrajectory, check_density_bounds,
                  iterate_lower_bound, iterate_sqrt_growth_bound,
                  iterate_upper_bound, mm_step, mm_trajectory,
-                 plan_density_violation, restart_agreement,
-                 scalar_lower_bound, scalar_mm_step,
+                 plan_density_violation, scalar_lower_bound, scalar_mm_step,
                  scalar_shk_mm_step, scalar_step_monotonicity,
                  scalar_upper_bound, shk_mm_step)
 

@@ -19,7 +19,6 @@ rounds over windows that vanish with delta.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -300,10 +299,9 @@ FAMILIES = {
 }
 
 
-def entropy_from_json(text_or_dict) -> EntropySpec:
-    """The entropy of a JSON object {"family": ..., fields} or its text,
-    read at the path "entropy"; FAMILIES lists each family's fields."""
-    d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
+def entropy_from_json(d) -> EntropySpec:
+    """The entropy of a parsed JSON object {"family": ..., fields}, read at
+    the path "entropy"; FAMILIES lists each family's fields."""
     family, values = read_tagged(d, "entropy", "family",
                                  {k: f for k, (_, f) in FAMILIES.items()})
     try:

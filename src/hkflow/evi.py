@@ -190,7 +190,7 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
         raise ValueError("step size too large for this convexity parameter")
     d2_steps = np.asarray(traj.distances_squared, dtype=float)
     d2_skips = distances_squared_along(ms[:-2], ms[2:], traj.metric)
-    slope = math.sqrt(max(d2_steps[0], 0.0)) / tau
+    slope = float(traj.slope_surrogates[0])
     deltas = np.zeros(n_steps)
     zero_gap = np.zeros(n_steps)
     deltas[0] = ((1.0 - 2.0 * lam) * d2_steps[0]
@@ -206,7 +206,7 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
     lam_s = lambda_star(lam)
     l1 = float(np.sum(tau * np.exp(2.0 * lam_s * times) * deltas))
     bound = tau * (4.0 + tau * kappa) * slope * slope
-    return ErrorBudget(tau, lam, kappa, deltas, zero_gap, float(slope),
+    return ErrorBudget(tau, lam, kappa, deltas, zero_gap, slope,
                        l1, bound, l1 <= bound * (1.0 + 1e-9) + 1e-12)
 
 

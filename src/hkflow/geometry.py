@@ -38,7 +38,8 @@ class ProbeSpace:
     geodesic: Callable  # geodesic(p, q, t) -> point at parameter t
 
 
-def euclidean_box(dim: int = 2) -> ProbeSpace:
+def euclidean_box() -> ProbeSpace:
+    """Euclidean space of any dimension: points are coordinate tuples."""
     def dist(p, q):
         return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
 

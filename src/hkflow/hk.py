@@ -34,7 +34,8 @@ and each level is checked on the full plan once, before it ends
 (truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
 factorization adds 1e-12 I (a sparse level restarts dense) and is counted
 in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
-schedule (1e-1 down to 1e-6).  The first two levels of a loop start from
+schedule (1e-1 down to 1e-6; implicit steps continue to 1e-8,
+mm.STEP_EPS_SCHEDULE).  The first two levels of a loop start from
 the previous level's potentials; each later one from the line through the
 last two levels' target potentials, extrapolated in eps to its own (the
 dual path is first order in eps as eps -> 0; Cominetti & San Martin, Math.
@@ -997,8 +998,10 @@ def metric_squared(metric: str):
 # cone geometry over the base domain
 
 
-def cone_distance(x0, r0, x1, r1, base_distance) -> float:
-    """Distance on the metric cone: law of cosines with angles capped at pi."""
+def cone_distance(r0, r1, base_distance) -> float:
+    """Distance on the metric cone between points of radii r0, r1 whose base
+    points lie base_distance apart: law of cosines with angles capped at
+    pi."""
     if r0 < 0 or r1 < 0:
         raise ValueError("cone radii must be nonnegative")
     d = min(float(base_distance), math.pi)

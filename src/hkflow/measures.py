@@ -7,13 +7,11 @@ weights, so that the total weight equals the box volume exactly.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import REQUIRED, ConfigError, integer, listed, number, raw, \
+from .config import REQUIRED, ConfigError, integer, listed, number, \
     read_fields
 
 
@@ -120,23 +118,16 @@ class GridDomain:
         diff = x[:, None, :] - x[None, :, :]
         return np.sqrt((diff**2).sum(axis=-1))
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "nodes": list(self.nodes_per_axis),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict, path: str = "domain") -> "GridDomain":
-        """The domain of the JSON object d, its fields named from path."""
-        f = read_fields(d, path, {"lower": (listed(number), REQUIRED),
-                                  "upper": (listed(number), REQUIRED),
-                                  "nodes": (listed(integer(2)), REQUIRED)})
+    def from_dict(cls, d: dict) -> "GridDomain":
+        """The domain of the JSON object d, read at the path "domain"."""
+        f = read_fields(d, "domain", {"lower": (listed(number), REQUIRED),
+                                      "upper": (listed(number), REQUIRED),
+                                      "nodes": (listed(integer(2)), REQUIRED)})
         try:
             return cls(tuple(f["lower"]), tuple(f["upper"]), tuple(f["nodes"]))
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"domain: {exc}") from None
 
 
 def unit_interval(n: int = 33) -> GridDomain:
@@ -175,41 +166,9 @@ class DiscreteMeasure:
     def same_domain(self, other: "DiscreteMeasure") -> bool:
         return self.domain == other.domain
 
-    def to_dict(self) -> dict:
-        return {"domain": self.domain.to_dict(), "density": self.density.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        f = read_fields(d, "measure", {"domain": (raw, REQUIRED),
-                                       "density": (listed(number), REQUIRED)})
-        domain = GridDomain.from_dict(f["domain"], "measure.domain")
-        try:
-            return cls(domain, np.asarray(f["density"]))
-        except ValueError as exc:
-            raise ConfigError(f"measure.density: {exc}") from None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "DiscreteMeasure":
-        return cls.from_dict(json.loads(s))
-
-    def write_csv(self, path) -> None:
-        coords = self.domain.coordinates
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k}" for k in range(self.domain.dim)] + ["density"])
-            for xi, rho in zip(coords, self.density):
-                writer.writerow([f"{v:.12g}" for v in xi] + [f"{rho:.12g}"])
-
 
 def uniform_measure(domain: GridDomain, value: float = 1.0) -> DiscreteMeasure:
     return DiscreteMeasure(domain, np.full(domain.n_nodes, float(value)))
-
-
-def total_mass(mu: DiscreteMeasure) -> float:
-    return mu.mass
 
 
 def scale_measure(mu: DiscreteMeasure, t: float) -> DiscreteMeasure:
@@ -227,10 +186,3 @@ def coarsen(mu: DiscreteMeasure) -> DiscreteMeasure:
     coarse = mu.domain.coarser()
     return DiscreteMeasure(coarse, masses / coarse.weights)
 
-
-def restrict(mu: DiscreteMeasure, mask: np.ndarray) -> DiscreteMeasure:
-    """Zero the density outside the boolean node mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != mu.density.shape:
-        raise ValueError("mask length must match node count")
-    return DiscreteMeasure(mu.domain, np.where(mask, mu.density, 0.0))

@@ -88,16 +88,15 @@ def scalar_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
     return 0.5 * (lo + hi)
 
 
-def scalar_shk_mm_step(c0: float, tau: float, E: EntropySpec) -> float:
+def scalar_shk_mm_step(c0: float, tau: float) -> float:
     """The spherical scalar flow fixes the mass, so a constant level is
-    stationary: the step returns the input."""
+    stationary under every energy: the step returns the input."""
     if c0 < 0 or tau <= 0:
         raise ValueError("needs nonnegative level and positive step")
     return c0
 
 
-def scalar_step_monotonicity(c0: float, c1: float, tau: float,
-                             E: EntropySpec) -> dict:
+def scalar_step_monotonicity(c0: float, c1: float, E: EntropySpec) -> dict:
     """Order relations between the input level, the output level, and the
     sign of E' at each, all to 1e-9: the step decreases the level exactly
     when E' at the output is nonnegative."""
@@ -158,7 +157,7 @@ class MMStepResult:
     factor_fallbacks: int = 0
 
 
-def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
+def _implicit_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     """Implicit step of either metric from warm, a previous step's ``warm``
     or None.  An energy with a conjugate takes the concave dual step from a
     source with mass; every other step has a closed form:
@@ -174,7 +173,7 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     the diagonal plan H = diag(sqrt(a b)) of the node masses a, b costs
     nothing and pays exactly the bound in its marginal terms, and the
     bound holds by Jensen.  That bound, mapped to the metric, is the
-    step's distance; x0 and warm are not read.
+    step's distance; warm is not read.
     An HK step whose energy falls at least as fast as -mass / (2 tau)
     (1 + 2 tau E'(inf) <= 0) has no minimizer and raises ValueError."""
     if tau <= 0:
@@ -190,7 +189,7 @@ def _implicit_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
                              "(E'' = 0)")
         rho = (1.0 if spherical else scalar_mm_step(1.0, tau, E)) * mu0.density
     else:
-        return _dual_step(mu0, tau, E, spherical, x0, warm)
+        return _dual_step(mu0, tau, E, spherical, warm)
     nu = DiscreteMeasure(mu0.domain, rho)
     w = mu0.domain.weights
     d2 = metric_squared("shk" if spherical else "hk")(
@@ -278,7 +277,7 @@ class _ConjugateTerm:
         return np.array([lam])
 
 
-def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
+def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     """Implicit step as one concave maximization over dual potentials.
 
     The regularized dual of the distance solve is linear in the target
@@ -296,7 +295,7 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     distance at the step's own potentials; rho is then renormalized.
 
     Each solve is one _dual_newton call over STEP_EPS_SCHEDULE with the
-    cold seed b0 = w x0 (x0 defaults to mu0's density), warm-started from
+    cold seed b0 = w rho0, mu0's node masses, warm-started from
     the previous step's warm = (g, lam, s) and, in the fixed point, from
     the previous solve; _dual_newton falls back to the cold seed on its
     own.  The step ends with one distance solve from mu0 to the new
@@ -317,7 +316,7 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
     cost = _domain_cost(dom)
     reach = np.isfinite(cost[src]).any(axis=0)
     cost = cost[np.ix_(src, reach)]
-    b0 = w * (mu0.density if x0 is None else np.asarray(x0, dtype=float))
+    b0 = a_full
     tol = NEWTON_TOL * max(1.0, sa + float(b0.sum()))
     theta0 = (0.0,) if spherical else ()
 
@@ -370,21 +369,19 @@ def _dual_step(mu0, tau, E, spherical, x0, warm) -> MMStepResult:
 
 
 def mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-            x0: np.ndarray | None = None, warm=None) -> MMStepResult:
-    """Implicit step in the transport-growth metric.  x0 (default: mu0's
-    density) is the target of the dual step's first opening sweep; a
-    closed-form step does not read it.  warm is the previous step's
-    ``warm`` (default None: a cold start)."""
-    return _implicit_step(mu0, tau, E, False, x0, warm)
+            warm=None) -> MMStepResult:
+    """Implicit step in the transport-growth metric.  warm is the previous
+    step's ``warm`` (default None: a cold start)."""
+    return _implicit_step(mu0, tau, E, False, warm)
 
 
 def shk_mm_step(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-                x0: np.ndarray | None = None, warm=None) -> MMStepResult:
-    """Implicit step in the spherical metric over unit-mass measures; x0
-    and warm as in mm_step."""
+                warm=None) -> MMStepResult:
+    """Implicit step in the spherical metric over unit-mass measures; warm
+    as in mm_step."""
     if not has_unit_mass(mu0):
         raise ValueError("spherical step requires a unit-mass input")
-    return _implicit_step(mu0, tau, E, True, x0, warm)
+    return _implicit_step(mu0, tau, E, True, warm)
 
 
 @dataclass
@@ -433,21 +430,6 @@ def mm_trajectory(mu0: DiscreteMeasure, tau: float, n_steps: int,
         measures.append(res.measure)
         d2.append(res.distance_squared)
     return MMTrajectory(tau, measures, d2, metric, E)
-
-
-def restart_agreement(mu0: DiscreteMeasure, tau: float, E: EntropySpec,
-                      metric: str = "hk") -> float:
-    """Largest pairwise objective gap of the step output from mu0's density
-    and two seeded random perturbations of it as x0, which seeds the dual
-    step's first opening sweep."""
-    rng = np.random.default_rng(0)
-    step = shk_mm_step if is_spherical(metric) else mm_step
-    outs = [step(mu0, tau, E).objective]
-    base = np.maximum(mu0.density, 1e-8)
-    for _ in range(2):
-        x0 = base * np.exp(rng.normal(0.0, 0.3, base.shape))
-        outs.append(step(mu0, tau, E, x0=x0).objective)
-    return float(max(outs) - min(outs))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +484,8 @@ def check_density_bounds(traj: MMTrajectory, slack: float = 1e-9) -> dict:
             lo = prev_min
         else:
             up = scalar_upper_bound(prev_max, traj.tau, E, prev_max)
-            lo_ref = E.c_low if E.c_low is not None else prev_min
-            lo = min(prev_min, lo_ref)
+            lo = iterate_lower_bound(
+                prev_min, E.c_low if E.c_low is not None else prev_min)
         step_ok = cur_max <= up + slack and cur_min >= lo - slack
         ok = ok and step_ok
         records.append({"step": k, "max": cur_max, "upper": up,
@@ -511,7 +493,7 @@ def check_density_bounds(traj: MMTrajectory, slack: float = 1e-9) -> dict:
     return {"ok": ok, "steps": records}
 
 
-def plan_density_violation(step: MMStepResult, mu0: DiscreteMeasure) -> float:
+def plan_density_violation(step: MMStepResult) -> float:
     """Fraction of the step's plan mass sent to nodes where the new
     density exceeds the new density at the sending node by over 1e-9."""
     if step.plan is None:

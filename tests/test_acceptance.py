@@ -179,7 +179,7 @@ def test_criterion_07_scalar_consistency():
     prob = uniform_measure(dom, 1.0)
     straj = mm_trajectory(prob, tau, 10, EX12, metric="shk")
     sworst = max(float(np.max(np.abs(m.density
-                                     - scalar_shk_mm_step(1.0, tau, EX12))))
+                                     - scalar_shk_mm_step(1.0, tau))))
                  for m in straj.measures)
     ok = worst <= 1e-4 and sworst <= 1e-4
     _report(7, "scalar consistency", ok,
@@ -198,7 +198,7 @@ def test_criterion_08_scalar_step_bound_suite():
         gamma = float(rng.uniform(-2.0, 2.0))
         E = power_mass_entropy(alpha, m, gamma)
         c1 = scalar_mm_step(c0, tau, E)
-        mono = scalar_step_monotonicity(c0, c1, tau, E)
+        mono = scalar_step_monotonicity(c0, c1, E)
         if not (mono["decreases_iff_derivative_nonneg"]
                 and mono["increases_iff_derivative_nonpos"]):
             ok, detail = False, f"monotonicity fails at case {case}"
@@ -292,7 +292,7 @@ def test_criterion_11_budgeted_contraction():
 
 
 def test_criterion_12_geometry_suite():
-    euclid = euclidean_box(2)
+    euclid = euclidean_box()
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
     z = np.array([0.0, 1.0])

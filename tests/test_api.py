@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import hkflow
+from hkflow.cli import VERBS
 from hkflow.hk import hk_distance_squared
 
 
@@ -46,8 +47,15 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 "table_entropy": {"convexity_modulus"},
                 # every implicit step is the dual step or a closed form; the
                 # cap and the slope the L-BFGS-B step read are gone
-                "mm_step": {"density_cap"}, "mm_trajectory": {"density_cap"},
-                "HKResult": {"target_slope"}}
+                "mm_step": {"density_cap", "x0"},
+                "mm_trajectory": {"density_cap"}, "HKResult": {"target_slope"},
+                # the dual step's cold seed is mu0's node masses
+                "shk_mm_step": {"x0"},
+                # parameters that their functions never read
+                "euclidean_box": {"dim"}, "cone_distance": {"x0", "x1"},
+                "scalar_step_monotonicity": {"tau"},
+                "plan_density_violation": {"mu0"},
+                "scalar_shk_mm_step": {"E"}, "GridDomain.from_dict": {"path"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),
@@ -138,3 +146,52 @@ def test_import_leaves_heavy_scipy_packages_out():
     loaded, value = json.loads(out)
     assert loaded == []
     assert value == 2.0
+
+
+# exports that nothing called: the step restart check, a second measure
+# format beside the CLI's configs and outputs, and two one-line helpers
+REMOVED_EXPORTS = {"restart_agreement", "total_mass", "restrict"}
+REMOVED_METHODS = {"DiscreteMeasure": {"to_dict", "from_dict", "to_json",
+                                       "from_json", "write_csv"},
+                   "GridDomain": {"to_dict"}}
+
+
+def test_removed_exports_stay_removed():
+    modules = [hkflow] + [importlib.import_module(f"hkflow.{path[:-3]}")
+                          for path in package_trees() if path != "__init__.py"]
+    back = [f"{module.__name__}.{name}" for module in modules
+            for name in sorted(REMOVED_EXPORTS) if hasattr(module, name)]
+    back += [f"{cls}.{meth}" for cls, meths in REMOVED_METHODS.items()
+             for meth in sorted(meths) if hasattr(getattr(hkflow, cls), meth)]
+    assert back == []
+
+
+# parameters that a shared signature imposes: every CLI verb is called with
+# (cfg, out, seed), and every config reader with (value, path)
+UNREAD_ALLOWED = ({(f"cli.{verb.__name__}", "seed") for verb in VERBS.values()}
+                  | {("config.raw", "path")})
+
+
+def test_every_parameter_is_read():
+    # each parameter of a public function or public method (or __init__) of
+    # the package is read in its body
+    unread = []
+    for path, tree in package_trees().items():
+        defs = [("", node) for node in tree.body]
+        defs += [(f"{node.name}.", item) for node in tree.body
+                 if isinstance(node, ast.ClassDef)
+                 and not node.name.startswith("_") for item in node.body]
+        for prefix, fn in defs:
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name.startswith("_") and fn.name != "__init__"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg]
+                      if a is not None and a.arg not in ("self", "cls")]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            name = f"{path[:-3]}.{prefix}{fn.name}"
+            unread += [(name, p) for p in params
+                       if p not in read and (name, p) not in UNREAD_ALLOWED]
+    assert sorted(unread) == []

@@ -167,13 +167,25 @@ def test_c_low_is_strict_witness(alpha, m, gamma):
 
 
 def test_NE_conditions_quadratic():
-    # E = c^2 - c satisfies the joint convexity test with lam = -2 in 1d
+    # E = c^2 - c satisfies the joint convexity test with lam = -2, and an
+    # aggressively positive lam fails it, in d = 1 and d = 2; only d >= 2
+    # checks that N does not increase in rho
     E = quadratic_entropy()
-    rep = check_NE_conditions(E, lam=-2.0, d=1)
+    for d in (1, 2):
+        rep = check_NE_conditions(E, lam=-2.0, d=d)
+        assert rep["convex"] and rep["monotone"]
+        assert math.isfinite(rep["worst_monotone"]) == (d >= 2)
+        assert not check_NE_conditions(E, lam=50.0, d=d)["convex"]
+    # c^3 at lam = 0 is certified in d = 1; in d = 2 it stays monotone but
+    # fails convexity by far (worst eigenvalue about -7.5e12)
+    cube = power_mass_entropy(1.0, 3.0, 0.0)
+    assert check_NE_conditions(cube, lam=0.0, d=1)["convex"]
+    rep = check_NE_conditions(cube, lam=0.0, d=2)
+    assert rep["monotone"] and not rep["convex"]
+    assert rep["worst_hessian_eig"] < -1e12
+    # -sqrt(c) at lam = 0 is certified in d = 2
+    rep = check_NE_conditions(neg_power_entropy(0.5, 1.0), lam=0.0, d=2)
     assert rep["convex"] and rep["monotone"]
-    # an aggressively positive lam must fail for the same entropy
-    rep_bad = check_NE_conditions(E, lam=50.0, d=1)
-    assert not rep_bad["convex"]
 
 
 def test_closed_form_conjugates():

@@ -24,7 +24,7 @@ def test_comparison_angle_basics():
 
 
 def test_euclidean_angles_exact():
-    space = euclidean_box(2)
+    space = euclidean_box()
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
     z = np.array([0.0, 1.0])
@@ -40,7 +40,7 @@ def test_euclidean_angles_exact():
 
 
 def test_euclidean_direction_gap():
-    space = euclidean_box(2)
+    space = euclidean_box()
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
     z = np.array([-1.0, 0.0])
@@ -53,7 +53,7 @@ def test_euclidean_direction_gap():
 
 
 def test_shrinking_angles_converge_euclidean():
-    space = euclidean_box(2)
+    space = euclidean_box()
     x = np.array([0.2, 0.1])
     y = np.array([0.9, 0.3])
     z = np.array([0.1, 0.8])
@@ -114,7 +114,7 @@ def test_two_dirac_space_matches_closed_form():
 
 
 def test_semiconcavity_of_squared_distance_euclidean():
-    space = euclidean_box(2)
+    space = euclidean_box()
     p = np.array([0.0, 0.0])
     q = np.array([1.0, 0.5])
     o = np.array([0.3, 0.9])

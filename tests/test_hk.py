@@ -200,13 +200,13 @@ def test_shk_requires_unit_mass():
 
 def test_cone_distance():
     # same base point: pure radial motion
-    assert cone_distance(0.0, 1.0, 0.0, 3.0, base_distance=0.0) \
+    assert cone_distance(1.0, 3.0, base_distance=0.0) \
         == pytest.approx(2.0)
     # apex to radius r
-    assert cone_distance(0.0, 0.0, 1.0, 2.0, base_distance=1.0) \
+    assert cone_distance(0.0, 2.0, base_distance=1.0) \
         == pytest.approx(2.0)
     # beyond the cutoff the law of cosines saturates at angle pi
-    far = cone_distance(0.0, 1.0, 4.0, 1.0, base_distance=4.0)
+    far = cone_distance(1.0, 1.0, base_distance=4.0)
     assert far == pytest.approx(2.0)
 
 

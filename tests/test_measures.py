@@ -1,15 +1,10 @@
-import json
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkflow.config import ConfigError
-from hkflow.measures import (DiscreteMeasure, GridDomain, coarsen, restrict,
-                             scale_measure, total_mass, uniform_measure,
-                             unit_interval)
+from hkflow.measures import (DiscreteMeasure, GridDomain, coarsen,
+                             scale_measure, uniform_measure, unit_interval)
 
 
 def test_unit_interval_properties():
@@ -50,7 +45,6 @@ def test_measure_mass_quadrature():
     dom = unit_interval(21)
     mu = uniform_measure(dom, 0.7)
     assert mu.mass == pytest.approx(0.7)
-    assert total_mass(mu) == pytest.approx(0.7)
     assert np.allclose(mu.node_masses, dom.weights * 0.7)
 
 
@@ -72,16 +66,6 @@ def test_scale_measure_quadratic_mass(t):
     dom = unit_interval(9)
     mu = uniform_measure(dom, 1.0)
     assert scale_measure(mu, t).mass == pytest.approx(t * t * mu.mass)
-
-
-def test_restrict_zeroes_outside():
-    dom = unit_interval(11)
-    mu = uniform_measure(dom, 1.0)
-    keep = np.zeros(11, dtype=bool)
-    keep[3:6] = True
-    nu = restrict(mu, keep)
-    assert np.all(nu.density[~keep] == 0.0)
-    assert np.all(nu.density[keep] == mu.density[keep])
 
 
 def test_coarser_grid_nests_every_second_node():
@@ -123,49 +107,3 @@ def test_coarsen_keeps_mass_and_constants(dom):
     x = dom.coordinates @ np.arange(1.0, dom.dim + 1.0)
     xc = nu.domain.coordinates @ np.arange(1.0, dom.dim + 1.0)
     assert np.allclose(dom.prolong(xc), x, rtol=0.0, atol=1e-14)
-
-
-def test_domain_dict_round_trip():
-    dom = GridDomain((0.0, 0.5), (1.0, 2.5), (4, 6))
-    again = GridDomain.from_dict(json.loads(json.dumps(dom.to_dict())))
-    assert again == dom
-
-
-def test_measure_json_round_trip():
-    dom = unit_interval(7)
-    mu = DiscreteMeasure(dom, np.linspace(0.1, 1.3, 7))
-    nu = DiscreteMeasure.from_json(mu.to_json())
-    assert nu.domain == dom
-    assert np.array_equal(nu.density, mu.density)
-
-
-DOMAIN3 = {"lower": [0.0], "upper": [1.0], "nodes": [3]}
-
-
-@pytest.mark.parametrize("d,path", [
-    ({"domain": DOMAIN3}, "measure.density"),
-    ({"domain": DOMAIN3, "density": [1, 1, 1], "mass": 3}, "measure.mass"),
-    ({"domain": DOMAIN3, "density": [1, True, 1]}, "measure.density[1]"),
-    ({"domain": DOMAIN3, "density": "abc"}, "measure.density"),
-    ({"domain": DOMAIN3, "density": [1, 1]}, "measure.density"),
-    ({"domain": DOMAIN3, "density": [1, -1, 1]}, "measure.density"),
-    ({"density": [1, 1, 1]}, "measure.domain"),
-    ([1, 1, 1], "measure"),
-    ({"domain": {"lower": [0.0], "upper": [1.0], "nodes": [1]},
-      "density": [1]}, "measure.domain.nodes[0]"),
-])
-def test_measure_from_dict_rejects_bad_fields(d, path):
-    with pytest.raises(ConfigError, match=re.escape(path)):
-        DiscreteMeasure.from_dict(d)
-
-
-def test_measure_csv_output(tmp_path):
-    dom = unit_interval(7)
-    mu = DiscreteMeasure(dom, np.linspace(0.1, 1.3, 7))
-    p = tmp_path / "m.csv"
-    mu.write_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "x0,density"
-    assert len(lines) == 8
-    got = np.array([float(r.split(",")[1]) for r in lines[1:]])
-    assert np.allclose(got, mu.density, rtol=1e-11, atol=0)

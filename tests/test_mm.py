@@ -18,9 +18,9 @@ from hkflow.measures import (DiscreteMeasure, GridDomain, uniform_measure,
 from hkflow.mm import (check_density_bounds, iterate_lower_bound,
                        iterate_sqrt_growth_bound, iterate_upper_bound,
                        mm_step, mm_trajectory, plan_density_violation,
-                       restart_agreement, scalar_lower_bound, scalar_mm_step,
-                       scalar_shk_mm_step, scalar_step_monotonicity,
-                       scalar_upper_bound, shk_mm_step)
+                       scalar_lower_bound, scalar_mm_step, scalar_shk_mm_step,
+                       scalar_step_monotonicity, scalar_upper_bound,
+                       shk_mm_step)
 
 from conftest import (dirac_measure, lbfgs_reference_step, sinusoid_measure,
                       unconverged)
@@ -40,8 +40,7 @@ def test_scalar_step_optimality():
 
 
 def test_scalar_shk_step_is_identity():
-    E = quadratic_entropy()
-    assert scalar_shk_mm_step(0.37, 0.05, E) == pytest.approx(0.37)
+    assert scalar_shk_mm_step(0.37, 0.05) == pytest.approx(0.37)
 
 
 @given(c0=st.floats(0.05, 5.0), tau=st.floats(1e-3, 0.2),
@@ -51,7 +50,7 @@ def test_scalar_bounds_d1_to_d4(c0, tau, gamma):
     E = power_mass_entropy(1.0, 2.0, gamma)
     c1 = scalar_mm_step(c0, tau, E)
     # (D1)/(D2): the step moves monotonically toward the derivative root
-    mono = scalar_step_monotonicity(c0, c1, tau, E)
+    mono = scalar_step_monotonicity(c0, c1, E)
     assert mono["decreases_iff_derivative_nonneg"]
     assert mono["increases_iff_derivative_nonpos"]
     # (D3)/(D4): explicit envelope bounds seeded at the input level
@@ -146,18 +145,11 @@ def test_iterated_bound_formulas():
         == pytest.approx(0.6)
 
 
-def test_restart_agreement(interval33):
-    E = quadratic_entropy()
-    mu0 = sinusoid_measure(interval33)
-    gap = restart_agreement(mu0, 0.05, E)
-    assert gap <= 1e-5
-
-
 def test_plan_density_violation_small(interval33):
     E = quadratic_entropy()
     mu0 = sinusoid_measure(interval33)
     res = mm_step(mu0, 0.05, E)
-    assert plan_density_violation(res, mu0) <= 0.01
+    assert plan_density_violation(res) <= 0.01
 
 
 def test_trajectory_bookkeeping(interval33):
@@ -189,8 +181,6 @@ def test_unknown_metric_raises(interval17):
     E = quadratic_entropy()
     with pytest.raises(ValueError, match="unknown metric 'HK'"):
         mm_trajectory(mu0, 0.05, 1, E, metric="HK")
-    with pytest.raises(ValueError, match="unknown metric 'HK'"):
-        restart_agreement(mu0, 0.05, E, metric="HK")
 
 
 @pytest.mark.parametrize("metric", ["hk", "shk"])
