@@ -28,9 +28,9 @@ the gradient's max-norm falls; a trial below the band is rejected on its
 dual value alone, before its gradient is formed.  On large grids (2-D),
 where at small eps nearly all of the plan is roundoff, every solve,
 distance solve and step alike, runs Newton on a kept support of the plan,
-where that product is banded (formed dense when the solve carries the
-spherical step's mass multiplier); the next level opens on that support,
-and each level is checked on the full plan once, before it ends
+where that product is banded (the spherical step's mass multiplier is a
+small correction after it is factored); the next level opens on that
+support, and each level is checked on the full plan once, before it ends
 (truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
 factorization adds 1e-12 I (a sparse level restarts dense) and is counted
 in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
@@ -341,53 +341,58 @@ def _newton_direction(pt, eps, support):
     distance solve), M = [[A, B], [B^T, diag(D)]] in the order (f, theta,
     g), where D = eb + s / eps + d w^2, B = [K diag(beta); Z diag(d w)]
     with beta = b / eps - d w, and A = diag(ea + r / eps, 0) + V diag(d)
-    V^T with V = [-K; Z].  g is eliminated; Cholesky factors S = A - B D^-1
-    B^T, f block diag(ea + r / eps) + K diag(d - beta^2 / D) K^T, banded
-    (pbtrf) on a kept support with a pair plan and no theta (band storage
-    holds the f block only), else dense (potrf; on a kept support from K
-    scattered into n x m), and x_g
-    = D^-1 (grad_g - beta K^T x_f - d w Z^T x_theta).  A node with D_j = 0
-    (no mass, no curvature) has step 0.  Returns x and whether the
-    factorization failed; x then solves S + 1e-12 I, or is None on a kept
+    V^T with V = [-K; Z].  g is eliminated, which leaves the Schur
+    complement [[S, C], [C^T, S_theta]] on (f, theta): S = diag(ea + r /
+    eps) + K diag(d - beta^2 / D) K^T, C = K diag(-d - beta d w / D) Z^T
+    and S_theta = Z diag(d - d^2 w^2 / D) Z^T.  Cholesky factors S alone,
+    banded (pbtrf) on a kept support with a pair plan, else dense (potrf;
+    on a kept support from K scattered into n x m), and solves S [y, X] =
+    [rhs_f, C].  theta then takes the k x k correction x_theta = T^-1
+    (rhs_theta - C^T y) with T = S_theta - C^T X, the last pivot of the
+    bordered Cholesky, and x_f = y - X x_theta, x_g = D^-1 (grad_g - beta
+    K^T x_f - d w Z^T x_theta).  A node with D_j = 0 (no mass, no
+    curvature) has step 0.  Returns x and whether the factorization
+    failed; x then solves S + 1e-12 I in place of S, or is None on a kept
     support."""
     w, Z, d = pt.extra
     n, m, k = pt.r.size, pt.s.size, Z.shape[0]
     grad_g = pt.grad[n:n + m]
-    band = support is not None and support.pairs is not None and k == 0
+    band = support is not None and support.pairs is not None
     K = pt.K if support is None or band else np.bincount(
         support.rows * m + support.cols, pt.K, n * m).reshape(n, m)
+    if band:
+        (p, q, slot, kd), i, j = support.pairs, support.rows, support.cols
+    K_dot = (lambda v: np.bincount(i, K * v[j], n)) if band else K.__matmul__
     with np.errstate(over="ignore", invalid="ignore"):
         dw = d * w
         D = pt.eb + pt.s / eps + dw * w
         inv = np.divide(1.0, D, out=np.zeros(m), where=D > 0)
         beta = pt.b / eps - dw
         coef = d - beta * beta * inv
-        if band:
-            (p, q, slot, kd), i, j = support.pairs, support.rows, support.cols
-            S = np.bincount(slot, (K * coef[j])[p] * K[q],
-                            (kd + 1) * n).reshape(n, kd + 1).T
-        else:
-            S = (K * coef) @ K.T
-            if k:
-                C = K @ (Z * (-d - beta * dw * inv)).T
-                S_f, S = S, np.empty((n + k, n + k))
-                S[:n, :n], S[:n, n:], S[n:, :n] = S_f, C, C.T
-                S[n:, n:] = (Z * (d - dw * dw * inv)) @ Z.T
+        S = (np.bincount(slot, (K * coef[j])[p] * K[q],
+                         (kd + 1) * n).reshape(n, kd + 1).T
+             if band else (K * coef) @ K.T)
         S[0 if band else np.diag_indices(n)] += pt.ea + pt.r / eps
-    rhs = pt.grad[:n] - (np.bincount(i, K * (beta * inv * grad_g)[j], n)
-                         if band else K @ (beta * inv * grad_g))
-    if k:
-        rhs = np.concatenate([rhs, pt.grad[n + m:] - Z @ (dw * inv * grad_g)])
+        rhs = pt.grad[:n] - K_dot(beta * inv * grad_g)
+        if k:
+            # the columns of C join rhs_f: S [y, X] = [rhs_f, C], one solve
+            rhs = np.array([rhs, *map(K_dot, Z * (-d - beta * dw * inv))]).T
+            S_theta = (Z * (d - dw * dw * inv)) @ Z.T
     c, info = dpbtrf(S, lower=1) if band else dpotrf(S, lower=0, clean=0)
     if info != 0 and support is not None:
         return None, True
     x = (dpbtrs(c, rhs, lower=1)[0] if band
          else dpotrs(c, rhs, lower=0)[0] if info == 0
-         else np.linalg.solve(S + 1e-12 * np.eye(S.shape[0]), rhs))
-    x_f, x_theta = x[:n], x[n:]
-    Kt_x = np.bincount(j, K * x_f[i], m) if band else K.T @ x_f
+         else np.linalg.solve(S + 1e-12 * np.eye(n), rhs))
+    x_theta = pt.grad[n + m:]  # empty unless the solve carries theta
+    if k:
+        C, y, X = rhs[:, 1:], x[:, 0], x[:, 1:]
+        x_theta = np.linalg.solve(
+            S_theta - C.T @ X, x_theta - Z @ (dw * inv * grad_g) - C.T @ y)
+        x = y - X @ x_theta
+    Kt_x = np.bincount(j, K * x[i], m) if band else K.T @ x
     x_g = inv * (grad_g - beta * Kt_x - (dw * (Z.T @ x_theta) if k else 0))
-    return np.concatenate([x_f, x_g, x_theta]), info != 0
+    return np.concatenate([x, x_g, x_theta]), info != 0
 
 
 def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
@@ -454,34 +459,33 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     gradient falls.  Otherwise the step is halved.  The term's Hessian is
     formed only where a Newton direction is taken.
 
-    The Newton step eliminates g, whose Hessian block is diagonal, and
-    factors the Schur complement on (f, theta) by Cholesky (see
-    _newton_direction).  On large solves (n + m >= SPARSE_MIN_SIZE), with
-    or without a term, at small eps almost all of the plan is roundoff.
+    The Newton step eliminates g, whose Hessian block is diagonal, factors
+    the Schur complement on f by Cholesky and corrects for theta after it
+    (see _newton_direction).  On large solves (n + m >= SPARSE_MIN_SIZE),
+    with or without a term, at small eps almost all of the plan is roundoff.
     There each level chooses a kept support at its opening point (see
     _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput. 2019,
-    truncates the kernel the same way), and Newton evaluates the plan on
-    the kept entries only, where the Schur complement is banded (see
-    _Support; with theta it is formed dense from the kept entries).  A
-    level whose support would keep more than SPARSE_MAX_FILL of the plan
-    stays dense.  A level that follows one ended on a kept support opens on
-    it (see _support_opening): both sweeps run over its entries, grouped by
-    row and by column, and the new support is those of its entries whose
-    kernel still passes the keep test at the new eps.  A level opens on
-    the full plan, as above, as the first of a loop, after a dense level or a
-    restart, and when a row or column has no kept entry.  Either way, an
-    opening that keeps a support is evaluated on it only, and the full plan
-    is not read until the pass ends.  A sparse pass ends with one evaluation
-    on the full plan: if its gradient exceeds the kept one by more than 1e-3
-    tol, the support is chosen again from there and the level goes on; if it
-    exceeds the pass's first gradient, is not finite (outside the term's
-    domain), or S failed to factor on the support, the level restarts from
-    that first point, evaluated on the full plan.
-    Every level thus ends on a full evaluation, and the returned plan,
+    truncates the kernel the same way), and Newton evaluates the plan on the
+    kept entries only, where the Schur complement on f is banded (see
+    _Support), with theta or without.  A level whose support would keep more
+    than SPARSE_MAX_FILL of the plan stays dense.  A level that follows one
+    ended on a kept support opens on it (see _support_opening): both sweeps
+    run over its entries, grouped by row and by column, and the new support
+    is those of its entries whose kernel still passes the keep test at the
+    new eps.  A level opens on the full plan, as above, as the first of a
+    loop, after a dense level or a restart, and when a row or column has no
+    kept entry.  Either way, an opening that keeps a support is evaluated on
+    it only, and the full plan is not read until the pass ends.  A sparse
+    pass ends with one evaluation on the full plan: if its gradient exceeds
+    the kept one by more than 1e-3 tol, the support is chosen again from
+    there and the level goes on; if it exceeds the pass's first gradient, is
+    not finite (outside the term's domain), or S failed to factor on the
+    support, the level restarts from that first point, evaluated on the full
+    plan.  Every level thus ends on a full evaluation, and the returned plan,
     gradient and dual value are those of the full plan.  A distance solve
     then closes with one f-sweep at the last g, so that each plan row holds
-    exactly a e^-f, and returns that point: the primal value of its plan does
-    not depend on where Newton stopped in rows of tiny mass.
+    exactly a e^-f, and returns that point: the primal value of its plan
+    does not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
     distance solve given its ``grid`` = (domain, rows, cols), the nodes of a

@@ -39,7 +39,11 @@ from .measures import DiscreteMeasure
 # density on 33 nodes at tau = 0.02 sits 2.3e-4 off its eps -> 0 limit at
 # 1e-6, 2.1e-6 at 1e-8.
 STEP_EPS_SCHEDULE = DEFAULT_EPS_SCHEDULE + (1e-7, 1e-8)
-# cap on the spherical step's fixed-point iterations for s = Phi'(HK^2)
+# cap on the spherical step's fixed-point iterations for s = Phi'(HK^2).
+# The iteration stops once s moves by at most NEWTON_TOL relative: the
+# step's target masses then move by less than the solve's own tolerance,
+# and s itself is known only to about 1e-12 relative, so a tighter test
+# stops by chance (see _dual_step)
 STEP_SCALE_MAX_ITER = 20
 
 
@@ -292,7 +296,11 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     lam as one more concave variable (E -> E + lam c, plus -2 tau lam) and
     solves at tau / s with s = Phi'(HK^2), Phi(x) = 4 arcsin^2(sqrt(x)/2),
     found by a scalar fixed point on warm re-solves, HK^2 being the dual
-    distance at the step's own potentials; rho is then renormalized.
+    distance at the step's own potentials; rho is then renormalized.  The
+    fixed point stops once s moves by at most NEWTON_TOL relative: an s
+    that close moves the step's target masses by less than the solve's own
+    tolerance, and below it the updates of s are roundoff (up to about
+    1e-12 relative), so a tighter stop would end by chance.
 
     Each solve is one _dual_newton call over STEP_EPS_SCHEDULE with the
     cold seed b0 = w rho0, mu0's node masses, warm-started from
@@ -343,7 +351,7 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
         s_new = shk_squared_derivative(
             regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps)
             + (1.0 + sol.eps * sa) * float(w[~reach] @ rho[~reach]))
-        if abs(s_new - s) <= 1e-13 * s:
+        if abs(s_new - s) <= NEWTON_TOL * s:
             settled = True
             break
         s = s_new

@@ -466,21 +466,26 @@ def _max_rel(x, ref):
 
 
 @pytest.mark.parametrize("k, kept", [(None, None), (0, None), (1, None),
-                                     (None, 0.5), (None, 0.7)],
-                         ids=["None", "0", "1", "None-kept", "None-filled"])
+                                     (None, 0.5), (None, 0.7), (1, 0.5),
+                                     (1, 0.7)],
+                         ids=["None", "0", "1", "None-kept", "None-filled",
+                              "1-kept", "1-filled"])
 def test_newton_direction_matches_cho_solve(k, kept):
-    # the Schur solve on (f, theta) against SciPy's Cholesky of the full
-    # matrix: the same solution up to roundoff.  On a kept support (a share
-    # `kept` of the entries) the full matrix is built from the kept entries.
-    # Half of them make 34 column pairs and S is formed in band storage;
-    # 0.7 of them make more pairs than the 35 plan entries, and S is formed
-    # from K scattered into the plan
+    # the Schur solve on f, with theta's k x k correction after it, against
+    # SciPy's Cholesky of the full matrix: the same solution up to roundoff.
+    # On a kept support (a share `kept` of the entries) the full matrix is
+    # built from the kept entries, drawn apart from the point so that every
+    # k keeps the same ones.  Half of them make 26 column pairs and S is
+    # formed in band storage, with theta or without; 0.7 of them make more
+    # pairs than the 35 plan entries, and S is formed from K scattered into
+    # the plan
     rng = np.random.default_rng(3)
     n, m, eps = 7, 5, 0.01
     pt = _dense_point(rng, n, m, k)
     support = None
     if kept:
-        rows, cols = np.nonzero(rng.random((n, m)) < kept)
+        rows, cols = np.nonzero(np.random.default_rng(4).random((n, m))
+                                < kept)
         support = hk._Support.build(rows, cols, np.zeros(rows.size), n, m)
         assert (support.pairs is None) == (kept == 0.7)
         K = np.zeros((n, m))

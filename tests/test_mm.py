@@ -350,6 +350,42 @@ def test_table_flow_through_kinks_descends(name, metric):
             [mu0.mass / 0.98 ** (2 * k) for k in range(5)], rel=1e-6)
 
 
+@pytest.mark.parametrize("case", ["wavy-flow", "convergence-step"])
+def test_step_scale_settles_in_three_dual_solves(monkeypatch, case):
+    # the spherical step's fixed point in s = Phi'(HK^2) stops once s moves
+    # by less than the Newton tolerance relative, which no solve resolves
+    # further: the first solve, one re-solve at the new s, and one that
+    # confirms it.  Stopped at 1e-13 instead, below the roundoff of s, the
+    # wavy-table flow takes 5, 3, 2, 2 solves and the first step of the
+    # SHK convergence study at tau = 0.02 takes 4
+    solves, real = [], hkflow.mm._dual_newton
+
+    def counting(*args, **kw):
+        solves[-1] += 1
+        return real(*args, **kw)
+
+    def opening(fn):
+        def step(*args, **kw):
+            solves.append(0)
+            return fn(*args, **kw)
+        return step
+
+    monkeypatch.setattr(hkflow.mm, "_dual_newton", counting)
+    monkeypatch.setattr(hkflow.mm, "_dual_step",
+                        opening(hkflow.mm._dual_step))
+    dom = unit_interval(33)
+    mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+    mu0 = DiscreteMeasure(dom, mu0.density / mu0.mass)
+    if case == "wavy-flow":
+        # the trajectory raises unless every step converged
+        mm_trajectory(mu0, 0.02, 4, _kinked_table("wavy"), metric="shk")
+        assert len(solves) == 4
+    else:
+        assert shk_mm_step(mu0, 0.02, quadratic_entropy()).converged
+        assert len(solves) == 1
+    assert max(solves) <= 3
+
+
 def test_step_without_a_minimizer_raises(interval17):
     # 1 + 2 tau E'(inf) <= 0: growing one node lowers the objective without
     # bound

@@ -3,15 +3,15 @@ against the dense, fine-only one.
 
 Large solves, distance solves and implicit steps alike, run Newton on a
 kept support of the plan, where the Schur complement of the Newton matrix
-is banded (formed dense when the SHK step's mass multiplier is one of the
-unknowns); small ones evaluate the full plan.  The dense path is forced
-here by raising hk.SPARSE_MIN_SIZE.  A level that follows one ended on a
-kept support opens on that support.  On a grid that nests a coarser one,
-the levels before the first whose coarse opening keeps a support run on
-the coarser grid, as one level loop; the fine grid alone is forced by a
-domain with no coarser grid.  From the third level of a loop on, each
-level opens from the line through the g at the ends of that loop's last
-two levels, extrapolated in eps.
+on the source potentials is banded (the SHK step's mass multiplier is a
+correction after it is factored); small ones evaluate the full plan.  The
+dense path is forced here by raising hk.SPARSE_MIN_SIZE.  A level that
+follows one ended on a kept support opens on that support.  On a grid that
+nests a coarser one, the levels before the first whose coarse opening keeps
+a support run on the coarser grid, as one level loop; the fine grid alone
+is forced by a domain with no coarser grid.  From the third level of a
+loop on, each level opens from the line through the g at the ends of that
+loop's last two levels, extrapolated in eps.
 """
 
 import math
@@ -238,11 +238,11 @@ def test_steps_on_kept_supports_agree_with_the_full_plan(monkeypatch, case,
                                                          iterations):
     # an implicit step chooses kept supports by size as a distance solve
     # does: its levels at the step-only eps 1e-7 and 1e-8 open on the
-    # support the last level ended on (SHK's theta stays out of band
-    # storage), and the step reaches the full-plan path's optimum in as
-    # many Newton steps.  On the Gaussian an iterate feasible on its kept
-    # entries leaves E*'s domain (p < 0) on the full plan, where the level
-    # restarts; it takes 116 Newton steps, 102 on the full plan
+    # support the last level ended on, and the step reaches the full-plan
+    # path's optimum in as many Newton steps.  On the Gaussian an iterate
+    # feasible on its kept entries leaves E*'s domain (p < 0) on the full
+    # plan, where the level restarts; it takes 116 Newton steps, 102 on the
+    # full plan
     step, mu, tau, E = step_case(case)
     real = hk._support_opening
     opened = []
@@ -266,6 +266,28 @@ def test_steps_on_kept_supports_agree_with_the_full_plan(monkeypatch, case,
     assert res.iterations == dense.iterations == iterations
     rho, ref = res.measure.density, dense.measure.density
     assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shk_steps_factor_the_band_as_hk_steps_do(monkeypatch):
+    # the SHK step's mass multiplier is a k x k correction after S is
+    # factored, so its kept supports keep band storage: the cold 17 x 17
+    # SHK step makes no more dense factorizations than the HK step on the
+    # same data (with theta bordering S densely it made 75 against 22)
+    _, mu, tau, E = step_case("hk")
+    mu_shk = DiscreteMeasure(mu.domain, mu.density / mu.mass)
+    counts = {}
+    for step, start in ((mm_step, mu), (shk_mm_step, mu_shk)):
+        calls = {"dpbtrf": 0, "dpotrf": 0}
+        with monkeypatch.context() as mp:
+            for name in calls:
+                def factor(*args, _name=name, _real=getattr(hk, name), **kw):
+                    calls[_name] += 1
+                    return _real(*args, **kw)
+                mp.setattr(hk, name, factor)
+            assert step(start, tau, E).converged
+        counts[step] = calls
+    assert counts[shk_mm_step]["dpbtrf"] > 0
+    assert counts[shk_mm_step]["dpotrf"] <= counts[mm_step]["dpotrf"]
 
 
 @pytest.mark.parametrize("band", [False, True], ids=["filled", "band"])
