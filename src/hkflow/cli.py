@@ -52,8 +52,8 @@ GAP_FLOOR = 1e3 * NEWTON_TOL
 
 
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(
+    # HKFLOW_LOG=debug adds one line per distance solve and per dual step
+    level = {"error": logging.ERROR, "debug": logging.DEBUG}.get(
         os.environ.get("HKFLOW_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")

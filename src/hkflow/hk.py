@@ -65,6 +65,7 @@ log barrier; it is the high-precision cross-check of the first.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 from .measures import DiscreteMeasure, GridDomain
+
+log = logging.getLogger(__name__)
 
 HALF_PI = 0.5 * math.pi
 
@@ -111,7 +114,32 @@ METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
 
 @lru_cache(maxsize=32)
 def _domain_cost(domain: GridDomain) -> np.ndarray:
-    return transport_cost(domain.distance_matrix())
+    """The cost between every two nodes of domain, cached: one array shared
+    by every solve on the domain, so it is read-only."""
+    cost = transport_cost(domain.distance_matrix())
+    cost.setflags(write=False)
+    return cost
+
+
+def _in_reach(domain, a, b):
+    """Which nodes of a grid pair enter its dual solve, between node masses
+    a and b at every node of domain: the masks rows and cols of the nodes
+    that carry mass and reach a node of mass on the other side within pi/2,
+    the cost between them, and the mass of the other nodes.  That mass has
+    no transport partner (the cost is +inf), so it costs itself and takes
+    no potential (Liero, Mielke & Savare, Invent. Math. 211, 2018).  The
+    cost is the cached _domain_cost itself when every node is kept, else
+    one np.ix_ slice of it.  A reached source has a reached target and vice
+    versa, so rows and cols are empty together."""
+    cost = _domain_cost(domain)
+    finite = np.isfinite(cost)
+    has_a, has_b = a > 0, b > 0
+    rows = has_a & finite.any(axis=1, where=has_b)
+    cols = has_b & finite.any(axis=0, where=has_a[:, None])
+    unreached = float(a[has_a & ~rows].sum() + b[has_b & ~cols].sum())
+    if not (rows.all() and cols.all()):
+        cost = cost[np.ix_(rows, cols)]
+    return rows, cols, cost, unreached
 
 
 def _sweep(x, log_mass, cost, eps, axis):
@@ -488,12 +516,13 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     does not depend on where Newton stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
-    distance solve given its ``grid`` = (domain, rows, cols), the nodes of a
-    and b, first runs the schedule but its last level on the coarser grid
-    (see _coarse_head) when the grid nests one and a or b has SPARSE_MIN_SIZE
-    nodes or more.  That coarse head hands over before the first level whose
-    coarse opening keeps a support: the levels before it would factor a dense
-    n x n Schur complement per Newton direction on the fine grid.  The fine
+    distance solve given its ``grid`` = (domain, rows, cols), the masks of
+    the nodes of a and b (see _in_reach), first runs the schedule but its
+    last level on the coarser grid (see _coarse_head) when the grid nests
+    one and a or b has SPARSE_MIN_SIZE nodes or more.  That coarse head
+    hands over before the first level whose coarse opening keeps a support:
+    the levels before it would factor a dense n x n Schur complement per
+    Newton direction on the fine grid.  The fine
     loop then runs the remaining levels from the coarse g interpolated to the
     fine targets (from g = 0 when no coarse level ran).  On smaller grids
     (9 x 9, 11 x 11) the first fine level, opened from an interpolated g that
@@ -536,28 +565,29 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
 
 def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
     """The leading levels of _dual_newton's cold distance solve between the
-    node masses a and b at the nodes rows and cols of a grid that nests a
-    coarser one, run on that coarser grid (multiscale eps-scaling,
+    node masses a and b at the nodes of masks rows and cols of a grid that
+    nests a coarser one, run on that coarser grid (multiscale eps-scaling,
     Schmitzer, SIAM J. Sci. Comput. 2019).  Both mass vectors are summed
     onto the coarse nodes by full weighting, and one cold _continuation
-    over eps_schedule hands over before the first level whose coarse
-    opening keeps a support.  Returns that solve, ended where its last
-    level ended, and its g interpolated linearly to the fine targets; None
-    when no level ran or no coarse source reaches a coarse target.  A
-    coarse node of no mass takes its g from the g-sweep at the coarse f,
-    which does not depend on b (the seed 0 where no coarse source is in
-    reach)."""
-    a_c, b_c = (domain.coarsen_masses(np.bincount(idx, x, domain.n_nodes))
-                for idx, x in ((rows, a), (cols, b)))
-    cost_c = _domain_cost(domain.coarser())
-    reach = np.isfinite(cost_c)
-    src = np.flatnonzero((a_c > 0) & reach[:, b_c > 0].any(axis=1))
-    tgt = np.flatnonzero((b_c > 0) & reach[a_c > 0].any(axis=0))
-    if not src.size:
+    over eps_schedule, on the coarse nodes _in_reach keeps, hands over
+    before the first level whose coarse opening keeps a support.  Returns
+    that solve, ended where its last level ended, and its g interpolated
+    linearly to the fine targets; None when no level ran or no coarse
+    source reaches a coarse target.  A coarse node of no mass takes its g
+    from the g-sweep at the coarse f, which does not depend on b (the seed
+    0 where no coarse source is in reach)."""
+    coarse = domain.coarser()
+    a_c, b_c = (domain.coarsen_masses(np.bincount(k.nonzero()[0], x, k.size))
+                for k, x in ((rows, a), (cols, b)))
+    src, tgt, _, _ = _in_reach(coarse, a_c, b_c)
+    if not src.any():
         return None
-    a_c, b_c, cost_c = a_c[src], b_c[tgt], cost_c[src]
+    # the head solves on cost_c[:, tgt], not on _in_reach's cost: that
+    # copy is column-major, and the coarse levels' sums run in its memory
+    # order, to the last bit
+    a_c, b_c, cost_c = a_c[src], b_c[tgt], _domain_cost(coarse)[src]
     head = _continuation(a_c, cost_c[:, tgt], eps_schedule, max_iter, tol,
-                         None, b_c, np.zeros(tgt.size), (), handover=True)
+                         None, b_c, np.zeros(b_c.size), (), handover=True)
     if head is None:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -752,18 +782,6 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     return solved(pt, eps, pt.gnorm <= 1e3 * tol)
 
 
-def _node_masses(mu0: DiscreteMeasure, mu1: DiscreteMeasure):
-    """The total masses of a pair on one grid, the nodes src and tgt that
-    carry mass, their masses a and b, and the cost between them."""
-    if not mu0.same_domain(mu1):
-        raise ValueError("measures live on different grids")
-    w = mu0.domain.weights
-    a_full, b_full = mu0.density * w, mu1.density * w
-    src, tgt = np.flatnonzero(a_full > 0), np.flatnonzero(b_full > 0)
-    return (float(a_full.sum()), float(b_full.sum()), src, tgt, a_full[src],
-            b_full[tgt], _domain_cost(mu0.domain)[np.ix_(src, tgt)])
-
-
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                         max_iter: int = NEWTON_MAX_ITER,
                         tol: float = NEWTON_TOL,
@@ -776,50 +794,40 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     of one value per grid node, else ValueError), seeds the final level;
     _dual_newton reruns the full schedule if that fails, at once when the
     warm point is far off (see WARM_MISMATCH).  Mass with no transport
-    partner (all of it, for a zero measure) costs itself and needs no
-    Newton step.
+    partner within pi/2 (all of it, for a zero measure) costs itself, takes
+    potential 0 and no plan, and needs no Newton step (see _in_reach).
+    Logs one debug line per solve.
     """
-    m0, m1, src, tgt, a, b, cost = _node_masses(mu0, mu1)
-    n = mu0.domain.n_nodes
+    if not mu0.same_domain(mu1):
+        raise ValueError("measures live on different grids")
+    dom = mu0.domain
+    n = dom.n_nodes
+    a, b = mu0.density * dom.weights, mu1.density * dom.weights
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape != (n,):
-            raise ValueError(f"warm_start has shape {warm_start.shape}, "
-                             f"expected ({n},)")
-        if not np.isfinite(warm_start).all():
-            raise ValueError("warm_start has non-finite entries")
-    reachable_src = np.isfinite(cost).any(axis=1)
-    reachable_tgt = np.isfinite(cost).any(axis=0)
-    base = float(a[~reachable_src].sum() + b[~reachable_tgt].sum())
-    a_r, b_r = a[reachable_src], b[reachable_tgt]
-    rows, cols = src[reachable_src], tgt[reachable_tgt]
-
-    plan = np.zeros((n, n))
-    f_full = np.zeros(n)
-    g_full = np.zeros(n)
-    value = dual = base
-    levels, supports, fallbacks, coarse = (), (), 0, 0
-    eps, gnorm, converged = float(DEFAULT_EPS_SCHEDULE[-1]), 0.0, True
-    scaled_tol = tol * max(1.0, m0 + m1)
-    # a reachable source has a reachable target and vice versa, so a_r and
-    # b_r are empty together
-    if a_r.size:
-        cost_r = cost[np.ix_(reachable_src, reachable_tgt)]
-        warm = None if warm_start is None else (b_r, warm_start[cols], ())
-        sol = _dual_newton(a_r, b_r, cost_r, DEFAULT_EPS_SCHEDULE, max_iter,
-                           scaled_tol, warm=warm,
-                           grid=(mu0.domain, rows, cols))
-        levels, supports, converged = sol.levels, sol.supports, sol.converged
-        eps, gnorm, fallbacks = sol.eps, sol.gnorm, sol.fallbacks
-        coarse = sol.coarse
-        plan[np.ix_(rows, cols)] = sol.plan
-        f_full[rows] = sol.f
-        g_full[cols] = sol.g
-        value = base + let_cost(sol.plan, a_r, b_r, cost_r)
-        dual = base + sol.value
-    return HKResult(float(value), plan, f_full, g_full, float(gnorm),
-                    sum(levels), converged, eps, float(dual), levels,
-                    supports, fallbacks, coarse)
+        if warm_start.shape != (n,) or not np.isfinite(warm_start).all():
+            raise ValueError(f"warm_start must be a finite array of shape "
+                             f"({n},), got one of shape {warm_start.shape}")
+    scaled_tol = tol * max(1.0, float(a.sum()) + float(b.sum()))
+    rows, cols, cost, unreached = _in_reach(dom, a, b)
+    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
+    if not rows.any():
+        return HKResult(unreached, plan, f, g, 0.0, 0, True,
+                        float(DEFAULT_EPS_SCHEDULE[-1]), unreached)
+    a, b = a[rows], b[cols]
+    warm = None if warm_start is None else (b, warm_start[cols], ())
+    sol = _dual_newton(a, b, cost, DEFAULT_EPS_SCHEDULE, max_iter, scaled_tol,
+                       warm=warm, grid=(dom, rows, cols))
+    plan[np.ix_(rows, cols)] = sol.plan
+    f[rows], g[cols] = sol.f, sol.g
+    log.debug("distance solve: %d Newton steps, levels %s, converged %s, "
+              "gradient %.3g, warm start held %s, %d factor fallbacks",
+              sum(sol.levels), sol.levels, sol.converged, sol.gnorm,
+              warm and len(sol.levels) == 1, sol.fallbacks)
+    return HKResult(unreached + let_cost(sol.plan, a, b, cost), plan, f, g,
+                    sol.gnorm, sum(sol.levels), sol.converged, sol.eps,
+                    unreached + sol.value, sol.levels, sol.supports,
+                    sol.fallbacks, sol.coarse)
 
 
 def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
@@ -831,27 +839,25 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
 
     Minimizes the objective plus a vanishing log barrier on the coupling
     entries with damped Newton steps; the barrier weight is driven to
-    5e-13 so the complementarity residual falls below 1e-10.
+    5e-13 so the complementarity residual falls below 1e-10.  As in
+    hk_distance_squared, mass with no transport partner within pi/2 costs
+    itself and stays out of the program (see _in_reach).
     """
-    _, _, src, tgt, a, b, cost = _node_masses(mu0, mu1)
+    if not mu0.same_domain(mu1):
+        raise ValueError("measures live on different grids")
     dom = mu0.domain
-    if src.size > 8 or tgt.size > 8:
+    n = dom.n_nodes
+    a, b = mu0.density * dom.weights, mu1.density * dom.weights
+    if np.count_nonzero(a) > 8 or np.count_nonzero(b) > 8:
         raise ValueError("exact solver limited to supports of eight nodes")
-    if src.size == 0 or tgt.size == 0:
+    rows, cols, cost, unreached = _in_reach(dom, a, b)
+    if not rows.any():
         return hk_distance_squared(mu0, mu1)
+    a, b = a[rows], b[cols]
     pairs = np.argwhere(np.isfinite(cost))
-    base = float(a.sum() + b.sum())
-    f_full = np.zeros(dom.n_nodes)
-    g_full = np.zeros(dom.n_nodes)
-    if pairs.shape[0] == 0:
-        return HKResult(base, np.zeros((dom.n_nodes, dom.n_nodes)),
-                        f_full, g_full, 0.0, 0, True)
-
     c = cost[pairs[:, 0], pairs[:, 1]]
-    A = np.zeros((src.size, pairs.shape[0]))
-    B = np.zeros((tgt.size, pairs.shape[0]))
-    A[pairs[:, 0], np.arange(pairs.shape[0])] = 1.0
-    B[pairs[:, 1], np.arange(pairs.shape[0])] = 1.0
+    # the incidence of each finite pair to its source and to its target
+    A, B = np.eye(a.size)[:, pairs[:, 0]], np.eye(b.size)[:, pairs[:, 1]]
 
     def grad_hess(h, barrier):
         r = A @ h
@@ -861,7 +867,8 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
                 + np.diag(barrier / h**2))
         return grad, hess
 
-    h = np.outer(a, b)[pairs[:, 0], pairs[:, 1]] / max(base, 1.0) + 1e-3
+    h = (np.outer(a, b)[pairs[:, 0], pairs[:, 1]]
+         / max(float(a.sum() + b.sum()), 1.0) + 1e-3)
     # follow the barrier central path: at weight b the complementarity
     # products grad_i * h_i equal b, so driving b below the tolerance
     # certifies the KKT system
@@ -897,14 +904,13 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     s = B @ h
     grad = A.T @ np.log(r / a) + B.T @ np.log(s / b) + c
     kkt = float(np.max(np.abs(grad * h)))
-    plan = np.zeros((dom.n_nodes, dom.n_nodes))
-    plan[src[pairs[:, 0]], tgt[pairs[:, 1]]] = h
-    f_full[src] = -np.log(r / a)
-    g_full[tgt] = -np.log(s / b)
+    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
+    f[rows], g[cols] = -np.log(r / a), -np.log(s / b)
     dense = np.zeros_like(cost)
     dense[pairs[:, 0], pairs[:, 1]] = h
-    value = let_cost(dense, a, b, cost)
-    return HKResult(float(value), plan, f_full, g_full, kkt, it, kkt < 1e-10)
+    plan[np.ix_(rows, cols)] = dense
+    return HKResult(unreached + let_cost(dense, a, b, cost), plan, f, g, kkt,
+                    it, kkt < 1e-10)
 
 
 def hk_two_diracs(mass0: float, mass1: float, distance: float) -> float:

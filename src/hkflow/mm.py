@@ -21,6 +21,7 @@ hk.is_spherical picks the step a name selects."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -28,10 +29,12 @@ import numpy as np
 
 from .entropy import EntropySpec, eval_functional
 from .hk import (DEFAULT_EPS_SCHEDULE, NEWTON_MAX_ITER, NEWTON_TOL,
-                 _domain_cost, _dual_newton, has_unit_mass,
+                 _dual_newton, _in_reach, has_unit_mass,
                  hk_distance_squared, is_spherical, mass_gap_lower_bound,
                  metric_squared, regularized_dual, shk_squared_derivative)
 from .measures import DiscreteMeasure
+
+log = logging.getLogger(__name__)
 
 # eps schedule of the dual step: the distance solve's, continued to 1e-8.
 # At a final eps of 1e-6 the regularized minimizer moves uniform SHK data by
@@ -310,21 +313,19 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     measure, warm-started from the step's target potentials, which
     supplies the distance, objective and plan.
 
-    The solves run over the target nodes some source node reaches; the
-    others carry no plan, and the term holds their fixed slopes (see
-    _ConjugateTerm).  Their g is 0 in the warm state and the final solve's
-    start, which need finite potentials at every node.
+    The solves run over the target nodes some source node reaches (see
+    hk._in_reach); the others carry no plan, and the term holds their fixed
+    slopes (see _ConjugateTerm).  Their g is 0 in the warm state and the
+    final solve's start, which need finite potentials at every node.  Logs
+    one debug line per step.
     """
     dom = mu0.domain
     w = dom.weights
-    a_full = mu0.density * w
-    src = np.flatnonzero(a_full > 0)
-    a = a_full[src]
+    b0 = mu0.density * w
+    # every node can take mass: the targets are the nodes a source reaches
+    src, reach, cost, _ = _in_reach(dom, b0, w)
+    a = b0[src]
     sa = float(a.sum())
-    cost = _domain_cost(dom)
-    reach = np.isfinite(cost[src]).any(axis=0)
-    cost = cost[np.ix_(src, reach)]
-    b0 = a_full
     tol = NEWTON_TOL * max(1.0, sa + float(b0.sum()))
     theta0 = (0.0,) if spherical else ()
 
@@ -343,7 +344,7 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
         g_prev, lam_prev, s = warm
         start = (b0[reach], g_prev[reach], (lam_prev,) if spherical else ())
     sol, rho = solve(tau / s, start)
-    iterations, fallbacks = sum(sol.levels), sol.fallbacks
+    counts, fallbacks = [sum(sol.levels)], sol.fallbacks
     settled = not spherical
     for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
         # the dual distance at the solve's potentials; a node out of reach
@@ -356,8 +357,10 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
             break
         s = s_new
         sol, rho = solve(tau / s, (sol.b, sol.g, sol.theta))
-        iterations += sum(sol.levels)
+        counts.append(sum(sol.levels))
         fallbacks += sol.fallbacks
+    log.debug("dual step: Newton steps %s per dual solve, step scale s %.12g "
+              "settled %s", counts, s, settled)
 
     if spherical:
         rho = rho / float(w @ rho)
@@ -370,7 +373,7 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     lam = float(sol.theta[0]) if spherical else 0.0
     return MMStepResult(nu, d2(final.dual_value) / (2.0 * tau)
                         + float(w @ E(rho)), d2(final.hk_squared),
-                        sol.gnorm, iterations,
+                        sol.gnorm, sum(counts),
                         settled and sol.converged and final.converged,
                         final.plan, (g, lam, s),
                         fallbacks + final.factor_fallbacks)

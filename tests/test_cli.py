@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +27,30 @@ def run_cli(tmp_path, verb, cfg, name="cfg.json", extra=()):
     out = tmp_path / "out"
     return main([verb, "--config", str(cfg_path), "--out", str(out),
                  *extra]), out
+
+
+def test_log_level_from_the_environment(tmp_path):
+    # HKFLOW_LOG=debug logs one line per distance solve on stderr; by
+    # default the run logs nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": DOMAIN,
+        "measure0": {"kind": "diracs", "nodes": [4], "masses": [0.8]},
+        "measure1": {"kind": "diracs", "nodes": [14], "masses": [1.2]}}))
+    src = str(Path(hkflow.cli.__file__).resolve().parents[1])
+
+    def stderr(**level):
+        env = {k: v for k, v in os.environ.items() if k != "HKFLOW_LOG"}
+        env.update(PYTHONPATH=src, **level)
+        return subprocess.run(
+            [sys.executable, "-m", "hkflow.cli", "distance", "--config",
+             str(cfg), "--out", str(tmp_path / "out")], env=env, check=True,
+            capture_output=True, text=True).stderr
+
+    lines = stderr(HKFLOW_LOG="debug").splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("DEBUG hkflow.hk: distance solve: ")
+    assert stderr() == ""
 
 
 def test_distance_two_dirac_fixture(tmp_path):

@@ -402,6 +402,28 @@ def test_supports_beyond_quarter_circle_match_exact():
     assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
 
 
+@pytest.mark.parametrize("mirrored", [False, True],
+                         ids=["source-unreached", "target-unreached"])
+def test_exact_solver_prices_unreached_mass_at_itself(mirrored):
+    # on [0, 2] the Dirac of mass 0.5 at x = 2 lies 1.9 > pi/2 from the
+    # only node of the other measure: it has no partner, so it costs its
+    # own mass, and the pair at x = 0 and 0.1 pays the two-Dirac closed
+    # form; mirrored, the unreached node is a target
+    dom = GridDomain((0.0,), (2.0,), (21,))
+    mu0 = dirac_measure(dom, [0, 20], [1.0, 0.5])
+    mu1 = dirac_measure(dom, [1], [0.8])
+    if mirrored:
+        mu0, mu1 = mu1, mu0
+    closed = 0.5 + hk_two_diracs(1.0, 0.8, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = hk_exact_small(mu0, mu1)
+        res = hk_distance_squared(mu0, mu1)
+    assert exact.converged
+    assert exact.hk_squared == pytest.approx(closed, abs=1e-10)
+    assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # private helpers against the SciPy calls they replace
 

@@ -1,4 +1,7 @@
+import json
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -581,3 +584,29 @@ def test_linear_energy_step_is_a_scaling(monkeypatch, metric, gamma):
     # a dual step from its output starts cold
     dual = step(res.measure, 0.05, quadratic_entropy(), warm=res.warm)
     assert dual.converged
+
+
+@pytest.mark.parametrize("spherical", [False, True], ids=["hk", "shk"])
+def test_debug_log_has_one_line_per_solve_and_step(caplog, spherical):
+    # at DEBUG (HKFLOW_LOG=debug in the CLI) a dual step logs one line, then
+    # its final distance solve, warm from the step's potentials, another;
+    # at the default level nothing is logged
+    mu = sinusoid_measure(unit_interval(17), base=0.8, amplitude=0.2)
+    step = shk_mm_step if spherical else mm_step
+    if spherical:
+        mu = DiscreteMeasure(mu.domain, mu.density / mu.mass)
+    step(mu, 0.02, quadratic_entropy())
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="hkflow"):
+        res = step(mu, 0.02, quadratic_entropy())
+    assert [r.name for r in caplog.records] == ["hkflow.mm", "hkflow.hk"]
+    dual, distance = (r.getMessage() for r in caplog.records)
+    assert distance.startswith("distance solve: ")
+    assert "converged True" in distance
+    assert "warm start held True" in distance
+    # the Newton count of each dual solve: SHK re-solves at a new step scale
+    counts = json.loads(re.search(r"Newton steps (\[.*?\]) per dual solve",
+                                  dual).group(1))
+    assert sum(counts) == res.iterations
+    assert len(counts) >= (2 if spherical else 1)
+    assert dual.endswith("settled True")

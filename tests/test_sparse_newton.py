@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import hkflow.hk as hk
+import hkflow.mm as mm
 from hkflow.entropy import neg_power_entropy, power_mass_entropy
 from hkflow.hk import hk_distance_squared, transport_cost
 from hkflow.measures import DiscreteMeasure, GridDomain, coarsen, unit_interval
@@ -206,6 +207,41 @@ def test_one_dimensional_solves_stay_dense(monkeypatch):
     assert all(s == (33 * 33,) for s in res.level_support)
     step = mm_step(mu, 0.005, power_mass_entropy(1.0, 2.0, -1.0))
     assert step.converged
+
+
+def test_solves_read_the_cached_cost_itself(monkeypatch):
+    # when every node carries mass and reaches the other side, each dual
+    # solve, a distance solve's or a step's, is handed the cached grid cost
+    # itself, not a copy; with an empty node, one np.ix_ slice of it on
+    # the kept nodes.  The cached array is shared, so it is read-only
+    costs = []
+
+    def recording(real):
+        def wrapped(a, b, cost, *args, **kw):
+            costs.append(cost)
+            return real(a, b, cost, *args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(hk, "_dual_newton", recording(hk._dual_newton))
+    monkeypatch.setattr(mm, "_dual_newton", recording(mm._dual_newton))
+    mu0, mu1 = pair(("smooth", 0))
+    line = unit_interval(33)
+    assert hk_distance_squared(mu0, mu1).converged
+    assert mm_step(sinusoid_measure(line, base=0.8, amplitude=0.2), 0.01,
+                   power_mass_entropy(1.0, 2.0, -1.0)).converged
+    # the distance solve, the step's dual solve and its final distance solve
+    assert len(costs) == 3
+    assert costs[0] is hk._domain_cost(mu0.domain)
+    assert all(c is hk._domain_cost(line) for c in costs[1:])
+    assert not hk._domain_cost(line).flags.writeable
+
+    costs.clear()
+    rho = mu1.density.copy()
+    rho[[0, 100]] = 0.0
+    assert hk_distance_squared(mu0, DiscreteMeasure(mu0.domain, rho)).converged
+    kept = rho > 0
+    assert costs[0].shape == (GRID * GRID, kept.sum())
+    assert np.array_equal(costs[0], hk._domain_cost(mu0.domain)[:, kept])
 
 
 def step_case(case):
@@ -603,7 +639,9 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
         mu1 = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
     else:
         mu0, mu1 = pair(("smooth", 0))
-    _, _, src, tgt, a, b, cost = hk._node_masses(mu0, mu1)
+    a, b = mu0.node_masses, mu1.node_masses
+    src, tgt, cost, _ = hk._in_reach(mu0.domain, a, b)
+    a, b = a[src], b[tgt]
     grid = (mu0.domain, src, tgt)
     schedule = hk.DEFAULT_EPS_SCHEDULE
     args = (hk.NEWTON_MAX_ITER, hk.NEWTON_TOL)
