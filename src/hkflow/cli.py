@@ -34,7 +34,7 @@ from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, transfer_ratio_minimum,
                        two_dirac_space)
-from .hk import (NEWTON_TOL, has_unit_mass, hk_distance_squared,
+from .hk import (NEWTON_SLACK, NEWTON_TOL, has_unit_mass, hk_distance_squared,
                  hk_two_diracs, is_spherical, shk_from_hk_squared)
 from .measures import DiscreteMeasure, GridDomain
 from .mm import mm_trajectory
@@ -48,7 +48,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 # gaps below the marginal mass error a converged solve may leave are noise
-GAP_FLOOR = 1e3 * NEWTON_TOL
+GAP_FLOOR = NEWTON_SLACK * NEWTON_TOL
 
 
 def _setup_logging() -> None:

@@ -83,9 +83,12 @@ HALF_PI = 0.5 * math.pi
 DEFAULT_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-6, 11))
 
 # Newton settings of every dual solve: iteration cap per eps-level, and
-# gradient tolerance per unit of total mass
+# gradient tolerance per unit of total mass.  A solve is converged when its
+# gradient max-norm is within NEWTON_SLACK times its tolerance, as the line
+# search can run out at the roundoff floor a little above the tolerance
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-11
+NEWTON_SLACK = 1e3
 
 # Every dual solve runs Newton on a kept part of the plan (the sparse
 # path) when the system has at least SPARSE_MIN_SIZE unknowns and at most
@@ -536,9 +539,13 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     steps and the cold solve follows, so its result is the cold solve's.
     Steps (with a term) are not triaged: an SHK step warm from the previous
     step can meet the same test and still converge at the final level.
-    Converged means a gradient max-norm within 1e3 tol, as the line search
-    can run out at the roundoff floor a little above the tolerance itself.
+
+    tol is per unit of mass: the solve scales it by max(1, sum a + sum b)
+    of the masses it is given (with a term, b is the cold seed).
+    Converged means a gradient max-norm within NEWTON_SLACK times the
+    scaled tolerance.
     """
+    tol = tol * max(1.0, float(a.sum()) + float(b.sum()))
     levels, supports, fallbacks = (), (), 0
     if warm is not None:
         sol = _continuation(a, cost, eps_schedule[-1:], max_iter, tol, term,
@@ -579,19 +586,17 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
     coarse = domain.coarser()
     a_c, b_c = (domain.coarsen_masses(np.bincount(k.nonzero()[0], x, k.size))
                 for k, x in ((rows, a), (cols, b)))
-    src, tgt, _, _ = _in_reach(coarse, a_c, b_c)
+    src, tgt, cost, _ = _in_reach(coarse, a_c, b_c)
     if not src.any():
         return None
-    # the head solves on cost_c[:, tgt], not on _in_reach's cost: that
-    # copy is column-major, and the coarse levels' sums run in its memory
-    # order, to the last bit
-    a_c, b_c, cost_c = a_c[src], b_c[tgt], _domain_cost(coarse)[src]
-    head = _continuation(a_c, cost_c[:, tgt], eps_schedule, max_iter, tol,
-                         None, b_c, np.zeros(b_c.size), (), handover=True)
+    a_c, b_c = a_c[src], b_c[tgt]
+    head = _continuation(a_c, cost, eps_schedule, max_iter, tol, None, b_c,
+                         np.zeros(b_c.size), (), handover=True)
     if head is None:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = _sweep(head.f, np.log(a_c), cost_c, head.eps, axis=0)
+        g = _sweep(head.f, np.log(a_c), _domain_cost(coarse)[src], head.eps,
+                   axis=0)
     g[tgt] = head.g
     return head, domain.prolong(np.where(np.isfinite(g), g, 0.0))[cols]
 
@@ -769,7 +774,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         g, theta, b = pt.g, pt.theta, pt.b
         ends = ends[-1:] + [(eps, g)]
     if handover:
-        return solved(pt, ends[-1][0], pt.gnorm <= 1e3 * tol) if ends else None
+        return (solved(pt, ends[-1][0], pt.gnorm <= NEWTON_SLACK * tol)
+                if ends else None)
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so
         # that each plan row holds a e^-f.  Newton stops on the gradient's
@@ -779,7 +785,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # value by about tol log(tol / a)
         f = _sweep(pt.g, np.log(b), cost, eps, axis=1)
         pt = evaluate(f, pt.g, pt.theta, eps, b)
-    return solved(pt, eps, pt.gnorm <= 1e3 * tol)
+    return solved(pt, eps, pt.gnorm <= NEWTON_SLACK * tol)
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -789,7 +795,9 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     """Squared Hellinger-Kantorovich distance between two grid measures.
 
     A cold solve runs all of DEFAULT_EPS_SCHEDULE, with at most max_iter
-    Newton steps per level and gradient tolerance tol per unit mass.
+    Newton steps per level and gradient tolerance tol per unit of sum a +
+    sum b, the node masses of the solved nodes (see _dual_newton); it is
+    converged within NEWTON_SLACK times that.
     ``warm_start``, an earlier solve's ``potential_target`` (a finite array
     of one value per grid node, else ValueError), seeds the final level;
     _dual_newton reruns the full schedule if that fails, at once when the
@@ -808,7 +816,6 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         if warm_start.shape != (n,) or not np.isfinite(warm_start).all():
             raise ValueError(f"warm_start must be a finite array of shape "
                              f"({n},), got one of shape {warm_start.shape}")
-    scaled_tol = tol * max(1.0, float(a.sum()) + float(b.sum()))
     rows, cols, cost, unreached = _in_reach(dom, a, b)
     f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
     if not rows.any():
@@ -816,7 +823,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                         float(DEFAULT_EPS_SCHEDULE[-1]), unreached)
     a, b = a[rows], b[cols]
     warm = None if warm_start is None else (b, warm_start[cols], ())
-    sol = _dual_newton(a, b, cost, DEFAULT_EPS_SCHEDULE, max_iter, scaled_tol,
+    sol = _dual_newton(a, b, cost, DEFAULT_EPS_SCHEDULE, max_iter, tol,
                        warm=warm, grid=(dom, rows, cols))
     plan[np.ix_(rows, cols)] = sol.plan
     f[rows], g[cols] = sol.f, sol.g

@@ -42,11 +42,14 @@ log = logging.getLogger(__name__)
 # density on 33 nodes at tau = 0.02 sits 2.3e-4 off its eps -> 0 limit at
 # 1e-6, 2.1e-6 at 1e-8.
 STEP_EPS_SCHEDULE = DEFAULT_EPS_SCHEDULE + (1e-7, 1e-8)
-# cap on the spherical step's fixed-point iterations for s = Phi'(HK^2).
-# The iteration stops once s moves by at most NEWTON_TOL relative: the
-# step's target masses then move by less than the solve's own tolerance,
-# and s itself is known only to about 1e-12 relative, so a tighter test
-# stops by chance (see _dual_step)
+# cap on the re-solves of the step-scale fixed point s = Phi'(HK^2): a
+# step makes at most 1 + STEP_SCALE_MAX_ITER dual solves, and is
+# unconverged if s has not settled by then.  One loop serves both metrics:
+# HK is the case s = 1, settled after its first solve, and a solve that
+# does not converge ends the step.  s settles once it moves by at most
+# NEWTON_TOL relative: the step's target masses then move by less than the
+# solve's own tolerance, and s itself is known only to about 1e-12
+# relative, so a tighter test stops by chance (see _dual_step)
 STEP_SCALE_MAX_ITER = 20
 
 
@@ -295,23 +298,27 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
 
     with k_j the dual's slope in b_j (see hk._dual_newton), solved by the
     distance solve's own Newton loop.  The new density is
-    rho = E*'(-k / (2 tau)).  The spherical step adds the mass multiplier
-    lam as one more concave variable (E -> E + lam c, plus -2 tau lam) and
-    solves at tau / s with s = Phi'(HK^2), Phi(x) = 4 arcsin^2(sqrt(x)/2),
-    found by a scalar fixed point on warm re-solves, HK^2 being the dual
-    distance at the step's own potentials; rho is then renormalized.  The
-    fixed point stops once s moves by at most NEWTON_TOL relative: an s
-    that close moves the step's target masses by less than the solve's own
-    tolerance, and below it the updates of s are roundoff (up to about
-    1e-12 relative), so a tighter stop would end by chance.
+    rho = E*'(-k / (2 tau)).  Both metrics solve at tau / s, in one loop.
+    The spherical step adds the mass multiplier lam as one more concave
+    variable (E -> E + lam c, plus -2 tau lam) and takes s = Phi'(HK^2),
+    Phi(x) = 4 arcsin^2(sqrt(x)/2), by a scalar fixed point on warm
+    re-solves, HK^2 being the dual distance at the step's own potentials;
+    rho is then renormalized.  HK is the case s = 1, which its first solve
+    leaves as it is.  The fixed point stops once s moves by at most
+    NEWTON_TOL relative, or at the first solve that does not converge, and
+    the step then fails.  An s that close moves the step's target masses by
+    less than the solve's own tolerance, and below it the updates of s are
+    roundoff (up to about 1e-12 relative), so a tighter stop would end by
+    chance.
 
     Each solve is one _dual_newton call over STEP_EPS_SCHEDULE with the
-    cold seed b0 = w rho0, mu0's node masses, warm-started from
-    the previous step's warm = (g, lam, s) and, in the fixed point, from
-    the previous solve; _dual_newton falls back to the cold seed on its
-    own.  The step ends with one distance solve from mu0 to the new
-    measure, warm-started from the step's target potentials, which
-    supplies the distance, objective and plan.
+    cold seed b0 = w rho0, mu0's node masses, at tolerance NEWTON_TOL per
+    unit of their mass, warm-started from the previous step's warm =
+    (g, lam, s) and, in the fixed point, from the previous solve;
+    _dual_newton falls back to the cold seed on its own.  The step ends
+    with one distance solve from mu0 to the new measure, warm-started from
+    the step's target potentials, which supplies the distance, objective
+    and plan.
 
     The solves run over the target nodes some source node reaches (see
     hk._in_reach); the others carry no plan, and the term holds their fixed
@@ -326,39 +333,31 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     src, reach, cost, _ = _in_reach(dom, b0, w)
     a = b0[src]
     sa = float(a.sum())
-    tol = NEWTON_TOL * max(1.0, sa + float(b0.sum()))
     theta0 = (0.0,) if spherical else ()
-
-    def solve(step_tau, start):
-        term = _ConjugateTerm(E, w, 2.0 * step_tau, spherical, reach, sa)
-        sol = _dual_newton(a, b0[reach], cost, STEP_EPS_SCHEDULE,
-                           NEWTON_MAX_ITER, tol, term, theta0, start)
-        # the density at every node: that of the fixed slope out of reach
-        far = np.full(sol.g.size, 1.0 + sol.eps * sa)
-        rho = term.density(far, sol.theta, sol.eps)[0]
-        rho[reach] = sol.b / w[reach]
-        return sol, rho
-
     s, start = 1.0, None
     if warm is not None:
         g_prev, lam_prev, s = warm
         start = (b0[reach], g_prev[reach], (lam_prev,) if spherical else ())
-    sol, rho = solve(tau / s, start)
-    counts, fallbacks = [sum(sol.levels)], sol.fallbacks
-    settled = not spherical
-    for _ in range(STEP_SCALE_MAX_ITER if spherical else 0):
-        # the dual distance at the solve's potentials; a node out of reach
-        # adds b_j k_j at its fixed slope
-        s_new = shk_squared_derivative(
-            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps)
-            + (1.0 + sol.eps * sa) * float(w[~reach] @ rho[~reach]))
-        if abs(s_new - s) <= NEWTON_TOL * s:
-            settled = True
-            break
-        s = s_new
-        sol, rho = solve(tau / s, (sol.b, sol.g, sol.theta))
+    counts, fallbacks = [], 0
+    for _ in range(1 + STEP_SCALE_MAX_ITER):
+        term = _ConjugateTerm(E, w, 2.0 * tau / s, spherical, reach, sa)
+        sol = _dual_newton(a, b0[reach], cost, STEP_EPS_SCHEDULE,
+                           NEWTON_MAX_ITER, NEWTON_TOL, term, theta0, start)
         counts.append(sum(sol.levels))
         fallbacks += sol.fallbacks
+        # the density at every node: that of the fixed slope out of reach
+        far = np.full(sol.g.size, 1.0 + sol.eps * sa)
+        rho = term.density(far, sol.theta, sol.eps)[0]
+        rho[reach] = sol.b / w[reach]
+        # SHK: Phi' of the dual distance at the solve's potentials, where a
+        # node out of reach adds b_j k_j at its fixed slope; HK keeps s
+        s_new = shk_squared_derivative(
+            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps)
+            + far[0] * float(w[~reach] @ rho[~reach])) if spherical else s
+        settled = abs(s_new - s) <= NEWTON_TOL * s
+        if settled or not sol.converged:
+            break
+        s, start = s_new, (sol.b, sol.g, sol.theta)
     log.debug("dual step: Newton steps %s per dual solve, step scale s %.12g "
               "settled %s", counts, s, settled)
 

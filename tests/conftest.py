@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hkflow.hk import (_domain_cost, hk_distance_squared,
+from hkflow.hk import (_in_reach, hk_distance_squared,
                        shk_from_hk_squared, shk_squared_derivative)
 from hkflow.measures import DiscreteMeasure, GridDomain, unit_interval
 
@@ -33,9 +33,7 @@ def target_slope(res, mu0, mu1) -> np.ndarray:
     where a node has no transport partner."""
     w = mu0.domain.weights
     a, b = mu0.density * w, mu1.density * w
-    finite = np.isfinite(_domain_cost(mu0.domain))
-    src = (a > 0) & (finite[:, b > 0].any(axis=1))
-    tgt = (b > 0) & (finite[a > 0].any(axis=0))
+    src, tgt, _, _ = _in_reach(mu0.domain, a, b)
     g, s = res.potential_target[tgt], res.plan.sum(axis=0)[tgt]
     slope = np.ones(w.size)
     slope[tgt] = (1.0 - np.exp(-g)) - res.eps_final * (s / b[tgt]

@@ -474,6 +474,18 @@ FLOW9 = {"domain": NINE, "initial": {"kind": "uniform", "value": 1.0},
 DIRAC9 = {"domain": NINE, "measure1": {"kind": "uniform", "value": 1.0}}
 
 
+def test_mm_run_from_a_list_of_node_densities(tmp_path):
+    # step 0 is the listed density: its min, max and trapezoid mass
+    rho = [0.5, 0.7, 1.0, 1.3, 1.5, 1.3, 1.0, 0.7, 0.5]
+    status, out = run_cli(tmp_path, "mm-run",
+                          {**FLOW9, "initial": rho, "tau": 0.05, "n_steps": 1})
+    assert status == 0
+    step0 = [float(v) for v in
+             (out / "mm_run.csv").read_text().splitlines()[1].split(",")]
+    mass = (sum(rho) - 0.5 * (rho[0] + rho[-1])) / 8.0
+    assert step0[:5] == [0.0, 0.0, pytest.approx(mass, rel=1e-11), 0.5, 1.5]
+
+
 @pytest.mark.parametrize("verb, cfg, path", [
     ("distance", {**DIRAC9, "measure0": {"kind": "diracs", "nodes": [100],
                                          "masses": [1.0]}},
@@ -522,6 +534,18 @@ DIRAC9 = {"domain": NINE, "measure1": {"kind": "uniform", "value": 1.0}}
      "tau_list[1]"),
     ("convergence-study", {**FLOW9, "t_final": 0.05,
                            "tau_list": [0.02, 0.01]}, "tau_list[0]"),
+    # an initial list of node densities one short, with a negative entry,
+    # and with a string
+    ("mm-run", {**FLOW9, "initial": [1.0] * 8, "tau": 0.05, "n_steps": 1},
+     "initial"),
+    ("mm-run", {**FLOW9, "initial": [1.0] * 8 + [-1.0], "tau": 0.05,
+                "n_steps": 1}, "initial"),
+    ("mm-run", {**FLOW9, "initial": [1.0] * 8 + ["1"], "tau": 0.05,
+                "n_steps": 1}, "initial[8]"),
+    ("mm-run", {**FLOW9, "domain": {"lower": [1.0], "upper": [0.0],
+                                    "nodes": [9]},
+                "tau": 0.05, "n_steps": 1}, "domain"),
+    ("geometry-probe", {"space": "torus", "n_probes": 4}, "space"),
 ])
 def test_bad_value_exit_2_naming_its_field(tmp_path, monkeypatch, caplog,
                                            verb, cfg, path):

@@ -389,6 +389,29 @@ def test_step_scale_settles_in_three_dual_solves(monkeypatch, case):
     assert max(solves) <= 3
 
 
+@pytest.mark.parametrize("metric", ["hk", "shk"])
+def test_unconverged_dual_solve_ends_the_step(monkeypatch, metric):
+    # a unit-mass Gaussian of width 0.05 on 33 nodes at tau = 0.01: the
+    # step's first dual solve does not converge, and the step ends there,
+    # unconverged, in both metrics.  The SHK fixed point used to go on
+    # re-solving at new step scales, 21 solves of about 450 Newton steps
+    solves, real = [], hkflow.mm._dual_newton
+
+    def counting(*args, **kw):
+        solves.append(real(*args, **kw))
+        return solves[-1]
+
+    monkeypatch.setattr(hkflow.mm, "_dual_newton", counting)
+    dom = unit_interval(33)
+    rho = np.exp(-0.5 * ((dom.coordinates[:, 0] - 0.5) / 0.05) ** 2)
+    mu0 = DiscreteMeasure(dom, rho / float(dom.weights @ rho))
+    step = shk_mm_step if metric == "shk" else mm_step
+    res = step(mu0, 0.01, quadratic_entropy())
+    assert len(solves) == 1
+    assert not solves[0].converged and not res.converged
+    assert res.iterations == sum(solves[0].levels)
+
+
 def test_step_without_a_minimizer_raises(interval17):
     # 1 + 2 tau E'(inf) <= 0: growing one node lowers the objective without
     # bound

@@ -171,7 +171,7 @@ def test_truncation_that_drops_mass_is_caught(monkeypatch, case):
     assert res.marginal_error == pytest.approx(gnorm, rel=1e-6, abs=1e-16)
     scaled_tol = hk.NEWTON_TOL * max(1.0, mu0.mass + mu1.mass)
     if res.converged:
-        assert gnorm <= 1e3 * scaled_tol
+        assert gnorm <= hk.NEWTON_SLACK * scaled_tol
         assert res.hk_squared == pytest.approx(dense.hk_squared, rel=1e-12)
 
 
@@ -669,8 +669,10 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
         head, _ = heads[0]
         assert len(heads) == 1 and len(head.levels) == first
         assert list(coarse) == list(schedule[:first + 1])
-        end = {k: hk._coarse_head(a, b, schedule[:k + 1], *args,
-                                  *grid)[0].g for k in range(first)}
+        # the tolerance _dual_newton hands down, scaled by the masses
+        tol = hk.NEWTON_TOL * max(1.0, float(a.sum()) + float(b.sum()))
+        end = {k: hk._coarse_head(a, b, schedule[:k + 1], hk.NEWTON_MAX_ITER,
+                                  tol, *grid)[0].g for k in range(first)}
         assert np.array_equal(head.g, end[first - 1])
         assert not coarse[schedule[0]].any()
         assert np.array_equal(coarse[schedule[1]], end[0])
