@@ -358,7 +358,6 @@ def check_NE_conditions(E: EntropySpec, lam: float, d: int) -> dict:
     with np.errstate(over="raise"):
         try:
             vals = N(R, G)
-            overflow = False
         except FloatingPointError:
             return {"convex": False, "monotone": False, "overflow": True,
                     "worst_hessian_eig": math.nan, "worst_monotone": math.nan}

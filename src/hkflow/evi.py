@@ -155,7 +155,6 @@ class ErrorBudget:
     lam: float
     kappa: float
     deltas: np.ndarray          # per-step budget values, clamped at zero
-    deltas_zero_gap: np.ndarray # variant with the direction-gap term dropped
     slope_surrogate: float      # d(x0, x1) / tau
     weighted_l1: float          # sum tau e^{2 lam* t_n} Delta_n
     l1_bound: float             # tau (4 + tau kappa) slope^2
@@ -192,21 +191,18 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
     d2_skips = distances_squared_along(ms[:-2], ms[2:], traj.metric)
     slope = float(traj.slope_surrogates[0])
     deltas = np.zeros(n_steps)
-    zero_gap = np.zeros(n_steps)
     deltas[0] = ((1.0 - 2.0 * lam) * d2_steps[0]
                  + (1.0 + 1.0 / (1.0 + lam * tau)) * slope * slope)
-    zero_gap[0] = deltas[0]
     if n_steps > 1:
         gaps = direction_gap_surrogates(d2_steps, d2_skips)
         core = (1.0 - 2.0 * lam + kappa / tau) * d2_steps[1:]
         deltas[1:] = np.maximum(core + gaps / tau**2, 0.0)
-        zero_gap[1:] = np.maximum(core, 0.0)
     deltas = np.maximum(deltas, 0.0)
     times = tau * np.arange(n_steps)
     lam_s = lambda_star(lam)
     l1 = float(np.sum(tau * np.exp(2.0 * lam_s * times) * deltas))
     bound = tau * (4.0 + tau * kappa) * slope * slope
-    return ErrorBudget(tau, lam, kappa, deltas, zero_gap, slope,
+    return ErrorBudget(tau, lam, kappa, deltas, slope,
                        l1, bound, l1 <= bound * (1.0 + 1e-9) + 1e-12)
 
 

@@ -30,7 +30,7 @@ where at small eps nearly all of the plan is roundoff, every solve,
 distance solve and step alike, runs Newton on a kept support of the plan,
 where that product is banded (the spherical step's mass multiplier is a
 small correction after it is factored); the next level opens on that
-support, and each level is checked on the full plan once, before it ends
+support, and each pass on it ends with a check on the full plan
 (truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
 factorization adds 1e-12 I (a sparse level restarts dense) and is counted
 in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
@@ -580,9 +580,12 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
     before the first level whose coarse opening keeps a support.  Returns
     that solve, ended where its last level ended, and its g interpolated
     linearly to the fine targets; None when no level ran or no coarse
-    source reaches a coarse target.  A coarse node of no mass takes its g
-    from the g-sweep at the coarse f, which does not depend on b (the seed
-    0 where no coarse source is in reach)."""
+    source reaches a coarse target.  The solved coarse targets carry their
+    g, every other coarse node the seed 0.  No fine target reads a coarse
+    node of no mass: full weighting is the transpose of the interpolation,
+    so each coarse node in the stencil of a fine target takes a share of
+    its mass, positive unless that mass is below about 2e-323 and its share
+    rounds to 0."""
     coarse = domain.coarser()
     a_c, b_c = (domain.coarsen_masses(np.bincount(k.nonzero()[0], x, k.size))
                 for k, x in ((rows, a), (cols, b)))
@@ -594,11 +597,9 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
                          np.zeros(b_c.size), (), handover=True)
     if head is None:
         return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = _sweep(head.f, np.log(a_c), _domain_cost(coarse)[src], head.eps,
-                   axis=0)
+    g = np.zeros(tgt.size)
     g[tgt] = head.g
-    return head, domain.prolong(np.where(np.isfinite(g), g, 0.0))[cols]
+    return head, domain.prolong(g)[cols]
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
@@ -830,7 +831,7 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     log.debug("distance solve: %d Newton steps, levels %s, converged %s, "
               "gradient %.3g, warm start held %s, %d factor fallbacks",
               sum(sol.levels), sol.levels, sol.converged, sol.gnorm,
-              warm and len(sol.levels) == 1, sol.fallbacks)
+              warm is not None and len(sol.levels) == 1, sol.fallbacks)
     return HKResult(unreached + let_cost(sol.plan, a, b, cost), plan, f, g,
                     sol.gnorm, sum(sol.levels), sol.converged, sol.eps,
                     unreached + sol.value, sol.levels, sol.supports,
@@ -858,8 +859,9 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     if np.count_nonzero(a) > 8 or np.count_nonzero(b) > 8:
         raise ValueError("exact solver limited to supports of eight nodes")
     rows, cols, cost, unreached = _in_reach(dom, a, b)
+    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
     if not rows.any():
-        return hk_distance_squared(mu0, mu1)
+        return HKResult(unreached, plan, f, g, 0.0, 0, True)
     a, b = a[rows], b[cols]
     pairs = np.argwhere(np.isfinite(cost))
     c = cost[pairs[:, 0], pairs[:, 1]]
@@ -911,7 +913,6 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     s = B @ h
     grad = A.T @ np.log(r / a) + B.T @ np.log(s / b) + c
     kkt = float(np.max(np.abs(grad * h)))
-    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
     f[rows], g[cols] = -np.log(r / a), -np.log(s / b)
     dense = np.zeros_like(cost)
     dense[pairs[:, 0], pairs[:, 1]] = h

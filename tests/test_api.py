@@ -55,7 +55,9 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 "euclidean_box": {"dim"}, "cone_distance": {"x0", "x1"},
                 "scalar_step_monotonicity": {"tau"},
                 "plan_density_violation": {"mu0"},
-                "scalar_shk_mm_step": {"E"}, "GridDomain.from_dict": {"path"}}
+                "scalar_shk_mm_step": {"E"}, "GridDomain.from_dict": {"path"},
+                # a budget variant that no caller read
+                "ErrorBudget": {"deltas_zero_gap"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),

@@ -50,25 +50,36 @@ def test_log_level_from_the_environment(tmp_path):
     lines = stderr(HKFLOW_LOG="debug").splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("DEBUG hkflow.hk: distance solve: ")
+    # a cold solve had no warm start to hold
+    assert "warm start held False" in lines[0]
     assert stderr() == ""
 
 
 def test_distance_two_dirac_fixture(tmp_path):
-    cfg = {
-        "domain": DOMAIN,
-        "measure0": {"kind": "diracs", "nodes": [4], "masses": [0.8]},
-        "measure1": {"kind": "diracs", "nodes": [14], "masses": [1.2]},
-        "check_two_dirac": {"mass0": 0.8, "mass1": 1.2, "distance": 0.5},
-    }
-    status, out = run_cli(tmp_path, "distance", cfg)
-    assert status == 0
-    result = json.loads((out / "distance.json").read_text())
-    assert result["hk_squared"] == pytest.approx(
-        hk_two_diracs(0.8, 1.2, 0.5), abs=1e-6)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["verb"] == "distance"
-    assert manifest["exit_status"] == 0
-    assert len(manifest["config_sha256"]) == 64
+    # the matching closed form passes (exit 0); one of the wrong mass fails
+    # the check (exit 1), and its result file still records the gap
+    for mass0, status in ((0.8, 0), (0.6, 1)):
+        cfg = {
+            "domain": DOMAIN,
+            "measure0": {"kind": "diracs", "nodes": [4], "masses": [0.8]},
+            "measure1": {"kind": "diracs", "nodes": [14], "masses": [1.2]},
+            "check_two_dirac": {"mass0": mass0, "mass1": 1.2,
+                                "distance": 0.5},
+        }
+        run = tmp_path / str(mass0)
+        run.mkdir()
+        assert run_cli(run, "distance", cfg)[0] == status
+        result = json.loads((run / "out" / "distance.json").read_text())
+        assert result["hk_squared"] == pytest.approx(
+            hk_two_diracs(0.8, 1.2, 0.5), abs=1e-6)
+        closed = hk_two_diracs(mass0, 1.2, 0.5)
+        assert result["closed_form"] == closed
+        assert (result["closed_form_gap"]
+                > 1e-5 * (1.0 + closed)) == bool(status)
+        manifest = json.loads((run / "out" / "manifest.json").read_text())
+        assert manifest["verb"] == "distance"
+        assert manifest["exit_status"] == status
+        assert len(manifest["config_sha256"]) == 64
 
 
 def test_empty_config_exit_2(tmp_path):

@@ -7,9 +7,10 @@ import hkflow.evi
 import hkflow.mm
 from hkflow.entropy import eval_functional, power_mass_entropy
 from hkflow.evi import (contraction_check, convergence_study,
-                        default_observers, distances_squared_along,
-                        error_budget, evi_check, evi_residual_matrix,
-                        interpolate_constant_left, lambda_star, step_counts)
+                        default_observers, direction_gap_surrogates,
+                        distances_squared_along, error_budget, evi_check,
+                        evi_residual_matrix, interpolate_constant_left,
+                        lambda_star, step_counts)
 from hkflow.hk import hk_distance_squared, shk_from_hk_squared
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
 from hkflow.mm import MMTrajectory, check_density_bounds, mm_trajectory
@@ -107,9 +108,18 @@ def test_error_budget_l1_bound(interval33):
     budget = error_budget(traj, kappa=2.0, lam=-2.0)
     assert budget.bound_holds
     assert np.all(budget.deltas >= 0.0)
-    assert np.all(budget.deltas_zero_gap <= budget.deltas + 1e-15)
     with pytest.raises(ValueError):
         error_budget(traj, kappa=2.0, lam=-60.0)
+
+
+def test_direction_gap_surrogates_of_a_hand_built_sequence():
+    # 2 d2(n, n-1) + 2 d2(n, n+1) - d2(n-1, n+1) at each interior iterate:
+    # 0 where the path runs straight on, 10 where it turns back, and the
+    # negative value at the last iterate clamped at 0
+    d2_steps = np.array([1.0, 1.0, 4.0, 1.0])
+    d2_skips = np.array([4.0, 0.0, 13.0])
+    gaps = direction_gap_surrogates(d2_steps, d2_skips)
+    assert gaps.tolist() == [0.0, 10.0, 0.0]
 
 
 def test_contraction_identical_trajectories(interval33):

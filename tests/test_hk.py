@@ -424,6 +424,33 @@ def test_exact_solver_prices_unreached_mass_at_itself(mirrored):
     assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
 
 
+@pytest.mark.parametrize("far", [False, True],
+                         ids=["zero-measure", "diracs-beyond-half-pi"])
+def test_exact_solver_prices_a_pair_out_of_reach_itself(monkeypatch, far):
+    # with no node in reach all mass costs itself, and the oracle returns
+    # that without calling the solver it cross-checks
+    def no_solve(*args, **kw):
+        raise AssertionError("the oracle called the regularized solver")
+
+    monkeypatch.setattr(hk, "_dual_newton", no_solve)
+    monkeypatch.setattr(hk, "hk_distance_squared", no_solve)
+    dom = GridDomain((0.0,), (4.0,), (41,))
+    if far:
+        # 4 > pi/2 apart
+        mu0 = dirac_measure(dom, [0], [0.7])
+        mu1 = dirac_measure(dom, [40], [1.3])
+        expected = hk_two_diracs(0.7, 1.3, 4.0)
+        assert expected == pytest.approx(2.0, abs=1e-15)
+    else:
+        mu0 = uniform_measure(dom, 0.0)
+        mu1 = dirac_measure(dom, [3, 17, 30], [0.2, 0.5, 0.4])
+        expected = mu1.mass
+    exact = hk_exact_small(mu0, mu1)
+    assert exact.hk_squared == pytest.approx(expected, abs=1e-14)
+    assert exact.iterations == 0 and exact.converged
+    assert not exact.plan.any()
+
+
 # ---------------------------------------------------------------------------
 # private helpers against the SciPy calls they replace
 

@@ -107,3 +107,29 @@ def test_coarsen_keeps_mass_and_constants(dom):
     x = dom.coordinates @ np.arange(1.0, dom.dim + 1.0)
     xc = nu.domain.coordinates @ np.arange(1.0, dom.dim + 1.0)
     assert np.allclose(dom.prolong(xc), x, rtol=0.0, atol=1e-14)
+
+
+@st.composite
+def fine_masses(draw):
+    """A grid of odd node counts per axis, 1-D or 2-D, and nonnegative node
+    masses on it, zeros mixed in, the others from 1e-300 up."""
+    shape = draw(st.lists(st.integers(2, 9).map(lambda c: 2 * c - 1),
+                          min_size=1, max_size=2))
+    dom = GridDomain((0.0,) * len(shape), (1.0,) * len(shape), tuple(shape))
+    b = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+                      min_size=dom.n_nodes, max_size=dom.n_nodes))
+    return dom, np.array(b)
+
+
+@given(fine_masses())
+@settings(max_examples=60, deadline=None)
+def test_every_coarse_node_a_mass_node_interpolates_from_carries_mass(case):
+    # full weighting is the transpose of the interpolation, so each coarse
+    # node in the stencil of a fine node of mass takes a share of it: the
+    # stencil weights of such a node (1, 1/2 + 1/2 or 4 x 1/4) sum to 1
+    # exactly over the coarse nodes of mass.  The coarse head of a distance
+    # solve relies on this: it hands over no potential at coarse nodes of
+    # no mass
+    dom, b = case
+    massive = (dom.coarsen_masses(b) > 0).astype(float)
+    assert np.all(dom.prolong(massive)[b > 0] == 1.0)
