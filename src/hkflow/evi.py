@@ -70,10 +70,7 @@ def default_observers(mu0: DiscreteMeasure, metric: str = "hk") -> list:
 
 @dataclass
 class EVIReport:
-    observers: list
     times: np.ndarray
-    tau: float
-    lam: float
     # residuals[k][i, j]: observer k, time pair (t_i, t_j), i <= j
     residuals_lambda_star: list
     residuals_lambda: list
@@ -145,15 +142,11 @@ def evi_check(traj: MMTrajectory, lam: float, observers=None) -> EVIReport:
         if iu[0].size:
             worst_star = max(worst_star, float(np.max(Rs[iu])))
             worst_lam = max(worst_lam, float(np.max(Rl[iu])))
-    return EVIReport(observers, times, traj.tau, lam, mats_star, mats_lam,
-                     worst_star, worst_lam)
+    return EVIReport(times, mats_star, mats_lam, worst_star, worst_lam)
 
 
 @dataclass
 class ErrorBudget:
-    tau: float
-    lam: float
-    kappa: float
     deltas: np.ndarray          # per-step budget values, clamped at zero
     slope_surrogate: float      # d(x0, x1) / tau
     weighted_l1: float          # sum tau e^{2 lam* t_n} Delta_n
@@ -202,13 +195,12 @@ def error_budget(traj: MMTrajectory, kappa: float, lam: float) -> ErrorBudget:
     lam_s = lambda_star(lam)
     l1 = float(np.sum(tau * np.exp(2.0 * lam_s * times) * deltas))
     bound = tau * (4.0 + tau * kappa) * slope * slope
-    return ErrorBudget(tau, lam, kappa, deltas, slope,
-                       l1, bound, l1 <= bound * (1.0 + 1e-9) + 1e-12)
+    return ErrorBudget(deltas, slope, l1, bound,
+                       l1 <= bound * (1.0 + 1e-9) + 1e-12)
 
 
 @dataclass
 class ContractionReport:
-    times: np.ndarray
     distances: np.ndarray
     lhs: np.ndarray   # e^{lam* t} d(x1(t), x2(t))
     rhs: float        # d(0) + budget slack
@@ -227,17 +219,15 @@ def contraction_check(traj_a: MMTrajectory, traj_b: MMTrajectory,
     if traj_a.metric != traj_b.metric:
         raise ValueError(f"trajectories of different metrics: "
                          f"{traj_a.metric!r} and {traj_b.metric!r}")
-    times = traj_a.times
     d = np.sqrt(np.maximum(distances_squared_along(
         traj_a.measures, traj_b.measures, traj_a.metric), 0.0))
     lam_s = lambda_star(lam)
-    lhs = np.exp(lam_s * times) * d
+    lhs = np.exp(lam_s * traj_a.times) * d
     step_times = traj_a.tau * np.arange(len(budget_a.deltas))
     l1 = float(np.sum(traj_a.tau * 2.0 * np.exp(2.0 * lam_s * step_times)
                       * (budget_a.deltas + budget_b.deltas)))
     rhs = d[0] + math.sqrt(max(l1, 0.0))
-    return ContractionReport(times, d, lhs, rhs,
-                             bool(np.all(lhs <= rhs + 1e-9)))
+    return ContractionReport(d, lhs, rhs, bool(np.all(lhs <= rhs + 1e-9)))
 
 
 def interpolate_constant_left(traj: MMTrajectory, t: float) -> DiscreteMeasure:

@@ -14,53 +14,22 @@ Two solvers are provided.
 
 ``hk_distance_squared`` (any support size) adds an entropic penalty of
 weight eps to the program and maximizes its smooth, strictly concave dual
-over potentials (f, g) with damped Newton steps.  The dual is linear in the
-target masses b, and the same Newton loop solves every minimizing-movement
-step of ``mm`` that has no closed form, with that linear term replaced by
-the energy's convex conjugate, maximized over jointly: a distance solve is
-the step's loop with fixed target masses.  Every iterate is evaluated the
-same way, from the kernel K_ij = a_i exp((f_i + g_j - c_ij) / eps), whose
-plan is K diag(b).  Each Newton step eliminates g, whose block of the
-Hessian is diagonal, factors the Schur complement on f, diagonal plus one
-product K diag(.) K^T, by LAPACK's Cholesky, and halves the step until the
-dual gains more than its roundoff band, or stays inside that band while
-the gradient's max-norm falls; a trial below the band is rejected on its
-dual value alone, before its gradient is formed.  On large grids (2-D),
-where at small eps nearly all of the plan is roundoff, every solve,
-distance solve and step alike, runs Newton on a kept support of the plan,
-where that product is banded (the spherical step's mass multiplier is a
-small correction after it is factored); the next level opens on that
-support, and each pass on it ends with a check on the full plan
-(truncated eps-scaling, Schmitzer, SIAM J. Sci. Comput. 2019).  A failed
-factorization adds 1e-12 I (a sparse level restarts dense) and is counted
-in ``HKResult.factor_fallbacks``.  eps is continued along a decreasing
-schedule (1e-1 down to 1e-6; implicit steps continue to 1e-8,
-mm.STEP_EPS_SCHEDULE).  The first two levels of a loop start from
-the previous level's potentials; each later one from the line through the
-last two levels' target potentials, extrapolated in eps to its own (the
-dual path is first order in eps as eps -> 0; Cominetti & San Martin, Math.
-Programming 1994).  Every level opens with one closed-form
-unbalanced-Sinkhorn sweep (exact block ascent in f, then in g; Chizat,
-Peyre, Schmitzer & Vialard, Math. Comp. 2018), which removes the overshoot
-of the previous level's plan before Newton takes over; a distance solve
-closes with one more f-sweep.
-On a grid of odd node counts per axis, a large cold distance solve first
-runs the level loop on the nested grid with half the intervals, from node
-masses summed onto it, and hands over before the first level whose coarse
-opening keeps a support; a second loop runs the remaining levels on the
-fine grid from the coarse potentials interpolated back (multiscale
-eps-scaling, Schmitzer 2019).
-A warm start from target potentials solves at the final eps only, and
-``_dual_newton`` reruns the full continuation if that does not converge.
-A warm distance solve whose opening marginals are far off (mismatch above
-WARM_MISMATCH of the total mass) and whose first full Newton step is
-rejected is handed to that continuation at once, without a Newton step at
-the final eps: damped Newton from a point that far off would run out its
-iterations, while eps-continuation reaches it.
+over potentials (f, g) by damped Newton steps, continued along a
+decreasing eps schedule (DEFAULT_EPS_SCHEDULE, 1e-1 down to 1e-6).  The
+same loop, ``_dual_newton``, solves every minimizing-movement step of
+``mm`` that has no closed form (there eps continues to 1e-8,
+mm.STEP_EPS_SCHEDULE); its docstring is the one full description of the
+solver: the opening sweeps, the eps-predictor, the kept supports, the
+coarse head and the triage of warm starts.
 
 ``hk_exact_small`` (supports of at most eight nodes) solves the primal
 program itself with a damped Newton interior-point method on a vanishing
 log barrier; it is the high-precision cross-check of the first.
+
+The closed forms are the two-Dirac distance (``hk_two_diracs``), the
+dilation identity (``dilated_hk_squared``), the mass-gap lower bound, the
+spherical distance of a squared HK distance and its derivative, and the
+cone geometry over the base domain.
 """
 
 from __future__ import annotations
@@ -235,7 +204,6 @@ class HKResult:
     marginal_error: float
     iterations: int
     converged: bool
-    eps_final: float = 0.0
     dual_value: float = 0.0
     level_iterations: tuple = ()
     level_support: tuple = ()
@@ -254,34 +222,6 @@ def regularized_dual(a, b, f, g, H, eps) -> float:
             - eps * (float(H.sum()) - float(a.sum() * b.sum())))
 
 
-class DualSolve(NamedTuple):
-    """Final state of _dual_newton: the last iterate's plan K diag(b),
-    H_ij = a_i b_j exp((f_i + g_j - c_ij) / eps), the potentials, the extra
-    dual variables and target masses b (of a conjugate term), per-level
-    Newton counts and kept supports (of a warm attempt, then of the cold
-    rerun if one followed), the last eps, the gradient max-norm, the
-    converged verdict, the dual value, the number of Newton directions
-    whose Schur complement failed to factor (solved with 1e-12 I added, or
-    by a restart from a kept support) and the number of leading levels of
-    the cold schedule that ran on the coarser grid (see _coarse_head).  The
-    coarse head itself is a DualSolve of the coarse problem, where its last
-    level ended."""
-
-    plan: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    theta: np.ndarray
-    b: np.ndarray
-    levels: tuple
-    supports: tuple
-    eps: float
-    gnorm: float
-    converged: bool
-    value: float
-    fallbacks: int
-    coarse: int = 0
-
-
 class _Point(NamedTuple):
     """One iterate of _dual_newton: variables, target masses, kernel
     K_ij = a_i exp((f_i + g_j - c_ij) / eps) (the plan is K diag(b)), dual
@@ -289,7 +229,17 @@ class _Point(NamedTuple):
     column sums of K), a e^-f, b e^-g, gradient and its max-norm, the
     Hessian factors (e^-g - u, Z, d) (Z empty and d = 0 in a distance
     solve), and whether all of these are finite.  On a kept support K
-    holds the kept entries only."""
+    holds the kept entries only.
+
+    _dual_newton returns its last iterate, always on the full plan, with
+    the solve's tallies filled in: per-level Newton counts and kept
+    supports (of a warm attempt, then of the cold rerun if one followed),
+    the converged verdict, the number of Newton directions whose Schur
+    complement failed to factor (solved with 1e-12 I added, or by a
+    restart from a kept support) and the number of leading levels of the
+    cold schedule that ran on the coarser grid (see _coarse_head).  The
+    coarse head itself returns such a point of the coarse problem, where
+    its last level ended."""
 
     f: np.ndarray
     g: np.ndarray
@@ -305,6 +255,11 @@ class _Point(NamedTuple):
     gnorm: float
     extra: tuple
     finite: bool
+    levels: tuple = ()
+    supports: tuple = ()
+    converged: bool = False
+    fallbacks: int = 0
+    coarse: int = 0
 
 
 class _Support(NamedTuple):
@@ -465,10 +420,11 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     level at small eps takes damped steps first (t = 2^-k, k growing by
     one per level).
 
-    Every level opens with one unbalanced-Sinkhorn sweep at the current
-    target masses: exact block maximization in closed form, first over f
-    with g fixed, then over g with f fixed (LSE over the kept entries only
-    when the level opens on a kept support, see below),
+    Every level opens with one unbalanced-Sinkhorn sweep (Chizat, Peyre,
+    Schmitzer & Vialard, Math. Comp. 2018) at the current target masses:
+    exact block maximization in closed form, first over f with g fixed,
+    then over g with f fixed (LSE over the kept entries only when the level
+    opens on a kept support, see below),
 
         f_i = -eps/(1+eps) LSE_j(log b_j + (g_j - c_ij)/eps),
         g_j = -eps/(1+eps) LSE_i(log a_i + (f_i - c_ij)/eps),
@@ -612,7 +568,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     (the coarse head of a distance solve, see _coarse_head), the loop ends
     before the first level whose full-plan opening keeps a support, at any
     problem size, and returns the point where the last level ended, with
-    that level's eps and no closing sweep; None when no level ran."""
+    no closing sweep; None when no level ran."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -661,10 +617,9 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         return pt if pt.K.ndim == 2 else evaluate(pt.f, pt.g, pt.theta, eps,
                                                   pt.b)
 
-    def solved(pt, eps, converged):
-        return DualSolve(pt.K * pt.b, pt.f, pt.g, pt.theta, pt.b,
-                         tuple(levels), tuple(supports), eps, pt.gnorm,
-                         converged, pt.val, fallbacks)
+    def solved(pt, converged):
+        return pt._replace(levels=tuple(levels), supports=tuple(supports),
+                           converged=converged, fallbacks=fallbacks)
 
     total = float(a.sum() + b.sum())
     # dual values closer than this differ by roundoff only
@@ -739,7 +694,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                     if hopeless and t == 1.0 and levels[-1] == 0:
                         # too far off for damped Newton at this eps: the
                         # caller's cold schedule continues into it instead
-                        return solved(full(opened), eps, False)
+                        return solved(full(opened), False)
                     t *= 0.5
                 else:
                     break
@@ -775,8 +730,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         g, theta, b = pt.g, pt.theta, pt.b
         ends = ends[-1:] + [(eps, g)]
     if handover:
-        return (solved(pt, ends[-1][0], pt.gnorm <= NEWTON_SLACK * tol)
-                if ends else None)
+        return solved(pt, pt.gnorm <= NEWTON_SLACK * tol) if ends else None
     if term is None:
         # a closing f-sweep, exact maximization over f at the last g, so
         # that each plan row holds a e^-f.  Newton stops on the gradient's
@@ -786,7 +740,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # value by about tol log(tol / a)
         f = _sweep(pt.g, np.log(b), cost, eps, axis=1)
         pt = evaluate(f, pt.g, pt.theta, eps, b)
-    return solved(pt, eps, pt.gnorm <= NEWTON_SLACK * tol)
+    return solved(pt, pt.gnorm <= NEWTON_SLACK * tol)
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -820,21 +774,21 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     rows, cols, cost, unreached = _in_reach(dom, a, b)
     f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
     if not rows.any():
-        return HKResult(unreached, plan, f, g, 0.0, 0, True,
-                        float(DEFAULT_EPS_SCHEDULE[-1]), unreached)
+        return HKResult(unreached, plan, f, g, 0.0, 0, True, unreached)
     a, b = a[rows], b[cols]
     warm = None if warm_start is None else (b, warm_start[cols], ())
     sol = _dual_newton(a, b, cost, DEFAULT_EPS_SCHEDULE, max_iter, tol,
                        warm=warm, grid=(dom, rows, cols))
-    plan[np.ix_(rows, cols)] = sol.plan
+    H = sol.K * sol.b
+    plan[np.ix_(rows, cols)] = H
     f[rows], g[cols] = sol.f, sol.g
     log.debug("distance solve: %d Newton steps, levels %s, converged %s, "
               "gradient %.3g, warm start held %s, %d factor fallbacks",
               sum(sol.levels), sol.levels, sol.converged, sol.gnorm,
               warm is not None and len(sol.levels) == 1, sol.fallbacks)
-    return HKResult(unreached + let_cost(sol.plan, a, b, cost), plan, f, g,
-                    sol.gnorm, sum(sol.levels), sol.converged, sol.eps,
-                    unreached + sol.value, sol.levels, sol.supports,
+    return HKResult(unreached + let_cost(H, a, b, cost), plan, f, g,
+                    sol.gnorm, sum(sol.levels), sol.converged,
+                    unreached + sol.val, sol.levels, sol.supports,
                     sol.fallbacks, sol.coarse)
 
 

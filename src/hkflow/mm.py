@@ -334,6 +334,8 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
     a = b0[src]
     sa = float(a.sum())
     theta0 = (0.0,) if spherical else ()
+    # every solve ends at the schedule's last eps
+    eps = STEP_EPS_SCHEDULE[-1]
     s, start = 1.0, None
     if warm is not None:
         g_prev, lam_prev, s = warm
@@ -346,13 +348,13 @@ def _dual_step(mu0, tau, E, spherical, warm) -> MMStepResult:
         counts.append(sum(sol.levels))
         fallbacks += sol.fallbacks
         # the density at every node: that of the fixed slope out of reach
-        far = np.full(sol.g.size, 1.0 + sol.eps * sa)
-        rho = term.density(far, sol.theta, sol.eps)[0]
+        far = np.full(sol.g.size, 1.0 + eps * sa)
+        rho = term.density(far, sol.theta, eps)[0]
         rho[reach] = sol.b / w[reach]
         # SHK: Phi' of the dual distance at the solve's potentials, where a
         # node out of reach adds b_j k_j at its fixed slope; HK keeps s
         s_new = shk_squared_derivative(
-            regularized_dual(a, sol.b, sol.f, sol.g, sol.plan, sol.eps)
+            regularized_dual(a, sol.b, sol.f, sol.g, sol.K * sol.b, eps)
             + far[0] * float(w[~reach] @ rho[~reach])) if spherical else s
         settled = abs(s_new - s) <= NEWTON_TOL * s
         if settled or not sol.converged:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hkflow.hk import (_in_reach, hk_distance_squared,
+from hkflow.hk import (DEFAULT_EPS_SCHEDULE, _in_reach, hk_distance_squared,
                        shk_from_hk_squared, shk_squared_derivative)
 from hkflow.measures import DiscreteMeasure, GridDomain, unit_interval
 
@@ -36,8 +36,8 @@ def target_slope(res, mu0, mu1) -> np.ndarray:
     src, tgt, _, _ = _in_reach(mu0.domain, a, b)
     g, s = res.potential_target[tgt], res.plan.sum(axis=0)[tgt]
     slope = np.ones(w.size)
-    slope[tgt] = (1.0 - np.exp(-g)) - res.eps_final * (s / b[tgt]
-                                                        - float(a[src].sum()))
+    slope[tgt] = (1.0 - np.exp(-g)) - DEFAULT_EPS_SCHEDULE[-1] * (
+        s / b[tgt] - float(a[src].sum()))
     return slope
 
 

@@ -48,7 +48,9 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 # every implicit step is the dual step or a closed form; the
                 # cap and the slope the L-BFGS-B step read are gone
                 "mm_step": {"density_cap", "x0"},
-                "mm_trajectory": {"density_cap"}, "HKResult": {"target_slope"},
+                "mm_trajectory": {"density_cap"},
+                # the last eps is a constant, DEFAULT_EPS_SCHEDULE[-1]
+                "HKResult": {"target_slope", "eps_final"},
                 # the dual step's cold seed is mu0's node masses
                 "shk_mm_step": {"x0"},
                 # parameters that their functions never read
@@ -56,8 +58,11 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 "scalar_step_monotonicity": {"tau"},
                 "plan_density_violation": {"mu0"},
                 "scalar_shk_mm_step": {"E"}, "GridDomain.from_dict": {"path"},
-                # a budget variant that no caller read
-                "ErrorBudget": {"deltas_zero_gap"}}
+                # a budget variant that no caller read, and inputs that the
+                # reports only echoed
+                "ErrorBudget": {"deltas_zero_gap", "tau", "lam", "kappa"},
+                "EVIReport": {"observers", "tau", "lam"},
+                "ContractionReport": {"times"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import hkflow.evi
 import hkflow.mm
 from hkflow.cli import main
 from hkflow.hk import hk_two_diracs
+from hkflow.measures import DiscreteMeasure
 from hkflow.pde import hk_flow_pde
 
 from conftest import unconverged
@@ -348,6 +350,38 @@ def test_growing_gaps_above_the_floor_exit_1(tmp_path, monkeypatch):
     cfg = {**FLOW, "tau_list": [0.04, 0.02, 0.01], "t_final": 0.04}
     status, _ = run_cli(tmp_path, "convergence-study", cfg)
     assert status == 1
+
+
+def _rising_trajectory(mu0, tau, n_steps, E, metric):
+    # the energy of c^2 - c rises from density 1 to density 3
+    return hkflow.mm.MMTrajectory(
+        tau, [mu0, DiscreteMeasure(mu0.domain, 3.0 * mu0.density)], [0.1],
+        metric, E)
+
+
+def _worst_residual_above_tolerance(traj, lam):
+    # 4 sqrt(tau) = 0.57 at tau = 0.02
+    return dataclasses.replace(hkflow.evi.evi_check(traj, lam),
+                               worst_residual=1.0)
+
+
+@pytest.mark.parametrize("verb, cfg, name, fake, files", [
+    ("mm-run", {**FLOW, "tau": 0.02, "n_steps": 1}, "mm_trajectory",
+     _rising_trajectory, ["mm_run.csv"]),
+    ("evi-check", {**FLOW, "tau": 0.02, "n_steps": 2, "lambda": 0.0},
+     "evi_check", _worst_residual_above_tolerance,
+     ["evi_residuals.csv", "evi_summary.json"]),
+    ("geometry-probe", {"space": "cone", "n_probes": 3}, "check_angle_sum",
+     lambda *args: {"sum": 2.0 * math.pi + 1e-3}, ["geometry_probe.json"])])
+def test_failed_check_exits_1_and_writes_its_data(tmp_path, monkeypatch,
+                                                  verb, cfg, name, fake,
+                                                  files):
+    # a rising energy, an EVI residual above 4 sqrt(tau), an angle sum
+    # above 2 pi: the verb exits 1 and still writes what it found
+    monkeypatch.setattr(hkflow.cli, name, fake)
+    status, out = run_cli(tmp_path, verb, cfg)
+    assert status == 1
+    assert all((out / f).is_file() for f in files)
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -244,7 +244,7 @@ def test_plan_matches_returned_potentials(interval17):
     cost = transport_cost(interval17.distance_matrix())[:, on]
     f, g = res.potential_source, res.potential_target[on]
     expected = np.outer(a, b) * np.exp(
-        (f[:, None] + g[None, :] - cost) / res.eps_final)
+        (f[:, None] + g[None, :] - cost) / DEFAULT_EPS_SCHEDULE[-1])
     assert np.allclose(res.plan[:, on], expected, rtol=1e-10, atol=0.0)
     assert not np.any(res.plan[:, off])
 

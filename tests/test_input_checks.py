@@ -17,13 +17,13 @@ from hkflow.geometry import (comparison_angle, cone_over_segment,
 from hkflow.hk import (cone_distance, dilation_cost, hk_distance_squared,
                        hk_exact_small, hk_two_diracs, shk_from_hk_squared,
                        shk_squared_derivative)
-from hkflow.mdelta import in_ball_average_class
+from hkflow.mdelta import in_ball_average_class, largest_pointwise_delta
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
                              uniform_measure, unit_interval)
 from hkflow.mm import (MMStepResult, MMTrajectory, iterate_upper_bound,
                        mm_step, plan_density_violation, scalar_mm_step,
-                       scalar_shk_mm_step, shk_mm_step)
-from hkflow.pde import hk_flow_pde
+                       scalar_shk_mm_step, scalar_upper_bound, shk_mm_step)
+from hkflow.pde import hk_flow_pde, scalar_quadratic_closed_form, shk_flow_pde
 
 LINE = unit_interval(9)
 ONE = uniform_measure(LINE, 1.0)
@@ -120,6 +120,32 @@ CHECKS = [
 def test_input_check_raises_naming_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+ZERO = uniform_measure(LINE, 0.0)
+RAMP = DiscreteMeasure(LINE, 1.0 + LINE.coordinates[:, 0])
+
+EDGES = [
+    # 1 + 2 tau E'(reference) <= 0: no level bound
+    (lambda: scalar_upper_bound(1.0, 0.1, linear_entropy(-10.0), 1.0),
+     math.inf),
+    # the step from the zero measure carries an all-zero plan
+    (lambda: plan_density_violation(mm_step(ZERO, 0.1, QUADRATIC)), 0.0),
+    (lambda: shk_flow_pde(ZERO, QUADRATIC, 0.01).densities,
+     np.zeros((11, LINE.n_nodes))),
+    (lambda: scalar_quadratic_closed_form(0.0, 1.0), 0.0),
+    # at t = 0 every checkpoint is the initial density
+    (lambda: hk_flow_pde(RAMP, QUADRATIC, 0.0).densities,
+     np.tile(RAMP.density, (11, 1))),
+    (lambda: in_ball_average_class(ZERO, 0.1, 0.5), False),
+    (lambda: largest_pointwise_delta(
+        DiscreteMeasure(LINE, np.r_[0.0, np.ones(8)])), 0.0),
+]
+
+
+@pytest.mark.parametrize("call, expected", EDGES)
+def test_edge_branch_returns_its_limit(call, expected):
+    assert np.array_equal(call(), expected)
 
 
 def test_spherical_derivative_at_the_ends_of_its_range():

@@ -125,7 +125,7 @@ def full_gradient(res, mu0, mu1):
     cost = transport_cost(dom.distance_matrix())[np.ix_(src, tgt)]
     with np.errstate(over="ignore"):
         plan = np.outer(a, b) * np.exp(
-            (f[:, None] + g[None, :] - cost) / res.eps_final)
+            (f[:, None] + g[None, :] - cost) / hk.DEFAULT_EPS_SCHEDULE[-1])
         grad = np.concatenate([a * np.exp(-f) - plan.sum(axis=1),
                                b * np.exp(-g) - plan.sum(axis=0)])
     return float(np.max(np.abs(grad))), plan, src, tgt
