@@ -27,15 +27,16 @@ import scipy
 
 from . import __version__
 from .config import (REQUIRED, ConfigError, integer, listed, nested, number,
-                     positive, raw, read_fields, read_tagged, text)
+                     one_of, positive, raw, read_fields, read_tagged)
 from .entropy import entropy_from_json
 from .evi import convergence_study, error_budget, evi_check, step_counts
 from .geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
                        check_transfer_estimates, cone_over_segment,
                        euclidean_box, transfer_ratio_minimum,
                        two_dirac_space)
-from .hk import (NEWTON_SLACK, NEWTON_TOL, has_unit_mass, hk_distance_squared,
-                 hk_two_diracs, is_spherical, shk_from_hk_squared)
+from .hk import (METRICS, NEWTON_SLACK, NEWTON_TOL, has_unit_mass,
+                 hk_distance_squared, hk_two_diracs, is_spherical,
+                 shk_from_hk_squared)
 from .measures import DiscreteMeasure, GridDomain
 from .mm import mm_trajectory
 from .pde import hk_flow_pde, shk_flow_pde
@@ -81,15 +82,6 @@ def write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def metric_name(value, path: str) -> str:
-    """A metric name that hk.is_spherical accepts."""
-    try:
-        is_spherical(value)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return value
-
-
 # fields of each measure kind; a list of node densities is a measure too
 MEASURE_KINDS = {
     "uniform": {"value": (number, REQUIRED)},
@@ -100,7 +92,7 @@ MEASURE_KINDS = {
 }
 # fields of every flow verb, to which each adds its own
 FLOW_FIELDS = {"domain": (raw, REQUIRED), "initial": (raw, REQUIRED),
-               "entropy": (raw, REQUIRED), "metric": (metric_name, "hk")}
+               "entropy": (raw, REQUIRED), "metric": (one_of(METRICS), "hk")}
 
 
 def _density(cfg, domain: GridDomain, path: str) -> np.ndarray:
@@ -164,7 +156,7 @@ def flow_from_config(cfg: dict, fields: dict):
 def run_distance(cfg: dict, out: Path, seed: int) -> int:
     v = read_fields(cfg, "", {
         "domain": (raw, REQUIRED), "measure0": (raw, REQUIRED),
-        "measure1": (raw, REQUIRED), "metric": (metric_name, "hk"),
+        "measure1": (raw, REQUIRED), "metric": (one_of(METRICS), "hk"),
         "check_two_dirac": (nested({"mass0": (number, REQUIRED),
                                     "mass1": (number, REQUIRED),
                                     "distance": (number, REQUIRED)}), None)})
@@ -261,28 +253,29 @@ def run_pde_compare(cfg: dict, out: Path, seed: int) -> int:
     return _shrinking([r[1] for r in rows])
 
 
+# each space of geometry-probe, with its sampler of a point from an rng
+PROBE_SPACES = {
+    "euclidean": (euclidean_box(),
+                  lambda rng: tuple(rng.uniform(0.0, 1.0, 2))),
+    "cone": (cone_over_segment(2.0),
+             lambda rng: (float(rng.uniform(0.05, 1.95)),
+                          float(rng.uniform(0.2, 2.0)))),
+    "point_masses": (two_dirac_space(),
+                     lambda rng: (float(rng.uniform(0.0, 1.2)),
+                                  float(rng.uniform(0.2, 3.0)))),
+}
+
+
 def run_geometry(cfg: dict, out: Path, seed: int) -> int:
-    v = read_fields(cfg, "", {"space": (text, "cone"),
+    v = read_fields(cfg, "", {"space": (one_of(PROBE_SPACES), "cone"),
                               "n_probes": (integer(1), 100)})
     name, n = v["space"], v["n_probes"]
+    space, sample = PROBE_SPACES[name]
     rng = np.random.default_rng(seed)
-    if name == "euclidean":
-        space = euclidean_box()
-        sample = lambda: tuple(rng.uniform(0.0, 1.0, 2))
-    elif name == "cone":
-        space = cone_over_segment(2.0)
-        sample = lambda: (float(rng.uniform(0.05, 1.95)),
-                          float(rng.uniform(0.2, 2.0)))
-    elif name == "point_masses":
-        space = two_dirac_space()
-        sample = lambda: (float(rng.uniform(0.0, 1.2)),
-                          float(rng.uniform(0.2, 3.0)))
-    else:
-        raise ConfigError(f"space: unknown probe space {name!r}")
     worst_cs = math.inf
     worst_sum = -math.inf
     for _ in range(n):
-        x, o, y, z = sample(), sample(), sample(), sample()
+        x, o, y, z = sample(rng), sample(rng), sample(rng), sample(rng)
         cs = check_cauchy_schwarz_transfer(space, x, o, y, z)
         worst_cs = min(worst_cs, cs["lhs"] - cs["rhs"])
         worst_sum = max(worst_sum, check_angle_sum(space, x, y, z)["sum"])
@@ -299,7 +292,7 @@ def run_appendix(cfg: dict, out: Path, seed: int) -> int:
     v = read_fields(cfg, "", {"p": (number, 0.5), "grid": (integer(1), 200)})
     p, n = v["p"], v["grid"]
     est = check_transfer_estimates(p, n_t=n, n_delta=n)
-    report = {"p": p, "estimates_hold": bool(est["ok"]),
+    report = {"p": p, "estimates_hold": est["ok"],
               "worst_margin": est["worst_margin"],
               "witness_t": est["witness"][0],
               "witness_delta": est["witness"][1]}

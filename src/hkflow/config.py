@@ -31,9 +31,8 @@ def read_fields(obj, path: str, fields: dict) -> dict:
 
 def read_tagged(obj, path: str, tag: str, tables: dict) -> tuple:
     """(tag, other field values) of an object whose tag picks its table."""
-    kind = obj.get(tag) if isinstance(obj, dict) else None
-    _expect(isinstance(kind, str) and kind in tables, f"{path}.{tag}",
-            f"one of {sorted(tables)}", kind)
+    kind = one_of(tables)(obj.get(tag) if isinstance(obj, dict) else None,
+                          f"{path}.{tag}")
     values = read_fields(obj, path, {tag: (raw, REQUIRED), **tables[kind]})
     return values.pop(tag), values
 
@@ -49,8 +48,12 @@ def raw(value, path: str):
     return value
 
 
-def text(value, path: str) -> str:
-    return _expect(isinstance(value, str), path, "a string", value)
+def one_of(names):
+    """Reader of a string among names; a list or object is no name."""
+    def read(value, path: str) -> str:
+        ok = isinstance(value, str) and value in names
+        return _expect(ok, path, f"one of {sorted(names)}", value)
+    return read
 
 
 def number(value, path: str) -> float:

@@ -33,7 +33,6 @@ def comparison_angle(d_xy: float, d_xz: float, d_yz: float) -> float:
 class ProbeSpace:
     """A metric space with constant-speed geodesics for angle probing."""
 
-    name: str
     distance: Callable
     geodesic: Callable  # geodesic(p, q, t) -> point at parameter t
 
@@ -48,7 +47,7 @@ def euclidean_box() -> ProbeSpace:
         q = np.asarray(q, float)
         return (1.0 - t) * p + t * q
 
-    return ProbeSpace("euclidean", dist, geo)
+    return ProbeSpace(dist, geo)
 
 
 def cone_over_segment(base_length: float = 2.0) -> ProbeSpace:
@@ -76,7 +75,7 @@ def cone_over_segment(base_length: float = 2.0) -> ProbeSpace:
     def geo(p, q, t):
         return unembed((1.0 - t) * embed(p) + t * embed(q))
 
-    return ProbeSpace("cone", dist, geo)
+    return ProbeSpace(dist, geo)
 
 
 def two_dirac_space() -> ProbeSpace:
@@ -99,7 +98,7 @@ def two_dirac_space() -> ProbeSpace:
         x, r = sector.geodesic((x0, math.sqrt(m0)), (x1, math.sqrt(m1)), t)
         return (x, r * r)
 
-    return ProbeSpace("point_masses", dist, geo)
+    return ProbeSpace(dist, geo)
 
 
 def shrinking_angles(space: ProbeSpace, x, y, z) -> np.ndarray:
@@ -209,6 +208,14 @@ def transfer_ratio(t: float, delta: float, p: float) -> float:
     return (s0 / (t * math.sin(delta) ** p)) * (s0 + s1) ** (p - 1.0)
 
 
+def _grid_minimum(f, ts, deltas) -> tuple:
+    """Minimum of the scalar f(t, delta) over the grid ts x deltas, and its
+    first (t, delta) in row-major order."""
+    values = np.vectorize(f, otypes=[float])(ts[:, None], deltas)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return float(values[i, j]), (float(ts[i]), float(deltas[j]))
+
+
 def check_transfer_estimates(p: float, n_t: int = 64,
                              n_delta: int = 64) -> dict:
     """Grid check of (1 - beta)/r^p >= 1 - t and beta/r^p >= t, to 1e-12.
@@ -216,20 +223,14 @@ def check_transfer_estimates(p: float, n_t: int = 64,
     Both hold for every opening angle exactly when p >= 1/2; for smaller
     exponents the first inequality fails near delta = pi.
     """
-    ts = np.linspace(0.005, 0.995, n_t)
-    deltas = np.linspace(0.01, math.pi - 0.01, n_delta)
-    worst = math.inf
-    witness = None
-    for t in ts:
-        for d in deltas:
-            beta = interpolation_weight(float(t), float(d))
-            rp = radius_ratio(float(t), float(d)) ** p
-            m = min((1.0 - beta) / rp - (1.0 - t), beta / rp - t)
-            if m < worst:
-                worst = m
-                witness = (float(t), float(d))
-    return {"ok": worst >= -1e-12, "worst_margin": float(worst),
-            "witness": witness}
+    def margin(t, d):
+        beta = interpolation_weight(t, d)
+        rp = radius_ratio(t, d) ** p
+        return min((1.0 - beta) / rp - (1.0 - t), beta / rp - t)
+
+    worst, witness = _grid_minimum(margin, np.linspace(0.005, 0.995, n_t),
+                                   np.linspace(0.01, math.pi - 0.01, n_delta))
+    return {"ok": worst >= -1e-12, "worst_margin": worst, "witness": witness}
 
 
 def transfer_ratio_minimum(p: float, n_t: int = 200,
@@ -239,13 +240,7 @@ def transfer_ratio_minimum(p: float, n_t: int = 200,
     The minimum stays at one for p >= 1/2 and dips below one (parameter
     near one, opening angle near pi) for smaller exponents.
     """
-    best = math.inf
-    witness = None
-    for t in np.linspace(0.01, 1.0, n_t):
-        for d in np.linspace(0.01, math.pi - 1e-6, n_delta):
-            q = transfer_ratio(float(t), float(d), p)
-            if q < best:
-                best = q
-                witness = (float(t), float(d))
-    return {"min": float(best), "witness": witness,
-            "below_one": best < 1.0 - 1e-9}
+    best, witness = _grid_minimum(lambda t, d: transfer_ratio(t, d, p),
+                                  np.linspace(0.01, 1.0, n_t),
+                                  np.linspace(0.01, math.pi - 1e-6, n_delta))
+    return {"min": best, "witness": witness, "below_one": best < 1.0 - 1e-9}

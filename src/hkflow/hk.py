@@ -81,7 +81,7 @@ SPARSE_KEEP = 1e-3 * math.exp(-10.0)
 # 1.5-7.7 %).  The gradient's max-norm does not separate the two groups.
 WARM_MISMATCH = 1e-2
 
-METRICS = ("hk", "shk")  # is_spherical below is the one test of a name
+METRICS = ("hk", "shk")  # the names is_spherical and the CLI accept
 
 
 @lru_cache(maxsize=32)

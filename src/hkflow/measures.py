@@ -145,7 +145,8 @@ class DiscreteMeasure:
     density: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.density, dtype=float)
+        # a copy: freezing the caller's own array would make it read-only
+        rho = np.array(self.density, dtype=float)
         if rho.shape != (self.domain.n_nodes,):
             raise ValueError(
                 f"density shape {rho.shape} != ({self.domain.n_nodes},)"

@@ -3,7 +3,8 @@ equation for the transport-growth flow, its mass-conserving spherical
 variant, and pointwise reaction-only equations.
 
 All PDE solvers use an explicit conservative flux discretization on 1-d
-grids with no-flux boundaries, steps of at most 1e-4 and a CFL guard.
+grids with no-flux boundaries, steps of at most 1e-4 and a CFL guard.  A
+step whose result is not finite is halved, at most eight halvings per step.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _explicit_solve(mu0, E, t_final, alpha, reaction, n_checkpoints):
     out = [rho.copy()]
     t = 0.0
     next_idx = 1
-    halvings = 0
     while t < t_final - 1e-15:
         mob_max = float(np.max(rho * E.second_derivative(rho), initial=0.0))
         if alpha > 0 and mob_max > 0:
@@ -80,6 +80,7 @@ def _explicit_solve(mu0, E, t_final, alpha, reaction, n_checkpoints):
         if next_idx < n_checkpoints:
             step = min(step, check_times[next_idx] - t)
         new = _advance(rho, E, step, h, cell, alpha, reaction)
+        halvings = 0
         while not np.all(np.isfinite(new)) and halvings < 8:
             step *= 0.5
             halvings += 1

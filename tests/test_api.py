@@ -62,7 +62,9 @@ REMOVED_FROM = {"find_c_low": {"n"}, "spherical_reaction_ode": {"n_checkpoints"}
                 # reports only echoed
                 "ErrorBudget": {"deltas_zero_gap", "tau", "lam", "kappa"},
                 "EVIReport": {"observers", "tau", "lam"},
-                "ContractionReport": {"times"}}
+                "ContractionReport": {"times"},
+                # a probe space's name, which nothing read
+                "ProbeSpace": {"name"}}
 # settings callers do set: the benchmark tracer binds the distance solve's,
 # and tests loosen the density-bound check's slack
 KEPT = {("hk_distance_squared", "tol"), ("hk_distance_squared", "max_iter"),
@@ -157,7 +159,9 @@ def test_import_leaves_heavy_scipy_packages_out():
 
 # exports that nothing called: the step restart check, a second measure
 # format beside the CLI's configs and outputs, and two one-line helpers
-REMOVED_EXPORTS = {"restart_agreement", "total_mass", "restrict"}
+REMOVED_EXPORTS = {"restart_agreement", "total_mass", "restrict",
+                   # readers that config.one_of replaced
+                   "metric_name", "text"}
 REMOVED_METHODS = {"DiscreteMeasure": {"to_dict", "from_dict", "to_json",
                                        "from_json", "write_csv"},
                    "GridDomain": {"to_dict"}}

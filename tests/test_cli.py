@@ -591,6 +591,10 @@ def test_mm_run_from_a_list_of_node_densities(tmp_path):
                                     "nodes": [9]},
                 "tau": 0.05, "n_steps": 1}, "domain"),
     ("geometry-probe", {"space": "torus", "n_probes": 4}, "space"),
+    # a name field given a list or an object
+    ("mm-run", {**FLOW9, "metric": ["hk"], "tau": 0.05, "n_steps": 1},
+     "metric"),
+    ("geometry-probe", {"space": {"kind": "cone"}, "n_probes": 4}, "space"),
 ])
 def test_bad_value_exit_2_naming_its_field(tmp_path, monkeypatch, caplog,
                                            verb, cfg, path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkflow.geometry import (check_angle_sum, check_cauchy_schwarz_transfer,
-                             check_semiconcavity, comparison_angle,
+                             check_semiconcavity, check_transfer_estimates,
+                             comparison_angle,
                              cone_over_segment, direction_gap_squared,
                              euclidean_box, interpolation_weight, lower_angle,
                              radius_ratio, shrinking_angles, transfer_ratio,
@@ -164,3 +165,41 @@ def test_transfer_ratio_witness_small_p():
     t, delta = rep["witness"]
     assert delta > 3.0
     assert transfer_ratio(t, delta, 0.4) < 1.0
+
+
+def _scan_minimum(f, ts, deltas):
+    """The grid minimum of f and its witness as a row-major scan keeps
+    them: a later point replaces the witness only when strictly smaller."""
+    best, witness = math.inf, None
+    for t in ts:
+        for d in deltas:
+            v = f(float(t), float(d))
+            if v < best:
+                best, witness = v, (float(t), float(d))
+    return best, witness
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.75, 1.0])
+def test_transfer_checks_match_a_row_major_scan(p):
+    # at p >= 1/2 many grid points tie at the minimum; the witness is the
+    # first of them, and value, witness and verdict agree to the last bit
+    def margin(t, d):
+        beta = interpolation_weight(t, d)
+        rp = radius_ratio(t, d) ** p
+        return min((1.0 - beta) / rp - (1.0 - t), beta / rp - t)
+
+    for n_t, n_d in ((7, 9), (40, 31)):
+        worst, witness = _scan_minimum(
+            margin, np.linspace(0.005, 0.995, n_t),
+            np.linspace(0.01, math.pi - 0.01, n_d))
+        est = check_transfer_estimates(p, n_t, n_d)
+        assert est["worst_margin"].hex() == worst.hex()
+        assert est["witness"] == witness
+        assert est["ok"] is (worst >= -1e-12)
+        best, witness = _scan_minimum(
+            lambda t, d: transfer_ratio(t, d, p), np.linspace(0.01, 1.0, n_t),
+            np.linspace(0.01, math.pi - 1e-6, n_d))
+        rep = transfer_ratio_minimum(p, n_t, n_d)
+        assert rep["min"].hex() == best.hex()
+        assert rep["witness"] == witness
+        assert rep["below_one"] is (best < 1.0 - 1e-9)

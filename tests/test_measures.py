@@ -48,6 +48,15 @@ def test_measure_mass_quadrature():
     assert np.allclose(mu.node_masses, dom.weights * 0.7)
 
 
+def test_measure_leaves_the_callers_array_writable():
+    dom = unit_interval(5)
+    rho = np.ones(5)
+    mu = DiscreteMeasure(dom, rho)
+    rho[0] = 2.0
+    assert mu.density[0] == 1.0
+    assert not mu.density.flags.writeable
+
+
 def test_measure_rejects_negative_density():
     dom = unit_interval(5)
     with pytest.raises(ValueError):

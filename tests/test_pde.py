@@ -5,6 +5,7 @@ import pytest
 
 from hkflow.entropy import power_mass_entropy, zero_entropy
 from hkflow.measures import DiscreteMeasure, uniform_measure, unit_interval
+import hkflow.pde
 from hkflow.pde import (hk_flow_pde, scalar_quadratic_closed_form,
                         scalar_reaction_ode, shk_flow_pde,
                         spherical_reaction_ode)
@@ -87,3 +88,21 @@ def test_spherical_reaction_ode_constant_is_fixed_point(interval33):
     prob = uniform_measure(interval33, 1.0)
     traj = spherical_reaction_ode(prob, quadratic_entropy(), t_final=0.1)
     assert np.max(np.abs(traj.densities[-1] - 1.0)) < 1e-12
+
+
+def test_halvings_are_counted_per_step(interval33, monkeypatch):
+    # the first attempt of every step fails; one halving each lets the solve
+    # run many more steps than the eight halvings a step may take
+    advance = hkflow.pde._advance
+    attempts = []
+
+    def first_attempt_fails(rho, *args):
+        retry = bool(attempts) and attempts[-1] is rho
+        attempts.append(rho)
+        return advance(rho, *args) if retry else np.full_like(rho, np.nan)
+
+    monkeypatch.setattr(hkflow.pde, "_advance", first_attempt_fails)
+    traj = hk_flow_pde(sinusoid_measure(interval33), quadratic_entropy(),
+                       t_final=0.002, n_checkpoints=2)
+    assert np.all(np.isfinite(traj.densities))
+    assert len(attempts) // 2 > 8
