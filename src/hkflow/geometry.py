@@ -101,11 +101,11 @@ def two_dirac_space() -> ProbeSpace:
     return ProbeSpace(dist, geo)
 
 
-def shrinking_angles(space: ProbeSpace, x, y, z) -> np.ndarray:
-    """Comparison angles at x between geodesics to y and z along a dyadic
-    shrink of both endpoints toward x."""
+def _angles(space: ProbeSpace, x, y, z, exponents) -> np.ndarray:
+    """Comparison angles at x between geodesics to y and z, both endpoints
+    shrunk toward x by 2^-k for each k of exponents."""
     out = []
-    for k in SHRINK_EXPONENTS:
+    for k in exponents:
         s = 2.0**-k
         ys = space.geodesic(x, y, s)
         zs = space.geodesic(x, z, s)
@@ -115,13 +115,20 @@ def shrinking_angles(space: ProbeSpace, x, y, z) -> np.ndarray:
     return np.array(out)
 
 
+def shrinking_angles(space: ProbeSpace, x, y, z) -> np.ndarray:
+    """Comparison angles at x between geodesics to y and z along a dyadic
+    shrink of both endpoints toward x."""
+    return _angles(space, x, y, z, SHRINK_EXPONENTS)
+
+
 def upper_angle(space: ProbeSpace, x, y, z) -> float:
-    """Limsup estimate of the angle between geodesics x->y and x->z."""
-    return float(np.max(shrinking_angles(space, x, y, z)[-4:]))
+    """Limsup estimate of the angle between geodesics x->y and x->z, over
+    the last four shrink levels."""
+    return float(np.max(_angles(space, x, y, z, SHRINK_EXPONENTS[-4:])))
 
 
 def lower_angle(space: ProbeSpace, x, y, z) -> float:
-    return float(np.min(shrinking_angles(space, x, y, z)[-4:]))
+    return float(np.min(_angles(space, x, y, z, SHRINK_EXPONENTS[-4:])))
 
 
 def upper_inner_product(space: ProbeSpace, x, y, z) -> float:

@@ -22,9 +22,11 @@ mm.STEP_EPS_SCHEDULE); its docstring is the one full description of the
 solver: the opening sweeps, the eps-predictor, the kept supports, the
 coarse head and the triage of warm starts.
 
-``hk_exact_small`` (supports of at most eight nodes) solves the primal
-program itself with a damped Newton interior-point method on a vanishing
-log barrier; it is the high-precision cross-check of the first.
+``hk_exact_small`` (any support size, at a cost cubic in the node count)
+solves the primal program itself with a damped Newton interior-point
+method on a vanishing log barrier, each step one solve of the normal
+equations on the marginals; it is the high-precision cross-check of the
+first and shares none of its eps, kept-support or Newton code.
 
 The closed forms are the two-Dirac distance (``hk_two_diracs``), the
 dilation identity (``dilated_hk_squared``), the mass-gap lower bound, the
@@ -797,63 +799,80 @@ def hk_distance(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> float:
 
 
 def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
-    """Interior-point solve of the entropy-transport program, tiny supports.
+    """Interior-point solve of the entropy-transport program on all pairs.
 
-    Minimizes the objective plus a vanishing log barrier on the coupling
-    entries with damped Newton steps; the barrier weight is driven to
-    5e-13 so the complementarity residual falls below 1e-10.  As in
-    hk_distance_squared, mass with no transport partner within pi/2 costs
-    itself and stays out of the program (see _in_reach).
+    Minimizes the objective plus a log barrier on the P coupling entries h
+    of the pairs within pi/2, by damped Newton steps along the barrier path
+    (x0.2 per round, at most 80 steps a round and 2000 in all).  The path
+    ends at the floor 1e-13 / P, so the barrier's share of the value,
+    weight times P, stays below 1e-13 at any support size; the solve is
+    converged when the complementarity residual falls below 1e-10.
+
+    The Hessian is diag(barrier / h^2) + M^T diag(1 / r, 1 / s) M, with M
+    the (n + m) x P incidence of each pair to its source and target and r,
+    s the plan's row and column sums.  By the Woodbury identity each Newton
+    step is then one dense solve of the (n + m) normal equations
+
+        (diag(r, s) + M diag(h^2 / barrier) M^T) y = M (h^2 / barrier) grad
+
+    (Wright, Primal-Dual Interior-Point Methods, SIAM 1997), whose matrix
+    is positive definite.  There is no cap on the support.  A solve takes a
+    few hundred steps, each O((n + m)^3) for the solve plus O(P) per
+    gradient of the line search: at one BLAS thread, 1-D pairs of 33, 65
+    and 129 nodes take about 0.2, 0.5 and 2.4 s, and a 17 x 17 pair about
+    15 s.  As in hk_distance_squared, mass with no transport partner within
+    pi/2 costs itself and stays out of the program (see _in_reach).
     """
     if not mu0.same_domain(mu1):
         raise ValueError("measures live on different grids")
     dom = mu0.domain
     n = dom.n_nodes
     a, b = mu0.density * dom.weights, mu1.density * dom.weights
-    if np.count_nonzero(a) > 8 or np.count_nonzero(b) > 8:
-        raise ValueError("exact solver limited to supports of eight nodes")
     rows, cols, cost, unreached = _in_reach(dom, a, b)
     f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
     if not rows.any():
         return HKResult(unreached, plan, f, g, 0.0, 0, True)
     a, b = a[rows], b[cols]
-    pairs = np.argwhere(np.isfinite(cost))
-    c = cost[pairs[:, 0], pairs[:, 1]]
-    # the incidence of each finite pair to its source and to its target
-    A, B = np.eye(a.size)[:, pairs[:, 0]], np.eye(b.size)[:, pairs[:, 1]]
+    ab = np.concatenate([a, b])
+    # each finite pair's source i and target j; j is node J of the marginals
+    i, j = np.nonzero(np.isfinite(cost))
+    J = a.size + j
+    ends = np.concatenate([i, J])
+    c = cost[i, j]
+    floor = 1e-13 / c.size
 
-    def grad_hess(h, barrier):
-        r = A @ h
-        s = B @ h
-        grad = (A.T @ np.log(r / a) + B.T @ np.log(s / b) + c - barrier / h)
-        hess = (A.T * (1.0 / r) @ A + B.T * (1.0 / s) @ B
-                + np.diag(barrier / h**2))
-        return grad, hess
+    def sums(h):
+        """M h: the row sums r of the plan entries h, then the column sums s."""
+        return np.bincount(ends, np.concatenate([h, h]), ab.size)
 
-    h = (np.outer(a, b)[pairs[:, 0], pairs[:, 1]]
-         / max(float(a.sum() + b.sum()), 1.0) + 1e-3)
-    # follow the barrier central path: at weight b the complementarity
-    # products grad_i * h_i equal b, so driving b below the tolerance
+    def gradient(h, barrier):
+        y = np.log(sums(h) / ab)
+        return y[i] + y[J] + c - barrier / h
+
+    h = a[i] * b[j] / max(float(ab.sum()), 1.0) + 1e-3
+    # follow the barrier central path: at weight barrier the complementarity
+    # products grad_p * h_p equal it, so driving it below the tolerance
     # certifies the KKT system
-    barrier = 1e-2
-    it = 0
-    while barrier > 5e-13 and it < 2000:
-        barrier = max(barrier * 0.2, 5e-13)
+    barrier, it = 1e-2, 0
+    while barrier > floor and it < 2000:
+        barrier = max(barrier * 0.2, floor)
         for _ in range(80):
             it += 1
-            grad, hess = grad_hess(h, barrier)
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                step = grad / np.diag(hess)
+            grad = gradient(h, barrier)
+            # the Newton step H^-1 grad by the Woodbury identity, with H =
+            # diag(1 / d) + M^T diag(1 / r, 1 / s) M
+            d = h * h / barrier
+            normal = np.diag(sums(h + d))
+            normal[i, J] = normal[J, i] = d
+            y = np.linalg.solve(normal, sums(d * grad))
+            step = d * (grad - y[i] - y[J])
             t = 1.0
             while np.any(h - t * step <= 0):
                 t *= 0.5
             gnorm = float(np.linalg.norm(grad))
-            g_new = grad
             while t > 1e-16:
                 h_new = h - t * step
-                g_new = grad_hess(h_new, barrier)[0]
+                g_new = gradient(h_new, barrier)
                 if float(np.linalg.norm(g_new)) <= (1.0 - 0.1 * t) * gnorm:
                     break
                 t *= 0.5
@@ -863,13 +882,11 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
             if float(np.linalg.norm(g_new * h)) < 0.1 * barrier:
                 break
 
-    r = A @ h
-    s = B @ h
-    grad = A.T @ np.log(r / a) + B.T @ np.log(s / b) + c
-    kkt = float(np.max(np.abs(grad * h)))
-    f[rows], g[cols] = -np.log(r / a), -np.log(s / b)
+    y = np.log(sums(h) / ab)
+    kkt = float(np.max(np.abs((y[i] + y[J] + c) * h)))
+    f[rows], g[cols] = -y[:a.size], -y[a.size:]
     dense = np.zeros_like(cost)
-    dense[pairs[:, 0], pairs[:, 1]] = h
+    dense[i, j] = h
     plan[np.ix_(rows, cols)] = dense
     return HKResult(unreached + let_cost(dense, a, b, cost), plan, f, g, kkt,
                     it, kkt < 1e-10)

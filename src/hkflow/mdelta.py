@@ -21,7 +21,10 @@ def in_pointwise_class(mu: DiscreteMeasure, delta: float) -> bool:
 
 
 def pointwise_class_margin(mu: DiscreteMeasure, delta: float) -> float:
-    """Smallest slack over both bounds; negative when outside the class."""
+    """Smallest slack over both bounds; negative when outside the class.
+    delta above 1 is allowed, and gives a negative margin."""
+    if not delta > 0:
+        raise ValueError("bound parameter must be positive")
     rho = mu.density
     return float(min(np.min(rho) - delta, 1.0 / delta - np.max(rho)))
 

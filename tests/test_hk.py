@@ -451,6 +451,49 @@ def test_exact_solver_prices_a_pair_out_of_reach_itself(monkeypatch, far):
     assert not exact.plan.any()
 
 
+def _oracle_value(mu0, mu1):
+    """The oracle's HK^2, once it converged and the entropic solver's
+    excess over it lies in [-1e-12, 1e-10]: a feasible plan cannot beat the
+    optimum, and the entropic bias at eps = 1e-6 is small."""
+    exact = hk_exact_small(mu0, mu1)
+    assert exact.converged
+    excess = hk_distance_squared(mu0, mu1).hk_squared - exact.hk_squared
+    assert -1e-12 <= excess <= 1e-10
+    return exact.hk_squared
+
+
+@pytest.mark.parametrize("n, certified", [(33, 0.0210506475352),
+                                          (65, 0.0209739255713)])
+def test_exact_solver_on_smooth_pairs_beyond_eight_nodes(n, certified):
+    # 0.8 + 0.5 sin 2 pi x against 1 + 0.3 cos 4 pi x on [0, 1]; the
+    # certified values bracket the exact HK^2 to 1e-13
+    dom = unit_interval(n)
+    x = dom.coordinates[:, 0]
+    mu0 = DiscreteMeasure(dom, 0.8 + 0.5 * np.sin(2.0 * math.pi * x))
+    mu1 = DiscreteMeasure(dom, 1.0 + 0.3 * np.cos(4.0 * math.pi * x))
+    assert _oracle_value(mu0, mu1) == pytest.approx(certified, abs=1e-12)
+
+
+def test_exact_solver_on_a_concentrated_pair():
+    # two Gaussians of width 0.05 at 0.3 and 0.6 on 97 nodes of [0, 1]
+    dom = unit_interval(97)
+    x = dom.coordinates[:, 0]
+    mu0 = DiscreteMeasure(dom, np.exp(-0.5 * ((x - 0.3) / 0.05) ** 2))
+    mu1 = DiscreteMeasure(dom, np.exp(-0.5 * ((x - 0.6) / 0.05) ** 2))
+    _oracle_value(mu0, mu1)
+
+
+def test_exact_solver_on_a_pair_partly_out_of_reach():
+    # two bumps of width 0.4 at 0.5 and 2.3 on 97 nodes of [0, 3]: 1.8 >
+    # pi/2 apart, so about a quarter of the pairs cost +inf
+    dom = GridDomain((0.0,), (3.0,), (97,))
+    x = dom.coordinates[:, 0]
+    mu0 = DiscreteMeasure(dom, np.exp(-(((x - 0.5) / 0.4) ** 2)))
+    mu1 = DiscreteMeasure(dom, np.exp(-(((x - 2.3) / 0.4) ** 2)))
+    assert np.isinf(transport_cost(dom.distance_matrix())).mean() > 0.2
+    _oracle_value(mu0, mu1)
+
+
 # ---------------------------------------------------------------------------
 # private helpers against the SciPy calls they replace
 

@@ -17,7 +17,8 @@ from hkflow.geometry import (comparison_angle, cone_over_segment,
 from hkflow.hk import (cone_distance, dilation_cost, hk_distance_squared,
                        hk_exact_small, hk_two_diracs, shk_from_hk_squared,
                        shk_squared_derivative)
-from hkflow.mdelta import in_ball_average_class, largest_pointwise_delta
+from hkflow.mdelta import (in_ball_average_class, largest_pointwise_delta,
+                           pointwise_class_margin)
 from hkflow.measures import (DiscreteMeasure, GridDomain, scale_measure,
                              uniform_measure, unit_interval)
 from hkflow.mm import (MMStepResult, MMTrajectory, iterate_upper_bound,
@@ -44,18 +45,12 @@ def trajectory(tau, densities, E=QUADRATIC):
                         [0.0] * (len(densities) - 1), "hk", E)
 
 
-def nine_nodes():
-    return DiscreteMeasure(unit_interval(11), np.r_[np.ones(9), 0.0, 0.0])
-
-
 CHECKS = [
     # hk
     (lambda: hk_distance_squared(ONE, uniform_measure(unit_interval(5))),
      "different grids"),
     (lambda: hk_exact_small(ONE, uniform_measure(unit_interval(5))),
      "different grids"),
-    (lambda: hk_exact_small(nine_nodes(), nine_nodes()),
-     "supports of eight nodes"),
     (lambda: hk_two_diracs(-1.0, 1.0, 0.5), "must be nonnegative"),
     (lambda: shk_from_hk_squared(4.5), "exceeds 4"),
     (lambda: cone_distance(-1.0, 1.0, 0.5), "cone radii"),
@@ -66,6 +61,10 @@ CHECKS = [
     (lambda: scale_measure(ONE, -1.0), "scale factor"),
     # mdelta
     (lambda: in_ball_average_class(ONE, 0.1, 0.0), "comparability ratio"),
+    (lambda: pointwise_class_margin(ONE, 0.0),
+     "bound parameter must be positive"),
+    (lambda: pointwise_class_margin(ONE, -1.0),
+     "bound parameter must be positive"),
     # mm
     (lambda: scalar_mm_step(-1.0, 0.1, QUADRATIC),
      "nonnegative level and positive step"),
@@ -146,6 +145,15 @@ EDGES = [
 @pytest.mark.parametrize("call, expected", EDGES)
 def test_edge_branch_returns_its_limit(call, expected):
     assert np.array_equal(call(), expected)
+
+
+def test_exact_solver_takes_supports_of_nine_nodes():
+    # the interior-point oracle has no cap on the support size
+    nine = DiscreteMeasure(unit_interval(11), np.r_[np.ones(9), 0.0, 0.0])
+    exact = hk_exact_small(nine, nine)
+    assert exact.converged
+    assert exact.hk_squared == pytest.approx(
+        hk_distance_squared(nine, nine).hk_squared, abs=1e-10)
 
 
 def test_spherical_derivative_at_the_ends_of_its_range():
