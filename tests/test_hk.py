@@ -474,6 +474,21 @@ def test_exact_solver_on_smooth_pairs_beyond_eight_nodes(n, certified):
     assert _oracle_value(mu0, mu1) == pytest.approx(certified, abs=1e-12)
 
 
+def test_exact_solver_ends_a_round_at_a_step_below_roundoff():
+    # near the floor the round's exit test ||grad h|| < 0.1 barrier cannot
+    # be met in floating point, and an accepted step that leaves h
+    # unchanged ends the round: the 65-node pair above took 254 Newton
+    # steps when each such round ran its 80, and takes 114
+    dom = unit_interval(65)
+    x = dom.coordinates[:, 0]
+    exact = hk_exact_small(
+        DiscreteMeasure(dom, 0.8 + 0.5 * np.sin(2.0 * math.pi * x)),
+        DiscreteMeasure(dom, 1.0 + 0.3 * np.cos(4.0 * math.pi * x)))
+    assert exact.converged
+    assert exact.iterations <= 150
+    assert exact.hk_squared == pytest.approx(0.0209739255713, abs=1e-12)
+
+
 def test_exact_solver_on_a_concentrated_pair():
     # two Gaussians of width 0.05 at 0.3 and 0.6 on 97 nodes of [0, 1]
     dom = unit_interval(97)
@@ -692,6 +707,28 @@ def _fail_first(real, failure):
         out = real(*args, **kw)
         return failure(out) if len(calls) == 1 else out
     return wrapped
+
+
+def test_full_plan_newton_points_hold_no_subnormal_kernel(monkeypatch,
+                                                         interval33):
+    # exp arguments below log(tiny) go to -inf, so each kernel entry is 0
+    # or a normal number: np.exp and the Schur GEMM run several times
+    # slower on subnormals.  On this pair 26 of 57 Newton points held some
+    # before
+    x = interval33.coordinates[:, 0]
+    mu = DiscreteMeasure(interval33, 0.8 + 0.2 * np.sin(2.0 * math.pi * x))
+    nu = DiscreteMeasure(interval33, 0.5 + 0.3 * np.cos(4.0 * math.pi * x))
+    kernels, direction = [], hk._newton_direction
+
+    def spy(pt, eps, support):
+        kernels.append(pt.K)
+        return direction(pt, eps, support)
+
+    monkeypatch.setattr(hk, "_newton_direction", spy)
+    assert hk_distance_squared(mu, nu).converged
+    tiny = np.finfo(float).tiny
+    assert kernels and all(K.shape == (33, 33) for K in kernels)
+    assert not any(((K > 0) & (K < tiny)).any() for K in kernels)
 
 
 def test_failed_cholesky_is_counted(monkeypatch, interval33):

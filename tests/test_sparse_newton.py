@@ -683,3 +683,66 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
     assert warm.converged and len(warm.levels) == 1 and not heads
     assert list(fine) == [schedule[-1]]
     assert np.array_equal(fine[schedule[-1]], sol.g)
+
+
+def _level_ends(monkeypatch, mu0, mu1):
+    """A cold distance solve between mu0 and mu1, and the (eps, gradient
+    max-norm) each of its levels ended at, coarse levels first: the last
+    point evaluated before the next level opens (its first f-sweep on the
+    full plan or its support opening) or before the closing f-sweep."""
+    events = []
+    sweep, support_opening, point = hk._sweep, hk._support_opening, hk._Point
+
+    def spy_sweep(x, log_mass, c, eps, axis):
+        if axis == 1:
+            events.append(eps)
+        return sweep(x, log_mass, c, eps, axis)
+
+    def spy_opening(g, log_a, log_b, eps, kernel_min, support):
+        events.append(eps)
+        return support_opening(g, log_a, log_b, eps, kernel_min, support)
+
+    def spy_point(*args):
+        events.append(point(*args))
+        return events[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "_sweep", spy_sweep)
+        mp.setattr(hk, "_support_opening", spy_opening)
+        mp.setattr(hk, "_Point", spy_point)
+        res = hk_distance_squared(mu0, mu1)
+    ends = []
+    for event in events:
+        if isinstance(event, float):
+            ends.append([event, None])
+        else:
+            ends[-1][1] = event.gnorm
+    # openings that evaluated nothing (the coarse head's handover, or a
+    # support opening that fell back to the full plan) end no level; the
+    # last entry is the closing sweep's
+    ends = [tuple(end) for end in ends if end[1] is not None]
+    return res, ends[:-1]
+
+
+@pytest.mark.parametrize("case, at_tol", [("1d", 55), ("17x17", 71)])
+def test_intermediate_levels_end_at_what_the_next_level_needs(monkeypatch,
+                                                              case, at_tol):
+    # an intermediate level of a distance solve ends at gradient max-norm
+    # max(tol, NEWTON_LEVEL_TOL eps (sum a + sum b)), coarse levels
+    # included, and only the final level at tol: the Newton count falls
+    # below at_tol, the count with every level run to tol
+    if case == "1d":
+        dom = unit_interval(33)
+        mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+        mu1 = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+    else:
+        mu0, mu1 = pair(("smooth", 0))
+    res, ends = _level_ends(monkeypatch, mu0, mu1)
+    assert res.converged
+    assert [eps for eps, _ in ends] == list(hk.DEFAULT_EPS_SCHEDULE)
+    total = float(mu0.node_masses.sum() + mu1.node_masses.sum())
+    tol = hk.NEWTON_TOL * max(1.0, total)
+    for eps, gnorm in ends[:-1]:
+        assert gnorm <= max(tol, hk.NEWTON_LEVEL_TOL * eps * total)
+    assert ends[-1][1] <= tol
+    assert res.iterations < at_tol
