@@ -61,7 +61,7 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-11
 NEWTON_SLACK = 1e3
 
-# An intermediate eps-level of a distance solve ends once its gradient
+# An eps-level above DEFAULT_EPS_SCHEDULE[-1] ends once its gradient
 # max-norm is within max(tol, NEWTON_LEVEL_TOL eps (sum a + sum b)): the
 # next level needs no more (see _dual_newton)
 NEWTON_LEVEL_TOL = 3e-2
@@ -78,10 +78,15 @@ LOG_TINY = math.log(np.finfo(float).tiny)
 # at the point the support is chosen, so each dropped entry is below
 # SPARSE_KEEP tol / max(n, m), far below the gradient tolerance.  Below
 # about 80 nodes, or where most of the plan is kept, the full plan is
-# faster.
+# faster.  The margin e^-14 leaves room for the iterates of a level to
+# raise dropped entries: at e^-10 the cold 17 x 17 Gaussian neg_power step
+# (test_sparse_newton) converged on its kept entries at eps = 1e-7 and
+# then left E*'s domain on the full plan, and the level reran dense, 29
+# Newton steps against 15 (at e^-12 the step took 75 against 73 on the
+# full plan, at e^-14 as many, 73)
 SPARSE_MIN_SIZE = 160
 SPARSE_MAX_FILL = 0.15
-SPARSE_KEEP = 1e-3 * math.exp(-10.0)
+SPARSE_KEEP = 1e-3 * math.exp(-14.0)
 
 # A warm distance start whose full first Newton step is rejected, and whose
 # opening point's marginal mismatch |grad_(f, g)|_1 exceeds WARM_MISMATCH
@@ -124,6 +129,31 @@ def _in_reach(domain, a, b):
     if not (rows.all() and cols.all()):
         cost = cost[np.ix_(rows, cols)]
     return rows, cols, cost, unreached
+
+
+def _reached_pair(mu0, mu1):
+    """The dual problem of two measures on one grid (ValueError otherwise):
+    the node masses a and b of the nodes that enter it, the cost between
+    them, grid = (domain, rows, cols) with rows and cols their masks, and
+    the mass of the other nodes (see _in_reach)."""
+    if not mu0.same_domain(mu1):
+        raise ValueError("measures live on different grids")
+    dom = mu0.domain
+    a, b = mu0.density * dom.weights, mu1.density * dom.weights
+    rows, cols, cost, unreached = _in_reach(dom, a, b)
+    return a[rows], b[cols], cost, (dom, rows, cols), unreached
+
+
+def _on_grid(grid, value, plan, f, g, *stats):
+    """The HKResult, on every node of grid = (domain, rows, cols), of a
+    solve on the nodes of masks rows and cols: its plan and potentials
+    there, 0 at every other node."""
+    _, rows, cols = grid
+    n = rows.size
+    H, F, G = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    H[np.ix_(rows, cols)] = plan
+    F[rows], G[cols] = f, g
+    return HKResult(value, H, F, G, *stats)
 
 
 def _sweep(x, log_mass, cost, eps, axis):
@@ -515,31 +545,23 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     scaled tolerance, judged where the final level ended.
 
     A level runs Newton until its gradient max-norm is below its level
-    tolerance.  An intermediate level of a distance solve needs no more
-    than a point the next level can open from: its opening sweeps and the
-    eps-predictor move g by O(delta eps) anyway (Cominetti & San Martin
+    tolerance.  A level above the distance schedule's last eps needs no
+    more than a point the next level can open from: its opening sweeps and
+    the eps-predictor move g by O(delta eps) anyway (Cominetti & San Martin
     1994), and other eps-scaling solvers stop each level on a coarser
     marginal error (Schmitzer, SIAM J. Sci. Comput. 2019).  Such a level
     ends at max(tol, NEWTON_LEVEL_TOL eps (sum a + sum b)), and so does a
     sparse pass whose full-plan gradient meets it; the keep threshold of
-    the kept supports stays at tol.  The final level, the one at eps =
-    DEFAULT_EPS_SCHEDULE[-1], ends at tol: it is marked by its eps, not by
-    its place in the schedule, so a warm attempt solves it to tol, every
-    level of the coarse head is intermediate, and the first k + 1 levels
-    of the schedule, run alone, end level k where the whole schedule does.
-    NEWTON_LEVEL_TOL = 3e-2 was measured against 1e-2 and 1e-1 on the
-    three benchmark workloads (traced Newton counts 220 / 249 / 866, 200 /
-    242 / 795 and 185 / 233 / 754, against 314 / 276 / 1102 with every
-    level at tol).  1e-1 saves a little more, but the 17 x 17 solve of
-    test_levels_open_from_the_line_through_the_last_two_ends then moves g
-    by less than eps from one level's end to the next level's opening, the
-    test's guard that the predictor acts.  Implicit steps (with a term)
-    end every level at tol.  Under the same rule at their final eps, 1e-8,
-    the cold 17 x 17 neg_power step of test_sparse_newton took 84 Newton
-    steps on kept supports against 70 on the full plan, above the 1.15
-    ratio its test allows (116 against 102 at tol), and the pinned counts
-    of the HK and SHK steps there moved from 77 and 63 to 45 and 33; why
-    the kept supports cost more there is open.
+    the kept supports stays at tol.  Every level at or below eps =
+    DEFAULT_EPS_SCHEDULE[-1] ends at tol.  The rule is the same in every
+    solve, a distance solve's or a step's, cold, warm or on the coarse
+    head; it is marked by eps, not by the level's place in the schedule,
+    so a warm attempt solves its level to tol, and the first k + 1
+    levels of a schedule, run alone, end level k where the whole schedule
+    does.  With NEWTON_LEVEL_TOL = 1e-1 the 17 x 17 solve of
+    test_levels_open_from_the_line_through_the_last_two_ends moves g by
+    less than eps from one level's end to the next level's opening, the
+    test's guard that the predictor acts.
     """
     tol = tol * max(1.0, float(a.sum()) + float(b.sum()))
     levels, supports, fallbacks = (), (), 0
@@ -718,10 +740,9 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # below WARM_MISMATCH
         hopeless = triage and float(np.abs(opened.grad).sum()) > (
             WARM_MISMATCH * total)
-        # an intermediate level of a distance solve stops at what the next
-        # level needs; its final level and every level of a step stop at
-        # tol (see _dual_newton)
-        early = term is None and eps != DEFAULT_EPS_SCHEDULE[-1]
+        # a level above the distance schedule's last eps stops at what the
+        # next level needs, every finer level at tol (see _dual_newton)
+        early = eps > DEFAULT_EPS_SCHEDULE[-1]
         level_tol = max(tol, NEWTON_LEVEL_TOL * eps * total) if early else tol
         with np.errstate(**quiet):
             while True:
@@ -830,33 +851,26 @@ def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     potential 0 and no plan, and needs no Newton step (see _in_reach).
     Logs one debug line per solve.
     """
-    if not mu0.same_domain(mu1):
-        raise ValueError("measures live on different grids")
-    dom = mu0.domain
-    n = dom.n_nodes
-    a, b = mu0.density * dom.weights, mu1.density * dom.weights
+    a, b, cost, grid, unreached = _reached_pair(mu0, mu1)
     if warm_start is not None:
+        n = grid[0].n_nodes
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape != (n,) or not np.isfinite(warm_start).all():
             raise ValueError(f"warm_start must be a finite array of shape "
                              f"({n},), got one of shape {warm_start.shape}")
-    rows, cols, cost, unreached = _in_reach(dom, a, b)
-    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
-    if not rows.any():
-        return HKResult(unreached, plan, f, g, 0.0, 0, True, unreached)
-    a, b = a[rows], b[cols]
-    warm = None if warm_start is None else (b, warm_start[cols], ())
+    if not a.size:
+        return _on_grid(grid, unreached, 0.0, 0.0, 0.0, 0.0, 0, True,
+                        unreached)
+    warm = None if warm_start is None else (b, warm_start[grid[2]], ())
     sol = _dual_newton(a, b, cost, DEFAULT_EPS_SCHEDULE, max_iter, tol,
-                       warm=warm, grid=(dom, rows, cols))
+                       warm=warm, grid=grid)
     H = sol.K * sol.b
-    plan[np.ix_(rows, cols)] = H
-    f[rows], g[cols] = sol.f, sol.g
     log.debug("distance solve: %d Newton steps, levels %s, converged %s, "
               "gradient %.3g, warm start held %s, %d factor fallbacks",
               sum(sol.levels), sol.levels, sol.converged, sol.gnorm,
               warm is not None and len(sol.levels) == 1, sol.fallbacks)
-    return HKResult(unreached + let_cost(H, a, b, cost), plan, f, g,
-                    sol.gnorm, sum(sol.levels), sol.converged,
+    return _on_grid(grid, unreached + let_cost(H, a, b, cost), H, sol.f,
+                    sol.g, sol.gnorm, sum(sol.levels), sol.converged,
                     unreached + sol.val, sol.levels, sol.supports,
                     sol.fallbacks, sol.coarse)
 
@@ -894,16 +908,9 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     within pi/2 costs itself and stays out of the program (see
     _in_reach).
     """
-    if not mu0.same_domain(mu1):
-        raise ValueError("measures live on different grids")
-    dom = mu0.domain
-    n = dom.n_nodes
-    a, b = mu0.density * dom.weights, mu1.density * dom.weights
-    rows, cols, cost, unreached = _in_reach(dom, a, b)
-    f, g, plan = np.zeros(n), np.zeros(n), np.zeros((n, n))
-    if not rows.any():
-        return HKResult(unreached, plan, f, g, 0.0, 0, True)
-    a, b = a[rows], b[cols]
+    a, b, cost, grid, unreached = _reached_pair(mu0, mu1)
+    if not a.size:
+        return _on_grid(grid, unreached, 0.0, 0.0, 0.0, 0.0, 0, True)
     ab = np.concatenate([a, b])
     # each finite pair's source i and target j; j is node J of the marginals
     i, j = np.nonzero(np.isfinite(cost))
@@ -959,12 +966,10 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
 
     y = np.log(sums(h) / ab)
     kkt = float(np.max(np.abs((y[i] + y[J] + c) * h)))
-    f[rows], g[cols] = -y[:a.size], -y[a.size:]
     dense = np.zeros_like(cost)
     dense[i, j] = h
-    plan[np.ix_(rows, cols)] = dense
-    return HKResult(unreached + let_cost(dense, a, b, cost), plan, f, g, kkt,
-                    it, kkt < 1e-10)
+    return _on_grid(grid, unreached + let_cost(dense, a, b, cost), dense,
+                    -y[:a.size], -y[a.size:], kkt, it, kkt < 1e-10)
 
 
 def hk_two_diracs(mass0: float, mass1: float, distance: float) -> float:

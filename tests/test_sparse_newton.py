@@ -159,12 +159,12 @@ def test_sparse_path_agrees_with_dense_on_17x17(monkeypatch, case):
 @pytest.mark.parametrize("case", [("smooth", 0), ("far", 0)],
                          ids=lambda c: c[0])
 def test_truncation_that_drops_mass_is_caught(monkeypatch, case):
-    # a keep threshold 1e8 times too high drops real mass; the full
-    # evaluation that ends each sparse pass must then either recover the
-    # dense distance or report the solve unconverged
+    # a keep threshold of 1e5 e^-10, 1e8 e^4 times SPARSE_KEEP, drops real
+    # mass; the full evaluation that ends each sparse pass must then either
+    # recover the dense distance or report the solve unconverged
     mu0, mu1 = pair(case)
     dense = dense_solve(monkeypatch, mu0, mu1)
-    monkeypatch.setattr(hk, "SPARSE_KEEP", hk.SPARSE_KEEP * 1e8)
+    monkeypatch.setattr(hk, "SPARSE_KEEP", 1e5 * math.exp(-10.0))
     res = hk_distance_squared(mu0, mu1)
     assert any(len(s) > 1 for s in res.level_support)
     gnorm, _, _, _ = full_gradient(res, mu0, mu1)
@@ -268,36 +268,42 @@ def step_case(case):
     return mm_step, mu, 0.02, E
 
 
-@pytest.mark.parametrize("case, iterations", [("hk", 77), ("shk", 63),
-                                              ("neg_power", None)])
+@pytest.mark.parametrize("case, iterations", [("hk", 48), ("shk", 34),
+                                              ("neg_power", 73)])
 def test_steps_on_kept_supports_agree_with_the_full_plan(monkeypatch, case,
                                                          iterations):
     # an implicit step chooses kept supports by size as a distance solve
     # does: its levels at the step-only eps 1e-7 and 1e-8 open on the
     # support the last level ended on, and the step reaches the full-plan
-    # path's optimum in as many Newton steps.  On the Gaussian an iterate
-    # feasible on its kept entries leaves E*'s domain (p < 0) on the full
-    # plan, where the level restarts; it takes 116 Newton steps, 102 on the
-    # full plan
+    # path's optimum in as many Newton steps.  No level leaves its kept
+    # support for the full plan: on the Gaussian, with a keep margin of
+    # e^-10 in place of SPARSE_KEEP's e^-14, a pass at eps = 1e-7 that
+    # converged on its kept entries left E*'s domain on the full plan, and
+    # the level restarted there (116 Newton steps, 102 on the full plan)
     step, mu, tau, E = step_case(case)
-    real = hk._support_opening
-    opened = []
+    real, dual_newton = hk._support_opening, mm._dual_newton
+    opened, supports = [], []
 
     def opening(g, log_a, log_b, eps, kernel_min, support):
         opened.append(eps)
         return real(g, log_a, log_b, eps, kernel_min, support)
 
+    def solve(*args, **kw):
+        sol = dual_newton(*args, **kw)
+        supports.extend(sol.supports)
+        return sol
+
     with monkeypatch.context() as mp:
         mp.setattr(hk, "_support_opening", opening)
+        mp.setattr(mm, "_dual_newton", solve)
         res = step(mu, tau, E)
     with monkeypatch.context() as mp:
         mp.setattr(hk, "SPARSE_MIN_SIZE", math.inf)
         dense = step(mu, tau, E)
     assert res.converged and dense.converged
     assert res.objective == pytest.approx(dense.objective, rel=1e-12)
-    if iterations is None:
-        assert res.iterations <= 1.15 * dense.iterations
-        return
+    nm = mu.domain.n_nodes ** 2
+    assert all(s == (nm,) or nm not in s for s in supports)
     assert set(STEP_EPS_SCHEDULE[-2:]) <= set(opened)
     assert res.iterations == dense.iterations == iterations
     rho, ref = res.measure.density, dense.measure.density
@@ -685,13 +691,26 @@ def test_levels_open_from_the_line_through_the_last_two_ends(monkeypatch,
     assert np.array_equal(fine[schedule[-1]], sol.g)
 
 
-def _level_ends(monkeypatch, mu0, mu1):
-    """A cold distance solve between mu0 and mu1, and the (eps, gradient
-    max-norm) each of its levels ended at, coarse levels first: the last
-    point evaluated before the next level opens (its first f-sweep on the
-    full plan or its support opening) or before the closing f-sweep."""
+def _level_ends(monkeypatch, solve):
+    """The result of solve() and the levels of each level loop
+    (hk._continuation) it ran, in order, as (tol, total, ends): the loop's
+    scaled tolerance, its sum a + sum b, and per level (eps, gradient
+    max-norm) where the level ended: the last point evaluated before the
+    next level opens (its first f-sweep on the full plan or its support
+    opening), before the next loop, or before a distance solve's closing
+    f-sweep."""
     events = []
     sweep, support_opening, point = hk._sweep, hk._support_opening, hk._Point
+    continuation = hk._continuation
+
+    def spy_continuation(a, cost, schedule, max_iter, tol, term, b, *args,
+                         **kw):
+        # a distance solve's loop closes with an f-sweep, the coarse head's
+        # (handover) does not
+        closes = term is None and not kw.get("handover")
+        events.append((tol, float(a.sum() + b.sum()), closes))
+        return continuation(a, cost, schedule, max_iter, tol, term, b,
+                            *args, **kw)
 
     def spy_sweep(x, log_mass, c, eps, axis):
         if axis == 1:
@@ -707,42 +726,63 @@ def _level_ends(monkeypatch, mu0, mu1):
         return events[-1]
 
     with monkeypatch.context() as mp:
+        mp.setattr(hk, "_continuation", spy_continuation)
         mp.setattr(hk, "_sweep", spy_sweep)
         mp.setattr(hk, "_support_opening", spy_opening)
         mp.setattr(hk, "_Point", spy_point)
-        res = hk_distance_squared(mu0, mu1)
-    ends = []
+        res = solve()
+    loops = []
     for event in events:
-        if isinstance(event, float):
-            ends.append([event, None])
+        if isinstance(event, point):
+            loops[-1][3][-1][1] = event.gnorm
+        elif isinstance(event, float):
+            loops[-1][3].append([event, None])
         else:
-            ends[-1][1] = event.gnorm
-    # openings that evaluated nothing (the coarse head's handover, or a
-    # support opening that fell back to the full plan) end no level; the
-    # last entry is the closing sweep's
-    ends = [tuple(end) for end in ends if end[1] is not None]
-    return res, ends[:-1]
+            loops.append((*event, []))
+    found = []
+    for tol, total, closes, ends in loops:
+        # openings that evaluated nothing (the coarse head's handover, or a
+        # support opening that fell back to the full plan) end no level; a
+        # distance solve's last entry is its closing sweep's
+        ends = [tuple(end) for end in ends if end[1] is not None]
+        found.append((tol, total, ends[:-1] if closes else ends))
+    return res, found
 
 
-@pytest.mark.parametrize("case, at_tol", [("1d", 55), ("17x17", 71)])
+@pytest.mark.parametrize("case, at_tol", [("1d", 55), ("17x17", 71),
+                                          ("hk-step", 39), ("shk-step", 61)])
 def test_intermediate_levels_end_at_what_the_next_level_needs(monkeypatch,
                                                               case, at_tol):
-    # an intermediate level of a distance solve ends at gradient max-norm
-    # max(tol, NEWTON_LEVEL_TOL eps (sum a + sum b)), coarse levels
-    # included, and only the final level at tol: the Newton count falls
-    # below at_tol, the count with every level run to tol
+    # every dual solve, a distance solve's (coarse levels included) or an
+    # implicit step's, ends a level at eps above DEFAULT_EPS_SCHEDULE[-1]
+    # at gradient max-norm max(tol, NEWTON_LEVEL_TOL eps (sum a + sum b)),
+    # and every finer level at tol: the Newton count falls below at_tol,
+    # the count with every level of the steps' solves (and of the distance
+    # solves) run to tol
+    dom = unit_interval(33)
+    mu = sinusoid_measure(dom, base=0.8, amplitude=0.2)
+    E = power_mass_entropy(1.0, 2.0, -1.0)
     if case == "1d":
-        dom = unit_interval(33)
-        mu0 = sinusoid_measure(dom, base=0.8, amplitude=0.2)
-        mu1 = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+        nu = sinusoid_measure(dom, base=0.5, amplitude=0.3, frequency=2.0)
+        solve, schedule = (lambda: hk_distance_squared(mu, nu),
+                           hk.DEFAULT_EPS_SCHEDULE)
+    elif case == "17x17":
+        solve, schedule = (lambda: hk_distance_squared(*pair(("smooth", 0))),
+                           hk.DEFAULT_EPS_SCHEDULE)
+    elif case == "hk-step":
+        solve, schedule = lambda: mm_step(mu, 0.005, E), STEP_EPS_SCHEDULE
     else:
-        mu0, mu1 = pair(("smooth", 0))
-    res, ends = _level_ends(monkeypatch, mu0, mu1)
+        unit = DiscreteMeasure(dom, mu.density / mu.mass)
+        solve, schedule = (lambda: shk_mm_step(unit, 0.02, E),
+                           STEP_EPS_SCHEDULE)
+    res, loops = _level_ends(monkeypatch, solve)
     assert res.converged
-    assert [eps for eps, _ in ends] == list(hk.DEFAULT_EPS_SCHEDULE)
-    total = float(mu0.node_masses.sum() + mu1.node_masses.sum())
-    tol = hk.NEWTON_TOL * max(1.0, total)
-    for eps, gnorm in ends[:-1]:
-        assert gnorm <= max(tol, hk.NEWTON_LEVEL_TOL * eps * total)
-    assert ends[-1][1] <= tol
+    # the cold schedule runs first, its coarse head (if any) then the fine
+    # levels; a step's warm re-solves and final distance solve follow
+    cold = [eps for _, _, ends in loops for eps, _ in ends][:len(schedule)]
+    assert cold == list(schedule)
+    for tol, total, ends in loops:
+        for eps, gnorm in ends:
+            assert gnorm <= (max(tol, hk.NEWTON_LEVEL_TOL * eps * total)
+                             if eps > hk.DEFAULT_EPS_SCHEDULE[-1] else tol)
     assert res.iterations < at_tol
