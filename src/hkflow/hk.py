@@ -620,17 +620,42 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
     return head, domain.prolong(g)[cols]
 
 
+def _pass_end(end, kept, opened, steps, failed, tol, stop):
+    """How a Newton pass on a kept support ends (see _dual_newton), judged
+    at end, its last point evaluated on the full plan.  kept is the
+    gradient max-norm of that point on the support, opened the one where
+    the pass opened (on its support at the level's opening, on the full
+    plan where the support was chosen again), steps the pass's Newton
+    steps, failed whether S failed to factor, tol the solve's tolerance and
+    stop the level tolerance of a level above DEFAULT_EPS_SCHEDULE[-1] (0
+    on finer levels).  "restart": the level goes on on the full plan from
+    where the pass opened, as S failed, end is not finite (outside the
+    term's domain) or its gradient exceeds the opening's.  "done": the
+    level ends at end, as the dropped entries add at most 1e-3 tol to the
+    gradient, the pass took no step, or end meets stop.  Otherwise
+    "re-choose": the support is chosen again at end and the level goes
+    on."""
+    if failed or not end.finite or end.gnorm > opened:
+        return "restart"
+    if end.gnorm <= kept + 1e-3 * tol or not steps or end.gnorm < stop:
+        return "done"
+    return "re-choose"
+
+
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                   triage=False, handover=False):
     """_dual_newton's loop over one eps schedule from (b, g0, theta0).  From
     the third level on, a level opens from the linear extrapolation in eps
-    of the g at the ends of the last two levels.  With ``triage``, a level
-    whose opening mismatch exceeds WARM_MISMATCH ends unconverged, with no
-    step taken, when its first full step is rejected.  With ``handover``
-    (the coarse head of a distance solve, see _coarse_head), the loop ends
-    before the first level whose full-plan opening keeps a support, at any
-    problem size, and returns the point where the last level ended, with
-    no closing sweep; None when no level ran."""
+    of the g at the ends of the last two levels.  Each level then runs
+    Newton passes (the level routine newton below) on its kept support or
+    the full plan, and _pass_end decides how each pass on a kept support
+    ends; the loop keeps the tallies of every pass.  With ``triage``, a
+    level whose opening mismatch exceeds WARM_MISMATCH ends unconverged,
+    with no step taken, when its first full step is rejected.  With
+    ``handover`` (the coarse head of a distance solve, see _coarse_head),
+    the loop ends before the first level whose full-plan opening keeps a
+    support, at any problem size, and returns the point where the last level
+    ended, with no closing sweep; None when no level ran."""
     n, m = cost.shape
     log_a = np.log(a)
     sa = float(a.sum())
@@ -665,16 +690,14 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             # a distance solve: the linear term F = b.kappa
             F, grad_theta, d, Z = b @ kappa, (), 0.0, empty
         else:
-            if opening:
-                theta = term.opening(kappa, theta, eps)
+            theta = term.opening(kappa, theta, eps) if opening else theta
             F, b, grad_theta, d, Z = term.value(kappa, theta, eps)
         val = float(a @ (1.0 - e_f) + F)
         if bar is not None and not val >= bar:
             return None
         r = K @ b if support is None else np.bincount(i, K * b[j], n)
         s = b * u
-        ea = a * e_f
-        eb = b * e_g
+        ea, eb = a * e_f, b * e_g
         grad = np.concatenate([ea - r, eb - s, grad_theta])
         gnorm = float(np.max(np.abs(grad)))
         finite = (bool(np.isfinite(d).all()) and math.isfinite(val)
@@ -682,14 +705,43 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         return _Point(f, g, np.asarray(theta, dtype=float), b, K, val, r, s,
                       ea, eb, grad, gnorm, (e_g - u, Z, d), finite)
 
-    def full(pt):
-        # pt evaluated on the full plan
-        return pt if pt.K.ndim == 2 else evaluate(pt.f, pt.g, pt.theta, eps,
-                                                  pt.b)
-
     def solved(pt, converged):
         return pt._replace(levels=tuple(levels), supports=tuple(supports),
                            converged=converged, fallbacks=fallbacks)
+
+    def newton(pt, support, level_tol, budget, hopeless):
+        # the level routine: damped Newton at the level's eps on support from
+        # pt until the gradient max-norm is below level_tol, within budget
+        # steps.  Returns the end point, the steps taken and the Newton
+        # directions whose S failed to factor (a pass on a kept support ends
+        # at the first); with hopeless, None in place of the end point once
+        # the first full step is rejected: too far off for damped Newton at
+        # this eps
+        steps = failed = 0
+        while steps < budget and not pt.gnorm < level_tol:
+            step, fail = _newton_direction(pt, eps, support)
+            failed += fail
+            if fail and support is not None:
+                break
+            t = 1.0
+            while t > 1e-13:
+                trial = evaluate(pt.f + t * step[:n], pt.g + t * step[n:n + m],
+                                 pt.theta + t * step[n + m:], eps, pt.b,
+                                 support=support, bar=pt.val - noise)
+                # a gain beyond roundoff decides; inside the roundoff band the
+                # dual cannot, so the gradient norm must fall instead
+                if trial is not None and trial.finite and (
+                        trial.val > pt.val + noise or trial.gnorm < pt.gnorm):
+                    break
+                if hopeless and t == 1.0 and not steps:
+                    return None, 0, failed
+                t *= 0.5
+            else:
+                break
+            # the accepted trial's plan, dual value and gradient are the next
+            # iterate's, so an accepted step computes nothing twice
+            pt, steps = trial, steps + 1
+        return pt, steps, failed
 
     total = float(a.sum() + b.sum())
     # dual values closer than this differ by roundoff only
@@ -741,81 +793,39 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         hopeless = triage and float(np.abs(opened.grad).sum()) > (
             WARM_MISMATCH * total)
         # a level above the distance schedule's last eps stops at what the
-        # next level needs, every finer level at tol (see _dual_newton)
-        early = eps > DEFAULT_EPS_SCHEDULE[-1]
-        level_tol = max(tol, NEWTON_LEVEL_TOL * eps * total) if early else tol
+        # next level needs, early; every finer level at tol (see _dual_newton)
+        early = (max(tol, NEWTON_LEVEL_TOL * eps * total)
+                 if eps > DEFAULT_EPS_SCHEDULE[-1] else 0.0)
         with np.errstate(**quiet):
             while True:
                 supports[-1] += (n * m if support is None
                                  else support.rows.size,)
-                start, failed = levels[-1], False
-                for _ in range(max_iter - start):
-                    if pt.gnorm < level_tol:
-                        break
-                    step, failed = _newton_direction(pt, eps, support)
-                    fallbacks += failed
-                    if failed and support is not None:
-                        break
-                    t = 1.0
-                    while t > 1e-13:
-                        trial = evaluate(pt.f + t * step[:n],
-                                         pt.g + t * step[n:n + m],
-                                         pt.theta + t * step[n + m:], eps,
-                                         pt.b, support=support,
-                                         bar=pt.val - noise)
-                        # a gain beyond roundoff decides; inside the roundoff
-                        # band the dual cannot, so the gradient norm must fall
-                        # instead
-                        if trial is not None and trial.finite and (
-                                trial.val > pt.val + noise
-                                or trial.gnorm < pt.gnorm):
-                            break
-                        if hopeless and t == 1.0 and levels[-1] == 0:
-                            # too far off for damped Newton at this eps: the
-                            # caller's cold schedule continues into it instead
-                            return solved(full(opened), False)
-                        t *= 0.5
-                    else:
-                        break
-                    # the accepted trial's plan, dual value and gradient are
-                    # the next iterate's, so an accepted step computes
-                    # nothing twice
-                    pt = trial
-                    levels[-1] += 1
+                pt, steps, failed = newton(pt, support, max(tol, early),
+                                           max_iter - levels[-1],
+                                           hopeless and not levels[-1])
+                levels[-1] += steps
+                fallbacks += failed
+                if pt is None:
+                    # the caller's cold schedule continues into it instead
+                    return solved(opened, False)
                 if support is None:
                     break
-                # mass the support dropped shows in the full gradient.  A
-                # cluster of tiny masses tied only to itself by its kept
-                # entries can drift on them until dropped entries dominate
-                # (the pass ends worse than it began) or make S fail to
-                # factor.  On the full plan the dropped entries lower the
-                # slopes k, so a point inside a term's domain on the kept
-                # entries can be outside it there.
-                kept_gnorm = pt.gnorm
-                pt = full(pt)
-                if failed or not pt.finite or pt.gnorm > opened.gnorm:
-                    # restart from the pass's opening point on the full plan
-                    support = None
-                    pt = full(opened)
-                elif (pt.gnorm <= kept_gnorm + 1e-3 * tol
-                      or levels[-1] == start
-                      or early and pt.gnorm < level_tol):
-                    break
-                if levels[-1] == max_iter:
+                end = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
+                verdict = _pass_end(end, pt.gnorm, opened.gnorm, steps, failed,
+                                    tol, early)
+                pt = end if verdict != "restart" else evaluate(
+                    opened.f, opened.g, opened.theta, eps, opened.b)
+                if verdict == "done" or levels[-1] == max_iter:
                     break
                 opened = pt
+                support = None if verdict == "restart" else _kept_support(
+                    pt.f, pt.g, cost, eps, kernel_min)
                 if support is not None:
-                    # not restarted: the support is chosen again from here
-                    support = _kept_support(pt.f, pt.g, cost, eps,
-                                            kernel_min)
-                    if support is not None:
-                        pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
-                                      support=support)
+                    pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
+                                  support=support)
         g, theta, b = pt.g, pt.theta, pt.b
         ends = ends[-1:] + [(eps, g)]
-    if handover:
-        return solved(pt, pt.gnorm <= NEWTON_SLACK * tol) if ends else None
-    if term is None:
+    if term is None and not handover:
         # a closing f-sweep, exact maximization over f at the last g, so
         # that each plan row holds a e^-f.  Newton stops on the gradient's
         # max-norm, and a source node of tiny mass (down to 1e-90 in a
@@ -825,7 +835,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         f = _sweep(pt.g, np.log(b), cost, eps, axis=1)
         with np.errstate(**quiet):
             pt = evaluate(f, pt.g, pt.theta, eps, b)
-    return solved(pt, pt.gnorm <= NEWTON_SLACK * tol)
+    return solved(pt, pt.gnorm <= NEWTON_SLACK * tol) if ends else None
 
 
 def hk_distance_squared(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
