@@ -492,11 +492,11 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     The Newton step eliminates g, whose Hessian block is diagonal, factors
     the Schur complement on f by Cholesky and corrects for theta after it
     (see _newton_direction).  On large solves (n + m >= SPARSE_MIN_SIZE),
-    with or without a term, at small eps almost all of the plan is roundoff.
-    There each level chooses a kept support at its opening point (see
-    _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput. 2019,
-    truncates the kernel the same way), and Newton evaluates the plan on the
-    kept entries only, where the Schur complement on f is banded (see
+    with or without a term, at small eps almost all of the plan is
+    roundoff.  There each level chooses a kept support at its opening point
+    (see _kept_support and SPARSE_KEEP; Schmitzer, SIAM J. Sci. Comput.
+    2019, truncates the kernel the same way), and Newton evaluates the plan
+    on the kept entries only, where the Schur complement on f is banded (see
     _Support), with theta or without.  A level whose support would keep more
     than SPARSE_MAX_FILL of the plan stays dense.  A level that follows one
     ended on a kept support opens on it (see _support_opening): both sweeps
@@ -505,17 +505,31 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     new eps.  A level opens on the full plan, as above, as the first of a
     loop, after a dense level or a restart, and when a row or column has no
     kept entry.  Either way, an opening that keeps a support is evaluated on
-    it only, and the full plan is not read until the pass ends.  A sparse
-    pass ends with one evaluation on the full plan: if its gradient exceeds
-    the kept one by more than 1e-3 tol, the support is chosen again from
-    there and the level goes on; if it exceeds the pass's first gradient, is
-    not finite (outside the term's domain), or S failed to factor on the
-    support, the level restarts from that first point, evaluated on the full
-    plan.  Every level thus ends on a full evaluation, and the returned plan,
-    gradient and dual value are those of the full plan.  A distance solve
-    then closes with one f-sweep at the last g, so that each plan row holds
-    exactly a e^-f, and returns that point: the primal value of its plan
-    does not depend on where Newton stopped in rows of tiny mass.
+    it only, and the full plan is not read until the pass ends.
+
+    A Newton pass on a kept support ends with one evaluation on the full
+    plan, from which one policy (_pass_end) decides how the level goes on,
+    as Schmitzer (2019) keeps truncation apart from eps-scaling.  "done":
+    the level ends there, as its gradient exceeds the kept one by at most
+    1e-3 tol, the pass took no step, or the gradient meets the level
+    tolerance (below).  "re-choose": the support is chosen again there and
+    the level goes on.  "restart": the gradient exceeds the pass's first
+    gradient, is not finite (outside the term's domain), or S failed to
+    factor on the support; the level goes on from that first point on the
+    full plan.  A cold level keeps this restart, which guards against
+    clusters of tiny mass that drift on their own kept entries.  In a warm
+    attempt whose pass took steps, "give up" takes its place: the attempt
+    ends unconverged and the cold solve follows.  A warm level chooses its
+    support at a stale opening and can converge on its entries far from the
+    full-plan optimum (on 33 x 33 the dropped entries reach the exp cap of
+    500), where the dense restart ran up to 60 Newton steps: the 33 x 33 SHK
+    evi_check of an A = 0.5 sinusoid (tau = 0.01, 16 steps) took 93 s with
+    it and 15 s without, at one BLAS thread.  Every level thus ends on a
+    full evaluation, and the returned plan, gradient and dual value are
+    those of the full plan.  A distance solve then closes with one f-sweep
+    at the last g, so that each plan row holds exactly a e^-f, and returns
+    that point: the primal value of its plan does not depend on where Newton
+    stopped in rows of tiny mass.
 
     A cold solve runs the schedule from the seed (b, g = 0, theta0).  A cold
     distance solve given its ``grid`` = (domain, rows, cols), the masks of
@@ -524,20 +538,21 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     one and a or b has SPARSE_MIN_SIZE nodes or more.  That coarse head
     hands over before the first level whose coarse opening keeps a support:
     the levels before it would factor a dense n x n Schur complement per
-    Newton direction on the fine grid.  The fine
-    loop then runs the remaining levels from the coarse g interpolated to the
-    fine targets (from g = 0 when no coarse level ran).  On smaller grids
-    (9 x 9, 11 x 11) the first fine level, opened from an interpolated g that
-    misses the node-scale ratio of the masses, takes more Newton steps than
-    the coarse levels save.  A warm start (b, g, theta) solves the final
-    level only (the sweep computes f from g); should that not converge, the
-    cold solve follows, and both runs' levels and supports are returned.  A
-    warm distance solve is triaged at its first line search: if the full step
-    is rejected and the opening point's marginal mismatch |grad_(f, g)|_1
-    exceeds WARM_MISMATCH (sum a + sum b), the warm attempt ends there with 0
-    steps and the cold solve follows, so its result is the cold solve's.
-    Steps (with a term) are not triaged: an SHK step warm from the previous
-    step can meet the same test and still converge at the final level.
+    Newton direction on the fine grid.  The fine loop then runs the
+    remaining levels from the coarse g interpolated to the fine targets
+    (from g = 0 when no coarse level ran).  On smaller grids (9 x 9,
+    11 x 11) the first fine level, opened from an interpolated g that misses
+    the node-scale ratio of the masses, takes more Newton steps than the
+    coarse levels save.  A warm start (b, g, theta) solves the final level only
+    (the sweep computes f from g); should that not converge, or give up
+    (above), the cold solve follows, and both runs' levels and supports are
+    returned.  A warm distance solve also gives up at its first line search
+    (triage): if the full step is rejected and the opening point's marginal
+    mismatch |grad_(f, g)|_1 exceeds WARM_MISMATCH (sum a + sum b), the warm
+    attempt ends there with 0 steps and the cold solve follows, so its
+    result is the cold solve's.  Steps (with a term) are not triaged: an SHK
+    step warm from the previous step can meet the same test and still
+    converge at the final level.
 
     tol is per unit of mass: the solve scales it by max(1, sum a + sum b)
     of the masses it is given (with a term, b is the cold seed).
@@ -567,7 +582,7 @@ def _dual_newton(a, b, cost, eps_schedule, max_iter, tol, term=None,
     levels, supports, fallbacks = (), (), 0
     if warm is not None:
         sol = _continuation(a, cost, eps_schedule[-1:], max_iter, tol, term,
-                            *warm, triage=term is None)
+                            *warm, warm=True)
         if sol.converged:
             return sol
         levels, supports, fallbacks = sol.levels, sol.supports, sol.fallbacks
@@ -620,7 +635,7 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
     return head, domain.prolong(g)[cols]
 
 
-def _pass_end(end, kept, opened, steps, failed, tol, stop):
+def _pass_end(end, kept, opened, steps, failed, tol, stop, warm):
     """How a Newton pass on a kept support ends (see _dual_newton), judged
     at end, its last point evaluated on the full plan.  kept is the
     gradient max-norm of that point on the support, opened the one where
@@ -630,28 +645,32 @@ def _pass_end(end, kept, opened, steps, failed, tol, stop):
     stop the level tolerance of a level above DEFAULT_EPS_SCHEDULE[-1] (0
     on finer levels).  "restart": the level goes on on the full plan from
     where the pass opened, as S failed, end is not finite (outside the
-    term's domain) or its gradient exceeds the opening's.  "done": the
-    level ends at end, as the dropped entries add at most 1e-3 tol to the
-    gradient, the pass took no step, or end meets stop.  Otherwise
-    "re-choose": the support is chosen again at end and the level goes
-    on."""
+    term's domain) or its gradient exceeds the opening's.  On a warm
+    attempt (warm) whose pass took steps, "give up" in its place: the
+    attempt ends unconverged and the cold schedule follows.  A cold level
+    keeps its restart, which guards against clusters of tiny mass that
+    drift on their own kept entries.  "done": the level ends at end, as
+    the dropped entries add at most 1e-3 tol to the gradient, the pass took
+    no step, or end meets stop.  Otherwise "re-choose": the support is
+    chosen again at end and the level goes on."""
     if failed or not end.finite or end.gnorm > opened:
-        return "restart"
-    if end.gnorm <= kept + 1e-3 * tol or not steps or end.gnorm < stop:
-        return "done"
-    return "re-choose"
+        return "give up" if warm and steps else "restart"
+    done = end.gnorm <= kept + 1e-3 * tol or not steps or end.gnorm < stop
+    return "done" if done else "re-choose"
 
 
 def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
-                  triage=False, handover=False):
+                  warm=False, handover=False):
     """_dual_newton's loop over one eps schedule from (b, g0, theta0).  From
     the third level on, a level opens from the linear extrapolation in eps
     of the g at the ends of the last two levels.  Each level then runs
     Newton passes (the level routine newton below) on its kept support or
     the full plan, and _pass_end decides how each pass on a kept support
-    ends; the loop keeps the tallies of every pass.  With ``triage``, a
-    level whose opening mismatch exceeds WARM_MISMATCH ends unconverged,
-    with no step taken, when its first full step is rejected.  With
+    ends; the loop keeps the tallies of every pass.  With ``warm`` (the
+    warm attempt of _dual_newton), the level gives up, ending unconverged,
+    when a kept pass that took steps would restart, and in a distance
+    solve when its opening mismatch exceeds WARM_MISMATCH and its first
+    full step is rejected (triage, with no step taken).  With
     ``handover`` (the coarse head of a distance solve, see _coarse_head),
     the loop ends before the first level whose full-plan opening keeps a
     support, at any problem size, and returns the point where the last level
@@ -748,7 +767,6 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
     noise = 1e-14 * total
     g = np.asarray(g0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
-    sparse = n + m >= SPARSE_MIN_SIZE
     # the kernel below which _kept_support drops a plan entry
     kernel_min = SPARSE_KEEP * tol / (max(n, m) * a.max() * b.max())
     levels, supports, fallbacks = [], [], 0
@@ -769,7 +787,7 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                 f = _sweep(g, np.log(b), cost, eps, axis=1)
             g = _sweep(f, log_a, cost, eps, axis=0)
             support = (_kept_support(f, g, cost, eps, kernel_min)
-                       if sparse or handover else None)
+                       if handover or n + m >= SPARSE_MIN_SIZE else None)
             if handover and support is not None:
                 break
         # on a kept support, the full plan is first evaluated where the
@@ -790,8 +808,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         supports.append(())
         # on a kept support the mismatch misses the dropped entries, far
         # below WARM_MISMATCH
-        hopeless = triage and float(np.abs(opened.grad).sum()) > (
-            WARM_MISMATCH * total)
+        hopeless = warm and term is None and float(
+            np.abs(opened.grad).sum()) > WARM_MISMATCH * total
         # a level above the distance schedule's last eps stops at what the
         # next level needs, early; every finer level at tol (see _dual_newton)
         early = (max(tol, NEWTON_LEVEL_TOL * eps * total)
@@ -805,14 +823,14 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                                            hopeless and not levels[-1])
                 levels[-1] += steps
                 fallbacks += failed
-                if pt is None:
-                    # the caller's cold schedule continues into it instead
-                    return solved(opened, False)
-                if support is None:
+                if pt is None or support is None:
                     break
                 end = evaluate(pt.f, pt.g, pt.theta, eps, pt.b)
                 verdict = _pass_end(end, pt.gnorm, opened.gnorm, steps, failed,
-                                    tol, early)
+                                    tol, early, warm)
+                if verdict == "give up":
+                    pt = None
+                    break
                 pt = end if verdict != "restart" else evaluate(
                     opened.f, opened.g, opened.theta, eps, opened.b)
                 if verdict == "done" or levels[-1] == max_iter:
@@ -823,6 +841,10 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                 if support is not None:
                     pt = evaluate(pt.f, pt.g, pt.theta, eps, pt.b,
                                   support=support)
+        if pt is None:
+            # a warm attempt gives up: the caller's cold schedule continues
+            # into it instead
+            return solved(opened, False)
         g, theta, b = pt.g, pt.theta, pt.b
         ends = ends[-1:] + [(eps, g)]
     if term is None and not handover:

@@ -310,6 +310,45 @@ def test_steps_on_kept_supports_agree_with_the_full_plan(monkeypatch, case,
     assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("spherical", [False, True], ids=["hk", "shk"])
+def test_warm_kept_passes_give_up_instead_of_restarting_dense(monkeypatch,
+                                                             spherical):
+    # a second, warm step after the cold 17 x 17 sin-cos step of
+    # step_case("hk") (E = c^2 - c, tau = 0.02), in HK and, from the same
+    # data at unit mass, in SHK.  Each warm attempt, of a dual solve or of
+    # the certifying distance solve, chooses its kept support at a stale
+    # opening; a kept pass that took steps and would restart on the full
+    # plan gives up instead, and the cold schedule follows.  So no warm
+    # level lists the full plan after a kept support: restarted dense, the
+    # HK step took 39 Newton steps (supports (538, 83521)) and the SHK step
+    # 55 ((540, 83521)); they now take 37 and 54
+    step, mu, tau, E = step_case("hk")
+    if spherical:
+        step, mu = shk_mm_step, DiscreteMeasure(mu.domain,
+                                                mu.density / mu.mass)
+    first = step(mu, tau, E)
+    real, warm_levels = hk._dual_newton, []
+
+    def solve(*args, **kw):
+        sol = real(*args, **kw)
+        if kw.get("warm", args[8] if len(args) > 8 else None) is not None:
+            # the warm attempt runs the schedule's last level alone
+            warm_levels.append(sol.supports[0])
+        return sol
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hk, "_dual_newton", solve)
+        mp.setattr(mm, "_dual_newton", solve)
+        res = step(first.measure, tau, E, first.warm)
+    cold = step(first.measure, tau, E)
+    nm = mu.domain.n_nodes ** 2
+    assert any(s != (nm,) for s in warm_levels)
+    assert all(s == (nm,) or nm not in s for s in warm_levels)
+    assert first.converged and res.converged and cold.converged
+    assert res.iterations == (54 if spherical else 37)
+    assert res.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
 def test_shk_steps_factor_the_band_as_hk_steps_do(monkeypatch):
     # the SHK step's mass multiplier is a k x k correction after S is
     # factored, so its kept supports keep band storage: the cold 17 x 17
