@@ -220,24 +220,29 @@ def let_cost(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
 class HKResult:
     """Solver output: squared distance plus certificates.
 
-    ``dual_value`` is the regularized dual objective at the returned
-    potentials (a smooth surrogate of the squared distance).
-    ``level_iterations`` holds the Newton count of each regularization
-    level that ran, in order; they sum to ``iterations``.  A warm solve
-    holds one entry when the warm start held; otherwise the warm attempt's
-    count (0 when it was triaged, see WARM_MISMATCH) followed by the cold
-    schedule's counts.  ``level_support`` holds, per level in the same
-    order, the kept plan entries of each support the level chose: one entry
-    n m on a dense level, and one more entry for each time a sparse level
-    chose its support again.  ``factor_fallbacks`` counts the Newton
-    directions whose Schur complement failed to factor: solved with 1e-12 I
-    added on the full plan, restarted on it from a kept support.
-    ``coarse_levels`` counts the levels of the cold schedule that ran on
-    the nested coarser grid, those before the first whose coarse opening
-    keeps a support (0 on any other solve); they keep their place in both
-    tuples,
-    with the coarse Newton counts and supports (n m of the coarse node
-    masses), and ``iterations`` counts both grids.
+    ``dual_value`` is the dual objective at the returned potentials plus
+    the unreached mass (see _in_reach).  In hk_distance_squared it is the
+    regularized dual of _dual_newton, a smooth surrogate of the squared
+    distance.  In hk_exact_small it is sum a (1 - e^-f) + sum b (1 - e^-g)
+    at potentials with f_i + g_j <= c_ij on every pair in reach, so a
+    lower end of the squared distance, about 1e-13 below ``hk_squared``
+    (the barrier's share).  ``level_iterations`` holds the Newton count of
+    each regularization level that ran, in order; they sum to
+    ``iterations``.  A warm solve holds one entry when the warm start held;
+    otherwise the warm attempt's count (0 when it was triaged, see
+    WARM_MISMATCH) followed by the cold schedule's counts.
+    ``level_support`` holds, per level in the same order, the kept plan
+    entries of each support the level chose: one entry n m on a dense
+    level, and one more entry for each time a sparse level chose its
+    support again or restarted on the full plan.  ``factor_fallbacks``
+    counts the Newton directions whose Schur complement failed to factor:
+    solved with 1e-12 I added on the full plan, and on a kept support
+    restarted on the full plan (or given up in a warm attempt whose pass
+    took steps).  ``coarse_levels`` counts the levels of the cold schedule
+    that ran on the nested coarser grid, those before the first whose
+    coarse opening keeps a support (0 on any other solve); they keep their
+    place in both tuples, with the coarse Newton counts and supports (n m
+    of the coarse node masses), and ``iterations`` counts both grids.
     """
 
     hk_squared: float
@@ -794,8 +799,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
         # pass ends
         for _ in range(64):
             with np.errstate(**quiet):
-                pt = evaluate(f, g, theta, eps, b, opening=True,
-                              support=support)
+                opened = pt = evaluate(f, g, theta, eps, b, opening=True,
+                                       support=support)
             if pt.finite or term is None:
                 break
             # outside the domain of the term (dual -inf): a lower f lowers
@@ -803,7 +808,6 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
             # 1 + eps sum a
             f = f - 1.0
             g = _sweep(f, log_a, cost, eps, axis=0)
-        opened = pt
         levels.append(0)
         supports.append(())
         # on a kept support the mismatch misses the dropped entries, far
@@ -942,7 +946,8 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     """
     a, b, cost, grid, unreached = _reached_pair(mu0, mu1)
     if not a.size:
-        return _on_grid(grid, unreached, 0.0, 0.0, 0.0, 0.0, 0, True)
+        return _on_grid(grid, unreached, 0.0, 0.0, 0.0, 0.0, 0, True,
+                        unreached)
     ab = np.concatenate([a, b])
     # each finite pair's source i and target j; j is node J of the marginals
     i, j = np.nonzero(np.isfinite(cost))
@@ -1000,8 +1005,11 @@ def hk_exact_small(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> HKResult:
     kkt = float(np.max(np.abs((y[i] + y[J] + c) * h)))
     dense = np.zeros_like(cost)
     dense[i, j] = h
+    # the potentials are f = -y[:n], g = -y[n:], and the dual value there,
+    # sum a (1 - e^-f) + sum b (1 - e^-g), is ab (1 - e^y)
     return _on_grid(grid, unreached + let_cost(dense, a, b, cost), dense,
-                    -y[:a.size], -y[a.size:], kkt, it, kkt < 1e-10)
+                    -y[:a.size], -y[a.size:], kkt, it, kkt < 1e-10,
+                    unreached + float(ab @ (1.0 - np.exp(y))))
 
 
 def hk_two_diracs(mass0: float, mass1: float, distance: float) -> float:

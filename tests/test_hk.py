@@ -421,6 +421,8 @@ def test_exact_solver_prices_unreached_mass_at_itself(mirrored):
         res = hk_distance_squared(mu0, mu1)
     assert exact.converged
     assert exact.hk_squared == pytest.approx(closed, abs=1e-10)
+    # the dual value, unreached mass included, is a lower end of HK^2
+    assert 0.0 <= exact.hk_squared - exact.dual_value <= 2e-13
     assert res.hk_squared == pytest.approx(exact.hk_squared, abs=1e-9)
 
 
@@ -447,16 +449,19 @@ def test_exact_solver_prices_a_pair_out_of_reach_itself(monkeypatch, far):
         expected = mu1.mass
     exact = hk_exact_small(mu0, mu1)
     assert exact.hk_squared == pytest.approx(expected, abs=1e-14)
+    assert exact.dual_value == exact.hk_squared
     assert exact.iterations == 0 and exact.converged
     assert not exact.plan.any()
 
 
 def _oracle_value(mu0, mu1):
-    """The oracle's HK^2, once it converged and the entropic solver's
-    excess over it lies in [-1e-12, 1e-10]: a feasible plan cannot beat the
-    optimum, and the entropic bias at eps = 1e-6 is small."""
+    """The oracle's HK^2, once it converged, its dual value lies at most
+    2e-13 below it (the barrier's share is 1e-13), and the entropic
+    solver's excess over it lies in [-1e-12, 1e-10]: a feasible plan cannot
+    beat the optimum, and the entropic bias at eps = 1e-6 is small."""
     exact = hk_exact_small(mu0, mu1)
     assert exact.converged
+    assert 0.0 <= exact.hk_squared - exact.dual_value <= 2e-13
     excess = hk_distance_squared(mu0, mu1).hk_squared - exact.hk_squared
     assert -1e-12 <= excess <= 1e-10
     return exact.hk_squared
