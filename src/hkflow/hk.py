@@ -283,9 +283,10 @@ class _Point(NamedTuple):
     the solve's tallies filled in: per-level Newton counts and kept
     supports (of a warm attempt, then of the cold rerun if one followed),
     the converged verdict, the number of Newton directions whose Schur
-    complement failed to factor (solved with 1e-12 I added, or by a
-    restart from a kept support) and the number of leading levels of the
-    cold schedule that ran on the coarser grid (see _coarse_head).  The
+    complement failed to factor (solved with 1e-12 I added, or on a kept
+    support by a restart or a warm attempt's give-up) and the number of
+    leading levels of the cold schedule that ran on the coarser grid (see
+    _coarse_head).  The
     coarse head itself returns such a point of the coarse problem, where
     its last level ended."""
 
@@ -641,23 +642,28 @@ def _coarse_head(a, b, eps_schedule, max_iter, tol, domain, rows, cols):
 
 
 def _pass_end(end, kept, opened, steps, failed, tol, stop, warm):
-    """How a Newton pass on a kept support ends (see _dual_newton), judged
-    at end, its last point evaluated on the full plan.  kept is the
-    gradient max-norm of that point on the support, opened the one where
-    the pass opened (on its support at the level's opening, on the full
-    plan where the support was chosen again), steps the pass's Newton
-    steps, failed whether S failed to factor, tol the solve's tolerance and
-    stop the level tolerance of a level above DEFAULT_EPS_SCHEDULE[-1] (0
-    on finer levels).  "restart": the level goes on on the full plan from
-    where the pass opened, as S failed, end is not finite (outside the
-    term's domain) or its gradient exceeds the opening's.  On a warm
-    attempt (warm) whose pass took steps, "give up" in its place: the
-    attempt ends unconverged and the cold schedule follows.  A cold level
-    keeps its restart, which guards against clusters of tiny mass that
-    drift on their own kept entries.  "done": the level ends at end, as
-    the dropped entries add at most 1e-3 tol to the gradient, the pass took
-    no step, or end meets stop.  Otherwise "re-choose": the support is
-    chosen again at end and the level goes on."""
+    """How a Newton pass on a kept support ends (see _dual_newton), judged at
+    end, its last point evaluated on the full plan.  kept is the gradient
+    max-norm of that point on the support, opened the one where the pass
+    opened (on its support at the level's opening, on the full plan where
+    the support was chosen again), steps the pass's Newton steps, failed
+    whether S failed to factor, tol the solve's tolerance and stop the level
+    tolerance of a level above DEFAULT_EPS_SCHEDULE[-1] (0 on finer
+    levels).  Mass the support dropped shows in the full gradient: a cluster
+    of tiny masses tied only to itself by its kept entries can drift on them
+    until dropped entries dominate (the pass ends worse than it began) or
+    make S fail to factor, and the dropped entries lower the slopes k, so a
+    point inside a term's domain on the kept entries can be outside it on
+    the full plan.  "restart": the level goes on on the full plan from where
+    the pass opened, as S failed, end is not finite (outside the term's
+    domain) or its gradient exceeds the opening's.  On a warm attempt (warm)
+    whose pass took steps, "give up" in its place: the attempt ends
+    unconverged and the cold schedule follows.  A cold level keeps its
+    restart, which guards against clusters of tiny mass that drift on their
+    own kept entries.  "done": the level ends at end, as the dropped entries
+    add at most 1e-3 tol to the gradient, the pass took no step, or end
+    meets stop.  Otherwise "re-choose": the support is chosen again at end
+    and the level goes on."""
     if failed or not end.finite or end.gnorm > opened:
         return "give up" if warm and steps else "restart"
     done = end.gnorm <= kept + 1e-3 * tol or not steps or end.gnorm < stop
@@ -839,6 +845,8 @@ def _continuation(a, cost, eps_schedule, max_iter, tol, term, b, g0, theta0,
                     opened.f, opened.g, opened.theta, eps, opened.b)
                 if verdict == "done" or levels[-1] == max_iter:
                     break
+                # the next pass: dense after a restart, else on the support
+                # chosen again at end
                 opened = pt
                 support = None if verdict == "restart" else _kept_support(
                     pt.f, pt.g, cost, eps, kernel_min)

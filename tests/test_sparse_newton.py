@@ -249,9 +249,10 @@ def step_case(case):
     0.8 + 0.5 sin(2 pi x) cos(2 pi y) (HK at tau = 0.02, SHK at 0.01), or
     E = -sqrt(c) from a narrow Gaussian at (0.3, 0.4) over a floor of 0.05
     (HK at 0.02).  At tau = 0.02 the SHK step's third step-scale solve
-    starts with a gradient max-norm within 1 % of the Newton tolerance, so
-    roundoff (the BLAS thread count) decides whether it takes a Newton
-    step, and the density to 2.5e-9; at 0.01 it starts at 2.3 times it."""
+    opens with a gradient max-norm of 1.012 times the Newton tolerance at
+    one BLAS thread and 1.007 times at two, so roundoff (the BLAS thread
+    count) could decide whether it takes a Newton step (it takes one at
+    both), and the density to 2.5e-9; at 0.01 it opens at 2.36 times it."""
     dom = square()
     x, y = dom.coordinates.T
     if case == "neg_power":
@@ -319,9 +320,9 @@ def test_warm_kept_passes_give_up_instead_of_restarting_dense(monkeypatch,
     # the certifying distance solve, chooses its kept support at a stale
     # opening; a kept pass that took steps and would restart on the full
     # plan gives up instead, and the cold schedule follows.  So no warm
-    # level lists the full plan after a kept support: restarted dense, the
-    # HK step took 39 Newton steps (supports (538, 83521)) and the SHK step
-    # 55 ((540, 83521)); they now take 37 and 54
+    # level lists the full plan after a kept support, and the steps take 37
+    # and 54 Newton steps (a dense restart of one warm level, supports
+    # (538, 83521) and (540, 83521), takes them to 39 and 55)
     step, mu, tau, E = step_case("hk")
     if spherical:
         step, mu = shk_mm_step, DiscreteMeasure(mu.domain,
